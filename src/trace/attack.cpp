@@ -106,35 +106,44 @@ AttackSource::AttackSource(AttackConfig config)
     throw std::invalid_argument("AttackSource: no valid aggressors derived");
 }
 
-std::optional<AccessRecord> AttackSource::next() {
+bool AttackSource::generate(AccessRecord& rec) {
   now_ps_ += cfg_.interarrival_ps;
-  if (now_ps_ >= cfg_.end_ps) return std::nullopt;
-  AccessRecord rec;
+  if (now_ps_ >= cfg_.end_ps) return false;
   rec.time_ps = now_ps_;
   rec.bank = cfg_.bank;
-  ++emitted_;
-  if (cfg_.pattern == AttackPattern::kFuzzed) {
-    // Fuzzed patterns replay their explicit base period cyclically.
-    rec.row = cfg_.schedule[cursor_];
-    cursor_ = (cursor_ + 1) % cfg_.schedule.size();
-    rec.write = false;
-    rec.is_attack = true;
-    rec.source = cfg_.source_id;
-    return rec;
-  }
-  // Half-double interleaves one near-row dribble after every
-  // far_per_near hammering activations.
-  if (!dribble_.empty() && emitted_ % (cfg_.far_per_near + 1) == 0) {
-    rec.row = dribble_[dribble_cursor_];
-    dribble_cursor_ = (dribble_cursor_ + 1) % dribble_.size();
-  } else {
-    rec.row = aggressors_[cursor_];
-    cursor_ = (cursor_ + 1) % aggressors_.size();
-  }
   rec.write = false;
   rec.is_attack = true;
   rec.source = cfg_.source_id;
+  if (cfg_.pattern == AttackPattern::kFuzzed) {
+    // Fuzzed patterns replay their explicit base period cyclically.
+    rec.row = cfg_.schedule[cursor_];
+    if (++cursor_ == cfg_.schedule.size()) cursor_ = 0;
+    return true;
+  }
+  // Half-double interleaves one near-row dribble after every
+  // far_per_near hammering activations.
+  if (!dribble_.empty() &&
+      ++since_dribble_ == std::uint64_t{cfg_.far_per_near} + 1) {
+    since_dribble_ = 0;
+    rec.row = dribble_[dribble_cursor_];
+    if (++dribble_cursor_ == dribble_.size()) dribble_cursor_ = 0;
+  } else {
+    rec.row = aggressors_[cursor_];
+    if (++cursor_ == aggressors_.size()) cursor_ = 0;
+  }
+  return true;
+}
+
+std::optional<AccessRecord> AttackSource::next() {
+  AccessRecord rec;
+  if (!generate(rec)) return std::nullopt;
   return rec;
+}
+
+std::size_t AttackSource::next_batch(AccessRecord* out, std::size_t max) {
+  std::size_t n = 0;
+  while (n < max && generate(out[n])) ++n;
+  return n;
 }
 
 AttackConfig make_multi_aggressor_attack(dram::BankId bank, dram::RowId rows_per_bank,

@@ -71,6 +71,9 @@ class AttackSource final : public TraceSource {
   explicit AttackSource(AttackConfig config);
 
   std::optional<AccessRecord> next() override;
+  /// The records next() would return, in one non-virtual loop; stops
+  /// short (and returns 0 from then on) at end_ps.
+  std::size_t next_batch(AccessRecord* out, std::size_t max) override;
 
   /// Hammered aggressor rows (the far rows for kHalfDouble).
   const std::vector<dram::RowId>& aggressors() const noexcept { return aggressors_; }
@@ -79,13 +82,17 @@ class AttackSource final : public TraceSource {
   const AttackConfig& config() const noexcept { return cfg_; }
 
  private:
+  bool generate(AccessRecord& rec);
+
   AttackConfig cfg_;
   std::vector<dram::RowId> aggressors_;
   std::vector<dram::RowId> dribble_;
   std::uint64_t now_ps_;
   std::size_t cursor_ = 0;
   std::size_t dribble_cursor_ = 0;
-  std::uint64_t emitted_ = 0;
+  // kHalfDouble: records since the last dribble (one every
+  // far_per_near + 1).
+  std::uint64_t since_dribble_ = 0;
 };
 
 /// Picks @p n_victims well-separated victim rows in a bank (at least 8

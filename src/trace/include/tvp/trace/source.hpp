@@ -5,9 +5,9 @@
 // time-ordered stream, which is what the memory controller consumes.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <vector>
 
 #include "tvp/trace/record.hpp"
@@ -80,30 +80,52 @@ class VectorSource final : public TraceSource {
 
 /// Merges multiple sources into one time-ordered stream (stable k-way
 /// merge; ties broken by source registration order).
+///
+/// Each child is read ahead into a lane of kLaneRecords records with one
+/// next_batch() call per refill, and a binary min-heap keyed on
+/// (time_ps, source index) picks the next lane. Reading ahead changes no
+/// record: children own their state (RNG forks, cursors) and share
+/// nothing mutable, so when a child is pulled is unobservable and the
+/// merged order depends only on the children's sequences. Records read
+/// past a downstream cut (LimitSource's horizon) are simply discarded.
 class MergedSource final : public TraceSource {
  public:
+  /// Records pulled from a child per refill.
+  static constexpr std::size_t kLaneRecords = 256;
+
   explicit MergedSource(std::vector<std::unique_ptr<TraceSource>> sources);
   std::optional<AccessRecord> next() override;
   /// Runs the merge loop inline, one virtual call per batch.
   std::size_t next_batch(AccessRecord* out, std::size_t max) override;
 
  private:
-  struct Head {
-    AccessRecord record;
-    std::size_t index;
-  };
-  struct HeadLater {
-    bool operator()(const Head& a, const Head& b) const noexcept {
-      if (a.record.time_ps != b.record.time_ps)
-        return a.record.time_ps > b.record.time_ps;
-      return a.index > b.index;
+  /// Heap entry: the time of a child's current lane head.
+  struct Key {
+    std::uint64_t time_ps;
+    std::uint32_t index;
+    /// Earlier time first, then registration order. Keys never compare
+    /// equal (one per child), so any valid heap pops the same sequence.
+    bool operator<(const Key& other) const noexcept {
+      return time_ps < other.time_ps ||
+             (time_ps == other.time_ps && index < other.index);
     }
   };
+  /// A child's unconsumed lane range [pos, len).
+  struct Lane {
+    std::uint32_t pos = 0;
+    std::uint32_t len = 0;
+  };
 
-  void refill(std::size_t index);
+  bool load(std::size_t index);
+  void sift_down(std::size_t hole);
+  bool pop(AccessRecord& out);
 
   std::vector<std::unique_ptr<TraceSource>> sources_;
-  std::priority_queue<Head, std::vector<Head>, HeadLater> heads_;
+  // Every child's lane in one block (child i owns records
+  // [i * kLaneRecords, (i + 1) * kLaneRecords)).
+  std::vector<AccessRecord> records_;
+  std::vector<Lane> lanes_;
+  std::vector<Key> heap_;  // one entry per child with records left
 };
 
 /// Truncates an underlying source after @p limit records or @p end_ps

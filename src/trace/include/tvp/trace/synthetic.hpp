@@ -51,10 +51,14 @@ class SyntheticSource final : public TraceSource {
   SyntheticSource(SyntheticConfig config, util::Rng rng);
 
   std::optional<AccessRecord> next() override;
+  /// Fills all of @p out (the stream is infinite) with the records
+  /// next() would return, in one non-virtual loop.
+  std::size_t next_batch(AccessRecord* out, std::size_t max) override;
 
   const SyntheticConfig& config() const noexcept { return cfg_; }
 
  private:
+  AccessRecord generate();
   dram::RowId next_row();
 
   SyntheticConfig cfg_;

@@ -47,33 +47,71 @@ std::size_t VectorSource::next_span(const AccessRecord** data) {
 }
 
 MergedSource::MergedSource(std::vector<std::unique_ptr<TraceSource>> sources)
-    : sources_(std::move(sources)) {
-  for (std::size_t i = 0; i < sources_.size(); ++i) {
-    if (!sources_[i]) throw std::invalid_argument("MergedSource: null source");
-    refill(i);
-  }
+    : sources_(std::move(sources)),
+      records_(sources_.size() * kLaneRecords),
+      lanes_(sources_.size()) {
+  for (const auto& source : sources_)
+    if (!source) throw std::invalid_argument("MergedSource: null source");
+  heap_.reserve(sources_.size());
+  for (std::size_t i = 0; i < sources_.size(); ++i)
+    if (load(i))
+      heap_.push_back(Key{records_[i * kLaneRecords].time_ps,
+                          static_cast<std::uint32_t>(i)});
+  for (std::size_t i = heap_.size() / 2; i-- > 0;) sift_down(i);
 }
 
-void MergedSource::refill(std::size_t index) {
-  if (auto rec = sources_[index]->next()) heads_.push(Head{*rec, index});
+// Refills child @p index's lane; false once the child is exhausted.
+bool MergedSource::load(std::size_t index) {
+  const std::size_t got =
+      sources_[index]->next_batch(&records_[index * kLaneRecords], kLaneRecords);
+  lanes_[index] = Lane{0, static_cast<std::uint32_t>(got)};
+  return got != 0;
+}
+
+// Moves heap_[hole]'s key down to its place.
+void MergedSource::sift_down(std::size_t hole) {
+  const std::size_t n = heap_.size();
+  const Key key = heap_[hole];
+  for (;;) {
+    std::size_t child = 2 * hole + 1;
+    if (child >= n) break;
+    if (child + 1 < n && heap_[child + 1] < heap_[child]) ++child;
+    if (!(heap_[child] < key)) break;
+    heap_[hole] = heap_[child];
+    hole = child;
+  }
+  heap_[hole] = key;
+}
+
+// Emits the earliest lane head, then advances that lane: the top key is
+// replaced by the lane's next time (refilling the lane when it runs
+// dry) or removed when its child is exhausted, and sifted down once.
+bool MergedSource::pop(AccessRecord& out) {
+  if (heap_.empty()) return false;
+  const std::size_t index = heap_.front().index;
+  Lane& lane = lanes_[index];
+  const AccessRecord* lane_records = &records_[index * kLaneRecords];
+  out = lane_records[lane.pos];
+  if (++lane.pos < lane.len || load(index)) {
+    heap_.front().time_ps = lane_records[lane.pos].time_ps;
+  } else {
+    heap_.front() = heap_.back();
+    heap_.pop_back();
+    if (heap_.empty()) return true;
+  }
+  sift_down(0);
+  return true;
 }
 
 std::optional<AccessRecord> MergedSource::next() {
-  if (heads_.empty()) return std::nullopt;
-  Head head = heads_.top();
-  heads_.pop();
-  refill(head.index);
-  return head.record;
+  AccessRecord rec;
+  if (!pop(rec)) return std::nullopt;
+  return rec;
 }
 
 std::size_t MergedSource::next_batch(AccessRecord* out, std::size_t max) {
   std::size_t n = 0;
-  while (n < max && !heads_.empty()) {
-    const Head head = heads_.top();
-    heads_.pop();
-    refill(head.index);
-    out[n++] = head.record;
-  }
+  while (n < max && pop(out[n])) ++n;
   return n;
 }
 

@@ -34,7 +34,7 @@ dram::RowId SyntheticSource::next_row() {
   const dram::RowId rows = cfg_.rows_per_bank;
   switch (cfg_.profile) {
     case AccessProfile::kStreaming:
-      cursor_ = (cursor_ + 1) % rows;
+      if (++cursor_ == rows) cursor_ = 0;
       return cursor_;
     case AccessProfile::kStrided:
       cursor_ = (cursor_ + cfg_.stride) % rows;
@@ -60,20 +60,32 @@ dram::RowId SyntheticSource::next_row() {
   return 0;
 }
 
-std::optional<AccessRecord> SyntheticSource::next() {
+AccessRecord SyntheticSource::generate() {
   now_ps_ += rng_.exponential(cfg_.mean_interarrival_ps);
   AccessRecord rec;
   rec.time_ps = static_cast<std::uint64_t>(now_ps_);
   rec.row = next_row();
   // Round-robin with a random skip keeps banks evenly loaded without a
-  // lockstep pattern.
-  bank_cursor_ = (bank_cursor_ + 1 + static_cast<std::uint32_t>(rng_.below(3))) %
-                 cfg_.banks;
+  // lockstep pattern. The sum stays below banks + 3, so subtracting
+  // banks while it is out of range equals the modulo. The first wrap is
+  // a mask, not a branch: the skip is random, so a branch would
+  // mispredict often. Only banks < 3 can need the loop.
+  const std::uint32_t banks = cfg_.banks;
+  bank_cursor_ += 1 + static_cast<std::uint32_t>(rng_.below(3));
+  bank_cursor_ -= banks & (0u - static_cast<std::uint32_t>(bank_cursor_ >= banks));
+  while (bank_cursor_ >= banks) bank_cursor_ -= banks;
   rec.bank = bank_cursor_;
   rec.write = rng_.bernoulli(cfg_.write_fraction);
   rec.is_attack = false;
   rec.source = cfg_.source_id;
   return rec;
+}
+
+std::optional<AccessRecord> SyntheticSource::next() { return generate(); }
+
+std::size_t SyntheticSource::next_batch(AccessRecord* out, std::size_t max) {
+  for (std::size_t i = 0; i < max; ++i) out[i] = generate();
+  return max;
 }
 
 std::vector<SyntheticConfig> mixed_workload(std::uint32_t banks,

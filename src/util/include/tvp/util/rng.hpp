@@ -8,6 +8,7 @@
 // subsystem gets an independent stream.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -24,6 +25,43 @@ constexpr std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);
 }
+
+namespace detail {
+
+/// Uniform integer in [0, bound) drawn from @p gen's next() words;
+/// @p bound must be nonzero. The one body behind Rng::below and
+/// BufferedRng::below: both consume exactly the same words (including
+/// rejections), which is what keeps the buffered stream bit-compatible.
+template <class Gen>
+inline std::uint64_t below(Gen& gen, std::uint64_t bound) noexcept {
+#ifdef __SIZEOF_INT128__
+  // Lemire's nearly-divisionless unbiased method.
+  using u128 = unsigned __int128;
+  std::uint64_t x = gen.next();
+  u128 m = static_cast<u128>(x) * static_cast<u128>(bound);
+  auto l = static_cast<std::uint64_t>(m);
+  if (l < bound) [[unlikely]] {
+    const std::uint64_t t = -bound % bound;
+    while (l < t) {
+      x = gen.next();
+      m = static_cast<u128>(x) * static_cast<u128>(bound);
+      l = static_cast<std::uint64_t>(m);
+    }
+  }
+  return static_cast<std::uint64_t>(m >> 64);
+#else
+  // Portable fallback: rejection sampling on the top bits.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t limit = kMax - kMax % bound;
+  std::uint64_t x;
+  do {
+    x = gen.next();
+  } while (x >= limit);
+  return x % bound;
+#endif
+}
+
+}  // namespace detail
 
 /// xoshiro256** pseudo-random generator.
 ///
@@ -70,7 +108,9 @@ class Rng {
 
   /// Uniform integer in [0, bound). @p bound must be nonzero.
   /// Uses Lemire's multiply-shift rejection method (unbiased).
-  std::uint64_t below(std::uint64_t bound) noexcept;
+  std::uint64_t below(std::uint64_t bound) noexcept {
+    return detail::below(*this, bound);
+  }
 
   /// Uniform integer in [lo, hi] inclusive; requires lo <= hi.
   std::uint64_t between(std::uint64_t lo, std::uint64_t hi) noexcept {
@@ -102,7 +142,10 @@ class Rng {
 
   /// Geometric-like helper: exponentially distributed inter-arrival with
   /// mean @p mean (> 0), returned as a double.
-  double exponential(double mean) noexcept;
+  double exponential(double mean) noexcept {
+    // Inverse-CDF; uniform() never returns 1.0 so the log argument is > 0.
+    return -mean * std::log(1.0 - uniform());
+  }
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
@@ -176,7 +219,9 @@ class BufferedRng {
   }
 
   /// Uniform integer in [0, bound); identical draws to Rng::below.
-  std::uint64_t below(std::uint64_t bound) noexcept;
+  std::uint64_t below(std::uint64_t bound) noexcept {
+    return detail::below(*this, bound);
+  }
 
   /// Uniform integer in [lo, hi] inclusive; requires lo <= hi.
   std::uint64_t between(std::uint64_t lo, std::uint64_t hi) noexcept {

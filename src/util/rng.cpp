@@ -1,45 +1,9 @@
 #include "tvp/util/rng.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 
-#ifdef __SIZEOF_INT128__
-using u128 = unsigned __int128;
-#endif
-
 namespace tvp::util {
-
-std::uint64_t Rng::below(std::uint64_t bound) noexcept {
-#ifdef __SIZEOF_INT128__
-  // Lemire's nearly-divisionless unbiased method.
-  std::uint64_t x = next();
-  u128 m = static_cast<u128>(x) * static_cast<u128>(bound);
-  auto l = static_cast<std::uint64_t>(m);
-  if (l < bound) {
-    const std::uint64_t t = -bound % bound;
-    while (l < t) {
-      x = next();
-      m = static_cast<u128>(x) * static_cast<u128>(bound);
-      l = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-#else
-  // Portable fallback: rejection sampling on the top bits.
-  const std::uint64_t limit = max() - max() % bound;
-  std::uint64_t x;
-  do {
-    x = next();
-  } while (x >= limit);
-  return x % bound;
-#endif
-}
-
-double Rng::exponential(double mean) noexcept {
-  // Inverse-CDF; uniform() never returns 1.0 so the log argument is > 0.
-  return -mean * std::log(1.0 - uniform());
-}
 
 namespace {
 
@@ -58,32 +22,6 @@ BufferedRng::BufferedRng(Rng rng) noexcept : rng_(rng) {
   data_ = buf_.data();
   cap_ = buf_.size();
   pos_ = cap_;  // first next() refills
-}
-
-std::uint64_t BufferedRng::below(std::uint64_t bound) noexcept {
-#ifdef __SIZEOF_INT128__
-  // Mirrors Rng::below word for word so the rejection loop consumes the
-  // same draws — the buffered stream must stay bit-compatible.
-  std::uint64_t x = next();
-  u128 m = static_cast<u128>(x) * static_cast<u128>(bound);
-  auto l = static_cast<std::uint64_t>(m);
-  if (l < bound) {
-    const std::uint64_t t = -bound % bound;
-    while (l < t) {
-      x = next();
-      m = static_cast<u128>(x) * static_cast<u128>(bound);
-      l = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-#else
-  const std::uint64_t limit = max() - max() % bound;
-  std::uint64_t x;
-  do {
-    x = next();
-  } while (x >= limit);
-  return x % bound;
-#endif
 }
 
 }  // namespace tvp::util

@@ -182,11 +182,22 @@ TEST(AreaModel, ParaIsTheReference349) {
   EXPECT_EQ(estimate_area(Technique::kPara, Target::kDdr3).luts, 349u);
 }
 
+// gtest prints a parameter without operator<< as its raw bytes, and test
+// discovery names each case after that print-out. The explicit zero field
+// fills what would otherwise be uninitialised padding after `technique`, so
+// the case names are the same on every run.
 struct AreaCase {
+  AreaCase(Technique t, std::uint64_t ddr4, std::uint64_t ddr3)
+      : technique(t), paper_ddr4(ddr4), paper_ddr3(ddr3) {}
+
   Technique technique;
+  std::uint32_t zero = 0;
   std::uint64_t paper_ddr4;
   std::uint64_t paper_ddr3;
 };
+static_assert(sizeof(AreaCase) == sizeof(Technique) + sizeof(std::uint32_t) +
+                                      2 * sizeof(std::uint64_t),
+              "AreaCase must have no padding bytes");
 
 class AreaTableIII : public ::testing::TestWithParam<AreaCase> {};
 

@@ -2,12 +2,14 @@
 // models, trace I/O and statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <new>
 #include <set>
 #include <sstream>
 
 #include "tvp/trace/attack.hpp"
+#include "tvp/trace/fuzzer.hpp"
 #include "tvp/trace/io.hpp"
 #include "tvp/trace/source.hpp"
 #include "tvp/trace/stats.hpp"
@@ -144,7 +146,7 @@ std::unique_ptr<MergedSource> make_merged() {
 }
 
 TEST(NextBatch, MergedSourceMatchesNextIncludingTieBreaks) {
-  for (const std::size_t chunk : {1u, 3u, 64u}) {
+  for (const std::size_t chunk : {1u, 3u, 7u, 64u, 256u, 4096u}) {
     auto a = make_merged();
     auto b = make_merged();
     expect_batch_equals_next(*a, *b, chunk);
@@ -174,6 +176,304 @@ TEST(NextBatch, DeadSourceKeepsReturningZero) {
   EXPECT_EQ(src.next_batch(buf, 4), 0u);
   EXPECT_EQ(src.next_batch(buf, 4), 0u);
   EXPECT_FALSE(src.next().has_value());
+}
+
+// ------------------------------------------------- batched generation/merge
+
+// Batch sizes below, at and above MergedSource's 256-record lanes.
+constexpr std::size_t kBatchedChunks[] = {1, 7, 256, 4096};
+
+// Pulls up to @p limit records from @p src with next_batch(chunk) calls
+// (the last call asks only for what is left of the limit).
+std::vector<AccessRecord> pull_batched(TraceSource& src, std::size_t chunk,
+                                       std::size_t limit = ~std::size_t{0}) {
+  std::vector<AccessRecord> out;
+  std::vector<AccessRecord> buf(chunk);
+  while (out.size() < limit) {
+    const std::size_t want = std::min(chunk, limit - out.size());
+    const std::size_t n = src.next_batch(buf.data(), want);
+    if (n == 0) break;
+    EXPECT_LE(n, want);
+    out.insert(out.end(), buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(n));
+  }
+  return out;
+}
+
+// Alternates next() with next_batch() calls cycling through
+// kBatchedChunks until the source runs dry or @p limit records.
+std::vector<AccessRecord> pull_interleaved(TraceSource& src,
+                                           std::size_t limit = ~std::size_t{0}) {
+  std::vector<AccessRecord> out;
+  std::vector<AccessRecord> buf(4096);
+  for (std::size_t call = 0; out.size() < limit; ++call) {
+    if (call % 2 == 0) {
+      const auto r = src.next();
+      if (!r) break;
+      out.push_back(*r);
+      continue;
+    }
+    const std::size_t want =
+        std::min(kBatchedChunks[(call / 2) % 4], limit - out.size());
+    const std::size_t n = src.next_batch(buf.data(), want);
+    if (n == 0) break;
+    out.insert(out.end(), buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(n));
+  }
+  return out;
+}
+
+void expect_exhausted(TraceSource& src) {
+  AccessRecord buf[8];
+  EXPECT_EQ(src.next_batch(buf, 8), 0u);
+  EXPECT_FALSE(src.next().has_value());
+  EXPECT_EQ(src.next_batch(buf, 8), 0u);
+}
+
+constexpr AccessProfile kAllProfiles[] = {
+    AccessProfile::kStreaming, AccessProfile::kStrided, AccessProfile::kRandom,
+    AccessProfile::kHotspot, AccessProfile::kPointerChase};
+
+// Small bank and row counts so every cursor wraps many times.
+SyntheticConfig batched_synthetic(AccessProfile profile) {
+  SyntheticConfig cfg;
+  cfg.profile = profile;
+  cfg.banks = 5;
+  cfg.rows_per_bank = 300;
+  cfg.mean_interarrival_ps = 1000;
+  cfg.stride = 7;
+  cfg.hotspot_rows = 8;
+  cfg.chase_jump = 4;
+  return cfg;
+}
+
+TEST(Batched, SyntheticNextBatchEqualsNextForEveryProfile) {
+  constexpr std::size_t kRecords = 10'000;
+  for (const auto profile : kAllProfiles) {
+    SyntheticSource ref(batched_synthetic(profile), util::Rng(17));
+    const auto expected = drain(ref, kRecords);
+    for (const std::size_t chunk : kBatchedChunks) {
+      SyntheticSource src(batched_synthetic(profile), util::Rng(17));
+      EXPECT_EQ(pull_batched(src, chunk, kRecords), expected)
+          << to_string(profile) << " chunk " << chunk;
+    }
+    SyntheticSource mixed(batched_synthetic(profile), util::Rng(17));
+    EXPECT_EQ(pull_interleaved(mixed, kRecords), expected) << to_string(profile);
+  }
+}
+
+TEST(Batched, SyntheticBankCursorWrapsLikeModulo) {
+  // Reference model of the kRandom draws (row, bank skip, write) with the
+  // wrap spelled as a modulo; banks < 3 wrap more than once per step.
+  for (const std::uint32_t banks : {1u, 2u, 3u, 16u}) {
+    SyntheticConfig cfg = batched_synthetic(AccessProfile::kRandom);
+    cfg.banks = banks;
+    SyntheticSource src(cfg, util::Rng(29));
+    util::Rng rng(29);
+    (void)rng.below(cfg.rows_per_bank);  // the constructor's cursor draw
+    double now = 0;
+    std::uint32_t bank = 0;
+    for (int i = 0; i < 2000; ++i) {
+      now += rng.exponential(cfg.mean_interarrival_ps);
+      const auto row = static_cast<dram::RowId>(rng.below(cfg.rows_per_bank));
+      bank = (bank + 1 + static_cast<std::uint32_t>(rng.below(3))) % banks;
+      const bool write = rng.bernoulli(cfg.write_fraction);
+      const auto r = src.next();
+      ASSERT_TRUE(r.has_value());
+      ASSERT_EQ(r->time_ps, static_cast<std::uint64_t>(now)) << i;
+      ASSERT_EQ(r->row, row) << i;
+      ASSERT_EQ(r->bank, bank) << "banks " << banks << " record " << i;
+      ASSERT_EQ(r->write, write) << i;
+    }
+  }
+}
+
+// One config per AttackPattern, each cut by end_ps after exactly
+// kBatchedAttackRecords records (inside a batch for every chunk size).
+constexpr std::size_t kBatchedAttackRecords = 1000;
+
+std::vector<AttackConfig> batched_attacks() {
+  AttackConfig base;
+  base.bank = 2;
+  base.victims = {40, 80};
+  base.rows_per_bank = 1024;
+  base.interarrival_ps = 45'000;
+  base.start_ps = 1000;
+  base.end_ps = base.start_ps + base.interarrival_ps * kBatchedAttackRecords + 1;
+  base.sides = 3;
+  base.far_per_near = 5;
+
+  std::vector<AttackConfig> configs;
+  for (const auto pattern :
+       {AttackPattern::kSingleSided, AttackPattern::kDoubleSided,
+        AttackPattern::kMultiAggressor, AttackPattern::kFlood,
+        AttackPattern::kManySided, AttackPattern::kHalfDouble}) {
+    AttackConfig c = base;
+    c.pattern = pattern;
+    configs.push_back(c);
+  }
+  FuzzParams params;
+  params.rows_per_bank = base.rows_per_bank;
+  const PatternFuzzer fuzzer(params);
+  AttackConfig fuzzed =
+      fuzzer.make_attack(fuzzer.pattern(3), base.bank, base.interarrival_ps, 240);
+  fuzzed.start_ps = base.start_ps;
+  fuzzed.end_ps = base.end_ps;
+  configs.push_back(fuzzed);
+  return configs;
+}
+
+TEST(Batched, AttackNextBatchEqualsNextForEveryPattern) {
+  for (const auto& cfg : batched_attacks()) {
+    AttackSource ref(cfg);
+    std::vector<AccessRecord> expected;
+    while (const auto r = ref.next()) expected.push_back(*r);
+    ASSERT_EQ(expected.size(), kBatchedAttackRecords) << to_string(cfg.pattern);
+    expect_exhausted(ref);
+    for (const std::size_t chunk : kBatchedChunks) {
+      AttackSource src(cfg);
+      EXPECT_EQ(pull_batched(src, chunk), expected)
+          << to_string(cfg.pattern) << " chunk " << chunk;
+      expect_exhausted(src);
+    }
+    AttackSource mixed(cfg);
+    EXPECT_EQ(pull_interleaved(mixed), expected) << to_string(cfg.pattern);
+    expect_exhausted(mixed);
+  }
+}
+
+TEST(Batched, HalfDoubleDribblesEveryFarPerNearPlusOne) {
+  for (const auto& cfg : batched_attacks()) {
+    if (cfg.pattern != AttackPattern::kHalfDouble) continue;
+    AttackSource src(cfg);
+    const auto& near_rows = src.dribble_rows();
+    ASSERT_EQ(near_rows.size(), 4u);
+    const auto records = pull_batched(src, 256);
+    ASSERT_EQ(records.size(), kBatchedAttackRecords);
+    std::size_t dribbles = 0;
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      const bool is_near = std::find(near_rows.begin(), near_rows.end(),
+                                     records[i].row) != near_rows.end();
+      EXPECT_EQ(is_near, (i + 1) % (cfg.far_per_near + 1) == 0) << i;
+      // Near rows rotate in order across dribbles.
+      if (is_near) {
+        EXPECT_EQ(records[i].row, near_rows[dribbles++ % near_rows.size()]);
+      }
+    }
+    EXPECT_EQ(dribbles, kBatchedAttackRecords / (cfg.far_per_near + 1));
+  }
+}
+
+// Children for a merge test plus the offline reference: the children's
+// records concatenated in registration order, stably sorted by time.
+struct MergeCase {
+  const char* name;
+  std::vector<std::vector<AccessRecord>> children;
+
+  std::unique_ptr<MergedSource> merged() const {
+    std::vector<std::unique_ptr<TraceSource>> sources;
+    for (const auto& c : children) sources.push_back(std::make_unique<VectorSource>(c));
+    return std::make_unique<MergedSource>(std::move(sources));
+  }
+  std::vector<AccessRecord> expected() const {
+    std::vector<AccessRecord> all;
+    for (const auto& c : children) all.insert(all.end(), c.begin(), c.end());
+    std::stable_sort(all.begin(), all.end(),
+                     [](const AccessRecord& a, const AccessRecord& b) {
+                       return a.time_ps < b.time_ps;
+                     });
+    return all;
+  }
+};
+
+// @p n records of child @p s at times k / 3: runs of three equal times,
+// one of which (k = 255..257) straddles the first lane refill, and the
+// same times in every child, so ties are 3 x children wide.
+std::vector<AccessRecord> tie_run(std::size_t n, std::uint32_t s) {
+  std::vector<AccessRecord> out;
+  for (std::size_t k = 0; k < n; ++k)
+    out.push_back(rec(k / 3, s, static_cast<std::uint32_t>(k)));
+  return out;
+}
+
+std::vector<MergeCase> merge_cases() {
+  return {
+      {"empty children at construction",
+       {{}, tie_run(300, 1), {}, tie_run(5, 3)}},
+      {"staggered exhaustion, ties across a refill",
+       {tie_run(700, 0), tie_run(513, 1), tie_run(256, 2)}},
+      {"one child", {tie_run(600, 0)}},
+      {"all empty", {{}, {}}},
+  };
+}
+
+TEST(Batched, MergeEqualsOfflineStableSort) {
+  for (const auto& c : merge_cases()) {
+    const auto expected = c.expected();
+    for (const std::size_t chunk : kBatchedChunks) {
+      const auto merged = c.merged();
+      EXPECT_EQ(pull_batched(*merged, chunk), expected)
+          << c.name << " chunk " << chunk;
+      expect_exhausted(*merged);
+    }
+    const auto by_next = c.merged();
+    EXPECT_EQ(drain(*by_next), expected) << c.name;
+    expect_exhausted(*by_next);
+  }
+}
+
+TEST(Batched, MergeInterleavedNextAndNextBatch) {
+  for (const auto& c : merge_cases()) {
+    const auto merged = c.merged();
+    EXPECT_EQ(pull_interleaved(*merged), c.expected()) << c.name;
+    expect_exhausted(*merged);
+  }
+}
+
+// The table3 shape: four synthetic streams and three attackers (one of
+// them half-double, one fuzzed), each child with its own RNG fork.
+std::vector<std::unique_ptr<TraceSource>> generated_mix() {
+  std::vector<std::unique_ptr<TraceSource>> sources;
+  util::Rng rng(41);
+  for (const auto& c : mixed_workload(4, 1024, 7'812'500, 40.0))
+    sources.push_back(std::make_unique<SyntheticSource>(c, rng.fork()));
+  for (auto cfg : batched_attacks()) {
+    if (cfg.pattern != AttackPattern::kDoubleSided &&
+        cfg.pattern != AttackPattern::kHalfDouble &&
+        cfg.pattern != AttackPattern::kFuzzed)
+      continue;
+    cfg.end_ps = ~0ull;
+    sources.push_back(std::make_unique<AttackSource>(cfg));
+  }
+  return sources;
+}
+
+TEST(Batched, GeneratedMixMergeEqualsOfflineSortUpToHorizon) {
+  // The horizon cuts every child mid-lane; the merge's read-ahead past
+  // it must be discarded without disturbing anything before it.
+  constexpr std::uint64_t kHorizonPs = 300'000'000;
+  std::vector<AccessRecord> expected;
+  for (auto& child : generated_mix()) {
+    LimitSource cut(std::move(child), ~0ull, kHorizonPs);
+    const auto records = drain(cut);
+    expected.insert(expected.end(), records.begin(), records.end());
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const AccessRecord& a, const AccessRecord& b) {
+                     return a.time_ps < b.time_ps;
+                   });
+  ASSERT_GT(expected.size(), 4 * MergedSource::kLaneRecords);
+
+  for (const std::size_t chunk : kBatchedChunks) {
+    LimitSource src(std::make_unique<MergedSource>(generated_mix()), ~0ull,
+                    kHorizonPs);
+    EXPECT_EQ(pull_batched(src, chunk), expected) << "chunk " << chunk;
+    expect_exhausted(src);
+  }
+  LimitSource by_next(std::make_unique<MergedSource>(generated_mix()), ~0ull,
+                      kHorizonPs);
+  EXPECT_EQ(drain(by_next), expected);
+  LimitSource mixed(std::make_unique<MergedSource>(generated_mix()), ~0ull,
+                    kHorizonPs);
+  EXPECT_EQ(pull_interleaved(mixed), expected);
 }
 
 // --------------------------------------------------------------- next_span
@@ -312,7 +612,7 @@ TEST(Synthetic, StreamingWalksSequentially) {
   cfg.rows_per_bank = 1024;
   SyntheticSource src(cfg, util::Rng(9));
   dram::RowId prev = src.next()->row;
-  for (int i = 0; i < 100; ++i) {
+  for (int i = 0; i < 2000; ++i) {  // crosses the bank end at least once
     const dram::RowId cur = src.next()->row;
     EXPECT_EQ(cur, (prev + 1) % 1024);
     prev = cur;
