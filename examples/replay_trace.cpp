@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
   controller_cfg.timing = config.timing;
   mem::MemoryController controller(controller_cfg, engine, disturbance,
                                    controller_rng);
-  for (const auto& r : records) controller.on_record(r);
+  controller.on_records(records.data(), records.size());
   controller.advance_to(span_ps);
 
   util::TextTable table({"metric", "value"});

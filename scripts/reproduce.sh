@@ -33,11 +33,7 @@ for bench in build/bench/*; do
   [[ -x "$bench" && -f "$bench" ]] || continue
   name="$(basename "$bench")"
   echo "-- $name"
-  if [[ "$name" == "perf_throughput" ]]; then
-    "$bench" --benchmark_min_time=0.05 | tee "results/$name.txt"
-  else
-    (cd results && "../$bench") | tee "results/$name.txt"
-  fi
+  (cd results && "../$bench") | tee "results/$name.txt"
 done
 
 echo "== done: see results/ and EXPERIMENTS.md =="

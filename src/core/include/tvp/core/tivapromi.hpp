@@ -78,9 +78,9 @@ class TiVaPRoMiBase : public mem::IBankMitigation {
   void trigger(dram::RowId row, std::uint32_t interval,
                mem::ActionBuffer& out);
   /// Precomputes the Q0.32 Bernoulli thresholds for every linear weight
-  /// w in [0, RefInt): lut[w] = (Pbase * weight_fn(w)).raw(). The batch
+  /// w in [0, RefInt): lut[w] = (Pbase * weight_fn(w)).raw(). The ACT
   /// kernels replace the per-ACT weight-shaping + scaled-multiply with
-  /// one table load; bit-identical by construction.
+  /// one table load; bit-identical to weight_for by construction.
   template <typename WeightFn>
   std::vector<std::uint64_t> make_threshold_lut(WeightFn&& weight_fn) const {
     std::vector<std::uint64_t> lut(cfg_.refresh_intervals);
@@ -107,8 +107,6 @@ class ProbabilisticTiVaPRoMi final : public TiVaPRoMiBase {
   ProbabilisticTiVaPRoMi(Variant variant, TiVaPRoMiConfig config, util::Rng rng);
 
   const char* name() const noexcept override;
-  void on_activate(dram::RowId row, const mem::MitigationContext& ctx,
-                   mem::ActionBuffer& out) override;
   void on_activates(const dram::RowId* rows, std::size_t n,
                     const mem::MitigationContext& ctx,
                     mem::ActionBuffer& out) override;
@@ -116,8 +114,9 @@ class ProbabilisticTiVaPRoMi final : public TiVaPRoMiBase {
                   mem::ActionBuffer& out) override;
   std::uint64_t state_bits() const noexcept override;
 
-  /// The weight this variant would use right now (exposed for tests and
-  /// the flood-analysis bench).
+  /// The weight this variant would use right now: Eq. 1 / Eq. 2 computed
+  /// directly, the reference the threshold LUTs are tested against (also
+  /// used by the flood-analysis bench).
   std::uint32_t weight_for(dram::RowId row, std::uint32_t interval) const noexcept;
 
  private:
@@ -136,8 +135,6 @@ class CaPRoMi final : public TiVaPRoMiBase {
   CaPRoMi(TiVaPRoMiConfig config, util::Rng rng);
 
   const char* name() const noexcept override { return "CaPRoMi"; }
-  void on_activate(dram::RowId row, const mem::MitigationContext& ctx,
-                   mem::ActionBuffer& out) override;
   void on_activates(const dram::RowId* rows, std::size_t n,
                     const mem::MitigationContext& ctx,
                     mem::ActionBuffer& out) override;
@@ -181,8 +178,6 @@ class ShapedTiVaPRoMi final : public TiVaPRoMiBase {
   ShapedTiVaPRoMi(WeightShape shape, TiVaPRoMiConfig config, util::Rng rng);
 
   const char* name() const noexcept override;
-  void on_activate(dram::RowId row, const mem::MitigationContext& ctx,
-                   mem::ActionBuffer& out) override;
   void on_activates(const dram::RowId* rows, std::size_t n,
                     const mem::MitigationContext& ctx,
                     mem::ActionBuffer& out) override;

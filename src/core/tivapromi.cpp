@@ -123,23 +123,15 @@ std::uint32_t ProbabilisticTiVaPRoMi::weight_for(dram::RowId row,
   }
 }
 
-void ProbabilisticTiVaPRoMi::on_activate(dram::RowId row,
-                                         const mem::MitigationContext& ctx,
-                                         mem::ActionBuffer& out) {
-  const std::uint32_t w = weight_for(row, ctx.interval_in_window);
-  const util::FixedProb p = pbase_.scaled(w);
-  if (rng_.bernoulli_q32(p.raw())) trigger(row, ctx.interval_in_window, out);
-}
-
 void ProbabilisticTiVaPRoMi::on_activates(const dram::RowId* rows,
                                           std::size_t n,
                                           const mem::MitigationContext& ctx,
                                           mem::ActionBuffer& out) {
-  // The batch decision kernel: no per-ACT virtual dispatch, weight
-  // shaping and the Pbase multiply folded into the threshold LUTs. The
-  // per-element decisions — including which ACTs consume an RNG draw
-  // (bernoulli_q32 draws nothing at threshold 0) — are identical to
-  // on_activate.
+  // The decision kernel: weight shaping and the Pbase multiply folded
+  // into the threshold LUTs, so each decision is
+  // bernoulli(Pbase * weight_for(row, i)) — one table load instead of
+  // the Eq. 1 / Eq. 2 arithmetic (bernoulli_q32 draws nothing at
+  // threshold 0).
   const std::uint32_t ref_int = cfg_.refresh_intervals;
   const std::uint64_t* const hit_lut = lut_hit_.data();
   const std::uint64_t* const miss_lut = lut_miss_.data();
@@ -175,21 +167,13 @@ CaPRoMi::CaPRoMi(TiVaPRoMiConfig config, util::Rng rng)
                 util::bits_for(config.rows_per_bank),
                 util::bits_for(config.history_entries)) {}
 
-void CaPRoMi::on_activate(dram::RowId row, const mem::MitigationContext&,
-                          mem::ActionBuffer&) {
+void CaPRoMi::on_activates(const dram::RowId* rows, std::size_t n,
+                           const mem::MitigationContext&, mem::ActionBuffer&) {
   // Count only; decisions are deferred to the REF command (Fig. 3).
-  // The paper's hardware also runs a parallel history search here to
+  // The paper's hardware also runs a parallel history search per ACT to
   // link the counter entry to its history slot — we defer that search
   // to the REF walk, where it is bit-identical (see on_refresh) and
   // costs one scan per tracked row per interval instead of one per ACT.
-  counters_.on_activate(row, rng_);
-}
-
-void CaPRoMi::on_activates(const dram::RowId* rows, std::size_t n,
-                           const mem::MitigationContext&, mem::ActionBuffer&) {
-  // The ACT path emits nothing (decisions happen at REF), so the batch
-  // kernel is the devirtualized counting loop; the table scans
-  // themselves are the dense sweeps in CounterTable/HistoryTable.
   for (std::size_t i = 0; i < n; ++i) counters_.on_activate(rows[i], rng_);
 }
 
@@ -208,7 +192,7 @@ void CaPRoMi::on_refresh(const mem::MitigationContext& ctx,
     std::uint32_t reference = assumed_slot(entry.row);
     bool linked = false;
     // Deferred parallel-history search (the paper's hardware captures a
-    // link per ACT; see on_activate). Searching here instead is
+    // link per ACT; see on_activates). Searching here instead is
     // bit-identical: the history table only mutates inside this walk —
     // never during the ACT phase — and a row evicted by an earlier
     // trigger in the same walk can only re-enter via its own trigger,
@@ -280,12 +264,6 @@ std::uint32_t ShapedTiVaPRoMi::weight_for(dram::RowId row,
   const std::uint32_t w =
       linear_weight(interval, reference, cfg_.refresh_intervals);
   return shaped_weight(shape_, w, cfg_.refresh_intervals);
-}
-
-void ShapedTiVaPRoMi::on_activate(dram::RowId row, const mem::MitigationContext& ctx,
-                                  mem::ActionBuffer& out) {
-  const util::FixedProb p = pbase_.scaled(weight_for(row, ctx.interval_in_window));
-  if (rng_.bernoulli_q32(p.raw())) trigger(row, ctx.interval_in_window, out);
 }
 
 void ShapedTiVaPRoMi::on_activates(const dram::RowId* rows, std::size_t n,

@@ -56,7 +56,7 @@ FloodMeasurement measure_flood(hw::Technique technique,
       }
       for (std::uint32_t k = 0; k < options.acts_per_interval; ++k) {
         actions.clear();
-        bank->on_activate(row, ctx, actions);
+        bank->on_activates(&row, 1, ctx, actions);
         ++acts;
         if (!actions.empty()) {
           first_response = acts;

@@ -3,8 +3,6 @@
 #include <time.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -18,11 +16,6 @@ std::uint64_t monotonic_ns() noexcept {
   clock_gettime(CLOCK_MONOTONIC, &ts);
   return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
          static_cast<std::uint64_t>(ts.tv_nsec);
-}
-
-bool columnar_enabled() noexcept {
-  const char* env = std::getenv("TVP_COLUMNAR");
-  return !(env && std::strcmp(env, "0") == 0);
 }
 }  // namespace
 
@@ -60,7 +53,6 @@ MemoryController::MemoryController(ControllerConfig config, MitigationEngine& en
     lane_ptrs_.push_back(&shards_[b].lane);
   }
   lane_cursor_.assign(banks, 0);
-  columnar_ = columnar_enabled();
   std::size_t jobs = cfg_.bank_jobs == 0 ? util::job_count() : cfg_.bank_jobs;
   jobs = std::min<std::size_t>(jobs, banks);
   if (jobs > 1) pool_ = std::make_unique<util::WorkerPool>(jobs);
@@ -148,50 +140,8 @@ void MemoryController::issue_actions(dram::BankId bank,
   }
 }
 
-void MemoryController::on_record(const trace::AccessRecord& record) {
-  if (record.time_ps < now_ps_)
-    throw std::invalid_argument("MemoryController: records must be time-ordered");
-  now_ps_ = record.time_ps;
-  process_refresh_boundaries(now_ps_);
-
-  const dram::BankId bank = record.bank;
-  if (bank >= engine_.banks())
-    throw std::out_of_range("MemoryController: bank out of range");
-  if (record.row >= cfg_.geometry.rows_per_bank)
-    throw std::out_of_range("MemoryController: row out of range");
-
-  if (cfg_.enforce_timing) {
-    if (bank_ready_ps_[bank] > now_ps_) ++stats_.delayed_acts;
-    const std::uint64_t issue_ps = std::max(bank_ready_ps_[bank], now_ps_);
-    bank_ready_ps_[bank] = issue_ps + timing_.t_rc_ps;
-  }
-
-  ++stats_.demand_acts;
-  if (record.write)
-    ++stats_.writes;
-  else
-    ++stats_.reads;
-  ++interval_acts_[bank];
-
-  const auto interval = interval_in_window();
-  disturbance_.on_activate(bank, remapper_.to_physical(record.row), interval);
-
-  MitigationContext ctx;
-  ctx.interval_in_window = interval;
-  ctx.global_interval = global_interval_;
-  ctx.window_start = false;
-
-  issue_actions(bank, engine_.on_activate(bank, record.row, ctx), interval);
-}
-
 void MemoryController::on_records(const trace::AccessRecord* records,
                                   std::size_t count) {
-  if (!columnar_) {
-    // TVP_COLUMNAR=0: force the serial record-at-a-time path (the CI
-    // determinism job runs the suite both ways).
-    for (std::size_t i = 0; i < count; ++i) on_record(records[i]);
-    return;
-  }
   std::size_t i = 0;
   while (i < count) {
     if (records[i].time_ps < now_ps_)
@@ -202,8 +152,7 @@ void MemoryController::on_records(const trace::AccessRecord* records,
     // the next refresh boundary (the mitigation context is constant
     // inside it). An out-of-order record ends the segment and is
     // rejected by the check above on the next pass, after the valid
-    // prefix has been processed — exactly the state a serial on_record
-    // loop leaves behind.
+    // prefix has been processed.
     std::size_t end = i + 1;
     while (end < count && records[end].time_ps >= records[end - 1].time_ps &&
            records[end].time_ps < next_refresh_ps_)
@@ -217,7 +166,7 @@ void MemoryController::on_records_partitioned(
     const trace::AccessRecord* records, std::size_t count,
     const trace::BankLaneView* lanes, std::size_t lane_banks) {
   const std::uint32_t banks = engine_.banks();
-  bool usable = columnar_ && lanes != nullptr && lane_banks == banks;
+  bool usable = lanes != nullptr && lane_banks == banks;
   if (usable) {
     // A whole-span range check per lane (O(banks), not O(records)): a
     // lane row out of range means the scatter path's throw-with-valid-
@@ -294,8 +243,8 @@ void MemoryController::process_segment(const trace::AccessRecord* records,
   const bool timed = cfg_.profile;
   const std::uint64_t t0 = timed ? monotonic_ns() : 0;
 
-  // Address validation up-front; the valid prefix is still processed, so
-  // a throw leaves the same state as the serial loop's throw.
+  // Address validation up-front; the valid prefix is still processed
+  // before the throw, as if the records had been fed one at a time.
   std::size_t valid = count;
   const char* bad_bank = nullptr;
   const char* bad_row = nullptr;

@@ -108,24 +108,20 @@ class MemoryController {
   MemoryController(ControllerConfig config, MitigationEngine& engine,
                    dram::DisturbanceModel& disturbance, util::Rng& rng);
 
-  /// Feeds one request; records must arrive in non-decreasing time order
-  /// (throws std::invalid_argument otherwise).
-  void on_record(const trace::AccessRecord& record);
-
-  /// Feeds a batch of requests (same ordering contract as on_record).
+  /// Feeds a batch of requests — the only way a record reaches the
+  /// controller; a single request is a batch of one. Records must arrive
+  /// in non-decreasing time order (throws std::invalid_argument
+  /// otherwise, after processing the valid prefix).
   ///
-  /// This is the hot path: the batch is split into *refresh segments*
-  /// (maximal runs that cross no refresh boundary, so the mitigation
-  /// context is constant), each segment is partitioned once into
-  /// per-bank SoA lanes (contiguous row / timestamp / sequence columns),
-  /// and every bank's lane is handed to its technique in one
-  /// on_activates call — concurrently across banks when cfg.bank_jobs
-  /// > 1. The observable result (stats, disturbance state, flip events,
-  /// RNG streams) is bit-identical to calling on_record per record, in
-  /// any jobs setting; see DESIGN.md "The ACT hot path" for the
-  /// argument. Setting TVP_COLUMNAR=0 in the environment (read at
-  /// construction) forces this entry point to degrade to a serial
-  /// on_record loop — the CI determinism job runs both paths.
+  /// The batch is split into *refresh segments* (maximal runs that
+  /// cross no refresh boundary, so the mitigation context is constant),
+  /// each segment is partitioned once into per-bank SoA lanes
+  /// (contiguous row / timestamp / sequence columns), and every bank's
+  /// lane is handed to its technique in one on_activates call —
+  /// concurrently across banks when cfg.bank_jobs > 1. The observable result (stats, disturbance state, flip events,
+  /// RNG streams) is independent of how the stream is cut into batches
+  /// and of the jobs setting; see DESIGN.md "The ACT hot path" for the
+  /// argument.
   void on_records(const trace::AccessRecord* records, std::size_t count);
 
   /// Like on_records, but with the per-bank partition pre-computed (a
@@ -219,7 +215,6 @@ class MemoryController {
   void run_bank_shard(dram::BankId bank, const MitigationContext& ctx);
 
   ControllerConfig cfg_;
-  bool columnar_ = true;  ///< TVP_COLUMNAR != "0" (read at construction)
   dram::Timing timing_;
   MitigationEngine& engine_;
   dram::DisturbanceModel& disturbance_;

@@ -40,12 +40,11 @@ struct MitigationAction {
   /// false-positive accounting compares this against the real aggressor
   /// set. For kActNeighbors this equals `row`.
   dram::RowId suspect = 0;
-  /// Index of the ACT (within an on_activates batch) that produced this
-  /// action; 0 for single-ACT dispatch. The batched controller uses it to
-  /// issue actions in record order (exact serial equivalence). Techniques
-  /// overriding on_activates must fill it (the default override and
-  /// ActionBuffer::stamp_origin do it for them) and must append actions
-  /// in non-decreasing origin order.
+  /// Index of the ACT (within an on_activates lane) that produced this
+  /// action; 0 for REF-time actions. The controller uses it to issue
+  /// actions in record order. Techniques fill it with
+  /// ActionBuffer::stamp_origin and must append actions in
+  /// non-decreasing origin order.
   std::uint32_t origin = 0;
 };
 
@@ -58,12 +57,12 @@ struct MitigationContext {
 
 /// Reusable output buffer for mitigation actions (the ACT hot path).
 ///
-/// One instance is owned by the dispatcher (MitigationEngine) and
-/// cleared-and-reused for every command, so the steady-state
-/// controller -> engine -> technique path performs no heap allocation:
-/// clear() keeps the capacity, and the capacity stabilizes after the
-/// first few commands (a technique emits at most a handful of actions
-/// per command). Handlers append only; they must not hold references to
+/// The dispatcher (MitigationEngine) owns one instance per bank for ACT
+/// lanes and one for REFs, each cleared-and-reused for every command, so
+/// the steady-state controller -> engine -> technique path performs no
+/// heap allocation: clear() keeps the capacity, and the capacity
+/// stabilizes after the first few commands (a technique emits at most a
+/// handful of actions per command). Handlers append only; they must not hold references to
 /// the buffer or its contents across calls — the next dispatch clears
 /// it (see DESIGN.md, "The ACT hot path").
 class ActionBuffer {
@@ -116,32 +115,20 @@ class IBankMitigation {
   /// Technique name ("PARA", "LiPRoMi", ...).
   virtual const char* name() const noexcept = 0;
 
-  /// Observes an ACT of logical @p row; appends any extra activations
-  /// to @p out.
-  virtual void on_activate(dram::RowId row, const MitigationContext& ctx,
-                           ActionBuffer& out) = 0;
-
   /// Observes a same-bank *lane* of ACT row addresses in arrival order —
-  /// the hot path of 10^8-ACT campaigns. @p rows is a contiguous column
-  /// of logical row ids (SoA: the controller's partition pass scatters
-  /// each batch into per-bank lanes once; a partition-indexed corpus
-  /// hands the lane out zero-copy). @p ctx applies to every element (a
-  /// controller lane never crosses a refresh boundary). Must be
-  /// decision-for-decision identical to calling on_activate once per
-  /// element (same RNG draw order, same state transitions); each
-  /// appended action must carry the lane index of the ACT that produced
-  /// it in MitigationAction::origin, appended in non-decreasing origin
-  /// order. The default implementation delegates to on_activate and
-  /// stamps origins; techniques override it with branch-light columnar
-  /// kernels (no per-ACT virtual dispatch, dense scans, lookup tables).
+  /// the only way an ACT reaches a technique; a single ACT is a lane of
+  /// length 1. @p rows is a contiguous column of logical row ids (SoA:
+  /// the controller's partition pass scatters each batch into per-bank
+  /// lanes once; a partition-indexed corpus hands the lane out
+  /// zero-copy). @p ctx applies to every element (a controller lane
+  /// never crosses a refresh boundary). The outcome must not depend on
+  /// how a stream is cut into lanes (same RNG draw order, same state
+  /// transitions); each appended action must carry the lane index of the
+  /// ACT that produced it in MitigationAction::origin, appended in
+  /// non-decreasing origin order.
   virtual void on_activates(const dram::RowId* rows, std::size_t n,
-                            const MitigationContext& ctx, ActionBuffer& out) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t before = out.size();
-      on_activate(rows[i], ctx, out);
-      out.stamp_origin(before, static_cast<std::uint32_t>(i));
-    }
-  }
+                            const MitigationContext& ctx,
+                            ActionBuffer& out) = 0;
 
   /// Observes the REF command that starts refresh interval ctx.interval_
   /// in_window; appends any (deferred) extra activations to @p out.
@@ -161,8 +148,6 @@ using BankMitigationFactory =
 class NoMitigation final : public IBankMitigation {
  public:
   const char* name() const noexcept override { return "none"; }
-  void on_activate(dram::RowId, const MitigationContext&,
-                   ActionBuffer&) override {}
   void on_activates(const dram::RowId*, std::size_t, const MitigationContext&,
                     ActionBuffer&) override {}
   void on_refresh(const MitigationContext&, ActionBuffer&) override {}
@@ -189,29 +174,22 @@ class MitigationEngine {
   std::uint64_t state_bits_total() const noexcept;
   double state_bytes_per_bank() const noexcept;
 
-  /// Dispatches the ACT to the bank's technique and returns the actions
+  /// Dispatches the REF to the bank's technique and returns the actions
   /// it requested. The returned buffer is the engine-owned scratch: it
-  /// is valid only until the next on_activate/on_refresh call, and the
-  /// engine (not the caller) pays its one-time allocation.
-  const ActionBuffer& on_activate(dram::BankId bank, dram::RowId row,
-                                  const MitigationContext& ctx) {
-    scratch_.clear();
-    per_bank_[bank]->on_activate(row, ctx, scratch_);
-    return scratch_;
-  }
-  /// REF-path counterpart of on_activate(); same scratch lifetime rules.
+  /// is valid only until the next on_refresh call, and the engine (not
+  /// the caller) pays its one-time allocation.
   const ActionBuffer& on_refresh(dram::BankId bank, const MitigationContext& ctx) {
     scratch_.clear();
     per_bank_[bank]->on_refresh(ctx, scratch_);
     return scratch_;
   }
 
-  /// Lane dispatch (the controller's columnar hot path): hands a
-  /// same-bank column of ACT row addresses to the bank's technique in
-  /// one virtual call. Returns the *bank-owned* scratch buffer — unlike
-  /// on_activate's shared scratch it is private to @p bank, so
-  /// independent banks may run concurrently; it stays valid until the
-  /// next on_activates call for the same bank.
+  /// Lane dispatch (the ACT hot path): hands a same-bank column of ACT
+  /// row addresses to the bank's technique in one virtual call. Returns
+  /// the *bank-owned* scratch buffer — unlike on_refresh's shared
+  /// scratch it is private to @p bank, so independent banks may run
+  /// concurrently; it stays valid until the next on_activates call for
+  /// the same bank.
   const ActionBuffer& on_activates(dram::BankId bank, const dram::RowId* rows,
                                    std::size_t n, const MitigationContext& ctx) {
     ActionBuffer& buf = bank_scratch_[bank].buffer;
@@ -220,10 +198,8 @@ class MitigationEngine {
     return buf;
   }
 
-  /// The engine-owned scratch buffer (read-only; exposed so tests can
+  /// Per-bank scratch of the ACT path (read-only; exposed so tests can
   /// assert its capacity stabilizes in steady state).
-  const ActionBuffer& scratch() const noexcept { return scratch_; }
-  /// Per-bank scratch of the batch path (same steady-state guarantee).
   const ActionBuffer& bank_scratch(dram::BankId bank) const {
     return bank_scratch_.at(bank).buffer;
   }

@@ -223,11 +223,8 @@ void CommandScheduler::service_bank(Bank& bank, dram::BankId id,
     stats_.latency_tail.add(latency);
 
     if (activated && engine_ != nullptr) {
-      // Lane-of-1 through the columnar entry point: the scheduler
-      // decides per request (an open-page hit issues no ACT), so it
-      // cannot build larger lanes, but routing through on_activates
-      // keeps the columnar kernels on the only code path the scheduler
-      // exercises.
+      // A lane of one: the scheduler decides per request (an open-page
+      // hit issues no ACT), so it cannot build larger lanes.
       MitigationContext ctx;
       ctx.interval_in_window = interval_in_window();
       ctx.global_interval = global_interval_;

@@ -24,8 +24,7 @@ void Cat::reset_tree() {
   nodes_.push_back(Node{});  // root covers the whole bank
 }
 
-void Cat::on_activate(dram::RowId row, const mem::MitigationContext&,
-                      mem::ActionBuffer& out) {
+void Cat::observe(dram::RowId row, mem::ActionBuffer& out) {
   // Descend to the leaf covering `row` (branch on address bits, MSB
   // first — exactly the hardware's prefix walk).
   std::size_t index = 0;
@@ -72,14 +71,11 @@ void Cat::on_activate(dram::RowId row, const mem::MitigationContext&,
 }
 
 void Cat::on_activates(const dram::RowId* rows, std::size_t n,
-                        const mem::MitigationContext& ctx,
+                        const mem::MitigationContext&,
                         mem::ActionBuffer& out) {
-  // Devirtualized batch loop: one virtual call per same-bank span
-  // instead of one per ACT; decisions and RNG draws are identical to
-  // per-element on_activate.
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t before = out.size();
-    Cat::on_activate(rows[i], ctx, out);
+    observe(rows[i], out);
     out.stamp_origin(before, static_cast<std::uint32_t>(i));
   }
 }

@@ -18,8 +18,7 @@ Cra::Cra(CraConfig config, util::Rng) : cfg_(config) {
   counts_.assign(cfg_.rows_per_bank, 0);
 }
 
-void Cra::on_activate(dram::RowId row, const mem::MitigationContext&,
-                      mem::ActionBuffer& out) {
+void Cra::observe(dram::RowId row, mem::ActionBuffer& out) {
   if (++counts_[row] < cfg_.row_threshold) return;
   counts_[row] = 0;
   mem::MitigationAction action;
@@ -30,18 +29,17 @@ void Cra::on_activate(dram::RowId row, const mem::MitigationContext&,
 }
 
 void Cra::on_activates(const dram::RowId* rows, std::size_t n,
-                        const mem::MitigationContext& ctx,
+                        const mem::MitigationContext&,
                         mem::ActionBuffer& out) {
-  // Devirtualized lane kernel. The counter table spans every row of the
-  // bank (the lane's accesses scatter across it), so the next few
-  // counters are prefetched ahead of the increment — the lane hands us
-  // the future rows for free.
+  // The counter table spans every row of the bank (the lane's accesses
+  // scatter across it), so the next few counters are prefetched ahead of
+  // the increment — the lane hands us the future rows for free.
   constexpr std::size_t kPrefetchDist = 8;
   for (std::size_t i = 0; i < n; ++i) {
     if (i + kPrefetchDist < n)
       util::prefetch_read(&counts_[rows[i + kPrefetchDist]]);
     const std::size_t before = out.size();
-    Cra::on_activate(rows[i], ctx, out);
+    observe(rows[i], out);
     out.stamp_origin(before, static_cast<std::uint32_t>(i));
   }
 }

@@ -18,8 +18,7 @@ Graphene::Graphene(GrapheneConfig config, util::Rng) : cfg_(config) {
   counts_.assign(cfg_.entries, 0);
 }
 
-void Graphene::on_activate(dram::RowId row, const mem::MitigationContext&,
-                           mem::ActionBuffer& out) {
+void Graphene::observe(dram::RowId row, mem::ActionBuffer& out) {
   std::size_t slot = util::find_u32(rows_.data(), live_, row);
   if (slot != live_) {
     ++counts_[slot];
@@ -59,13 +58,11 @@ void Graphene::on_activate(dram::RowId row, const mem::MitigationContext&,
 }
 
 void Graphene::on_activates(const dram::RowId* rows, std::size_t n,
-                             const mem::MitigationContext& ctx,
+                             const mem::MitigationContext&,
                              mem::ActionBuffer& out) {
-  // Devirtualized lane kernel: one virtual call per bank lane instead
-  // of one per ACT; decisions are identical to per-element on_activate.
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t before = out.size();
-    Graphene::on_activate(rows[i], ctx, out);
+    observe(rows[i], out);
     out.stamp_origin(before, static_cast<std::uint32_t>(i));
   }
 }

@@ -43,8 +43,6 @@ class Cat final : public mem::IBankMitigation {
   Cat(CatConfig config, util::Rng rng);
 
   const char* name() const noexcept override { return "CAT"; }
-  void on_activate(dram::RowId row, const mem::MitigationContext& ctx,
-                   mem::ActionBuffer& out) override;
   void on_activates(const dram::RowId* rows, std::size_t n,
                     const mem::MitigationContext& ctx,
                     mem::ActionBuffer& out) override;
@@ -61,6 +59,9 @@ class Cat final : public mem::IBankMitigation {
   std::uint64_t blind_triggers() const noexcept { return blind_triggers_; }
 
  private:
+  /// The per-ACT step of on_activates.
+  void observe(dram::RowId row, mem::ActionBuffer& out);
+
   struct Node {
     std::uint32_t count = 0;
     std::int32_t left = -1;   ///< child indices; -1 = leaf

@@ -27,8 +27,6 @@ class Cra final : public mem::IBankMitigation {
   Cra(CraConfig config, util::Rng rng);
 
   const char* name() const noexcept override { return "CRA"; }
-  void on_activate(dram::RowId row, const mem::MitigationContext& ctx,
-                   mem::ActionBuffer& out) override;
   void on_activates(const dram::RowId* rows, std::size_t n,
                     const mem::MitigationContext& ctx,
                     mem::ActionBuffer& out) override;
@@ -39,6 +37,9 @@ class Cra final : public mem::IBankMitigation {
   std::uint32_t counter(dram::RowId row) const { return counts_.at(row); }
 
  private:
+  /// The per-ACT step of on_activates.
+  void observe(dram::RowId row, mem::ActionBuffer& out);
+
   CraConfig cfg_;
   std::vector<std::uint32_t> counts_;  // one per row
 };

@@ -41,8 +41,6 @@ class Graphene final : public mem::IBankMitigation {
   Graphene(GrapheneConfig config, util::Rng rng);
 
   const char* name() const noexcept override { return "Graphene"; }
-  void on_activate(dram::RowId row, const mem::MitigationContext& ctx,
-                   mem::ActionBuffer& out) override;
   void on_activates(const dram::RowId* rows, std::size_t n,
                     const mem::MitigationContext& ctx,
                     mem::ActionBuffer& out) override;
@@ -54,6 +52,9 @@ class Graphene final : public mem::IBankMitigation {
   std::size_t tracked() const noexcept { return live_; }
 
  private:
+  /// The per-ACT step of on_activates.
+  void observe(dram::RowId row, mem::ActionBuffer& out);
+
   GrapheneConfig cfg_;
   // Structure-of-arrays summary: tracked entries are the dense prefix
   // [0, live_) of two parallel columns (slots are taken in index order,

@@ -39,8 +39,6 @@ class MrLoc final : public mem::IBankMitigation {
   MrLoc(MrLocConfig config, util::Rng rng);
 
   const char* name() const noexcept override { return "MRLoc"; }
-  void on_activate(dram::RowId row, const mem::MitigationContext& ctx,
-                   mem::ActionBuffer& out) override;
   void on_activates(const dram::RowId* rows, std::size_t n,
                     const mem::MitigationContext& ctx,
                     mem::ActionBuffer& out) override;

@@ -24,8 +24,6 @@ class Para final : public mem::IBankMitigation {
   Para(ParaConfig config, util::Rng rng);
 
   const char* name() const noexcept override { return "PARA"; }
-  void on_activate(dram::RowId row, const mem::MitigationContext& ctx,
-                   mem::ActionBuffer& out) override;
   void on_activates(const dram::RowId* rows, std::size_t n,
                     const mem::MitigationContext& ctx,
                     mem::ActionBuffer& out) override;
@@ -35,6 +33,9 @@ class Para final : public mem::IBankMitigation {
   std::uint64_t state_bits() const noexcept override { return 32; }
 
  private:
+  /// The per-ACT step of on_activates.
+  void observe(dram::RowId row, mem::ActionBuffer& out);
+
   ParaConfig cfg_;
   util::BufferedRng rng_;
 };

@@ -35,8 +35,6 @@ class Prac final : public mem::IBankMitigation {
   Prac(PracConfig config, util::Rng rng);
 
   const char* name() const noexcept override { return "PRAC"; }
-  void on_activate(dram::RowId row, const mem::MitigationContext& ctx,
-                   mem::ActionBuffer& out) override;
   void on_activates(const dram::RowId* rows, std::size_t n,
                     const mem::MitigationContext& ctx,
                     mem::ActionBuffer& out) override;
@@ -52,6 +50,9 @@ class Prac final : public mem::IBankMitigation {
   std::uint64_t in_dram_bits() const noexcept;
 
  private:
+  /// The per-ACT step of on_activates.
+  void observe(dram::RowId row, mem::ActionBuffer& out);
+
   PracConfig cfg_;
   std::vector<std::uint32_t> counts_;
   std::uint64_t alerts_ = 0;

@@ -33,8 +33,6 @@ class ProHit final : public mem::IBankMitigation {
   ProHit(ProHitConfig config, util::Rng rng);
 
   const char* name() const noexcept override { return "ProHit"; }
-  void on_activate(dram::RowId row, const mem::MitigationContext& ctx,
-                   mem::ActionBuffer& out) override;
   void on_activates(const dram::RowId* rows, std::size_t n,
                     const mem::MitigationContext& ctx,
                     mem::ActionBuffer& out) override;

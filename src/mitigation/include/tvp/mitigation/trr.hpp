@@ -39,8 +39,6 @@ class Trr final : public mem::IBankMitigation {
   const char* name() const noexcept override {
     return cfg_.rfm_enabled ? "TRR+RFM" : "TRR";
   }
-  void on_activate(dram::RowId row, const mem::MitigationContext& ctx,
-                   mem::ActionBuffer& out) override;
   void on_activates(const dram::RowId* rows, std::size_t n,
                     const mem::MitigationContext& ctx,
                     mem::ActionBuffer& out) override;
@@ -51,6 +49,9 @@ class Trr final : public mem::IBankMitigation {
   std::uint64_t rfm_commands() const noexcept { return rfm_commands_; }
 
  private:
+  /// The per-ACT step of on_activates.
+  void observe(dram::RowId row, mem::ActionBuffer& out);
+
   struct Sample {
     dram::RowId row = 0;
     std::uint32_t score = 0;

@@ -37,8 +37,6 @@ class Twice final : public mem::IBankMitigation {
   Twice(TwiceConfig config, util::Rng rng);
 
   const char* name() const noexcept override { return "TWiCe"; }
-  void on_activate(dram::RowId row, const mem::MitigationContext& ctx,
-                   mem::ActionBuffer& out) override;
   void on_activates(const dram::RowId* rows, std::size_t n,
                     const mem::MitigationContext& ctx,
                     mem::ActionBuffer& out) override;
@@ -53,6 +51,9 @@ class Twice final : public mem::IBankMitigation {
   std::uint64_t overflow_drops() const noexcept { return overflow_drops_; }
 
  private:
+  /// The per-ACT step of on_activates.
+  void observe(dram::RowId row, mem::ActionBuffer& out);
+
   TwiceConfig cfg_;
   // The hardware CAM, laid out as structure-of-arrays: live entries are
   // the dense prefix [0, live_) of three parallel columns, so the

@@ -72,17 +72,9 @@ void MrLoc::observe_victim(dram::RowId victim, dram::RowId aggressor,
   }
 }
 
-void MrLoc::on_activate(dram::RowId row, const mem::MitigationContext&,
-                        mem::ActionBuffer& out) {
-  if (row > 0) observe_victim(row - 1, row, out);
-  if (row + 1 < cfg_.rows_per_bank) observe_victim(row + 1, row, out);
-}
-
 void MrLoc::on_activates(const dram::RowId* rows, std::size_t n,
                          const mem::MitigationContext&,
                          mem::ActionBuffer& out) {
-  // Same decisions and RNG draws as on_activate per element, minus the
-  // per-ACT virtual dispatch.
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t before = out.size();
     const dram::RowId row = rows[i];

@@ -10,8 +10,7 @@ Para::Para(ParaConfig config, util::Rng rng) : cfg_(config), rng_(rng) {
     throw std::invalid_argument("Para: zero rows_per_bank");
 }
 
-void Para::on_activate(dram::RowId row, const mem::MitigationContext&,
-                       mem::ActionBuffer& out) {
+void Para::observe(dram::RowId row, mem::ActionBuffer& out) {
   if (!rng_.bernoulli_q32(cfg_.p.raw())) return;
   // Pick one side at random; fall back to the other at the array edge.
   const bool up = (rng_.next() & 1) != 0;
@@ -31,14 +30,11 @@ void Para::on_activate(dram::RowId row, const mem::MitigationContext&,
 }
 
 void Para::on_activates(const dram::RowId* rows, std::size_t n,
-                         const mem::MitigationContext& ctx,
+                         const mem::MitigationContext&,
                          mem::ActionBuffer& out) {
-  // Devirtualized batch loop: one virtual call per same-bank span
-  // instead of one per ACT; decisions and RNG draws are identical to
-  // per-element on_activate.
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t before = out.size();
-    Para::on_activate(rows[i], ctx, out);
+    observe(rows[i], out);
     out.stamp_origin(before, static_cast<std::uint32_t>(i));
   }
 }

@@ -18,8 +18,7 @@ Prac::Prac(PracConfig config, util::Rng) : cfg_(config) {
   counts_.assign(cfg_.rows_per_bank, 0);
 }
 
-void Prac::on_activate(dram::RowId row, const mem::MitigationContext&,
-                       mem::ActionBuffer& out) {
+void Prac::observe(dram::RowId row, mem::ActionBuffer& out) {
   if (++counts_[row] < cfg_.row_threshold) return;
   counts_[row] = 0;
   ++alerts_;  // the device raises ALERT; the back-off refreshes neighbours
@@ -31,17 +30,16 @@ void Prac::on_activate(dram::RowId row, const mem::MitigationContext&,
 }
 
 void Prac::on_activates(const dram::RowId* rows, std::size_t n,
-                         const mem::MitigationContext& ctx,
+                         const mem::MitigationContext&,
                          mem::ActionBuffer& out) {
-  // Devirtualized lane kernel. The per-row counter table spans the
-  // whole bank, so the lane's future rows are prefetched a few ACTs
-  // ahead of their increments.
+  // The per-row counter table spans the whole bank, so the lane's future
+  // rows are prefetched a few ACTs ahead of their increments.
   constexpr std::size_t kPrefetchDist = 8;
   for (std::size_t i = 0; i < n; ++i) {
     if (i + kPrefetchDist < n)
       util::prefetch_read(&counts_[rows[i + kPrefetchDist]]);
     const std::size_t before = out.size();
-    Prac::on_activate(rows[i], ctx, out);
+    observe(rows[i], out);
     out.stamp_origin(before, static_cast<std::uint32_t>(i));
   }
 }

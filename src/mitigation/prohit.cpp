@@ -52,23 +52,13 @@ void ProHit::observe_victim(dram::RowId victim, dram::RowId aggressor) {
   }
 }
 
-void ProHit::on_activate(dram::RowId row, const mem::MitigationContext&,
-                         mem::ActionBuffer& out) {
-  (void)out;
-  if (row > 0) observe_victim(row - 1, row);
-  if (row + 1 < cfg_.rows_per_bank) observe_victim(row + 1, row);
-}
-
 void ProHit::on_activates(const dram::RowId* rows, std::size_t n,
-                           const mem::MitigationContext& ctx,
-                           mem::ActionBuffer& out) {
-  // Devirtualized batch loop: one virtual call per same-bank span
-  // instead of one per ACT; decisions and RNG draws are identical to
-  // per-element on_activate.
+                           const mem::MitigationContext&, mem::ActionBuffer&) {
+  // Observe only; the refresh is issued at REF.
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t before = out.size();
-    ProHit::on_activate(rows[i], ctx, out);
-    out.stamp_origin(before, static_cast<std::uint32_t>(i));
+    const dram::RowId row = rows[i];
+    if (row > 0) observe_victim(row - 1, row);
+    if (row + 1 < cfg_.rows_per_bank) observe_victim(row + 1, row);
   }
 }
 

@@ -20,8 +20,7 @@ Trr::Trr(TrrConfig config, util::Rng rng) : cfg_(config), rng_(rng) {
   sampler_.assign(cfg_.sampler_entries, Sample{});
 }
 
-void Trr::on_activate(dram::RowId row, const mem::MitigationContext&,
-                      mem::ActionBuffer& out) {
+void Trr::observe(dram::RowId row, mem::ActionBuffer& out) {
   // Frequency-biased reservoir sampling.
   Sample* lowest = &sampler_.front();
   bool tracked = false;
@@ -49,14 +48,11 @@ void Trr::on_activate(dram::RowId row, const mem::MitigationContext&,
 }
 
 void Trr::on_activates(const dram::RowId* rows, std::size_t n,
-                        const mem::MitigationContext& ctx,
+                        const mem::MitigationContext&,
                         mem::ActionBuffer& out) {
-  // Devirtualized batch loop: one virtual call per same-bank span
-  // instead of one per ACT; decisions and RNG draws are identical to
-  // per-element on_activate.
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t before = out.size();
-    Trr::on_activate(rows[i], ctx, out);
+    observe(rows[i], out);
     out.stamp_origin(before, static_cast<std::uint32_t>(i));
   }
 }

@@ -20,8 +20,7 @@ Twice::Twice(TwiceConfig config, util::Rng) : cfg_(config) {
   lifes_.assign(cfg_.entries, 0);
 }
 
-void Twice::on_activate(dram::RowId row, const mem::MitigationContext&,
-                        mem::ActionBuffer& out) {
+void Twice::observe(dram::RowId row, mem::ActionBuffer& out) {
   // SIMD sweep of the dense row column — the simulation stand-in for
   // the hardware CAM's single-cycle associative match.
   const std::size_t hit = util::find_u32(rows_.data(), live_, row);
@@ -52,13 +51,11 @@ void Twice::on_activate(dram::RowId row, const mem::MitigationContext&,
 }
 
 void Twice::on_activates(const dram::RowId* rows, std::size_t n,
-                          const mem::MitigationContext& ctx,
+                          const mem::MitigationContext&,
                           mem::ActionBuffer& out) {
-  // Devirtualized lane kernel: one virtual call per bank lane instead
-  // of one per ACT; decisions are identical to per-element on_activate.
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t before = out.size();
-    Twice::on_activate(rows[i], ctx, out);
+    observe(rows[i], out);
     out.stamp_origin(before, static_cast<std::uint32_t>(i));
   }
 }

@@ -21,10 +21,6 @@
 #include "tvp/util/crc32.hpp"
 #include "tvp/util/failpoint.hpp"
 
-#if defined(TVP_HAVE_ZSTD) && TVP_HAVE_ZSTD
-#include <zstd.h>
-#endif
-
 namespace tvp::trace {
 
 namespace fp = util::fp;
@@ -249,10 +245,13 @@ ParsedCorpus parse_corpus(int fd, const std::string& path) {
     block.crc = load_u32(entry + 24);
     block.min_time_ps = load_u64(entry + 32);
     block.max_time_ps = load_u64(entry + 40);
-    if (codec > static_cast<std::uint32_t>(CorpusCodec::kZstd))
+    if (codec == static_cast<std::uint32_t>(CorpusCodec::kZstd))
+      corrupt(path, "block " + std::to_string(b) +
+                        " is zstd-compressed (codec 1), a reserved codec "
+                        "this reader does not decode");
+    if (codec != static_cast<std::uint32_t>(CorpusCodec::kRaw))
       corrupt(path, "block " + std::to_string(b) + " has unknown codec " +
                         std::to_string(codec));
-    block.codec = static_cast<CorpusCodec>(codec);
     if (block.offset < kFileHeaderBytes ||
         block.offset + kBlockHeaderBytes > parsed.footer_offset)
       corrupt(path, "block " + std::to_string(b) + " offset out of range");
@@ -315,14 +314,6 @@ void fsync_parent_dir(const std::string& path) {
 
 }  // namespace
 
-bool corpus_zstd_available() noexcept {
-#if defined(TVP_HAVE_ZSTD) && TVP_HAVE_ZSTD
-  return true;
-#else
-  return false;
-#endif
-}
-
 const std::vector<std::string>& corpus_failpoint_sites() {
   static const std::vector<std::string> sites = {
       kSiteCreateOpen, kSiteHeaderWrite, kSiteBlockWrite, kSiteFooterWrite,
@@ -342,10 +333,6 @@ CorpusWriter::CorpusWriter(const std::string& path, Options options)
     : path_(path), options_(options) {
   if (options_.records_per_block == 0)
     throw std::invalid_argument("CorpusWriter: records_per_block must be > 0");
-  if (options_.codec == CorpusCodec::kZstd && !corpus_zstd_available())
-    throw std::runtime_error(
-        "Corpus " + path + ": zstd compression requested but this build "
-        "has no zstd support");
   fd_ = fp::open(kSiteCreateOpen, path.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
                  0644);
   if (fd_ < 0) io_fail(path_, "cannot create");
@@ -415,27 +402,10 @@ void CorpusWriter::flush_block() {
   }
   const std::uint32_t crc = util::crc32(staging_.data(), raw_bytes);
 
-  const unsigned char* payload = staging_.data();
-  std::size_t payload_bytes = raw_bytes;
-#if defined(TVP_HAVE_ZSTD) && TVP_HAVE_ZSTD
-  std::vector<unsigned char> compressed;
-  if (options_.codec == CorpusCodec::kZstd) {
-    compressed.resize(ZSTD_compressBound(raw_bytes));
-    const std::size_t n = ZSTD_compress(compressed.data(), compressed.size(),
-                                        staging_.data(), raw_bytes, 3);
-    if (ZSTD_isError(n))
-      throw std::runtime_error("Corpus " + path_ + ": zstd compression failed: " +
-                               ZSTD_getErrorName(n));
-    payload = compressed.data();
-    payload_bytes = n;
-  }
-#endif
-
   CorpusBlockInfo info;
   info.offset = write_offset_;
   info.first_record = total_records_;
   info.records = static_cast<std::uint32_t>(block_.size());
-  info.codec = options_.codec;
   info.crc = crc;
   info.min_time_ps = block_.front().time_ps;
   info.max_time_ps = block_.back().time_ps;
@@ -444,19 +414,17 @@ void CorpusWriter::flush_block() {
   std::memcpy(header, kBlockMagic, 4);
   store_u32(header + 4, static_cast<std::uint32_t>(info.codec));
   store_u32(header + 8, info.records);
-  store_u32(header + 12, static_cast<std::uint32_t>(payload_bytes));
+  store_u32(header + 12, static_cast<std::uint32_t>(raw_bytes));
   store_u64(header + 16, info.min_time_ps);
   store_u64(header + 24, info.max_time_ps);
   store_u32(header + 32, crc);
 
-  static constexpr unsigned char kPad[8] = {};
-  const std::size_t padded = pad8(payload_bytes);
+  // Raw payloads are whole 24-byte records, so they end 8-byte aligned.
+  static_assert(kRecordBytes % 8 == 0);
   if (!fp::write_full(kSiteBlockWrite, fd_, header, sizeof header) ||
-      !fp::write_full(kSiteBlockWrite, fd_, payload, payload_bytes) ||
-      (padded > payload_bytes &&
-       !fp::write_full(kSiteBlockWrite, fd_, kPad, padded - payload_bytes)))
+      !fp::write_full(kSiteBlockWrite, fd_, staging_.data(), raw_bytes))
     fail("cannot write block");
-  write_offset_ += kBlockHeaderBytes + padded;
+  write_offset_ += kBlockHeaderBytes + raw_bytes;
 
   if (options_.partition_banks != 0) {
     // The block's scatter pass, done once at write time: per-bank lane
@@ -679,11 +647,6 @@ MmapSource::MmapSource(const std::string& path) : path_(path) {
     ParsedCorpus parsed = parse_corpus(fd_, path_);
     file_size_ = parsed.file_size;
     info_ = std::move(parsed.info);
-    for (const CorpusBlockInfo& b : info_.blocks)
-      if (b.codec == CorpusCodec::kZstd && !corpus_zstd_available())
-        corrupt(path_,
-                "contains zstd-compressed blocks but this build has no "
-                "zstd support");
   } catch (...) {
     ::close(fd_);
     throw;
@@ -700,9 +663,9 @@ MmapSource::~MmapSource() {
 
 void MmapSource::fail(const std::string& what) const { corrupt(path_, what); }
 
-// Loads block @p index and points span_ at its records. Raw blocks in
-// mapped mode hand out the mapped bytes themselves (zero-copy);
-// everything else decodes into scratch_.
+// Loads block @p index and points span_ at its records. In mapped mode
+// the span is the mapped bytes themselves (zero-copy); the pread
+// fallback reads into scratch_.
 bool MmapSource::load_block(std::size_t index) {
   const CorpusBlockInfo& b = info_.blocks[index];
   const std::uint64_t payload_offset = b.offset + kBlockHeaderBytes;
@@ -724,57 +687,30 @@ bool MmapSource::load_block(std::size_t index) {
   if (payload_offset + payload_bytes > file_size_ - kTrailerBytes)
     fail("block " + std::to_string(index) + " payload out of range");
 
-  if (b.codec == CorpusCodec::kRaw) {
-    if (payload_bytes != raw_bytes)
-      fail("block " + std::to_string(index) + " payload size mismatch");
-    if (base_ != nullptr) {
-      const unsigned char* payload = base_ + payload_offset;
-      // Trust-after-verify, shared process-wide: if a concurrent source
-      // races us here both verify — harmless, the bytes are immutable.
-      // Bit 0 covers the record payload (bit 1 is the partition sweep).
-      if (!(mapping_->verified[index].load(std::memory_order_acquire) & 1)) {
-        if (util::crc32(payload, static_cast<std::size_t>(raw_bytes)) != b.crc)
-          fail("block " + std::to_string(index) + " CRC mismatch (corrupt)");
-        check_record_encoding(payload, b.records, path_, index);
-        mapping_->verified[index].fetch_or(1, std::memory_order_release);
-      }
-      span_ = reinterpret_cast<const AccessRecord*>(payload);
-    } else {
-      // pread re-reads the bytes on every pass, so re-verify each time.
-      scratch_.resize(b.records);
-      pread_exact(fd_, scratch_.data(), static_cast<std::size_t>(raw_bytes),
-                  payload_offset, path_);
-      const auto* bytes = reinterpret_cast<const unsigned char*>(scratch_.data());
-      if (util::crc32(bytes, static_cast<std::size_t>(raw_bytes)) != b.crc)
+  if (payload_bytes != raw_bytes)
+    fail("block " + std::to_string(index) + " payload size mismatch");
+  if (base_ != nullptr) {
+    const unsigned char* payload = base_ + payload_offset;
+    // Trust-after-verify, shared process-wide: if a concurrent source
+    // races us here both verify — harmless, the bytes are immutable.
+    // Bit 0 covers the record payload (bit 1 is the partition sweep).
+    if (!(mapping_->verified[index].load(std::memory_order_acquire) & 1)) {
+      if (util::crc32(payload, static_cast<std::size_t>(raw_bytes)) != b.crc)
         fail("block " + std::to_string(index) + " CRC mismatch (corrupt)");
-      check_record_encoding(bytes, b.records, path_, index);
-      span_ = scratch_.data();
+      check_record_encoding(payload, b.records, path_, index);
+      mapping_->verified[index].fetch_or(1, std::memory_order_release);
     }
+    span_ = reinterpret_cast<const AccessRecord*>(payload);
   } else {
-#if defined(TVP_HAVE_ZSTD) && TVP_HAVE_ZSTD
-    const unsigned char* compressed = nullptr;
-    if (base_ != nullptr) {
-      compressed = base_ + payload_offset;
-    } else {
-      comp_.resize(static_cast<std::size_t>(payload_bytes));
-      pread_exact(fd_, comp_.data(), comp_.size(), payload_offset, path_);
-      compressed = comp_.data();
-    }
+    // pread re-reads the bytes on every pass, so re-verify each time.
     scratch_.resize(b.records);
-    const std::size_t n =
-        ZSTD_decompress(scratch_.data(), static_cast<std::size_t>(raw_bytes),
-                        compressed, static_cast<std::size_t>(payload_bytes));
-    if (ZSTD_isError(n) || n != raw_bytes)
-      fail("block " + std::to_string(index) + " zstd decompression failed");
+    pread_exact(fd_, scratch_.data(), static_cast<std::size_t>(raw_bytes),
+                payload_offset, path_);
     const auto* bytes = reinterpret_cast<const unsigned char*>(scratch_.data());
     if (util::crc32(bytes, static_cast<std::size_t>(raw_bytes)) != b.crc)
       fail("block " + std::to_string(index) + " CRC mismatch (corrupt)");
     check_record_encoding(bytes, b.records, path_, index);
     span_ = scratch_.data();
-#else
-    fail("block " + std::to_string(index) +
-         " is zstd-compressed but this build has no zstd support");
-#endif
   }
   span_len_ = b.records;
   span_pos_ = 0;
@@ -827,9 +763,7 @@ std::size_t MmapSource::next_span(const AccessRecord** data) {
 // exactly. Any disagreement is a hard error: a corpus that advertises
 // a partition index must carry a correct one.
 bool MmapSource::prepare_lanes(std::size_t index) {
-  if (base_ == nullptr || info_.partition_banks == 0 ||
-      info_.blocks[index].codec != CorpusCodec::kRaw)
-    return false;
+  if (base_ == nullptr || info_.partition_banks == 0) return false;
   const std::uint32_t banks = info_.partition_banks;
   const CorpusPartitionInfo& p = info_.partitions[index];
   const unsigned char* region = base_ + p.offset;

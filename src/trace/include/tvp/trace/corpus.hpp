@@ -6,8 +6,7 @@
 //   [file header, 32 B]   "TVPC" | version=2 | record_bytes=24 | reserved
 //   [block]*              40 B block header ("TVPB", codec, record
 //                         count, payload size, min/max time_ps, CRC-32
-//                         of the *uncompressed* record bytes), then the
-//                         payload, zero-padded to an 8-byte boundary
+//                         of the record bytes), then the packed records
 //   [footer]              "TVPF" | totals | per-block index entries
 //                         (offset, first record, count, codec, CRC,
 //                         time range) | sorted aggressor-oracle keys |
@@ -20,7 +19,7 @@
 //    (static_asserts in corpus.cpp pin every offset), so an mmap'd raw
 //    block replays zero-copy: the span handed to the controller is the
 //    page cache itself.
-//  * Every block carries a CRC-32 over its uncompressed bytes, checked
+//  * Every block carries a CRC-32 over its record bytes, checked
 //    once on first touch (trust-after-verify: rewind() keeps the
 //    verified bits, so warm replay passes skip the sweep entirely).
 //    The mapping and its verified bits are shared process-wide between
@@ -30,9 +29,8 @@
 //    which makes it a cheap whole-corpus identity: the campaign service
 //    journals it so a resumed trace job proves it replays the same
 //    bytes.
-//  * Compression (zstd, codec 1) is a per-block property and the format
-//    is self-describing: a build without zstd still reads raw corpora
-//    and reports a precise error for compressed ones.
+//  * Blocks are stored raw (codec 0). Codec 1 is reserved for zstd and
+//    rejected by name; any other codec is reported as unknown.
 //  * The ground truth travels with the corpus: the aggressor oracle
 //    (the (bank, row) keys the attack generators marked) and the victim
 //    oracle (the rows the attacks aim to flip), so replayed experiments
@@ -62,11 +60,8 @@ namespace tvp::trace {
 /// Per-block payload encoding.
 enum class CorpusCodec : std::uint32_t {
   kRaw = 0,   ///< packed records, mmap-replayable in place
-  kZstd = 1,  ///< zstd-compressed packed records
+  kZstd = 1,  ///< reserved (zstd); readers reject it
 };
-
-/// True when this build can compress/decompress zstd blocks.
-bool corpus_zstd_available() noexcept;
 
 /// One footer index entry: everything needed to locate, size and check
 /// a block without touching its bytes.
@@ -75,7 +70,7 @@ struct CorpusBlockInfo {
   std::uint64_t first_record = 0;  ///< global index of the block's first record
   std::uint32_t records = 0;
   CorpusCodec codec = CorpusCodec::kRaw;
-  std::uint32_t crc = 0;  ///< CRC-32 of the uncompressed record bytes
+  std::uint32_t crc = 0;  ///< CRC-32 of the record bytes
   std::uint64_t min_time_ps = 0;
   std::uint64_t max_time_ps = 0;
 };
@@ -115,7 +110,6 @@ class CorpusWriter {
   struct Options {
     /// Records per block; 64 Ki records = 1.5 MiB of raw payload.
     std::size_t records_per_block = std::size_t{1} << 16;
-    CorpusCodec codec = CorpusCodec::kRaw;
     /// Write a per-block partition index for this many banks (0 = none).
     /// When set, every appended record's bank must be below this count
     /// (enforced; the lanes must cover the whole block for replay to
@@ -124,7 +118,7 @@ class CorpusWriter {
   };
 
   /// Creates (truncates) @p path. Throws std::runtime_error on I/O
-  /// failure or when options.codec needs zstd and the build lacks it.
+  /// failure.
   explicit CorpusWriter(const std::string& path);
   CorpusWriter(const std::string& path, Options options);
   CorpusWriter(const CorpusWriter&) = delete;
@@ -181,8 +175,8 @@ struct CorpusMapping;
 class MmapSource final : public TraceSource {
  public:
   /// Throws std::runtime_error with a precise reason on any structural
-  /// problem (bad magic/version, truncated footer, compressed blocks
-  /// without zstd, ...).
+  /// problem (bad magic/version, truncated footer, a reserved or unknown
+  /// block codec, ...).
   explicit MmapSource(const std::string& path);
   MmapSource(const MmapSource&) = delete;
   MmapSource& operator=(const MmapSource&) = delete;
@@ -225,8 +219,7 @@ class MmapSource final : public TraceSource {
   std::shared_ptr<CorpusMapping> mapping_;  // null in pread fallback mode
   const unsigned char* base_ = nullptr;  // mapping_->base, cached
   CorpusInfo info_;
-  std::vector<AccessRecord> scratch_;   // decode buffer (compressed / pread)
-  std::vector<unsigned char> comp_;     // compressed payload staging
+  std::vector<AccessRecord> scratch_;   // pread fallback buffer
   std::size_t block_ = 0;               // next block to load
   const AccessRecord* span_ = nullptr;  // current block's records
   std::size_t span_len_ = 0;

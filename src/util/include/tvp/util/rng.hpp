@@ -8,11 +8,11 @@
 // subsystem gets an independent stream.
 #pragma once
 
+#include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <utility>
-#include <vector>
 
 namespace tvp::util {
 
@@ -167,45 +167,15 @@ class Rng {
 /// (draw consumption is data-dependent: bernoulli_q32 consumes nothing
 /// at the 0/1 endpoints and below() may reject), which is why the
 /// buffer holds raw words, not outcomes.
-///
-/// The buffer capacity is read from TVP_RNG_BUFFER once at
-/// construction (default 256 words; minimum 1, where the wrapper
-/// degenerates to per-call draws).
 class BufferedRng {
  public:
   using result_type = std::uint64_t;
 
-  /// Wraps @p rng (by value; the buffer owns the stream from here on).
-  explicit BufferedRng(Rng rng) noexcept;
+  /// Words drawn per refill.
+  static constexpr std::size_t kCapacity = 256;
 
-  // Copies and moves re-anchor the data_/cap_ mirror onto the new
-  // buffer; stream position and contents carry over unchanged.
-  BufferedRng(const BufferedRng& other)
-      : rng_(other.rng_), buf_(other.buf_), pos_(other.pos_) {
-    data_ = buf_.data();
-    cap_ = buf_.size();
-  }
-  BufferedRng(BufferedRng&& other) noexcept
-      : rng_(other.rng_), buf_(std::move(other.buf_)), pos_(other.pos_) {
-    data_ = buf_.data();
-    cap_ = buf_.size();
-  }
-  BufferedRng& operator=(const BufferedRng& other) {
-    rng_ = other.rng_;
-    buf_ = other.buf_;
-    pos_ = other.pos_;
-    data_ = buf_.data();
-    cap_ = buf_.size();
-    return *this;
-  }
-  BufferedRng& operator=(BufferedRng&& other) noexcept {
-    rng_ = other.rng_;
-    buf_ = std::move(other.buf_);
-    pos_ = other.pos_;
-    data_ = buf_.data();
-    cap_ = buf_.size();
-    return *this;
-  }
+  /// Wraps @p rng (by value; the buffer owns the stream from here on).
+  explicit BufferedRng(Rng rng) noexcept : rng_(rng) {}
 
   static constexpr result_type min() noexcept { return Rng::min(); }
   static constexpr result_type max() noexcept { return Rng::max(); }
@@ -214,8 +184,8 @@ class BufferedRng {
 
   /// Next 64 random bits (same stream as the wrapped Rng).
   result_type next() noexcept {
-    if (pos_ == cap_) [[unlikely]] refill();
-    return data_[pos_++];
+    if (pos_ == kCapacity) [[unlikely]] refill();
+    return buf_[pos_++];
   }
 
   /// Uniform integer in [0, bound); identical draws to Rng::below.
@@ -250,17 +220,13 @@ class BufferedRng {
 
  private:
   void refill() noexcept {
-    for (std::size_t i = 0; i < cap_; ++i) data_[i] = rng_.next();
+    for (auto& word : buf_) word = rng_.next();
     pos_ = 0;
   }
 
   Rng rng_;
-  std::vector<std::uint64_t> buf_;
-  // Hot-path mirror of buf_: data_/cap_ never change after
-  // construction, so next() touches no vector internals.
-  std::uint64_t* data_ = nullptr;
-  std::size_t cap_ = 0;
-  std::size_t pos_ = 0;
+  std::array<std::uint64_t, kCapacity> buf_{};
+  std::size_t pos_ = kCapacity;  // the first next() refills
 };
 
 }  // namespace tvp::util

@@ -2,7 +2,9 @@
 // the CaPRoMi counter table, and the four TiVaPRoMi variants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "tvp/core/counter_table.hpp"
@@ -10,9 +12,12 @@
 #include "tvp/core/tivapromi.hpp"
 #include "tvp/core/weighting.hpp"
 #include "tvp/util/bitutil.hpp"
+#include "lane.hpp"
 
 namespace tvp::core {
 namespace {
+
+using test::act;
 
 // ---------------------------------------------------------------- weighting
 
@@ -328,7 +333,7 @@ TEST(ProbabilisticTiVaPRoMi, TriggerInsertsIntoHistoryAndEmitsActN) {
   mem::ActionBuffer out;
   // weight at interval 1 for row 0 (slot 0) is 1 -> p = 0.5.
   int triggered = 0;
-  for (int i = 0; i < 100 && out.empty(); ++i) li.on_activate(0, ctx_at(1), out);
+  for (int i = 0; i < 100 && out.empty(); ++i) act(li, 0, ctx_at(1), out);
   triggered = !out.empty();
   ASSERT_TRUE(triggered);
   EXPECT_EQ(out[0].kind, mem::MitigationAction::Kind::kActNeighbors);
@@ -343,7 +348,7 @@ TEST(ProbabilisticTiVaPRoMi, HistoryHitSuppressesWeight) {
   // Force a history entry via many activations at high weight.
   mem::ActionBuffer out;
   for (int i = 0; i < 100000 && out.empty(); ++i)
-    li.on_activate(100, ctx_at(50), out);
+    act(li, 100, ctx_at(50), out);
   ASSERT_FALSE(out.empty());
   // Weight is now measured from the stored interval (50), not slot 6.
   EXPECT_EQ(li.weight_for(100, 52), 2u);
@@ -351,7 +356,7 @@ TEST(ProbabilisticTiVaPRoMi, HistoryHitSuppressesWeight) {
   ProbabilisticTiVaPRoMi loli(Variant::kLogLinear, cfg, util::Rng(5));
   out.clear();
   for (int i = 0; i < 100000 && out.empty(); ++i)
-    loli.on_activate(100, ctx_at(50), out);
+    act(loli, 100, ctx_at(50), out);
   ASSERT_FALSE(out.empty());
   EXPECT_EQ(loli.weight_for(100, 52), 2u);  // linear, not log(2)=4
 }
@@ -361,7 +366,7 @@ TEST(ProbabilisticTiVaPRoMi, WindowStartClearsHistory) {
   ProbabilisticTiVaPRoMi li(Variant::kLinear, cfg, util::Rng(7));
   mem::ActionBuffer out;
   for (int i = 0; i < 100000 && out.empty(); ++i)
-    li.on_activate(100, ctx_at(50), out);
+    act(li, 100, ctx_at(50), out);
   ASSERT_TRUE(li.history().lookup(100).has_value());
   out.clear();
   li.on_refresh(ctx_at(5), out);  // mid-window REF: keeps the table
@@ -376,7 +381,7 @@ TEST(ProbabilisticTiVaPRoMi, ZeroWeightNeverTriggers) {
   ProbabilisticTiVaPRoMi li(Variant::kLinear, cfg, util::Rng(9));
   mem::ActionBuffer out;
   // Row 0 has slot 0; at interval 0 the weight is 0 -> p = 0.
-  for (int i = 0; i < 50000; ++i) li.on_activate(0, ctx_at(0), out);
+  for (int i = 0; i < 50000; ++i) act(li, 0, ctx_at(0), out);
   EXPECT_TRUE(out.empty());
 }
 
@@ -398,7 +403,7 @@ TEST(CaPRoMi, CountsDuringIntervalDecidesAtRef) {
   mem::ActionBuffer out;
   // Activations never produce immediate actions.
   for (int i = 0; i < 200; ++i) {
-    ca.on_activate(100, ctx_at(40), out);
+    act(ca, 100, ctx_at(40), out);
     ASSERT_TRUE(out.empty());
   }
   EXPECT_EQ(ca.counters().size(), 1u);
@@ -417,10 +422,10 @@ TEST(CaPRoMi, WindowStartClearsBothTables) {
   auto cfg = small_config();
   CaPRoMi ca(cfg, util::Rng(13));
   mem::ActionBuffer out;
-  for (int i = 0; i < 200; ++i) ca.on_activate(100, ctx_at(40), out);
+  for (int i = 0; i < 200; ++i) act(ca, 100, ctx_at(40), out);
   ca.on_refresh(ctx_at(40), out);
   out.clear();
-  for (int i = 0; i < 10; ++i) ca.on_activate(7, ctx_at(0), out);
+  for (int i = 0; i < 10; ++i) act(ca, 7, ctx_at(0), out);
   ca.on_refresh(ctx_at(0, /*window_start=*/true), out);
   EXPECT_TRUE(out.empty());  // window boundary: no decisions
   EXPECT_EQ(ca.counters().size(), 0u);
@@ -432,7 +437,7 @@ TEST(CaPRoMi, HistoryLinkReducesWeight) {
   CaPRoMi ca(cfg, util::Rng(17));
   mem::ActionBuffer out;
   // First trigger at interval 40 -> history holds (100, 40).
-  for (int i = 0; i < 200; ++i) ca.on_activate(100, ctx_at(40), out);
+  for (int i = 0; i < 200; ++i) act(ca, 100, ctx_at(40), out);
   ca.on_refresh(ctx_at(40), out);
   ASSERT_EQ(out.size(), 1u);
   out.clear();
@@ -440,7 +445,7 @@ TEST(CaPRoMi, HistoryLinkReducesWeight) {
   // w_log = 2, p = 1*2*2^-10 ~ 0.002: must essentially never fire.
   int fired = 0;
   for (int trial = 0; trial < 50; ++trial) {
-    ca.on_activate(100, ctx_at(41), out);
+    act(ca, 100, ctx_at(41), out);
     ca.on_refresh(ctx_at(41), out);
     fired += static_cast<int>(out.size());
     out.clear();
@@ -456,14 +461,14 @@ TEST(CaPRoMi, ReissueCooldownSuppressesButStaysSafe) {
   CaPRoMi ca(cfg, util::Rng(23));
   mem::ActionBuffer out;
   // First trigger issues (no history yet).
-  for (int i = 0; i < 200; ++i) ca.on_activate(100, ctx_at(40), out);
+  for (int i = 0; i < 200; ++i) act(ca, 100, ctx_at(40), out);
   ca.on_refresh(ctx_at(40), out);
   ASSERT_EQ(out.size(), 1u);
   out.clear();
   // Hammering on: decisions keep firing (cnt 255, w_log >= 1) but inside
   // the cooldown window they are suppressed without history updates...
   for (std::uint32_t i = 41; i < 48; ++i) {
-    for (int a = 0; a < 200; ++a) ca.on_activate(100, ctx_at(i), out);
+    for (int a = 0; a < 200; ++a) act(ca, 100, ctx_at(i), out);
     ca.on_refresh(ctx_at(i), out);
   }
   EXPECT_TRUE(out.empty());
@@ -471,7 +476,7 @@ TEST(CaPRoMi, ReissueCooldownSuppressesButStaysSafe) {
   // ...and once the reference has aged past the cooldown, the issue is
   // guaranteed to come back (p saturates at cnt * w_log * Pbase >= 1).
   for (std::uint32_t i = 48; i < 56 && out.empty(); ++i) {
-    for (int a = 0; a < 200; ++a) ca.on_activate(100, ctx_at(i), out);
+    for (int a = 0; a < 200; ++a) act(ca, 100, ctx_at(i), out);
     ca.on_refresh(ctx_at(i), out);
   }
   EXPECT_FALSE(out.empty());
@@ -484,9 +489,9 @@ TEST(CaPRoMi, CooldownZeroMatchesPaperBehaviour) {
   CaPRoMi explicit_zero(cfg, util::Rng(29));
   mem::ActionBuffer a, b;
   for (std::uint32_t i = 1; i < 40; ++i) {
-    for (int act = 0; act < 30; ++act) {
-      paper_rules.on_activate(act % 7 * 50, ctx_at(i), a);
-      explicit_zero.on_activate(act % 7 * 50, ctx_at(i), b);
+    for (int k = 0; k < 30; ++k) {
+      act(paper_rules, k % 7 * 50, ctx_at(i), a);
+      act(explicit_zero, k % 7 * 50, ctx_at(i), b);
     }
     paper_rules.on_refresh(ctx_at(i), a);
     explicit_zero.on_refresh(ctx_at(i), b);
@@ -509,10 +514,81 @@ TEST(TiVaPRoMi, DeterministicForSameSeed) {
     ProbabilisticTiVaPRoMi b(variant, cfg, util::Rng(99));
     mem::ActionBuffer out_a, out_b;
     for (int i = 0; i < 20000; ++i) {
-      a.on_activate(i % 1024, ctx_at(i % 64), out_a);
-      b.on_activate(i % 1024, ctx_at(i % 64), out_b);
+      act(a, i % 1024, ctx_at(i % 64), out_a);
+      act(b, i % 1024, ctx_at(i % 64), out_b);
     }
     EXPECT_EQ(out_a.size(), out_b.size());
+  }
+}
+
+// Drives @p technique one ACT at a time over several refresh windows and
+// predicts every decision from the formula path: Pbase * weight_for
+// (Eq. 1 / Eq. 2 computed directly) drawn on a bare Rng twin of the
+// technique's stream. The ACT kernel must emit act_n exactly when the
+// prediction fires. The row stream mixes a hot set larger than the
+// history table (hits and FIFO evictions) with cold rows; REFs include
+// window clears.
+template <typename Technique>
+void expect_kernel_matches_formula(Technique& technique, std::uint64_t seed,
+                                   const std::string& label) {
+  const TiVaPRoMiConfig& cfg = technique.config();
+  std::vector<dram::RowId> hot;
+  for (dram::RowId r = 0; r < 2 * cfg.history_entries; ++r)
+    hot.push_back(37 * r + 5);
+  util::Rng twin(seed);
+  util::Rng stream(2024);
+  mem::ActionBuffer out;
+  std::uint64_t triggers = 0;
+  std::uint64_t hits = 0;
+  std::size_t most_triggered_rows = 0;  // per window, distinct
+  std::vector<dram::RowId> window_rows;
+  for (std::uint32_t step = 0; step < 3 * cfg.refresh_intervals; ++step) {
+    const std::uint32_t interval = step % cfg.refresh_intervals;
+    out.clear();
+    technique.on_refresh(ctx_at(interval, interval == 0), out);
+    ASSERT_TRUE(out.empty()) << label;
+    if (interval == 0) window_rows.clear();
+    for (int k = 0; k < 24; ++k) {
+      const dram::RowId row =
+          stream.below(4) != 0
+              ? hot[stream.below(hot.size())]
+              : static_cast<dram::RowId>(stream.below(cfg.rows_per_bank));
+      if (technique.history().lookup(row)) ++hits;
+      const bool predicted = twin.bernoulli_q32(
+          cfg.pbase().scaled(technique.weight_for(row, interval)).raw());
+      out.clear();
+      act(technique, row, ctx_at(interval), out);
+      ASSERT_EQ(out.size(), predicted ? 1u : 0u)
+          << label << " interval " << interval << " row " << row;
+      if (!predicted) continue;
+      ++triggers;
+      EXPECT_EQ(out[0].kind, mem::MitigationAction::Kind::kActNeighbors);
+      EXPECT_EQ(out[0].row, row);
+      if (std::find(window_rows.begin(), window_rows.end(), row) ==
+          window_rows.end())
+        window_rows.push_back(row);
+      most_triggered_rows = std::max(most_triggered_rows, window_rows.size());
+    }
+  }
+  EXPECT_GT(triggers, 0u) << label;
+  EXPECT_GT(hits, 0u) << label;
+  EXPECT_GT(most_triggered_rows, cfg.history_entries) << label << " no eviction";
+}
+
+TEST(TiVaPRoMiKernel, MatchesEq1Eq2FormulaForEveryVariantAndShape) {
+  // The ACT kernels fold the weight shaping and the Pbase multiply into
+  // threshold LUTs; weight_for is the formula they must agree with.
+  const auto cfg = small_config();
+  std::uint64_t seed = 300;
+  for (const auto variant : {Variant::kLinear, Variant::kLogarithmic,
+                             Variant::kLogLinear}) {
+    ProbabilisticTiVaPRoMi technique(variant, cfg, util::Rng(++seed));
+    expect_kernel_matches_formula(technique, seed, to_string(variant));
+  }
+  for (const auto shape : {WeightShape::kLinear, WeightShape::kLogarithmic,
+                           WeightShape::kSqrt, WeightShape::kQuadratic}) {
+    ShapedTiVaPRoMi technique(shape, cfg, util::Rng(++seed));
+    expect_kernel_matches_formula(technique, seed, to_string(shape));
   }
 }
 

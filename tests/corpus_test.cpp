@@ -25,6 +25,7 @@
 #include "tvp/trace/corpus.hpp"
 #include "tvp/trace/io.hpp"
 #include "tvp/trace/source.hpp"
+#include "tvp/util/crc32.hpp"
 
 namespace tvp::trace {
 namespace {
@@ -267,17 +268,51 @@ TEST(Corpus, SaveLoadTraceSpeaksCorpus) {
   std::remove(text_path.c_str());
 }
 
-TEST(Corpus, ZstdGateReportsHonestly) {
-  // Whatever the build, the predicate and the writer must agree.
-  TempFile file("zstd_gate");
-  CorpusWriter::Options options;
-  options.codec = CorpusCodec::kZstd;
-  if (corpus_zstd_available()) {
-    const auto records = make_records(128);
-    write_corpus(file.path(), records, options);
-    EXPECT_EQ(read_corpus(file.path()), records);
-  } else {
-    EXPECT_THROW(CorpusWriter(file.path(), options), std::runtime_error);
+TEST(Corpus, ZstdCodecIsRejectedByName) {
+  // Codec 1 is reserved for zstd-compressed blocks, which this reader
+  // does not decode: a corpus claiming it must be refused precisely,
+  // naming the block and the codec, not reported as generic corruption.
+  TempFile file("zstd_codec");
+  write_corpus(file.path(), make_records(128));
+  const CorpusInfo info = read_corpus_info(file.path());
+  ASSERT_FALSE(info.blocks.empty());
+
+  // Footer entry 0's codec field, then a recomputed footer CRC so the
+  // footer itself still checks out.
+  auto bytes = slurp(file.path());
+  const std::size_t trailer = bytes.size() - 24;
+  auto load = [&](std::size_t at, int width) {
+    std::uint64_t v = 0;
+    for (int k = width - 1; k >= 0; --k)
+      v = (v << 8) | static_cast<unsigned char>(bytes[at + k]);
+    return v;
+  };
+  const std::size_t footer = static_cast<std::size_t>(load(trailer, 8));
+  const std::size_t footer_bytes = static_cast<std::size_t>(load(trailer + 8, 4));
+  const std::size_t codec_at = footer + 32 + 20;  // footer head + entry field
+  ASSERT_EQ(load(codec_at, 4), 0u);
+  bytes[codec_at] = 1;  // CorpusCodec::kZstd
+  const std::uint32_t crc = util::crc32(bytes.data() + footer, footer_bytes);
+  for (int k = 0; k < 4; ++k)
+    bytes[trailer + 12 + k] = static_cast<char>((crc >> (8 * k)) & 0xFF);
+  spit(file.path(), bytes);
+
+  auto expect_named = [](const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("block 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("zstd"), std::string::npos) << what;
+  };
+  try {
+    read_corpus_info(file.path());
+    FAIL() << "zstd block not rejected by read_corpus_info";
+  } catch (const std::runtime_error& e) {
+    expect_named(e);
+  }
+  try {
+    MmapSource source(file.path());
+    FAIL() << "zstd block not rejected by MmapSource";
+  } catch (const std::runtime_error& e) {
+    expect_named(e);
   }
 }
 

@@ -63,7 +63,7 @@ TEST(Runner, DeterministicForSameSeed) {
 }
 
 // Feeds @p records into a freshly built system for @p cfg, delivering
-// them in chunks of @p batch (batch == 1 degenerates to on_record).
+// them in chunks of @p batch.
 mem::ControllerStats feed_records(const SimConfig& cfg, std::size_t batch,
                                   const std::vector<trace::AccessRecord>& records,
                                   std::uint64_t* flips) {
@@ -83,13 +83,9 @@ mem::ControllerStats feed_records(const SimConfig& cfg, std::size_t batch,
   controller_cfg.refresh_policy = cfg.refresh_policy;
   mem::MemoryController controller(controller_cfg, engine, disturbance,
                                    controller_rng);
-  if (batch <= 1) {
-    for (const auto& r : records) controller.on_record(r);
-  } else {
-    for (std::size_t i = 0; i < records.size(); i += batch)
-      controller.on_records(records.data() + i,
-                            std::min(batch, records.size() - i));
-  }
+  for (std::size_t i = 0; i < records.size(); i += batch)
+    controller.on_records(records.data() + i,
+                          std::min(batch, records.size() - i));
   controller.advance_to(cfg.duration_ps());
   *flips = disturbance.flips().size();
   return controller.stats();
@@ -106,8 +102,6 @@ struct FeedOutcome {
 
 /// Like feed_records, but parameterized over technique, batch size and
 /// bank_jobs, with the aggressor oracle wired for FPR accounting.
-/// batch == 0 selects the record-at-a-time on_record loop (the
-/// reference); any other batch delivers through on_records.
 FeedOutcome feed_outcome(const SimConfig& cfg,
                          const mem::BankMitigationFactory& factory,
                          std::size_t batch, std::size_t bank_jobs,
@@ -135,13 +129,9 @@ FeedOutcome feed_outcome(const SimConfig& cfg,
                                    row) != 0;
         });
   }
-  if (batch == 0) {
-    for (const auto& r : records) controller.on_record(r);
-  } else {
-    for (std::size_t i = 0; i < records.size(); i += batch)
-      controller.on_records(records.data() + i,
-                            std::min(batch, records.size() - i));
-  }
+  for (std::size_t i = 0; i < records.size(); i += batch)
+    controller.on_records(records.data() + i,
+                          std::min(batch, records.size() - i));
   controller.advance_to(cfg.duration_ps());
   FeedOutcome out;
   out.stats = controller.stats();
@@ -183,7 +173,7 @@ TEST(Runner, EveryTechniqueBatchAndShardingAreBitIdentical) {
   // The full batch-equivalence contract: for every technique (the
   // unprotected baseline, the paper's nine, and Graphene), delivery via
   // on_records — at any batch size, serial or per-bank sharded — must be
-  // bit-identical to a record-at-a-time on_record loop: every counter
+  // bit-identical to record-at-a-time delivery (batch 1): every counter
   // (including the FPR / ground-truth accounting driven by the
   // aggressor oracle), the phase histogram, first_extra_act_at, and the
   // exact flip-event history.
@@ -230,7 +220,7 @@ TEST(Runner, EveryTechniqueBatchAndShardingAreBitIdentical) {
 
   for (const auto& [name, factory] : variants) {
     const FeedOutcome base =
-        feed_outcome(cfg, factory, 0, 1, &aggressors, records);
+        feed_outcome(cfg, factory, 1, 1, &aggressors, records);
     for (const std::size_t batch : {1ul, 7ul, 256ul, 4096ul}) {
       for (const std::size_t jobs : {1ul, 8ul}) {
         const FeedOutcome got =
@@ -263,80 +253,6 @@ TEST(Runner, EveryTechniqueBatchAndShardingAreBitIdentical) {
         }
       }
     }
-  }
-}
-
-TEST(Runner, EveryTechniqueBufferedDrawsMatchPerCallDraws) {
-  // The batched-RNG contract end to end: pre-drawing uniform words into
-  // a buffer (TVP_RNG_BUFFER > 1) must leave every technique's trigger
-  // sequence bit-identical to per-call draws (TVP_RNG_BUFFER=1), at
-  // every batch size. Same tiny system as the batch-equivalence test.
-  SimConfig cfg;
-  cfg.geometry.banks_per_rank = 4;
-  cfg.geometry.rows_per_bank = 16384;
-  cfg.timing.t_refw_ps = 2'000'000'000;  // 2 ms window
-  cfg.timing.refresh_intervals = 256;    // keeps tREFI at ~7.8 us
-  cfg.windows = 1;
-  cfg.workload.benign_acts_per_interval_per_bank = 5.0;
-  cfg.technique.flip_threshold = 4000;
-  cfg.disturbance.flip_threshold = 3000;
-  trace::AttackConfig attack;
-  attack.victims = {1000, 5000};
-  attack.rows_per_bank = cfg.geometry.rows_per_bank;
-  attack.interarrival_ps = 180'000;
-  cfg.workload.attacks.push_back(attack);
-  cfg.finalize();
-
-  std::unordered_set<std::uint64_t> aggressors;
-  util::Rng workload_rng = util::Rng(cfg.seed).fork();
-  const auto records =
-      trace::drain(*build_workload(cfg, workload_rng, &aggressors));
-  ASSERT_FALSE(records.empty());
-
-  std::vector<std::pair<std::string, mem::BankMitigationFactory>> variants;
-  variants.emplace_back("none", [](dram::BankId, util::Rng) {
-    return std::make_unique<mem::NoMitigation>();
-  });
-  for (const auto t : hw::kAllTechniques)
-    variants.emplace_back(std::string(hw::to_string(t)),
-                          make_factory(t, cfg.technique));
-  mitigation::GrapheneConfig graphene_cfg;
-  graphene_cfg.rows_per_bank = cfg.geometry.rows_per_bank;
-  graphene_cfg.row_threshold = cfg.technique.counter_threshold();
-  variants.emplace_back("Graphene",
-                        mitigation::make_graphene_factory(graphene_cfg));
-
-  for (const auto& [name, factory] : variants) {
-    ASSERT_EQ(setenv("TVP_RNG_BUFFER", "1", 1), 0);  // per-call draws
-    const FeedOutcome base =
-        feed_outcome(cfg, factory, 1, 1, &aggressors, records);
-    for (const char* capacity : {"256", "4096"}) {
-      ASSERT_EQ(setenv("TVP_RNG_BUFFER", capacity, 1), 0);
-      for (const std::size_t batch : {1ul, 7ul, 256ul, 4096ul}) {
-        const FeedOutcome got =
-            feed_outcome(cfg, factory, batch, 1, &aggressors, records);
-        const std::string label = name + " rng_buffer " + capacity +
-                                  " batch " + std::to_string(batch);
-        EXPECT_EQ(base.stats.demand_acts, got.stats.demand_acts) << label;
-        EXPECT_EQ(base.stats.extra_acts, got.stats.extra_acts) << label;
-        EXPECT_EQ(base.stats.fp_extra_acts, got.stats.fp_extra_acts) << label;
-        EXPECT_EQ(base.stats.triggers, got.stats.triggers) << label;
-        EXPECT_EQ(base.stats.first_extra_act_at, got.stats.first_extra_act_at)
-            << label;
-        EXPECT_EQ(base.stats.extra_acts_by_phase, got.stats.extra_acts_by_phase)
-            << label;
-        EXPECT_EQ(base.activations, got.activations) << label;
-        EXPECT_EQ(base.peak_q8, got.peak_q8) << label;
-        ASSERT_EQ(base.flips.size(), got.flips.size()) << label;
-        for (std::size_t f = 0; f < base.flips.size(); ++f) {
-          EXPECT_EQ(base.flips[f].bank, got.flips[f].bank) << label;
-          EXPECT_EQ(base.flips[f].row, got.flips[f].row) << label;
-          EXPECT_EQ(base.flips[f].at_activation, got.flips[f].at_activation)
-              << label;
-        }
-      }
-    }
-    unsetenv("TVP_RNG_BUFFER");
   }
 }
 

@@ -11,9 +11,13 @@
 #include "tvp/mitigation/prac.hpp"
 #include "tvp/mitigation/trr.hpp"
 #include "tvp/trace/attack.hpp"
+#include "lane.hpp"
 
 namespace tvp {
 namespace {
+
+using test::act;
+using test::feed;
 
 // ------------------------------------------------------------ weight shapes
 
@@ -72,8 +76,8 @@ TEST(ShapedTiVaPRoMi, LinearShapeMatchesLiPRoMi) {
   mem::MitigationContext ctx;
   for (int i = 0; i < 20000; ++i) {
     ctx.interval_in_window = static_cast<std::uint32_t>(i % 64);
-    shaped.on_activate(i % 1024, ctx, a);
-    li.on_activate(i % 1024, ctx, b);
+    act(shaped, i % 1024, ctx, a);
+    act(li, i % 1024, ctx, b);
   }
   EXPECT_EQ(a.size(), b.size());  // identical decisions from identical seeds
 }
@@ -89,7 +93,7 @@ TEST(ShapedTiVaPRoMi, FactoryAndWindowClear) {
   mem::MitigationContext ctx;
   ctx.interval_in_window = 50;
   for (int i = 0; i < 5000 && out.empty(); ++i)
-    instance->on_activate(7, ctx, out);
+    act(*instance, 7, ctx, out);
   EXPECT_FALSE(out.empty());  // sqrt escalates fast at this Pbase
   out.clear();
   ctx.interval_in_window = 0;
@@ -113,9 +117,9 @@ TEST(Graphene, DeterministicTriggerAtThreshold) {
   cfg.row_threshold = 100;
   mitigation::Graphene g(cfg, util::Rng(1));
   mem::ActionBuffer out;
-  for (int i = 0; i < 99; ++i) g.on_activate(7, ctx_at(0), out);
+  for (int i = 0; i < 99; ++i) act(g, 7, ctx_at(0), out);
   EXPECT_TRUE(out.empty());
-  g.on_activate(7, ctx_at(0), out);
+  act(g, 7, ctx_at(0), out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].kind, mem::MitigationAction::Kind::kActNeighbors);
   EXPECT_EQ(out[0].row, 7u);
@@ -129,9 +133,9 @@ TEST(Graphene, MisraGriesSwapKeepsHeavyHitters) {
   mem::ActionBuffer out;
   // A heavy hitter accumulates; a stream of one-off rows must not be
   // able to evict it (their counts only chase the spillover).
-  for (int i = 0; i < 500; ++i) g.on_activate(42, ctx_at(0), out);
-  for (dram::RowId r = 1000; r < 1400; ++r) g.on_activate(r, ctx_at(0), out);
-  for (int i = 0; i < 500; ++i) g.on_activate(42, ctx_at(0), out);
+  for (int i = 0; i < 500; ++i) act(g, 42, ctx_at(0), out);
+  for (dram::RowId r = 1000; r < 1400; ++r) act(g, r, ctx_at(0), out);
+  for (int i = 0; i < 500; ++i) act(g, 42, ctx_at(0), out);
   EXPECT_EQ(out.size(), 1u);  // 42 reached 1000 despite the noise
   EXPECT_GT(g.spillover(), 0u);
 }
@@ -147,7 +151,7 @@ TEST(Graphene, SpilloverBoundsTheMissedCount) {
   mem::ActionBuffer out;
   util::Rng rng(3);
   for (int i = 0; i < 5000; ++i)
-    g.on_activate(static_cast<dram::RowId>(rng.below(100)), ctx_at(0), out);
+    act(g, static_cast<dram::RowId>(rng.below(100)), ctx_at(0), out);
   // 5000 acts / (8+1 slots) bounds spill below 556; loose sanity:
   EXPECT_LT(g.spillover(), 5000u / 8);
 }
@@ -158,13 +162,13 @@ TEST(Graphene, WindowStartResets) {
   cfg.row_threshold = 100;
   mitigation::Graphene g(cfg, util::Rng(1));
   mem::ActionBuffer out;
-  for (int i = 0; i < 60; ++i) g.on_activate(7, ctx_at(0), out);
+  for (int i = 0; i < 60; ++i) act(g, 7, ctx_at(0), out);
   EXPECT_EQ(g.tracked(), 1u);
   g.on_refresh(ctx_at(0, /*window_start=*/true), out);
   EXPECT_EQ(g.tracked(), 0u);
   EXPECT_EQ(g.spillover(), 0u);
   // Counting restarts: 99 more activations do not trigger.
-  for (int i = 0; i < 99; ++i) g.on_activate(7, ctx_at(1), out);
+  for (int i = 0; i < 99; ++i) act(g, 7, ctx_at(1), out);
   EXPECT_TRUE(out.empty());
 }
 
@@ -203,7 +207,7 @@ TEST(Graphene, StopsTheStandardAttack) {
                                    controller_rng);
   util::Rng workload_rng(4);
   auto workload = exp::build_workload(cfg, workload_rng);
-  while (auto record = workload->next()) controller.on_record(*record);
+  while (auto record = workload->next()) feed(controller, *record);
   EXPECT_FALSE(disturbance.any_flip());
   EXPECT_GT(controller.stats().extra_acts, 0u);
 }
@@ -216,7 +220,7 @@ TEST(Trr, SamplerTracksAndRefreshesHeavyHitter) {
   cfg.victims_per_ref = 1;
   mitigation::Trr trr(cfg, util::Rng(1));
   mem::ActionBuffer out;
-  for (int i = 0; i < 100; ++i) trr.on_activate(500, ctx_at(0), out);
+  for (int i = 0; i < 100; ++i) act(trr, 500, ctx_at(0), out);
   EXPECT_TRUE(out.empty());  // no refresh opportunity yet
   trr.on_refresh(ctx_at(1), out);
   ASSERT_EQ(out.size(), 1u);
@@ -234,7 +238,7 @@ TEST(Trr, RfmIssuesMidIntervalRefreshes) {
   cfg.raaimt = 32;
   mitigation::Trr trr(cfg, util::Rng(2));
   mem::ActionBuffer out;
-  for (int i = 0; i < 100; ++i) trr.on_activate(500, ctx_at(0), out);
+  for (int i = 0; i < 100; ++i) act(trr, 500, ctx_at(0), out);
   // 100 ACTs with RAAIMT 32 -> 3 RFM opportunities.
   EXPECT_EQ(trr.rfm_commands(), 3u);
   EXPECT_FALSE(out.empty());
@@ -249,8 +253,8 @@ TEST(Trr, FrequencyBiasKeepsHotRowsOverNoise) {
   mem::ActionBuffer out;
   // Heavy hitter + a long stream of one-off rows.
   for (int i = 0; i < 200; ++i) {
-    trr.on_activate(42, ctx_at(0), out);
-    trr.on_activate(static_cast<dram::RowId>(5000 + i), ctx_at(0), out);
+    act(trr, 42, ctx_at(0), out);
+    act(trr, static_cast<dram::RowId>(5000 + i), ctx_at(0), out);
   }
   trr.on_refresh(ctx_at(1), out);
   ASSERT_FALSE(out.empty());
@@ -358,9 +362,9 @@ TEST(Prac, DeterministicAlertAtDeratedThreshold) {
   cfg.row_threshold = 50;
   mitigation::Prac prac(cfg, util::Rng(1));
   mem::ActionBuffer out;
-  for (int i = 0; i < 49; ++i) prac.on_activate(100, ctx_at(0), out);
+  for (int i = 0; i < 49; ++i) act(prac, 100, ctx_at(0), out);
   EXPECT_TRUE(out.empty());
-  prac.on_activate(100, ctx_at(0), out);
+  act(prac, 100, ctx_at(0), out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(prac.alerts(), 1u);
   EXPECT_EQ(out[0].kind, mem::MitigationAction::Kind::kActNeighbors);
@@ -380,9 +384,9 @@ TEST(Prac, SlotRefreshResetsCounters) {
   cfg.row_threshold = 50;
   mitigation::Prac prac(cfg, util::Rng(1));
   mem::ActionBuffer out;
-  for (int i = 0; i < 30; ++i) prac.on_activate(100, ctx_at(0), out);
+  for (int i = 0; i < 30; ++i) act(prac, 100, ctx_at(0), out);
   prac.on_refresh(ctx_at(6), out);  // row 100 is in slot 6
-  for (int i = 0; i < 30; ++i) prac.on_activate(100, ctx_at(7), out);
+  for (int i = 0; i < 30; ++i) act(prac, 100, ctx_at(7), out);
   EXPECT_TRUE(out.empty());  // counter restarted; 30 < 50
   EXPECT_THROW(mitigation::Prac(mitigation::PracConfig{0, 64, 10}, util::Rng(1)),
                std::invalid_argument);
@@ -421,7 +425,7 @@ TEST(Cat, SingleAggressorTrackedToLeafAndMitigated) {
   mem::ActionBuffer out;
   std::uint32_t acts = 0;
   while (out.empty() && acts < 2000) {
-    cat.on_activate(600, ctx_at(0), out);
+    act(cat, 600, ctx_at(0), out);
     ++acts;
   }
   ASSERT_FALSE(out.empty());
@@ -443,11 +447,11 @@ TEST(Cat, SaturationMakesItBlind) {
   // Spread filler exhausts the budget...
   util::Rng rng(3);
   for (int i = 0; i < 500; ++i)
-    cat.on_activate(static_cast<dram::RowId>(rng.below(1024)), ctx_at(0), out);
+    act(cat, static_cast<dram::RowId>(rng.below(1024)), ctx_at(0), out);
   EXPECT_EQ(cat.nodes_used(), cfg.node_budget);
   // ...then a hammer cannot be resolved to a row: no actions, blind.
   out.clear();
-  for (int i = 0; i < 3000; ++i) cat.on_activate(600, ctx_at(0), out);
+  for (int i = 0; i < 3000; ++i) act(cat, 600, ctx_at(0), out);
   EXPECT_TRUE(out.empty());
   EXPECT_GT(cat.blind_triggers(), 0u);
 }
@@ -458,7 +462,7 @@ TEST(Cat, WindowResetRebuildsTheTree) {
   cfg.split_quantum = 10;
   mitigation::Cat cat(cfg, util::Rng(4));
   mem::ActionBuffer out;
-  for (int i = 0; i < 100; ++i) cat.on_activate(600, ctx_at(0), out);
+  for (int i = 0; i < 100; ++i) act(cat, 600, ctx_at(0), out);
   EXPECT_GT(cat.nodes_used(), 1u);
   cat.on_refresh(ctx_at(0, /*window_start=*/true), out);
   EXPECT_EQ(cat.nodes_used(), 1u);

@@ -3,7 +3,6 @@
 // sequences, and the full pipeline must be byte-stable (determinism).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <deque>
 #include <map>
 #include <optional>
@@ -15,9 +14,12 @@
 #include "tvp/exp/runner.hpp"
 #include "tvp/mitigation/twice.hpp"
 #include "tvp/trace/source.hpp"
+#include "lane.hpp"
 
 namespace tvp {
 namespace {
+
+using test::act;
 
 // ------------------------------------------------- history table vs model
 
@@ -275,7 +277,7 @@ TEST(Fuzz, TwicePrunedCountsNeverExceedTrueCounts) {
                                   : static_cast<dram::RowId>(rng.below(900));
       ctx.interval_in_window = interval;
       out.clear();
-      twice.on_activate(row, ctx, out);
+      act(twice, row, ctx, out);
       ++true_counts[row];
       // If TWiCe fired, the row genuinely crossed the threshold.
       if (!out.empty()) {
@@ -359,60 +361,52 @@ TEST(Fuzz, RandomConfigurationsKeepInvariants) {
   }
 }
 
-// ------------------------------------------- buffered vs per-call draws
+// ---------------------------------------------- buffered vs bare draws
 
-TEST(Fuzz, BufferedRngStreamMatchesBareRngAtEveryCapacity) {
+TEST(Fuzz, BufferedRngStreamMatchesBareRng) {
   // The batched-draw contract at the stream level: a BufferedRng must
   // hand out the exact word sequence of the bare generator it wraps —
   // for every derived draw (below's rejection loop, bernoulli_q32's
-  // draw-nothing endpoints, uniform) and for any buffer capacity,
-  // including 1 (which degenerates to per-call draws).
-  for (const char* capacity : {"1", "7", "256", "4096"}) {
-    ASSERT_EQ(setenv("TVP_RNG_BUFFER", capacity, 1), 0);
-    util::Rng control(20240 + capacity[0]);
-    util::Rng bare(777);
-    util::BufferedRng buffered{util::Rng(777)};
-    for (int op = 0; op < 20000; ++op) {
-      switch (control.below(5)) {
-        case 0: {
-          ASSERT_EQ(bare.next(), buffered.next()) << "cap " << capacity
-                                                  << " op " << op;
-          break;
-        }
-        case 1: {
-          // Awkward bounds keep Lemire's rejection loop exercised.
-          const std::uint64_t bound = control.below(3) == 0
-                                          ? (~0ull >> control.below(8)) | 1
-                                          : 1 + control.below(1000);
-          ASSERT_EQ(bare.below(bound), buffered.below(bound))
-              << "cap " << capacity << " op " << op;
-          break;
-        }
-        case 2: {
-          // Hits both draw-nothing endpoints and the middle.
-          const std::uint64_t q32 = control.below(3) == 0
-                                        ? (control.below(2) << 32)
-                                        : control.below(1ull << 32);
-          ASSERT_EQ(bare.bernoulli_q32(q32), buffered.bernoulli_q32(q32))
-              << "cap " << capacity << " op " << op;
-          break;
-        }
-        case 3: {
-          ASSERT_EQ(bare.uniform(), buffered.uniform())
-              << "cap " << capacity << " op " << op;
-          break;
-        }
-        default: {
-          const std::uint64_t lo = control.below(100);
-          const std::uint64_t hi = lo + control.below(1000);
-          ASSERT_EQ(bare.between(lo, hi), buffered.between(lo, hi))
-              << "cap " << capacity << " op " << op;
-          break;
-        }
+  // draw-nothing endpoints, uniform) and across buffer refills.
+  util::Rng control(20290);
+  util::Rng bare(777);
+  util::BufferedRng buffered{util::Rng(777)};
+  for (int op = 0; op < 20000; ++op) {
+    switch (control.below(5)) {
+      case 0: {
+        ASSERT_EQ(bare.next(), buffered.next()) << "op " << op;
+        break;
+      }
+      case 1: {
+        // Awkward bounds keep Lemire's rejection loop exercised.
+        const std::uint64_t bound = control.below(3) == 0
+                                        ? (~0ull >> control.below(8)) | 1
+                                        : 1 + control.below(1000);
+        ASSERT_EQ(bare.below(bound), buffered.below(bound)) << "op " << op;
+        break;
+      }
+      case 2: {
+        // Hits both draw-nothing endpoints and the middle.
+        const std::uint64_t q32 = control.below(3) == 0
+                                      ? (control.below(2) << 32)
+                                      : control.below(1ull << 32);
+        ASSERT_EQ(bare.bernoulli_q32(q32), buffered.bernoulli_q32(q32))
+            << "op " << op;
+        break;
+      }
+      case 3: {
+        ASSERT_EQ(bare.uniform(), buffered.uniform()) << "op " << op;
+        break;
+      }
+      default: {
+        const std::uint64_t lo = control.below(100);
+        const std::uint64_t hi = lo + control.below(1000);
+        ASSERT_EQ(bare.between(lo, hi), buffered.between(lo, hi))
+            << "op " << op;
+        break;
       }
     }
   }
-  unsetenv("TVP_RNG_BUFFER");
 }
 
 // ------------------------------------------------- merge vs offline sort

@@ -399,7 +399,7 @@ TEST(HalfDoubleGroundTruth, RemapActiveVictimAccountingIsExact) {
 TEST(HalfDoubleEquivalence, BlastTwoWeightZeroIsBitIdenticalToBlastOne) {
   // Distance-2 disabled (weight 0) must be indistinguishable from
   // today's radius-1 model — same stats, same flip history — for every
-  // technique, sharded or serial, columnar or row-at-a-time kernels.
+  // technique, sharded or serial.
   exp::SimConfig base = tiny_config();
   trace::AttackConfig attack;
   attack.pattern = trace::AttackPattern::kHalfDouble;
@@ -419,36 +419,31 @@ TEST(HalfDoubleEquivalence, BlastTwoWeightZeroIsBitIdenticalToBlastOne) {
 
   for (const auto& [name, factory] : variants) {
     for (const std::size_t jobs : {1ul, 8ul}) {
-      for (const char* columnar : {"0", "1"}) {
-        ASSERT_EQ(setenv("TVP_COLUMNAR", columnar, 1), 0);
-        const std::string label =
-            name + " jobs " + std::to_string(jobs) + " columnar " + columnar;
-        exp::SimConfig d1 = base;
-        d1.bank_jobs = jobs;
-        d1.disturbance.blast_radius = 1;
-        exp::SimConfig d2 = d1;
-        d2.disturbance.blast_radius = 2;
-        d2.disturbance.distance2_weight_q8 = 0;
-        const auto a = exp::run_custom_simulation(factory, name, d1);
-        const auto b = exp::run_custom_simulation(factory, name, d2);
-        EXPECT_EQ(a.stats.demand_acts, b.stats.demand_acts) << label;
-        EXPECT_EQ(a.stats.extra_acts, b.stats.extra_acts) << label;
-        EXPECT_EQ(a.stats.fp_extra_acts, b.stats.fp_extra_acts) << label;
-        EXPECT_EQ(a.stats.triggers, b.stats.triggers) << label;
-        EXPECT_EQ(a.flips, b.flips) << label;
-        EXPECT_EQ(a.victim_flips, b.victim_flips) << label;
-        EXPECT_EQ(a.peak_disturbance, b.peak_disturbance) << label;
-        ASSERT_EQ(a.flip_events.size(), b.flip_events.size()) << label;
-        for (std::size_t i = 0; i < a.flip_events.size(); ++i) {
-          EXPECT_EQ(a.flip_events[i].row, b.flip_events[i].row) << label;
-          EXPECT_EQ(a.flip_events[i].at_activation,
-                    b.flip_events[i].at_activation)
-              << label;
-        }
+      const std::string label = name + " jobs " + std::to_string(jobs);
+      exp::SimConfig d1 = base;
+      d1.bank_jobs = jobs;
+      d1.disturbance.blast_radius = 1;
+      exp::SimConfig d2 = d1;
+      d2.disturbance.blast_radius = 2;
+      d2.disturbance.distance2_weight_q8 = 0;
+      const auto a = exp::run_custom_simulation(factory, name, d1);
+      const auto b = exp::run_custom_simulation(factory, name, d2);
+      EXPECT_EQ(a.stats.demand_acts, b.stats.demand_acts) << label;
+      EXPECT_EQ(a.stats.extra_acts, b.stats.extra_acts) << label;
+      EXPECT_EQ(a.stats.fp_extra_acts, b.stats.fp_extra_acts) << label;
+      EXPECT_EQ(a.stats.triggers, b.stats.triggers) << label;
+      EXPECT_EQ(a.flips, b.flips) << label;
+      EXPECT_EQ(a.victim_flips, b.victim_flips) << label;
+      EXPECT_EQ(a.peak_disturbance, b.peak_disturbance) << label;
+      ASSERT_EQ(a.flip_events.size(), b.flip_events.size()) << label;
+      for (std::size_t i = 0; i < a.flip_events.size(); ++i) {
+        EXPECT_EQ(a.flip_events[i].row, b.flip_events[i].row) << label;
+        EXPECT_EQ(a.flip_events[i].at_activation,
+                  b.flip_events[i].at_activation)
+            << label;
       }
     }
   }
-  unsetenv("TVP_COLUMNAR");
 }
 
 // ------------------------------------------------------- fuzz workload

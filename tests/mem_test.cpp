@@ -8,9 +8,13 @@
 #include "tvp/dram/disturbance.hpp"
 #include "tvp/mem/controller.hpp"
 #include "tvp/mem/mitigation.hpp"
+#include "lane.hpp"
 
 namespace tvp::mem {
 namespace {
+
+using test::act;
+using test::feed;
 
 // A probe mitigation that records what it observes and can be scripted
 // to emit actions.
@@ -25,10 +29,14 @@ class Probe final : public IBankMitigation {
   Probe(dram::BankId bank, Shared* shared) : bank_(bank), shared_(shared) {}
 
   const char* name() const noexcept override { return "probe"; }
-  void on_activate(dram::RowId row, const MitigationContext&,
-                   ActionBuffer& out) override {
-    shared_->activates.emplace_back(bank_, row);
-    for (const auto& a : shared_->respond_with) out.push_back(a);
+  void on_activates(const dram::RowId* rows, std::size_t n,
+                    const MitigationContext&, ActionBuffer& out) override {
+    for (std::size_t i = 0; i < n; ++i) {
+      shared_->activates.emplace_back(bank_, rows[i]);
+      const std::size_t before = out.size();
+      for (const auto& a : shared_->respond_with) out.push_back(a);
+      out.stamp_origin(before, static_cast<std::uint32_t>(i));
+    }
   }
   void on_refresh(const MitigationContext& ctx, ActionBuffer&) override {
     shared_->refreshes.emplace_back(bank_, ctx.interval_in_window);
@@ -104,7 +112,7 @@ TEST(MitigationEngine, RejectsBadConstruction) {
 TEST(NoMitigation, DoesNothing) {
   NoMitigation none;
   ActionBuffer out;
-  none.on_activate(5, {}, out);
+  act(none, 5, {}, out);
   none.on_refresh({}, out);
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(none.state_bits(), 0u);
@@ -114,8 +122,8 @@ TEST(NoMitigation, DoesNothing) {
 
 TEST(Controller, RoutesActivationsToRightBank) {
   Rig rig;
-  rig.controller.on_record(rec(100, 0, 5));
-  rig.controller.on_record(rec(200, 1, 7));
+  feed(rig.controller, rec(100, 0, 5));
+  feed(rig.controller, rec(200, 1, 7));
   ASSERT_EQ(rig.shared->activates.size(), 2u);
   EXPECT_EQ(rig.shared->activates[0], std::make_pair(dram::BankId{0}, dram::RowId{5}));
   EXPECT_EQ(rig.shared->activates[1], std::make_pair(dram::BankId{1}, dram::RowId{7}));
@@ -125,10 +133,10 @@ TEST(Controller, RoutesActivationsToRightBank) {
 
 TEST(Controller, RejectsOutOfOrderAndOutOfRange) {
   Rig rig;
-  rig.controller.on_record(rec(1000, 0, 1));
-  EXPECT_THROW(rig.controller.on_record(rec(500, 0, 1)), std::invalid_argument);
-  EXPECT_THROW(rig.controller.on_record(rec(2000, 9, 1)), std::out_of_range);
-  EXPECT_THROW(rig.controller.on_record(rec(2000, 0, 1 << 20)), std::out_of_range);
+  feed(rig.controller, rec(1000, 0, 1));
+  EXPECT_THROW(feed(rig.controller, rec(500, 0, 1)), std::invalid_argument);
+  EXPECT_THROW(feed(rig.controller, rec(2000, 9, 1)), std::out_of_range);
+  EXPECT_THROW(feed(rig.controller, rec(2000, 0, 1 << 20)), std::out_of_range);
 }
 
 TEST(Controller, RefreshTicksPerInterval) {
@@ -148,7 +156,7 @@ TEST(Controller, EveryRowRefreshedOncePerWindow) {
   // Disturb every row once, then advance a full window; all counters must
   // be reset by the per-interval refreshes.
   const std::uint64_t t_refi = cfg.timing.t_refi_ps();
-  rig.controller.on_record(rec(1, 0, 100));  // some disturbance on 99/101
+  feed(rig.controller, rec(1, 0, 100));  // some disturbance on 99/101
   EXPECT_GT(rig.disturbance.disturbance_q8(0, 99), 0u);
   rig.controller.advance_to(t_refi * cfg.timing.refresh_intervals + 1);
   EXPECT_EQ(rig.disturbance.disturbance_q8(0, 99), 0u);
@@ -161,7 +169,7 @@ TEST(Controller, ActNeighborsCostsTwoActivations) {
   Rig rig;
   rig.shared->respond_with = {MitigationAction{
       MitigationAction::Kind::kActNeighbors, 100, 100}};
-  rig.controller.on_record(rec(10, 0, 100));
+  feed(rig.controller, rec(10, 0, 100));
   EXPECT_EQ(rig.controller.stats().extra_acts, 2u);
   EXPECT_EQ(rig.controller.stats().triggers, 1u);
   // Neighbours 99 and 101 were physically activated -> their own charge
@@ -174,7 +182,7 @@ TEST(Controller, ActRowCostsOneActivation) {
   Rig rig;
   rig.shared->respond_with = {MitigationAction{
       MitigationAction::Kind::kActRow, 101, 100}};
-  rig.controller.on_record(rec(10, 0, 100));
+  feed(rig.controller, rec(10, 0, 100));
   EXPECT_EQ(rig.controller.stats().extra_acts, 1u);
   EXPECT_EQ(rig.disturbance.disturbance_q8(0, 101), 0u);  // restored
 }
@@ -183,7 +191,7 @@ TEST(Controller, EdgeRowActNeighborsCostsOne) {
   Rig rig;
   rig.shared->respond_with = {MitigationAction{
       MitigationAction::Kind::kActNeighbors, 0, 0}};
-  rig.controller.on_record(rec(10, 0, 0));
+  feed(rig.controller, rec(10, 0, 0));
   EXPECT_EQ(rig.controller.stats().extra_acts, 1u);  // row 0 has one neighbour
 }
 
@@ -193,32 +201,32 @@ TEST(Controller, OracleSplitsFalsePositives) {
       [](dram::BankId, dram::RowId suspect) { return suspect == 100; });
   rig.shared->respond_with = {MitigationAction{
       MitigationAction::Kind::kActNeighbors, 100, 100}};
-  rig.controller.on_record(rec(10, 0, 100));  // true positive
+  feed(rig.controller, rec(10, 0, 100));  // true positive
   EXPECT_EQ(rig.controller.stats().fp_extra_acts, 0u);
   rig.shared->respond_with = {MitigationAction{
       MitigationAction::Kind::kActNeighbors, 200, 200}};
-  rig.controller.on_record(rec(20, 0, 200));  // false positive
+  feed(rig.controller, rec(20, 0, 200));  // false positive
   EXPECT_EQ(rig.controller.stats().fp_extra_acts, 2u);
   EXPECT_EQ(rig.controller.stats().extra_acts, 4u);
 }
 
 TEST(Controller, FirstExtraActRecorded) {
   Rig rig;
-  rig.controller.on_record(rec(10, 0, 1));
-  rig.controller.on_record(rec(20, 0, 2));
+  feed(rig.controller, rec(10, 0, 1));
+  feed(rig.controller, rec(20, 0, 2));
   EXPECT_EQ(rig.controller.stats().first_extra_act_at, 0u);
   rig.shared->respond_with = {MitigationAction{
       MitigationAction::Kind::kActRow, 3, 3}};
-  rig.controller.on_record(rec(30, 0, 3));
+  feed(rig.controller, rec(30, 0, 3));
   EXPECT_EQ(rig.controller.stats().first_extra_act_at, 3u);
 }
 
 TEST(Controller, HotPathIsAllocationFreeInSteadyState) {
-  // The engine owns one scratch ActionBuffer that is cleared and reused
-  // on every dispatch. Emit more actions per ACT than the initial
-  // capacity so the buffer has to grow once, then verify the capacity
-  // never moves again — i.e. the steady state performs no heap
-  // allocation per record.
+  // The engine owns one scratch ActionBuffer per bank that is cleared
+  // and reused on every lane dispatch. Emit more actions per ACT than
+  // the initial capacity so each buffer has to grow once, then verify
+  // the capacities never move again — i.e. the steady state performs no
+  // heap allocation per record.
   Rig rig;
   std::vector<MitigationAction> burst;
   for (dram::RowId r = 200; r < 200 + 3 * ActionBuffer::kInitialCapacity; ++r)
@@ -226,20 +234,25 @@ TEST(Controller, HotPathIsAllocationFreeInSteadyState) {
   rig.shared->respond_with = burst;
 
   std::uint64_t t = 100;
-  for (int i = 0; i < 16; ++i, t += 100) rig.controller.on_record(rec(t, 0, 5));
-  const std::size_t settled = rig.engine.scratch().capacity();
-  EXPECT_GE(settled, burst.size());
+  for (int i = 0; i < 16; ++i, t += 100) feed(rig.controller, rec(t, i % 2, 5));
+  std::size_t settled[2];
+  for (dram::BankId b = 0; b < 2; ++b) {
+    settled[b] = rig.engine.bank_scratch(b).capacity();
+    EXPECT_GE(settled[b], burst.size());
+  }
 
   for (int i = 0; i < 4096; ++i, t += 100)
-    rig.controller.on_record(rec(t, i % 2, 5 + (i % 64)));
-  EXPECT_EQ(rig.engine.scratch().capacity(), settled);
-  EXPECT_EQ(rig.engine.scratch().size(), burst.size());  // last dispatch
+    feed(rig.controller, rec(t, i % 2, 5 + (i % 64)));
+  for (dram::BankId b = 0; b < 2; ++b) {
+    EXPECT_EQ(rig.engine.bank_scratch(b).capacity(), settled[b]);
+    EXPECT_EQ(rig.engine.bank_scratch(b).size(), burst.size());  // last lane
+  }
 }
 
 TEST(Controller, BatchedRecordsMatchRecordAtATime) {
   // on_records groups each refresh segment by bank before dispatching,
   // so a technique sees its own bank's ACTs in exact arrival order but
-  // (unlike the serial loop) not interleaved with other banks' ACTs.
+  // (unlike batches of one) not interleaved with other banks' ACTs.
   // That is the batched-path contract: per-bank observation sequences
   // and all aggregate statistics are identical to record-at-a-time
   // delivery; cross-bank interleaving is unobservable to a (per-bank)
@@ -253,7 +266,7 @@ TEST(Controller, BatchedRecordsMatchRecordAtATime) {
   one.shared->respond_with = {MitigationAction{
       MitigationAction::Kind::kActNeighbors, 100, 100}};
   batched.shared->respond_with = one.shared->respond_with;
-  for (const auto& r : records) one.controller.on_record(r);
+  for (const auto& r : records) feed(one.controller, r);
   for (std::size_t i = 0; i < records.size(); i += 33)
     batched.controller.on_records(records.data() + i,
                                   std::min<std::size_t>(33, records.size() - i));
@@ -281,18 +294,18 @@ TEST(Controller, TrcStallsBackToBackActs) {
   ControllerConfig cfg = small_config();
   cfg.enforce_timing = true;
   Rig rig(cfg);
-  rig.controller.on_record(rec(10, 0, 1));
-  rig.controller.on_record(rec(20, 0, 2));  // 10 ps later: inside tRC
+  feed(rig.controller, rec(10, 0, 1));
+  feed(rig.controller, rec(20, 0, 2));  // 10 ps later: inside tRC
   EXPECT_EQ(rig.controller.stats().delayed_acts, 1u);
   // A different bank is not stalled.
-  rig.controller.on_record(rec(30, 1, 2));
+  feed(rig.controller, rec(30, 1, 2));
   EXPECT_EQ(rig.controller.stats().delayed_acts, 1u);
 }
 
 TEST(Controller, WritesAndReadsCounted) {
   Rig rig;
-  rig.controller.on_record(rec(10, 0, 1, true));
-  rig.controller.on_record(rec(20, 0, 2, false));
+  feed(rig.controller, rec(10, 0, 1, true));
+  feed(rig.controller, rec(20, 0, 2, false));
   EXPECT_EQ(rig.controller.stats().writes, 1u);
   EXPECT_EQ(rig.controller.stats().reads, 1u);
 }
@@ -301,7 +314,7 @@ TEST(Controller, ActsPerIntervalStat) {
   Rig rig;
   const std::uint64_t t_refi = small_config().timing.t_refi_ps();
   for (int i = 0; i < 10; ++i)
-    rig.controller.on_record(rec(10 + i * 100, 0, 1 + i));
+    feed(rig.controller, rec(10 + i * 100, 0, 1 + i));
   rig.controller.advance_to(t_refi + 1);
   const auto& stat = rig.controller.stats().acts_per_interval;
   EXPECT_EQ(stat.count(), 2u);       // one interval x two banks
@@ -345,7 +358,7 @@ TEST(Controller, RemappedRowsStillProtected) {
   // act_n on a remapped row restores the *physical* neighbours.
   rig.shared->respond_with = {MitigationAction{
       MitigationAction::Kind::kActNeighbors, 100, 100}};
-  rig.controller.on_record(rec(10, 0, 100));
+  feed(rig.controller, rec(10, 0, 100));
   const dram::RowId phys = rig.controller.remapper().to_physical(100);
   if (phys > 0) EXPECT_EQ(rig.disturbance.disturbance_q8(0, phys - 1), 0u);
   if (phys + 1 < cfg.geometry.rows_per_bank)

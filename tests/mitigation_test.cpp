@@ -9,9 +9,12 @@
 #include "tvp/mitigation/para.hpp"
 #include "tvp/mitigation/prohit.hpp"
 #include "tvp/mitigation/twice.hpp"
+#include "lane.hpp"
 
 namespace tvp::mitigation {
 namespace {
+
+using test::act;
 
 mem::MitigationContext ctx_at(std::uint32_t interval, bool window_start = false) {
   mem::MitigationContext ctx;
@@ -29,7 +32,7 @@ TEST(Para, TriggerRateMatchesP) {
   Para para(cfg, util::Rng(3));
   mem::ActionBuffer out;
   const int n = 100000;
-  for (int i = 0; i < n; ++i) para.on_activate(1000, ctx_at(0), out);
+  for (int i = 0; i < n; ++i) act(para, 1000, ctx_at(0), out);
   EXPECT_NEAR(out.size() / static_cast<double>(n), 0.01, 0.002);
 }
 
@@ -41,7 +44,7 @@ TEST(Para, RefreshesOneNeighbor) {
   int up = 0, down = 0;
   for (int i = 0; i < 1000; ++i) {
     out.clear();
-    para.on_activate(1000, ctx_at(0), out);
+    act(para, 1000, ctx_at(0), out);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].kind, mem::MitigationAction::Kind::kActRow);
     EXPECT_EQ(out[0].suspect, 1000u);
@@ -61,10 +64,10 @@ TEST(Para, EdgeRowsPickTheOnlyNeighbor) {
   mem::ActionBuffer out;
   for (int i = 0; i < 50; ++i) {
     out.clear();
-    para.on_activate(0, ctx_at(0), out);
+    act(para, 0, ctx_at(0), out);
     EXPECT_EQ(out[0].row, 1u);
     out.clear();
-    para.on_activate(63, ctx_at(0), out);
+    act(para, 63, ctx_at(0), out);
     EXPECT_EQ(out[0].row, 62u);
   }
 }
@@ -89,10 +92,10 @@ ProHitConfig prohit_fast() {
 TEST(ProHit, VictimClimbsToHotAndGetsRefreshed) {
   ProHit prohit(prohit_fast(), util::Rng(9));
   mem::ActionBuffer out;
-  prohit.on_activate(1000, ctx_at(0), out);  // victims 999/1001 -> cold
+  act(prohit, 1000, ctx_at(0), out);  // victims 999/1001 -> cold
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(prohit.cold_size(), 2u);
-  prohit.on_activate(1000, ctx_at(0), out);  // cold hit -> promoted to hot
+  act(prohit, 1000, ctx_at(0), out);  // cold hit -> promoted to hot
   EXPECT_EQ(prohit.hot_size(), 2u);
   prohit.on_refresh(ctx_at(1), out);
   ASSERT_EQ(out.size(), 1u);
@@ -117,7 +120,7 @@ TEST(ProHit, ColdInsertionIsProbabilistic) {
   // Single activation of distinct rows: cold fills slowly.
   int filled_after = 0;
   for (int i = 0; i < 100; ++i) {
-    prohit.on_activate(static_cast<dram::RowId>(10 + 10 * i), ctx_at(0), out);
+    act(prohit, static_cast<dram::RowId>(10 + 10 * i), ctx_at(0), out);
     if (prohit.cold_size() + prohit.hot_size() > 0 && filled_after == 0)
       filled_after = i + 1;
   }
@@ -129,8 +132,8 @@ TEST(ProHit, ColdEvictsFifoWhenFull) {
   cfg.promote_prob = util::FixedProb::from_double(0.0);  // stay in cold
   ProHit prohit(cfg, util::Rng(15));
   mem::ActionBuffer out;
-  prohit.on_activate(100, ctx_at(0), out);  // victims 99, 101 fill cold (2)
-  prohit.on_activate(200, ctx_at(0), out);  // victims 199, 201 evict both
+  act(prohit, 100, ctx_at(0), out);  // victims 99, 101 fill cold (2)
+  act(prohit, 200, ctx_at(0), out);  // victims 199, 201 evict both
   EXPECT_EQ(prohit.cold_size(), 2u);
   EXPECT_EQ(prohit.hot_size(), 0u);
 }
@@ -150,10 +153,10 @@ TEST(MrLoc, FirstObservationNeverFires) {
   cfg.p_min = util::FixedProb::from_double(1.0);
   MrLoc mrloc(cfg, util::Rng(17));
   mem::ActionBuffer out;
-  mrloc.on_activate(1000, ctx_at(0), out);
+  act(mrloc, 1000, ctx_at(0), out);
   EXPECT_TRUE(out.empty());  // victims not yet queued
   EXPECT_EQ(mrloc.queue_size(), 2u);
-  mrloc.on_activate(1000, ctx_at(0), out);  // queue hits now
+  act(mrloc, 1000, ctx_at(0), out);  // queue hits now
   EXPECT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].kind, mem::MitigationAction::Kind::kActRow);
 }
@@ -165,17 +168,17 @@ TEST(MrLoc, RecencyRaisesProbability) {
   cfg.p_max = util::FixedProb::from_double(1.0);
   MrLoc mrloc(cfg, util::Rng(19));
   mem::ActionBuffer out;
-  mrloc.on_activate(1000, ctx_at(0), out);  // queue [999, 1001]
+  act(mrloc, 1000, ctx_at(0), out);  // queue [999, 1001]
   EXPECT_TRUE(out.empty());
   // Re-observing the *most recent* victim (1001, back of the queue) uses
   // p_max = 1 and must fire; re-observing the oldest uses p_min = 0.
-  mrloc.on_activate(1002, ctx_at(0), out);  // victims 1001 (recent) + 1003
+  act(mrloc, 1002, ctx_at(0), out);  // victims 1001 (recent) + 1003
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].row, 1001u);
   EXPECT_EQ(out[0].suspect, 1002u);
   out.clear();
   // Queue is now [999, 1001, 1003]; the oldest victim 999 has p = 0.
-  mrloc.on_activate(998, ctx_at(0), out);  // victims 997 (new) + 999 (oldest)
+  act(mrloc, 998, ctx_at(0), out);  // victims 997 (new) + 999 (oldest)
   EXPECT_TRUE(out.empty());
 }
 
@@ -186,11 +189,11 @@ TEST(MrLoc, QueueEvictsOldest) {
   cfg.p_max = util::FixedProb::from_double(1.0);
   MrLoc mrloc(cfg, util::Rng(21));
   mem::ActionBuffer out;
-  mrloc.on_activate(1000, ctx_at(0), out);           // 999, 1001
-  mrloc.on_activate(2000, ctx_at(0), out);           // 1999, 2001 (full)
-  mrloc.on_activate(3000, ctx_at(0), out);           // evicts 999, 1001
+  act(mrloc, 1000, ctx_at(0), out);           // 999, 1001
+  act(mrloc, 2000, ctx_at(0), out);           // 1999, 2001 (full)
+  act(mrloc, 3000, ctx_at(0), out);           // evicts 999, 1001
   out.clear();
-  mrloc.on_activate(1000, ctx_at(0), out);           // victims re-inserted
+  act(mrloc, 1000, ctx_at(0), out);           // victims re-inserted
   EXPECT_TRUE(out.empty());                           // ...but were evicted
 }
 
@@ -214,7 +217,7 @@ TEST(MrLoc, SingleEntryQueueUsesRampMidpoint) {
   cfg.p_max = util::FixedProb::from_double(0.75);
   MrLoc mrloc(cfg, util::Rng(23));
   mem::ActionBuffer out;
-  mrloc.on_activate(0, ctx_at(0), out);  // row 0 has one victim: row 1
+  act(mrloc, 0, ctx_at(0), out);  // row 0 has one victim: row 1
   ASSERT_EQ(mrloc.queue_size(), 1u);
   const std::uint64_t expected =
       cfg.p_min.raw() + (cfg.p_max.raw() - cfg.p_min.raw()) / 2;
@@ -229,7 +232,7 @@ TEST(MrLoc, TwoEntryQueueSpansFullRamp) {
   cfg.p_max = util::FixedProb::from_double(0.875);
   MrLoc mrloc(cfg, util::Rng(23));
   mem::ActionBuffer out;
-  mrloc.on_activate(1000, ctx_at(0), out);  // queues victims [999, 1001]
+  act(mrloc, 1000, ctx_at(0), out);  // queues victims [999, 1001]
   ASSERT_EQ(mrloc.queue_size(), 2u);
   EXPECT_EQ(mrloc.probability_at(0).raw(), cfg.p_min.raw());
   EXPECT_EQ(mrloc.probability_at(1).raw(), cfg.p_max.raw());
@@ -251,15 +254,15 @@ TwiceConfig twice_small() {
 TEST(Twice, DeterministicTriggerAtThreshold) {
   Twice twice(twice_small(), util::Rng(23));
   mem::ActionBuffer out;
-  for (int i = 0; i < 99; ++i) twice.on_activate(7, ctx_at(0), out);
+  for (int i = 0; i < 99; ++i) act(twice, 7, ctx_at(0), out);
   EXPECT_TRUE(out.empty());
-  twice.on_activate(7, ctx_at(0), out);
+  act(twice, 7, ctx_at(0), out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].kind, mem::MitigationAction::Kind::kActNeighbors);
   EXPECT_EQ(out[0].row, 7u);
   // The counter restarts: another 100 activations to the next act_n.
   out.clear();
-  for (int i = 0; i < 99; ++i) twice.on_activate(7, ctx_at(0), out);
+  for (int i = 0; i < 99; ++i) act(twice, 7, ctx_at(0), out);
   EXPECT_TRUE(out.empty());
 }
 
@@ -267,12 +270,12 @@ TEST(Twice, PruningDropsSlowRows) {
   Twice twice(twice_small(), util::Rng(25));
   mem::ActionBuffer out;
   // 3 activations in one interval < slope 5: pruned at the boundary.
-  for (int i = 0; i < 3; ++i) twice.on_activate(7, ctx_at(0), out);
+  for (int i = 0; i < 3; ++i) act(twice, 7, ctx_at(0), out);
   EXPECT_EQ(twice.live_entries(), 1u);
   twice.on_refresh(ctx_at(1), out);
   EXPECT_EQ(twice.live_entries(), 0u);
   // 10 activations per interval >= slope: survives the boundary.
-  for (int i = 0; i < 10; ++i) twice.on_activate(9, ctx_at(1), out);
+  for (int i = 0; i < 10; ++i) act(twice, 9, ctx_at(1), out);
   twice.on_refresh(ctx_at(2), out);
   EXPECT_EQ(twice.live_entries(), 1u);
 }
@@ -282,18 +285,18 @@ TEST(Twice, PrunedSlotIsReusable) {
   cfg.entries = 1;
   Twice twice(cfg, util::Rng(27));
   mem::ActionBuffer out;
-  twice.on_activate(7, ctx_at(0), out);
-  twice.on_activate(8, ctx_at(0), out);  // table full
+  act(twice, 7, ctx_at(0), out);
+  act(twice, 8, ctx_at(0), out);  // table full
   EXPECT_EQ(twice.overflow_drops(), 1u);
   twice.on_refresh(ctx_at(1), out);      // row 7 pruned (1 < 5)
-  twice.on_activate(8, ctx_at(1), out);  // slot free again
+  act(twice, 8, ctx_at(1), out);  // slot free again
   EXPECT_EQ(twice.live_entries(), 1u);
 }
 
 TEST(Twice, WindowStartClearsAll) {
   Twice twice(twice_small(), util::Rng(29));
   mem::ActionBuffer out;
-  for (int i = 0; i < 50; ++i) twice.on_activate(7, ctx_at(0), out);
+  for (int i = 0; i < 50; ++i) act(twice, 7, ctx_at(0), out);
   twice.on_refresh(ctx_at(0, /*window_start=*/true), out);
   EXPECT_EQ(twice.live_entries(), 0u);
 }
@@ -305,7 +308,7 @@ TEST(Twice, NeverPrunesASustainedAttacker) {
   Twice twice(twice_small(), util::Rng(31));
   mem::ActionBuffer out;
   for (std::uint32_t interval = 0; interval < 30 && out.empty(); ++interval) {
-    for (int i = 0; i < 6; ++i) twice.on_activate(7, ctx_at(interval), out);
+    for (int i = 0; i < 6; ++i) act(twice, 7, ctx_at(interval), out);
     if (out.empty()) twice.on_refresh(ctx_at(interval + 1), out);
   }
   ASSERT_FALSE(out.empty());
@@ -333,10 +336,10 @@ CraConfig cra_small() {
 TEST(Cra, TriggersExactlyAtThreshold) {
   Cra cra(cra_small(), util::Rng(33));
   mem::ActionBuffer out;
-  for (int i = 0; i < 49; ++i) cra.on_activate(100, ctx_at(0), out);
+  for (int i = 0; i < 49; ++i) act(cra, 100, ctx_at(0), out);
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(cra.counter(100), 49u);
-  cra.on_activate(100, ctx_at(0), out);
+  act(cra, 100, ctx_at(0), out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].kind, mem::MitigationAction::Kind::kActNeighbors);
   EXPECT_EQ(cra.counter(100), 0u);
@@ -346,10 +349,10 @@ TEST(Cra, RefreshClearsSlotCounters) {
   Cra cra(cra_small(), util::Rng(35));
   mem::ActionBuffer out;
   // Row 100 is in slot 100/16 = 6.
-  for (int i = 0; i < 30; ++i) cra.on_activate(100, ctx_at(0), out);
+  for (int i = 0; i < 30; ++i) act(cra, 100, ctx_at(0), out);
   cra.on_refresh(ctx_at(6), out);  // slot 6 refreshed
   EXPECT_EQ(cra.counter(100), 0u);
-  for (int i = 0; i < 30; ++i) cra.on_activate(100, ctx_at(7), out);
+  for (int i = 0; i < 30; ++i) act(cra, 100, ctx_at(7), out);
   cra.on_refresh(ctx_at(7), out);  // different slot: counter survives
   EXPECT_EQ(cra.counter(100), 30u);
 }
@@ -357,8 +360,8 @@ TEST(Cra, RefreshClearsSlotCounters) {
 TEST(Cra, IndependentPerRowCounters) {
   Cra cra(cra_small(), util::Rng(37));
   mem::ActionBuffer out;
-  for (int i = 0; i < 20; ++i) cra.on_activate(100, ctx_at(0), out);
-  for (int i = 0; i < 10; ++i) cra.on_activate(200, ctx_at(0), out);
+  for (int i = 0; i < 20; ++i) act(cra, 100, ctx_at(0), out);
+  for (int i = 0; i < 10; ++i) act(cra, 200, ctx_at(0), out);
   EXPECT_EQ(cra.counter(100), 20u);
   EXPECT_EQ(cra.counter(200), 10u);
 }

@@ -1,7 +1,7 @@
 // tvp_trace — record, inspect, verify and convert trace files.
 //
 //   tvp_trace record  --out=FILE.tvpc [--config=FILE] [--seed=N]
-//                     [--compress] [--block-records=N]
+//                     [--block-records=N]
 //       Generates the workload the config describes (benign + attacks)
 //       and records it — records plus aggressor oracle — as a v2
 //       corpus. Without --config, the standard paper campaign.
@@ -31,7 +31,7 @@ int usage(bool ok) {
   std::printf(
       "usage: tvp_trace COMMAND [options]\n"
       "commands:\n"
-      "  record   --out=FILE.tvpc [--config=FILE] [--seed=N] [--compress]\n"
+      "  record   --out=FILE.tvpc [--config=FILE] [--seed=N]\n"
       "           [--block-records=N]   generate + record a workload corpus\n"
       "  inspect  --in=FILE.tvpc       print footer index and identity\n"
       "  verify   --in=FILE.tvpc       CRC-check every block\n"
@@ -80,8 +80,8 @@ void print_info(const trace::CorpusInfo& info, bool blocks) {
 int main(int argc, char** argv) {
   try {
     util::Flags flags(argc, argv,
-                      {"in", "out", "config", "seed", "compress",
-                       "block-records", "in-format", "out-format", "help"});
+                      {"in", "out", "config", "seed", "block-records",
+                       "in-format", "out-format", "help"});
     if (flags.get_bool("help") || flags.positional().empty())
       return usage(flags.get_bool("help"));
     const std::string command = flags.positional()[0];
@@ -102,12 +102,6 @@ int main(int argc, char** argv) {
       if (flags.has("block-records"))
         options.records_per_block =
             static_cast<std::size_t>(flags.get_int("block-records", 1 << 16));
-      if (flags.get_bool("compress")) {
-        if (!trace::corpus_zstd_available())
-          throw std::runtime_error(
-              "--compress needs zstd, which this build lacks");
-        options.codec = trace::CorpusCodec::kZstd;
-      }
       const std::string out = flags.get("out", "");
       const std::uint32_t identity = exp::record_corpus(config, out, options);
       const trace::CorpusInfo info = trace::read_corpus_info(out);
