@@ -21,14 +21,6 @@
 
 namespace {
 
-tvp::hw::Technique parse_technique(const char* name) {
-  using tvp::hw::Technique;
-  for (const auto t : tvp::hw::kAllTechniques)
-    if (tvp::hw::to_string(t) == std::string_view(name)) return t;
-  std::fprintf(stderr, "unknown technique '%s', using LoLiPRoMi\n", name);
-  return Technique::kLoLiPRoMi;
-}
-
 tvp::trace::AttackPattern parse_pattern(const char* name) {
   using tvp::trace::AttackPattern;
   if (std::strcmp(name, "single") == 0) return AttackPattern::kSingleSided;
@@ -42,8 +34,13 @@ tvp::trace::AttackPattern parse_pattern(const char* name) {
 int main(int argc, char** argv) {
   using namespace tvp;
 
-  const hw::Technique technique =
-      parse_technique(argc > 1 ? argv[1] : "LoLiPRoMi");
+  const char* technique_name = argc > 1 ? argv[1] : "LoLiPRoMi";
+  const auto parsed = hw::parse_technique(technique_name);
+  if (!parsed) {
+    std::fprintf(stderr, "unknown technique '%s'\n", technique_name);
+    return 2;
+  }
+  const hw::Technique technique = *parsed;
   const trace::AttackPattern pattern = parse_pattern(argc > 2 ? argv[2] : "double");
   const std::size_t victims =
       argc > 3 ? std::min(20l, std::max(1l, std::strtol(argv[3], nullptr, 10)))

@@ -2,11 +2,11 @@
 //
 //   ./build/examples/replay_trace <trace-file> [technique] [--dramsim]
 //
-// Accepts this library's native formats (.tvpt binary / text) or — with
-// --dramsim — DRAMSim2/ramulator-style address traces ("0xADDR R|W
-// [cycle]"), which are mapped onto the DDR4 geometry. Useful for
-// evaluating a mitigation against traffic recorded from a real system
-// or another simulator.
+// Accepts this library's corpus format (.tvpc, as written by
+// trace_tools or `tvp_trace record`) or — with --dramsim —
+// DRAMSim2/ramulator-style address traces ("0xADDR R|W [cycle]"), which
+// are mapped onto the DDR4 geometry. Useful for evaluating a mitigation
+// against traffic recorded from a real system or another simulator.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -15,6 +15,7 @@
 
 #include "tvp/exp/registry.hpp"
 #include "tvp/exp/runner.hpp"
+#include "tvp/trace/corpus.hpp"
 #include "tvp/trace/io.hpp"
 #include "tvp/trace/stats.hpp"
 #include "tvp/util/table.hpp"
@@ -37,8 +38,12 @@ int main(int argc, char** argv) {
       dramsim = true;
       continue;
     }
-    for (const auto t : hw::kAllTechniques)
-      if (hw::to_string(t) == std::string_view(argv[i])) technique = t;
+    const auto parsed = hw::parse_technique(argv[i]);
+    if (!parsed) {
+      std::fprintf(stderr, "unknown technique '%s'\n", argv[i]);
+      return 2;
+    }
+    technique = *parsed;
   }
 
   exp::SimConfig config;  // DDR4 defaults, 4 banks
@@ -52,7 +57,7 @@ int main(int argc, char** argv) {
       records = trace::import_address_trace(is, mapper,
                                             config.timing.t_ck_ps());
     } else {
-      records = trace::load_trace(path);
+      records = trace::read_corpus(path);
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "failed to load trace: %s\n", e.what());

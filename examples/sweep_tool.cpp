@@ -58,16 +58,12 @@ int main(int argc, char** argv) {
     std::vector<hw::Technique> techniques;
     if (flags.has("techniques")) {
       for (const auto& name : split_csv(flags.get("techniques", ""))) {
-        bool found = false;
-        for (const auto t : hw::kAllTechniques)
-          if (hw::to_string(t) == name) {
-            techniques.push_back(t);
-            found = true;
-          }
-        if (!found) {
+        const auto technique = hw::parse_technique(name);
+        if (!technique) {
           std::fprintf(stderr, "unknown technique '%s'\n", name.c_str());
           return 2;
         }
+        techniques.push_back(*technique);
       }
     } else {
       techniques = {hw::Technique::kPara, hw::Technique::kLiPRoMi,

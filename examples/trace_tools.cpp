@@ -2,25 +2,24 @@
 // without running any mitigation — the calibration workflow behind
 // Table I's "average 40 activations per refresh interval".
 //
-//   ./build/examples/trace_tools [output.trace|output.tvpt]
+//   ./build/examples/trace_tools [output.tvpc]
 //
-// Writes the trace (text or binary by extension), reloads it, verifies
-// the round trip, and prints the workload statistics plus the
-// acts-per-interval histogram that motivates CaPRoMi's 64-entry counter
-// table (between the average of 40 and the maximum of 165).
+// Writes the trace as a corpus, reloads it, verifies the round trip,
+// and prints the workload statistics plus the acts-per-interval
+// histogram that motivates CaPRoMi's 64-entry counter table (between
+// the average of 40 and the maximum of 165).
 #include <cstdio>
 #include <string>
 
 #include "tvp/exp/report.hpp"
 #include "tvp/exp/runner.hpp"
-#include "tvp/trace/io.hpp"
+#include "tvp/trace/corpus.hpp"
 #include "tvp/trace/stats.hpp"
-#include "tvp/util/histogram.hpp"
 #include "tvp/util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace tvp;
-  const std::string path = argc > 1 ? argv[1] : "mixed_workload.tvpt";
+  const std::string path = argc > 1 ? argv[1] : "mixed_workload.tvpc";
 
   exp::SimConfig config;
   config.windows = 1;
@@ -32,27 +31,14 @@ int main(int argc, char** argv) {
   std::printf("generated %zu records over %u refresh window(s)\n",
               records.size(), config.windows);
 
-  trace::save_trace(path, records);
-  const auto reloaded = trace::load_trace(path);
+  trace::write_corpus(path, records);
+  const auto reloaded = trace::read_corpus(path);
   std::printf("saved + reloaded %s: %zu records, round-trip %s\n", path.c_str(),
               reloaded.size(), reloaded == records ? "exact" : "MISMATCH");
 
   trace::TraceStats stats(config.timing.t_refi_ps(),
                           config.geometry.total_banks());
-  util::Histogram acts_hist(0, 170, 17);
-  std::uint64_t interval = 0, count = 0;
-  for (const auto& r : reloaded) {
-    stats.add(r);
-    const std::uint64_t iv = r.time_ps / config.timing.t_refi_ps() *
-                                 config.geometry.total_banks() +
-                             r.bank;
-    if (iv != interval) {
-      if (count > 0) acts_hist.add(static_cast<double>(count));
-      interval = iv;
-      count = 0;
-    }
-    ++count;
-  }
+  for (const auto& r : reloaded) stats.add(r);
 
   const auto per_interval = stats.acts_per_interval_per_bank();
   util::TextTable table({"metric", "value"});
@@ -69,6 +55,6 @@ int main(int argc, char** argv) {
   std::fputs(table.render().c_str(), stdout);
 
   std::printf("\nactivations per (interval, active bank):\n%s",
-              acts_hist.render(40).c_str());
+              stats.acts_per_interval_histogram(0, 170, 17).render(40).c_str());
   return 0;
 }

@@ -42,15 +42,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  hw::Technique technique = hw::Technique::kLoLiPRoMi;
   const std::string tech_name = flags.get("technique", "LoLiPRoMi");
-  bool found = false;
-  for (const auto t : hw::kAllTechniques)
-    if (hw::to_string(t) == tech_name) {
-      technique = t;
-      found = true;
-    }
-  if (!found) {
+  const auto technique = hw::parse_technique(tech_name);
+  if (!technique) {
     std::fprintf(stderr, "unknown technique '%s'\n", tech_name.c_str());
     return 2;
   }
@@ -109,9 +103,9 @@ int main(int argc, char** argv) {
   config.finalize();
 
   const auto seeds = static_cast<std::uint32_t>(flags.get_int("seeds", 1));
-  const auto sweep = exp::run_seed_sweep(technique, config, seeds);
+  const auto sweep = exp::run_seed_sweep(*technique, config, seeds);
   const auto verdict =
-      exp::security_verdict(technique, config.technique, sweep.total_flips > 0);
+      exp::security_verdict(*technique, config.technique, sweep.total_flips > 0);
 
   util::TextTable table({"metric", "value"});
   table.set_title(util::strfmt("tvp_sim: %s, %u banks, %u windows, %u seed(s)",

@@ -85,17 +85,20 @@ void CoreFrontend::step_core(std::size_t index) {
   }
 }
 
-std::optional<trace::AccessRecord> CoreFrontend::next() {
-  while (ready_.empty()) {
-    // Advance the core with the earliest pending op (deterministic merge).
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < cores_.size(); ++i)
-      if (cores_[i].pending.time_ps < cores_[best].pending.time_ps) best = i;
-    step_core(best);
+std::size_t CoreFrontend::next_batch(trace::AccessRecord* out,
+                                     std::size_t max) {
+  for (std::size_t n = 0; n < max; ++n) {
+    while (ready_.empty()) {
+      // Advance the core with the earliest pending op (deterministic merge).
+      std::size_t best = 0;
+      for (std::size_t i = 1; i < cores_.size(); ++i)
+        if (cores_[i].pending.time_ps < cores_[best].pending.time_ps) best = i;
+      step_core(best);
+    }
+    out[n] = ready_.front();
+    ready_.pop_front();
   }
-  const trace::AccessRecord rec = ready_.front();
-  ready_.pop_front();
-  return rec;
+  return max;
 }
 
 double CoreFrontend::l1_hit_rate() const noexcept {

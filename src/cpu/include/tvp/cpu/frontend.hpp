@@ -46,7 +46,8 @@ class CoreFrontend final : public trace::TraceSource {
  public:
   CoreFrontend(FrontendConfig config, util::Rng rng);
 
-  std::optional<trace::AccessRecord> next() override;
+  /// Fills all of @p out (the cores never stop issuing).
+  std::size_t next_batch(trace::AccessRecord* out, std::size_t max) override;
 
   /// Aggregate L1/L2 hit rates (for calibration reporting).
   double l1_hit_rate() const noexcept;

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string_view>
 
 namespace tvp::hw {
@@ -34,6 +35,10 @@ inline constexpr std::array<Technique, 4> kTiVaPRoMiVariants = {
 };
 
 std::string_view to_string(Technique technique) noexcept;
+
+/// The technique whose to_string() is exactly @p name (case-sensitive),
+/// or nullopt for any other name.
+std::optional<Technique> parse_technique(std::string_view name) noexcept;
 
 /// True for LiPRoMi / LoPRoMi / LoLiPRoMi / CaPRoMi.
 constexpr bool is_tivapromi(Technique t) noexcept {

@@ -19,6 +19,12 @@ std::string_view to_string(Technique technique) noexcept {
   return "?";
 }
 
+std::optional<Technique> parse_technique(std::string_view name) noexcept {
+  for (const auto t : kAllTechniques)
+    if (to_string(t) == name) return t;
+  return std::nullopt;
+}
+
 unsigned TechniqueParams::row_bits() const noexcept {
   return util::bits_for(rows_per_bank);
 }

@@ -26,16 +26,10 @@ std::vector<hw::Technique> JobSpec::parsed_techniques() const {
   std::vector<hw::Technique> out;
   out.reserve(techniques.size());
   for (const auto& name : techniques) {
-    bool found = false;
-    for (const auto t : hw::kAllTechniques) {
-      if (hw::to_string(t) == name) {
-        out.push_back(t);
-        found = true;
-        break;
-      }
-    }
-    if (!found)
+    const auto technique = hw::parse_technique(name);
+    if (!technique)
       throw std::invalid_argument("JobSpec: unknown technique '" + name + "'");
+    out.push_back(*technique);
   }
   return out;
 }

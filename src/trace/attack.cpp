@@ -134,12 +134,6 @@ bool AttackSource::generate(AccessRecord& rec) {
   return true;
 }
 
-std::optional<AccessRecord> AttackSource::next() {
-  AccessRecord rec;
-  if (!generate(rec)) return std::nullopt;
-  return rec;
-}
-
 std::size_t AttackSource::next_batch(AccessRecord* out, std::size_t max) {
   std::size_t n = 0;
   while (n < max && generate(out[n])) ++n;

@@ -312,6 +312,23 @@ void fsync_parent_dir(const std::string& path) {
   ::close(fd);
 }
 
+// A corpus file opened read-only for parsing (and mapping), closed on
+// scope exit.
+class ReadFd {
+ public:
+  explicit ReadFd(const std::string& path)
+      : fd_(fp::open(kSiteReadOpen, path.c_str(), O_RDONLY)) {
+    if (fd_ < 0) io_fail(path, "cannot open");
+  }
+  ReadFd(const ReadFd&) = delete;
+  ReadFd& operator=(const ReadFd&) = delete;
+  ~ReadFd() { ::close(fd_); }
+  int get() const noexcept { return fd_; }
+
+ private:
+  int fd_;
+};
+
 }  // namespace
 
 const std::vector<std::string>& corpus_failpoint_sites() {
@@ -585,16 +602,15 @@ void keep_alive(const std::shared_ptr<CorpusMapping>& mapping) {
 }
 
 /// Returns the shared mapping for the corpus behind @p fd, mapping it
-/// on first acquire. Null on any failure (injected or real — e.g. a
-/// filesystem without mmap support); the caller then falls back to
-/// pread() per block.
-std::shared_ptr<CorpusMapping> acquire_mapping(int fd,
+/// on first acquire. Throws naming @p path when the file cannot be
+/// stat'ed or mapped.
+std::shared_ptr<CorpusMapping> acquire_mapping(int fd, const std::string& path,
                                                std::uint64_t file_size,
                                                std::size_t blocks,
                                                std::uint32_t lane_banks,
                                                std::uint32_t identity) {
   struct ::stat st{};
-  if (::fstat(fd, &st) != 0) return nullptr;
+  if (::fstat(fd, &st) != 0) io_fail(path, "cannot stat");
   const MappingKey key{
       static_cast<std::uint64_t>(st.st_dev),
       static_cast<std::uint64_t>(st.st_ino),
@@ -614,7 +630,7 @@ std::shared_ptr<CorpusMapping> acquire_mapping(int fd,
 
   void* base = fp::mmap(kSiteReadMmap, nullptr, file_size, PROT_READ,
                         MAP_PRIVATE, fd, 0);
-  if (base == MAP_FAILED) return nullptr;
+  if (base == MAP_FAILED) io_fail(path, "cannot mmap");
   // Replay walks the file front to back; aggressive readahead cuts the
   // page-fault stalls. Advisory only — failure is fine.
   (void)::posix_madvise(base, file_size, POSIX_MADV_SEQUENTIAL);
@@ -641,41 +657,27 @@ std::shared_ptr<CorpusMapping> acquire_mapping(int fd,
 }  // namespace
 
 MmapSource::MmapSource(const std::string& path) : path_(path) {
-  fd_ = fp::open(kSiteReadOpen, path.c_str(), O_RDONLY);
-  if (fd_ < 0) io_fail(path_, "cannot open");
-  try {
-    ParsedCorpus parsed = parse_corpus(fd_, path_);
-    file_size_ = parsed.file_size;
-    info_ = std::move(parsed.info);
-  } catch (...) {
-    ::close(fd_);
-    throw;
-  }
-  mapping_ = acquire_mapping(fd_, file_size_, info_.blocks.size(),
+  const ReadFd fd(path_);
+  ParsedCorpus parsed = parse_corpus(fd.get(), path_);
+  file_size_ = parsed.file_size;
+  info_ = std::move(parsed.info);
+  // The mapping outlives the descriptor, which closes on return.
+  mapping_ = acquire_mapping(fd.get(), path_, file_size_, info_.blocks.size(),
                              info_.partition_banks, info_.footer_crc);
-  if (mapping_) base_ = mapping_->base;
+  base_ = mapping_->base;
   lanes_.resize(info_.partition_banks);
-}
-
-MmapSource::~MmapSource() {
-  if (fd_ >= 0) ::close(fd_);
 }
 
 void MmapSource::fail(const std::string& what) const { corrupt(path_, what); }
 
-// Loads block @p index and points span_ at its records. In mapped mode
-// the span is the mapped bytes themselves (zero-copy); the pread
-// fallback reads into scratch_.
-bool MmapSource::load_block(std::size_t index) {
+// Loads block @p index and points span_ at its records: the mapped
+// bytes themselves (zero-copy).
+void MmapSource::load_block(std::size_t index) {
   const CorpusBlockInfo& b = info_.blocks[index];
   const std::uint64_t payload_offset = b.offset + kBlockHeaderBytes;
   const std::uint64_t raw_bytes = std::uint64_t{b.records} * kRecordBytes;
 
-  unsigned char header[kBlockHeaderBytes];
-  if (base_ != nullptr)
-    std::memcpy(header, base_ + b.offset, kBlockHeaderBytes);
-  else
-    pread_exact(fd_, header, sizeof header, b.offset, path_);
+  const unsigned char* header = base_ + b.offset;
   if (std::memcmp(header, kBlockMagic, 4) != 0)
     fail("block " + std::to_string(index) + " has a bad magic");
   if (load_u32(header + 4) != static_cast<std::uint32_t>(b.codec) ||
@@ -689,40 +691,19 @@ bool MmapSource::load_block(std::size_t index) {
 
   if (payload_bytes != raw_bytes)
     fail("block " + std::to_string(index) + " payload size mismatch");
-  if (base_ != nullptr) {
-    const unsigned char* payload = base_ + payload_offset;
-    // Trust-after-verify, shared process-wide: if a concurrent source
-    // races us here both verify — harmless, the bytes are immutable.
-    // Bit 0 covers the record payload (bit 1 is the partition sweep).
-    if (!(mapping_->verified[index].load(std::memory_order_acquire) & 1)) {
-      if (util::crc32(payload, static_cast<std::size_t>(raw_bytes)) != b.crc)
-        fail("block " + std::to_string(index) + " CRC mismatch (corrupt)");
-      check_record_encoding(payload, b.records, path_, index);
-      mapping_->verified[index].fetch_or(1, std::memory_order_release);
-    }
-    span_ = reinterpret_cast<const AccessRecord*>(payload);
-  } else {
-    // pread re-reads the bytes on every pass, so re-verify each time.
-    scratch_.resize(b.records);
-    pread_exact(fd_, scratch_.data(), static_cast<std::size_t>(raw_bytes),
-                payload_offset, path_);
-    const auto* bytes = reinterpret_cast<const unsigned char*>(scratch_.data());
-    if (util::crc32(bytes, static_cast<std::size_t>(raw_bytes)) != b.crc)
+  const unsigned char* payload = base_ + payload_offset;
+  // Trust-after-verify, shared process-wide: if a concurrent source
+  // races us here both verify — harmless, the bytes are immutable.
+  // Bit 0 covers the record payload (bit 1 is the partition sweep).
+  if (!(mapping_->verified[index].load(std::memory_order_acquire) & 1)) {
+    if (util::crc32(payload, static_cast<std::size_t>(raw_bytes)) != b.crc)
       fail("block " + std::to_string(index) + " CRC mismatch (corrupt)");
-    check_record_encoding(bytes, b.records, path_, index);
-    span_ = scratch_.data();
+    check_record_encoding(payload, b.records, path_, index);
+    mapping_->verified[index].fetch_or(1, std::memory_order_release);
   }
+  span_ = reinterpret_cast<const AccessRecord*>(payload);
   span_len_ = b.records;
   span_pos_ = 0;
-  return span_len_ > 0;
-}
-
-std::optional<AccessRecord> MmapSource::next() {
-  while (span_pos_ >= span_len_) {
-    if (block_ >= info_.blocks.size()) return std::nullopt;
-    load_block(block_++);
-  }
-  return span_[span_pos_++];
 }
 
 std::size_t MmapSource::next_batch(AccessRecord* out, std::size_t max) {
@@ -741,20 +722,6 @@ std::size_t MmapSource::next_batch(AccessRecord* out, std::size_t max) {
   return n;
 }
 
-std::size_t MmapSource::next_span(const AccessRecord** data) {
-  while (span_pos_ >= span_len_) {
-    if (block_ >= info_.blocks.size()) {
-      *data = nullptr;
-      return 0;
-    }
-    load_block(block_++);
-  }
-  *data = span_ + span_pos_;
-  const std::size_t n = span_len_ - span_pos_;
-  span_pos_ = span_len_;
-  return n;
-}
-
 // Builds lanes_ for block @p index out of the mapped partition region,
 // verifying it on first touch (process-wide bit 1): region CRC, then a
 // record-by-record cross-check against the block payload — every lane
@@ -762,8 +729,7 @@ std::size_t MmapSource::next_span(const AccessRecord** data) {
 // bank, serials must ascend, and the counts must cover the block
 // exactly. Any disagreement is a hard error: a corpus that advertises
 // a partition index must carry a correct one.
-bool MmapSource::prepare_lanes(std::size_t index) {
-  if (base_ == nullptr || info_.partition_banks == 0) return false;
+void MmapSource::prepare_lanes(std::size_t index) {
   const std::uint32_t banks = info_.partition_banks;
   const CorpusPartitionInfo& p = info_.partitions[index];
   const unsigned char* region = base_ + p.offset;
@@ -824,7 +790,6 @@ bool MmapSource::prepare_lanes(std::size_t index) {
         mapping_->lane_max_rows[index * banks + b].load(std::memory_order_relaxed);
     at += n;
   }
-  return true;
 }
 
 std::size_t MmapSource::span_lanes(const AccessRecord** data,
@@ -833,11 +798,21 @@ std::size_t MmapSource::span_lanes(const AccessRecord** data,
   *lanes = nullptr;
   *lane_banks = 0;
   // Lanes describe whole blocks: only a span starting at a block
-  // boundary gets them (a tail left by next()/next_batch() does not —
-  // its serials would be off by the consumed prefix).
+  // boundary gets them (a tail left by next_batch() does not — its
+  // serials would be off by the consumed prefix).
   const bool fresh_block = span_pos_ >= span_len_;
-  const std::size_t n = next_span(data);
-  if (n != 0 && fresh_block && prepare_lanes(block_ - 1)) {
+  while (span_pos_ >= span_len_) {
+    if (block_ >= info_.blocks.size()) {
+      *data = nullptr;
+      return 0;
+    }
+    load_block(block_++);
+  }
+  *data = span_ + span_pos_;
+  const std::size_t n = span_len_ - span_pos_;
+  span_pos_ = span_len_;
+  if (fresh_block && info_.partition_banks != 0) {
+    prepare_lanes(block_ - 1);
     *lanes = lanes_.data();
     *lane_banks = info_.partition_banks;
   }
@@ -855,16 +830,8 @@ void MmapSource::rewind() {
 // Convenience entry points
 
 CorpusInfo read_corpus_info(const std::string& path) {
-  const int fd = fp::open(kSiteReadOpen, path.c_str(), O_RDONLY);
-  if (fd < 0) io_fail(path, "cannot open");
-  try {
-    ParsedCorpus parsed = parse_corpus(fd, path);
-    ::close(fd);
-    return std::move(parsed.info);
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
+  const ReadFd fd(path);
+  return parse_corpus(fd.get(), path).info;
 }
 
 CorpusInfo verify_corpus(const std::string& path) {
@@ -874,8 +841,8 @@ CorpusInfo verify_corpus(const std::string& path) {
   std::size_t lane_banks = 0;
   std::uint64_t records = 0;
   std::uint64_t last_time = 0;
-  // span_lanes (not next_span) so a partition index, when present, gets
-  // its CRC + cross-check sweep as part of full verification.
+  // A partition index, when present, gets its CRC + cross-check sweep
+  // as part of full verification.
   while (const std::size_t n = source.span_lanes(&span, &lanes, &lane_banks)) {
     if (span[0].time_ps < last_time)
       corrupt(path, "records are not time-ordered across blocks");

@@ -70,9 +70,8 @@ class AttackSource final : public TraceSource {
  public:
   explicit AttackSource(AttackConfig config);
 
-  std::optional<AccessRecord> next() override;
-  /// The records next() would return, in one non-virtual loop; stops
-  /// short (and returns 0 from then on) at end_ps.
+  /// One non-virtual loop; stops short (and returns 0 from then on) at
+  /// end_ps.
   std::size_t next_batch(AccessRecord* out, std::size_t max) override;
 
   /// Hammered aggressor rows (the far rows for kHalfDouble).

@@ -1,5 +1,6 @@
-// Trace corpus: the v2 on-disk format (".tvpc") for recorded access
-// streams, built for replay at memory speed.
+// Trace corpus (".tvpc"): the one on-disk format for recorded access
+// streams, built for replay at memory speed. (External DRAMSim2/ramulator
+// address traces are imported through trace/io.hpp.)
 //
 // Layout (all integers little-endian, all offsets 8-byte aligned):
 //
@@ -19,6 +20,9 @@
 //    (static_asserts in corpus.cpp pin every offset), so an mmap'd raw
 //    block replays zero-copy: the span handed to the controller is the
 //    page cache itself.
+//  * Blocks are read only through that mapping: MmapSource maps the file
+//    or throws naming it. The header, trailer and footer are read with
+//    pread, which is all read_corpus_info does.
 //  * Every block carries a CRC-32 over its record bytes, checked
 //    once on first touch (trust-after-verify: rewind() keeps the
 //    verified bits, so warm replay passes skip the sweep entirely).
@@ -167,33 +171,29 @@ class CorpusWriter {
 struct CorpusMapping;
 
 /// Replays a corpus file as a TraceSource. The file is mapped read-only
-/// and raw blocks stream zero-copy through next_span(); when mmap is
-/// unavailable (or fails) the source falls back to pread()-based block
-/// reads transparently. Construction parses and validates the trailer,
-/// footer and file header; block payloads are CRC-checked on first
-/// touch.
+/// and raw blocks stream zero-copy through span_lanes(). Construction
+/// parses and validates the trailer, footer and file header, then maps
+/// the file; block payloads are CRC-checked on first touch.
 class MmapSource final : public TraceSource {
  public:
-  /// Throws std::runtime_error with a precise reason on any structural
-  /// problem (bad magic/version, truncated footer, a reserved or unknown
-  /// block codec, ...).
+  /// Throws std::runtime_error naming the file with a precise reason on
+  /// any structural problem (bad magic/version, truncated footer, a
+  /// reserved or unknown block codec, ...) and when the file cannot be
+  /// mapped.
   explicit MmapSource(const std::string& path);
   MmapSource(const MmapSource&) = delete;
   MmapSource& operator=(const MmapSource&) = delete;
-  ~MmapSource() override;
 
-  std::optional<AccessRecord> next() override;
   std::size_t next_batch(AccessRecord* out, std::size_t max) override;
   bool supports_spans() const noexcept override { return true; }
-  std::size_t next_span(const AccessRecord** data) override;
-  /// Hands out the block's on-disk lane columns when the corpus carries
-  /// a partition index and the file is mapped (zero-copy: the lane
-  /// pointers are the page cache). The region is CRC-checked and
-  /// cross-checked record-by-record against the block payload on first
-  /// touch (trust-after-verify, shared like the block bits); any
-  /// disagreement is a precise error, never a silent fallback. Lanes
-  /// are only offered for whole blocks — a span started by next() /
-  /// next_batch() finishes without them.
+  /// Hands out the rest of the current block, or the next block. When
+  /// the corpus carries a partition index, a whole block also comes
+  /// with its on-disk lane columns (zero-copy: the lane pointers are
+  /// the page cache). The region is CRC-checked and cross-checked
+  /// record-by-record against the block payload on first touch
+  /// (trust-after-verify, shared like the block bits); any disagreement
+  /// is a precise error, never a silent fallback. A block tail left by
+  /// next_batch() comes without lanes.
   std::size_t span_lanes(const AccessRecord** data, const BankLaneView** lanes,
                          std::size_t* lane_banks) override;
 
@@ -205,21 +205,17 @@ class MmapSource final : public TraceSource {
 
   const CorpusInfo& info() const noexcept { return info_; }
   const std::string& path() const noexcept { return path_; }
-  /// True when the file is memory-mapped (false = pread fallback).
-  bool mapped() const noexcept { return base_ != nullptr; }
 
  private:
-  bool load_block(std::size_t index);
-  bool prepare_lanes(std::size_t index);
+  void load_block(std::size_t index);
+  void prepare_lanes(std::size_t index);
   void fail(const std::string& what) const;
 
   std::string path_;
-  int fd_ = -1;
   std::uint64_t file_size_ = 0;
-  std::shared_ptr<CorpusMapping> mapping_;  // null in pread fallback mode
+  std::shared_ptr<CorpusMapping> mapping_;
   const unsigned char* base_ = nullptr;  // mapping_->base, cached
   CorpusInfo info_;
-  std::vector<AccessRecord> scratch_;   // pread fallback buffer
   std::size_t block_ = 0;               // next block to load
   const AccessRecord* span_ = nullptr;  // current block's records
   std::size_t span_len_ = 0;

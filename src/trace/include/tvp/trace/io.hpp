@@ -1,17 +1,11 @@
-// Trace (de)serialisation.
+// External trace import.
 //
-// Three formats:
-//  * text — one record per line: "time_ps bank row R|W src A|B"
-//    (A = attack, B = benign); '#' starts a comment. Human-editable,
-//    interoperable with DRAM-simulator style traces.
-//  * binary v1 — "TVPT" magic + version + packed records. Compact,
-//    exact, single-shot.
-//  * corpus v2 — block-framed ".tvpc" with per-block CRCs and an index
-//    footer, built for mmap replay (see trace/corpus.hpp).
+// The one way a trace recorded elsewhere enters: DRAMSim2/ramulator-
+// style address traces, mapped onto (bank, row) records. This library's
+// own recordings use the corpus format (".tvpc", trace/corpus.hpp).
 #pragma once
 
 #include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "tvp/dram/geometry.hpp"
@@ -19,40 +13,6 @@
 #include "tvp/trace/record.hpp"
 
 namespace tvp::trace {
-
-/// On-disk trace flavour for the save_trace/load_trace wrappers.
-enum class TraceFormat {
-  kAuto,      ///< pick by extension: .tvpt binary v1, .tvpc corpus, else text
-  kText,      ///< line-per-record text
-  kBinaryV1,  ///< "TVPT" packed records
-  kCorpus,    ///< v2 block-CRC corpus (trace/corpus.hpp)
-};
-
-/// Resolves kAuto against @p path (extension match is case-insensitive:
-/// ".tvpt", ".TVPT" and ".TvPt" all select binary v1); other formats
-/// pass through unchanged.
-TraceFormat resolve_trace_format(const std::string& path, TraceFormat format);
-
-/// Writes records as text; returns the record count.
-std::size_t write_text(std::ostream& os, const std::vector<AccessRecord>& records);
-/// Parses a text trace; throws std::runtime_error with a line number on
-/// malformed input.
-std::vector<AccessRecord> read_text(std::istream& is);
-
-/// Writes the binary format; returns the record count.
-std::size_t write_binary(std::ostream& os, const std::vector<AccessRecord>& records);
-/// Reads the binary format; throws std::runtime_error on bad magic,
-/// version, or truncation.
-std::vector<AccessRecord> read_binary(std::istream& is);
-
-/// Convenience file wrappers. With kAuto (the default) the format
-/// follows the extension, case-insensitively: ".tvpt" binary v1,
-/// ".tvpc" corpus, anything else text; pass an explicit format to
-/// override the extension. Throw std::runtime_error on I/O failure.
-void save_trace(const std::string& path, const std::vector<AccessRecord>& records,
-                TraceFormat format = TraceFormat::kAuto);
-std::vector<AccessRecord> load_trace(const std::string& path,
-                                     TraceFormat format = TraceFormat::kAuto);
 
 /// Imports a DRAMSim2/ramulator-style *address* trace: one access per
 /// line, `0xADDRESS  R|W|READ|WRITE  [cycle]`, '#'/';' comments. The

@@ -1,8 +1,11 @@
 // Trace sources: pull-based streams of AccessRecords ordered by time.
 //
-// Generators (synthetic workloads, attackers, file readers) implement
+// Generators (synthetic workloads, attackers, the cache front-end) and
+// the corpus reader (MmapSource, trace/corpus.hpp) implement
 // TraceSource; MergedSource interleaves any number of them into one
 // time-ordered stream, which is what the memory controller consumes.
+// A source is pulled by copy (next_batch) or, when its records already
+// live in memory, by borrowed span (span_lanes).
 #pragma once
 
 #include <cstdint>
@@ -16,21 +19,19 @@ namespace tvp::trace {
 
 /// Abstract pull-based record stream. Implementations must produce
 /// records with non-decreasing time_ps.
+///
+/// Two virtual pulls: next_batch() copies records out, span_lanes()
+/// lends them in place. next() and next_span() are conveniences over
+/// them and behave identically for every source.
 class TraceSource {
  public:
   virtual ~TraceSource() = default;
 
-  /// Next record, or nullopt when the stream is exhausted.
-  virtual std::optional<AccessRecord> next() = 0;
-
   /// Fills @p out with up to @p max records and returns the count
-  /// (0 = exhausted). The record sequence is exactly the one next()
-  /// would produce — batching only amortizes the per-record virtual
-  /// call from the consumer's side. The base implementation loops
-  /// next(); sources with cheap bulk access override it.
-  virtual std::size_t next_batch(AccessRecord* out, std::size_t max);
+  /// (0 = exhausted).
+  virtual std::size_t next_batch(AccessRecord* out, std::size_t max) = 0;
 
-  /// True when next_span() is cheaper than next_batch() for this
+  /// True when span_lanes() is cheaper than next_batch() for this
   /// source — i.e. the records already live in memory and the source
   /// can hand out a borrowed view instead of copying.
   virtual bool supports_spans() const noexcept { return false; }
@@ -40,25 +41,26 @@ class TraceSource {
   /// (0 = exhausted). The span stays valid until the next call on this
   /// source. Span lengths are an implementation detail (block-sized for
   /// mmap'd corpora, the whole tail for vectors); the concatenation of
-  /// all spans is exactly the next() sequence. Only meaningful when
-  /// supports_spans() is true; the base implementation returns 0.
-  virtual std::size_t next_span(const AccessRecord** data);
-
-  /// Like next_span(), but additionally offers the span's per-bank
-  /// column lanes when the source has them precomputed (a corpus with a
-  /// partition index): on return *lanes either points at @p lane_banks
+  /// all spans is exactly the next_batch() sequence.
+  ///
+  /// When the source has the span's per-bank column lanes precomputed
+  /// (a corpus with a partition index), *lanes points at @p lane_banks
   /// BankLaneView entries — one per bank, serials relative to the
-  /// returned span, valid until the next call — or is null, meaning the
-  /// consumer partitions the span itself. Lanes are an optimization,
-  /// never a semantic: the record span is identical either way. The
-  /// base implementation forwards to next_span() with no lanes.
+  /// returned span, valid until the next call. Otherwise *lanes is null
+  /// and the consumer partitions the span itself. Lanes are an
+  /// optimization, never a semantic: the record span is identical
+  /// either way. Only meaningful when supports_spans() is true; the
+  /// base implementation returns 0.
   virtual std::size_t span_lanes(const AccessRecord** data,
                                  const BankLaneView** lanes,
-                                 std::size_t* lane_banks) {
-    *lanes = nullptr;
-    *lane_banks = 0;
-    return next_span(data);
-  }
+                                 std::size_t* lane_banks);
+
+  /// Next record, or nullopt when the stream is exhausted
+  /// (next_batch() of one).
+  std::optional<AccessRecord> next();
+
+  /// span_lanes() without the lanes.
+  std::size_t next_span(const AccessRecord** data);
 };
 
 /// Replays a pre-built vector of records (must be time-sorted; verified
@@ -66,12 +68,13 @@ class TraceSource {
 class VectorSource final : public TraceSource {
  public:
   explicit VectorSource(std::vector<AccessRecord> records);
-  std::optional<AccessRecord> next() override;
   /// Bulk copy out of the backing vector (one virtual call per batch).
   std::size_t next_batch(AccessRecord* out, std::size_t max) override;
   bool supports_spans() const noexcept override { return true; }
-  /// Hands out the whole unconsumed tail of the vector in one span.
-  std::size_t next_span(const AccessRecord** data) override;
+  /// Hands out the whole unconsumed tail of the vector in one span,
+  /// without lanes.
+  std::size_t span_lanes(const AccessRecord** data, const BankLaneView** lanes,
+                         std::size_t* lane_banks) override;
 
  private:
   std::vector<AccessRecord> records_;
@@ -94,7 +97,6 @@ class MergedSource final : public TraceSource {
   static constexpr std::size_t kLaneRecords = 256;
 
   explicit MergedSource(std::vector<std::unique_ptr<TraceSource>> sources);
-  std::optional<AccessRecord> next() override;
   /// Runs the merge loop inline, one virtual call per batch.
   std::size_t next_batch(AccessRecord* out, std::size_t max) override;
 
@@ -134,25 +136,22 @@ class LimitSource final : public TraceSource {
  public:
   LimitSource(std::unique_ptr<TraceSource> inner, std::uint64_t limit_records,
               std::uint64_t end_ps);
-  std::optional<AccessRecord> next() override;
-  /// Forwards to the inner source's batch path, applying the record and
-  /// time limits per record (identical cut-off to next()).
+  /// Forwards to the inner source's batch path and cuts what it returns.
   std::size_t next_batch(AccessRecord* out, std::size_t max) override;
   /// Spans pass through when the inner source supports them.
   bool supports_spans() const noexcept override {
     return inner_->supports_spans();
   }
-  /// Borrows the inner span and trims it to the record/time limits
-  /// (identical cut-off to next(); the trim is a partition_point on the
-  /// time-sorted span, not a copy).
-  std::size_t next_span(const AccessRecord** data) override;
-  /// Passes the inner source's lanes through for untrimmed spans; a
-  /// trimmed span drops them (its lanes would reference records past
-  /// the cut).
+  /// Borrows the inner span and trims it to the limits (a
+  /// partition_point on the time-sorted span, not a copy). The inner
+  /// lanes pass through for untrimmed spans; a trimmed span drops them
+  /// (its lanes would reference records past the cut).
   std::size_t span_lanes(const AccessRecord** data, const BankLaneView** lanes,
                          std::size_t* lane_banks) override;
 
  private:
+  std::size_t cut(const AccessRecord* records, std::size_t got);
+
   std::unique_ptr<TraceSource> inner_;
   std::uint64_t remaining_;
   std::uint64_t end_ps_;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "tvp/trace/record.hpp"
+#include "tvp/util/histogram.hpp"
 #include "tvp/util/stats.hpp"
 
 namespace tvp::trace {
@@ -35,6 +36,11 @@ class TraceStats {
   /// Mean / max activations per refresh interval per *active* bank.
   /// Finalised lazily; cheap to call repeatedly.
   util::RunningStat acts_per_interval_per_bank() const;
+
+  /// Histogram over [lo, hi) of the same samples: one per (refresh
+  /// interval, bank) pair that saw an activation, its activation total.
+  util::Histogram acts_per_interval_histogram(double lo, double hi,
+                                              std::size_t bins) const;
 
   /// Activation count of the single most-activated (bank, row).
   std::uint64_t hottest_row_count() const noexcept;

@@ -50,9 +50,8 @@ class SyntheticSource final : public TraceSource {
  public:
   SyntheticSource(SyntheticConfig config, util::Rng rng);
 
-  std::optional<AccessRecord> next() override;
-  /// Fills all of @p out (the stream is infinite) with the records
-  /// next() would return, in one non-virtual loop.
+  /// Fills all of @p out (the stream is infinite), in one non-virtual
+  /// loop.
   std::size_t next_batch(AccessRecord* out, std::size_t max) override;
 
   const SyntheticConfig& config() const noexcept { return cfg_; }

@@ -1,191 +1,12 @@
 #include "tvp/trace/io.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cstring>
-#include <fstream>
 #include <istream>
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
-
-#include "tvp/trace/corpus.hpp"
+#include <string>
 
 namespace tvp::trace {
-
-namespace {
-constexpr char kMagic[4] = {'T', 'V', 'P', 'T'};
-constexpr std::uint32_t kVersion = 1;
-
-// Fixed-width on-disk record, independent of struct padding.
-struct PackedRecord {
-  std::uint64_t time_ps;
-  std::uint32_t bank;
-  std::uint32_t row;
-  std::uint8_t flags;  // bit0 = write, bit1 = attack
-  std::uint8_t source;
-  std::uint8_t pad[6];
-};
-static_assert(sizeof(PackedRecord) == 24);
-
-PackedRecord pack(const AccessRecord& r) {
-  PackedRecord p{};
-  p.time_ps = r.time_ps;
-  p.bank = r.bank;
-  p.row = r.row;
-  p.flags = static_cast<std::uint8_t>((r.write ? 1u : 0u) | (r.is_attack ? 2u : 0u));
-  p.source = r.source;
-  return p;
-}
-
-AccessRecord unpack(const PackedRecord& p) {
-  AccessRecord r;
-  r.time_ps = p.time_ps;
-  r.bank = p.bank;
-  r.row = p.row;
-  r.write = (p.flags & 1u) != 0;
-  r.is_attack = (p.flags & 2u) != 0;
-  r.source = p.source;
-  return r;
-}
-}  // namespace
-
-std::size_t write_text(std::ostream& os, const std::vector<AccessRecord>& records) {
-  os << "# tvp trace v1: time_ps bank row R|W source A|B\n";
-  for (const auto& r : records) {
-    os << r.time_ps << ' ' << r.bank << ' ' << r.row << ' '
-       << (r.write ? 'W' : 'R') << ' ' << static_cast<unsigned>(r.source) << ' '
-       << (r.is_attack ? 'A' : 'B') << '\n';
-  }
-  return records.size();
-}
-
-std::vector<AccessRecord> read_text(std::istream& is) {
-  std::vector<AccessRecord> out;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(is, line)) {
-    ++lineno;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::istringstream ls(line);
-    std::uint64_t time;
-    std::uint32_t bank, row;
-    char rw, ab;
-    unsigned source;
-    if (!(ls >> time)) continue;  // blank / comment-only line
-    if (!(ls >> bank >> row >> rw >> source >> ab) ||
-        (rw != 'R' && rw != 'W') || (ab != 'A' && ab != 'B'))
-      throw std::runtime_error("trace text parse error at line " +
-                               std::to_string(lineno));
-    AccessRecord r;
-    r.time_ps = time;
-    r.bank = bank;
-    r.row = row;
-    r.write = rw == 'W';
-    r.source = static_cast<SourceId>(source);
-    r.is_attack = ab == 'A';
-    out.push_back(r);
-  }
-  return out;
-}
-
-std::size_t write_binary(std::ostream& os, const std::vector<AccessRecord>& records) {
-  os.write(kMagic, sizeof kMagic);
-  const std::uint32_t version = kVersion;
-  const auto count = static_cast<std::uint64_t>(records.size());
-  os.write(reinterpret_cast<const char*>(&version), sizeof version);
-  os.write(reinterpret_cast<const char*>(&count), sizeof count);
-  for (const auto& r : records) {
-    const PackedRecord p = pack(r);
-    os.write(reinterpret_cast<const char*>(&p), sizeof p);
-  }
-  return records.size();
-}
-
-std::vector<AccessRecord> read_binary(std::istream& is) {
-  char magic[4];
-  std::uint32_t version = 0;
-  std::uint64_t count = 0;
-  is.read(magic, sizeof magic);
-  is.read(reinterpret_cast<char*>(&version), sizeof version);
-  is.read(reinterpret_cast<char*>(&count), sizeof count);
-  if (!is || std::memcmp(magic, kMagic, sizeof kMagic) != 0)
-    throw std::runtime_error("binary trace: bad magic");
-  if (version != kVersion)
-    throw std::runtime_error("binary trace: unsupported version " +
-                             std::to_string(version));
-  // The header count is untrusted on-disk data: validate it against the
-  // remaining stream size before reserving, so a corrupt header produces
-  // the "truncated" error instead of a huge allocation.
-  const std::streampos pos = is.tellg();
-  if (pos != std::streampos(-1)) {
-    is.seekg(0, std::ios::end);
-    const std::streampos end = is.tellg();
-    is.seekg(pos);
-    if (end != std::streampos(-1) &&
-        count > static_cast<std::uint64_t>(end - pos) / sizeof(PackedRecord))
-      throw std::runtime_error("binary trace: truncated");
-  }
-  std::vector<AccessRecord> out;
-  // Non-seekable streams can't pre-validate: cap the reservation and let
-  // push_back grow past it if the records really are there.
-  constexpr std::uint64_t kMaxPrereserve = 1u << 20;
-  out.reserve(static_cast<std::size_t>(std::min(count, kMaxPrereserve)));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    PackedRecord p{};
-    is.read(reinterpret_cast<char*>(&p), sizeof p);
-    if (!is) throw std::runtime_error("binary trace: truncated");
-    out.push_back(unpack(p));
-  }
-  return out;
-}
-
-namespace {
-bool has_extension(const std::string& path, const char* ext) {
-  const std::size_t len = std::strlen(ext);
-  if (path.size() < len) return false;
-  const std::size_t base = path.size() - len;
-  for (std::size_t i = 0; i < len; ++i)
-    if (std::tolower(static_cast<unsigned char>(path[base + i])) != ext[i])
-      return false;
-  return true;
-}
-}  // namespace
-
-TraceFormat resolve_trace_format(const std::string& path, TraceFormat format) {
-  if (format != TraceFormat::kAuto) return format;
-  if (has_extension(path, ".tvpt")) return TraceFormat::kBinaryV1;
-  if (has_extension(path, ".tvpc")) return TraceFormat::kCorpus;
-  return TraceFormat::kText;
-}
-
-void save_trace(const std::string& path, const std::vector<AccessRecord>& records,
-                TraceFormat format) {
-  format = resolve_trace_format(path, format);
-  if (format == TraceFormat::kCorpus) {
-    write_corpus(path, records);
-    return;
-  }
-  const bool binary = format == TraceFormat::kBinaryV1;
-  std::ofstream os(path, binary ? std::ios::binary : std::ios::out);
-  if (!os) throw std::runtime_error("save_trace: cannot open " + path);
-  if (binary)
-    write_binary(os, records);
-  else
-    write_text(os, records);
-  if (!os) throw std::runtime_error("save_trace: write failed for " + path);
-}
-
-std::vector<AccessRecord> load_trace(const std::string& path,
-                                     TraceFormat format) {
-  format = resolve_trace_format(path, format);
-  if (format == TraceFormat::kCorpus) return read_corpus(path);
-  const bool binary = format == TraceFormat::kBinaryV1;
-  std::ifstream is(path, binary ? std::ios::binary : std::ios::in);
-  if (!is) throw std::runtime_error("load_trace: cannot open " + path);
-  return binary ? read_binary(is) : read_text(is);
-}
 
 std::vector<AccessRecord> import_address_trace(std::istream& is,
                                                const dram::AddressMapper& mapper,

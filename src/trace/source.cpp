@@ -5,19 +5,25 @@
 
 namespace tvp::trace {
 
-std::size_t TraceSource::next_batch(AccessRecord* out, std::size_t max) {
-  std::size_t n = 0;
-  while (n < max) {
-    auto rec = next();
-    if (!rec) break;
-    out[n++] = *rec;
-  }
-  return n;
+std::size_t TraceSource::span_lanes(const AccessRecord** data,
+                                   const BankLaneView** lanes,
+                                   std::size_t* lane_banks) {
+  *data = nullptr;
+  *lanes = nullptr;
+  *lane_banks = 0;
+  return 0;
+}
+
+std::optional<AccessRecord> TraceSource::next() {
+  AccessRecord rec;
+  if (next_batch(&rec, 1) == 0) return std::nullopt;
+  return rec;
 }
 
 std::size_t TraceSource::next_span(const AccessRecord** data) {
-  *data = nullptr;
-  return 0;
+  const BankLaneView* lanes = nullptr;
+  std::size_t lane_banks = 0;
+  return span_lanes(data, &lanes, &lane_banks);
 }
 
 VectorSource::VectorSource(std::vector<AccessRecord> records)
@@ -27,11 +33,6 @@ VectorSource::VectorSource(std::vector<AccessRecord> records)
       throw std::invalid_argument("VectorSource: records not time-sorted");
 }
 
-std::optional<AccessRecord> VectorSource::next() {
-  if (pos_ >= records_.size()) return std::nullopt;
-  return records_[pos_++];
-}
-
 std::size_t VectorSource::next_batch(AccessRecord* out, std::size_t max) {
   const std::size_t n = std::min(max, records_.size() - pos_);
   std::copy_n(records_.begin() + static_cast<std::ptrdiff_t>(pos_), n, out);
@@ -39,7 +40,11 @@ std::size_t VectorSource::next_batch(AccessRecord* out, std::size_t max) {
   return n;
 }
 
-std::size_t VectorSource::next_span(const AccessRecord** data) {
+std::size_t VectorSource::span_lanes(const AccessRecord** data,
+                                    const BankLaneView** lanes,
+                                    std::size_t* lane_banks) {
+  *lanes = nullptr;
+  *lane_banks = 0;
   const std::size_t n = records_.size() - pos_;
   *data = n > 0 ? records_.data() + pos_ : nullptr;
   pos_ = records_.size();
@@ -103,12 +108,6 @@ bool MergedSource::pop(AccessRecord& out) {
   return true;
 }
 
-std::optional<AccessRecord> MergedSource::next() {
-  AccessRecord rec;
-  if (!pop(rec)) return std::nullopt;
-  return rec;
-}
-
 std::size_t MergedSource::next_batch(AccessRecord* out, std::size_t max) {
   std::size_t n = 0;
   while (n < max && pop(out[n])) ++n;
@@ -121,61 +120,30 @@ LimitSource::LimitSource(std::unique_ptr<TraceSource> inner,
   if (!inner_) throw std::invalid_argument("LimitSource: null source");
 }
 
-std::optional<AccessRecord> LimitSource::next() {
-  if (remaining_ == 0) return std::nullopt;
-  auto rec = inner_->next();
-  if (!rec || rec->time_ps >= end_ps_) {
+// Cuts the @p got records the inner source just produced: the time
+// horizon first (records are time-sorted, so it is a partition point,
+// and it ends the stream), then the record budget. An empty pull ends
+// the stream too. Returns how many records survive.
+std::size_t LimitSource::cut(const AccessRecord* records, std::size_t got) {
+  const AccessRecord* end = std::partition_point(
+      records, records + got,
+      [this](const AccessRecord& r) { return r.time_ps < end_ps_; });
+  const bool time_cut = end != records + got;
+  got = static_cast<std::size_t>(end - records);
+  if (got == 0 || time_cut || got >= remaining_) {
+    got = static_cast<std::size_t>(std::min<std::uint64_t>(got, remaining_));
     remaining_ = 0;
-    return std::nullopt;
+  } else {
+    remaining_ -= got;
   }
-  --remaining_;
-  return rec;
+  return got;
 }
 
 std::size_t LimitSource::next_batch(AccessRecord* out, std::size_t max) {
   if (remaining_ == 0) return 0;
   const std::size_t want = static_cast<std::size_t>(
       std::min<std::uint64_t>(max, remaining_));
-  const std::size_t got = inner_->next_batch(out, want);
-  // Cut at the time horizon exactly where next() would have: the first
-  // out-of-range record kills the stream (records are time-ordered, so
-  // everything after it is out of range too).
-  for (std::size_t i = 0; i < got; ++i) {
-    if (out[i].time_ps >= end_ps_) {
-      remaining_ = 0;
-      return i;
-    }
-  }
-  remaining_ -= got;
-  if (got < want) remaining_ = 0;  // inner exhausted
-  return got;
-}
-
-std::size_t LimitSource::next_span(const AccessRecord** data) {
-  *data = nullptr;
-  if (remaining_ == 0) return 0;
-  const AccessRecord* span = nullptr;
-  std::size_t got = inner_->next_span(&span);
-  if (got == 0) {
-    remaining_ = 0;
-    return 0;
-  }
-  // Trim at the time horizon first: spans are time-sorted, so the cut
-  // is the partition point of time_ps < end_ps_.
-  const AccessRecord* cut = std::partition_point(
-      span, span + got,
-      [this](const AccessRecord& r) { return r.time_ps < end_ps_; });
-  const bool time_cut = cut != span + got;
-  if (time_cut) got = static_cast<std::size_t>(cut - span);
-  if (got >= remaining_) {
-    got = static_cast<std::size_t>(remaining_);
-    remaining_ = 0;
-  } else {
-    // A time cut kills the stream even under the record limit.
-    remaining_ = time_cut ? 0 : remaining_ - got;
-  }
-  *data = got > 0 ? span : nullptr;
-  return got;
+  return cut(out, inner_->next_batch(out, want));
 }
 
 std::size_t LimitSource::span_lanes(const AccessRecord** data,
@@ -188,30 +156,14 @@ std::size_t LimitSource::span_lanes(const AccessRecord** data,
   const AccessRecord* span = nullptr;
   const BankLaneView* inner_lanes = nullptr;
   std::size_t inner_banks = 0;
-  std::size_t got = inner_->span_lanes(&span, &inner_lanes, &inner_banks);
-  if (got == 0) {
-    remaining_ = 0;
-    return 0;
-  }
-  const std::size_t full = got;
-  // Same cut-off as next_span: time horizon first, then the record
-  // budget.
-  const AccessRecord* cut = std::partition_point(
-      span, span + got,
-      [this](const AccessRecord& r) { return r.time_ps < end_ps_; });
-  const bool time_cut = cut != span + got;
-  if (time_cut) got = static_cast<std::size_t>(cut - span);
-  if (got >= remaining_) {
-    got = static_cast<std::size_t>(remaining_);
-    remaining_ = 0;
-  } else {
-    remaining_ = time_cut ? 0 : remaining_ - got;
-  }
-  *data = got > 0 ? span : nullptr;
+  const std::size_t full = inner_->span_lanes(&span, &inner_lanes, &inner_banks);
+  const std::size_t got = cut(span, full);
+  if (got == 0) return 0;
+  *data = span;
   // Lanes describe the inner span in full; a trimmed span would leave
   // them claiming records past the cut, so only an untrimmed span
   // passes them through (the consumer re-partitions otherwise).
-  if (got == full && inner_lanes != nullptr) {
+  if (got == full) {
     *lanes = inner_lanes;
     *lane_banks = inner_banks;
   }
@@ -219,11 +171,14 @@ std::size_t LimitSource::span_lanes(const AccessRecord** data,
 }
 
 std::vector<AccessRecord> drain(TraceSource& source, std::size_t max_records) {
+  constexpr std::size_t kChunk = 4096;
   std::vector<AccessRecord> out;
   while (out.size() < max_records) {
-    auto rec = source.next();
-    if (!rec) break;
-    out.push_back(*rec);
+    const std::size_t at = out.size();
+    out.resize(at + std::min(kChunk, max_records - at));
+    const std::size_t n = source.next_batch(out.data() + at, out.size() - at);
+    out.resize(at + n);
+    if (n == 0) break;
   }
   return out;
 }

@@ -30,6 +30,14 @@ util::RunningStat TraceStats::acts_per_interval_per_bank() const {
   return stat;
 }
 
+util::Histogram TraceStats::acts_per_interval_histogram(double lo, double hi,
+                                                        std::size_t bins) const {
+  util::Histogram hist(lo, hi, bins);
+  for (const auto& [key, count] : interval_bank_counts_)
+    hist.add(static_cast<double>(count));
+  return hist;
+}
+
 std::uint64_t TraceStats::hottest_row_count() const noexcept {
   std::uint64_t peak = 0;
   for (const auto& [key, count] : row_counts_) peak = std::max(peak, count);

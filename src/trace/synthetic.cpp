@@ -81,8 +81,6 @@ AccessRecord SyntheticSource::generate() {
   return rec;
 }
 
-std::optional<AccessRecord> SyntheticSource::next() { return generate(); }
-
 std::size_t SyntheticSource::next_batch(AccessRecord* out, std::size_t max) {
   for (std::size_t i = 0; i < max; ++i) out[i] = generate();
   return max;

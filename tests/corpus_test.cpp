@@ -23,7 +23,6 @@
 #include "tvp/mem/controller.hpp"
 #include "tvp/mem/mitigation.hpp"
 #include "tvp/trace/corpus.hpp"
-#include "tvp/trace/io.hpp"
 #include "tvp/trace/source.hpp"
 #include "tvp/util/crc32.hpp"
 
@@ -252,20 +251,6 @@ TEST(Corpus, NotACorpusIsRejected) {
   std::ofstream(file.path(), std::ios::trunc)
       << std::string(4096, 'x');  // long enough, wrong magic
   EXPECT_THROW(read_corpus_info(file.path()), std::runtime_error);
-}
-
-// ------------------------------------------------------------ format glue
-
-TEST(Corpus, SaveLoadTraceSpeaksCorpus) {
-  TempFile file("save_load");
-  const auto records = make_records(64);
-  save_trace(file.path(), records);  // .tvpc extension selects corpus
-  EXPECT_EQ(load_trace(file.path()), records);
-  // Explicit format overrides the extension.
-  const std::string text_path = file.path() + ".txt";
-  save_trace(text_path, records, TraceFormat::kCorpus);
-  EXPECT_EQ(load_trace(text_path, TraceFormat::kCorpus), records);
-  std::remove(text_path.c_str());
 }
 
 TEST(Corpus, ZstdCodecIsRejectedByName) {
@@ -716,6 +701,45 @@ TEST(CorpusReplay, UnpartitionedCorpusReplaysBitIdenticallyViaFallback) {
     SCOPED_TRACE(std::string(hw::to_string(technique)));
     expect_identical_runs(exp::run_simulation(technique, lanes_cfg),
                           exp::run_simulation(technique, flat_cfg));
+  }
+}
+
+TEST(CorpusReplay, RewritingARecordedCorpusReproducesItsBlocks) {
+  // A recorded corpus read back and written again with the same options
+  // must lay out the same blocks and partition regions: the layout is a
+  // function of the record stream and the options alone.
+  exp::SimConfig cfg = small_attacked_config();
+  cfg.geometry.banks_per_rank = 2;
+  cfg.finalize();
+  CorpusWriter::Options options;
+  options.records_per_block = 512;
+  options.partition_banks = cfg.geometry.total_banks();
+
+  TempFile recorded("rewrite_recorded");
+  exp::record_corpus(cfg, recorded.path(), options);
+  TempFile rewritten("rewrite_again");
+  write_corpus(rewritten.path(), read_corpus(recorded.path()), options);
+
+  const CorpusInfo a = read_corpus_info(recorded.path());
+  const CorpusInfo b = read_corpus_info(rewritten.path());
+  ASSERT_EQ(a.partition_banks, 2u);
+  ASSERT_GT(a.blocks.size(), 1u);
+  EXPECT_EQ(b.partition_banks, a.partition_banks);
+  EXPECT_EQ(b.total_records, a.total_records);
+  ASSERT_EQ(b.blocks.size(), a.blocks.size());
+  for (std::size_t i = 0; i < a.blocks.size(); ++i) {
+    SCOPED_TRACE("block " + std::to_string(i));
+    EXPECT_EQ(b.blocks[i].offset, a.blocks[i].offset);
+    EXPECT_EQ(b.blocks[i].records, a.blocks[i].records);
+    EXPECT_EQ(b.blocks[i].crc, a.blocks[i].crc);
+    EXPECT_EQ(b.blocks[i].min_time_ps, a.blocks[i].min_time_ps);
+    EXPECT_EQ(b.blocks[i].max_time_ps, a.blocks[i].max_time_ps);
+  }
+  ASSERT_EQ(b.partitions.size(), a.partitions.size());
+  for (std::size_t i = 0; i < a.partitions.size(); ++i) {
+    SCOPED_TRACE("partition " + std::to_string(i));
+    EXPECT_EQ(b.partitions[i].offset, a.partitions[i].offset);
+    EXPECT_EQ(b.partitions[i].crc, a.partitions[i].crc);
   }
 }
 

@@ -23,6 +23,14 @@ TEST(Technique, NamesAndSets) {
   EXPECT_FALSE(is_tivapromi(Technique::kTwice));
 }
 
+TEST(Technique, ParseRoundTripsEveryNameAndRejectsOthers) {
+  for (const auto t : kAllTechniques)
+    EXPECT_EQ(parse_technique(to_string(t)), t) << to_string(t);
+  EXPECT_EQ(parse_technique("lolipromi"), std::nullopt);
+  EXPECT_EQ(parse_technique("TRR"), std::nullopt);
+  EXPECT_EQ(parse_technique(""), std::nullopt);
+}
+
 TEST(TechniqueParams, BitWidths) {
   const TechniqueParams p;
   EXPECT_EQ(p.row_bits(), 17u);

@@ -7,7 +7,7 @@
 #include "tvp/exp/runner.hpp"
 #include "tvp/exp/verdict.hpp"
 #include "tvp/hw/area_model.hpp"
-#include "tvp/trace/io.hpp"
+#include "tvp/trace/corpus.hpp"
 
 namespace tvp::exp {
 namespace {
@@ -175,9 +175,9 @@ TEST(Integration, TraceRoundTripReplaysIdentically) {
   util::Rng workload_rng = rng.fork();
   auto source = build_workload(cfg, workload_rng);
   const auto records = trace::drain(*source, 100000);
-  const std::string path = ::testing::TempDir() + "/integration.tvpt";
-  trace::save_trace(path, records);
-  const auto reloaded = trace::load_trace(path);
+  const std::string path = ::testing::TempDir() + "/integration.tvpc";
+  trace::write_corpus(path, records);
+  const auto reloaded = trace::read_corpus(path);
   EXPECT_EQ(records, reloaded);
 }
 

@@ -577,8 +577,8 @@ TEST_F(TortureTest, ServerSurvivesInjectedEpollFaults) {
 
 // ---------------------------------------------------------------------------
 // Corpus (trace record/replay) I/O torture: the .tvpc writer must never
-// leave a half-written file that a reader accepts, and the mmap reader
-// must degrade to pread without changing a single record.
+// leave a half-written file that a reader accepts, and a failed read
+// (mmap or pread) must be a precise error naming the file.
 // ---------------------------------------------------------------------------
 
 /// The same tiny campaign as torture_spec(), as a SimConfig for
@@ -701,64 +701,67 @@ TEST_F(TortureTest, KillDuringCorpusWriteLeavesARejectedFile) {
   }
 }
 
-/// An injected mmap failure demotes the reader to pread; every record
-/// streamed through the fallback must be bit-identical to the mapped
-/// path.
-TEST_F(TortureTest, MmapFailureFallsBackToPreadBitIdentically) {
+/// An injected mmap failure is a precise error naming the file, and
+/// leaves the file untouched: once the fault clears it verifies clean.
+TEST_F(TortureTest, MmapFailureIsAPreciseError) {
   const exp::SimConfig sim = corpus_sim_config();
-  const std::string file = path("fallback.tvpc");
+  const std::string file = path("mmap_eio.tvpc");
   exp::record_corpus(sim, file, corpus_options());
 
-  // The demoted source first: a mapped source would populate the
-  // process-wide mapping cache and the injected mmap would never run.
+  // No source has opened this file yet, so the process-wide mapping
+  // cache is cold and the constructor must call mmap.
   failpoint::reset();
   failpoint::Policy policy;
   policy.action = failpoint::Policy::Action::kReturnErrno;
   policy.error = EIO;
   policy.nth = 1;
   failpoint::set("corpus.read.mmap", policy);
-  trace::MmapSource source(file);
-  EXPECT_FALSE(source.mapped()) << "the injected mmap failure must demote";
+  try {
+    trace::MmapSource source(file);
+    FAIL() << "the injected mmap failure must surface";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("cannot mmap"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find(file), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(failpoint::hits("corpus.read.mmap"), 1u);
   failpoint::reset();
 
-  std::vector<trace::AccessRecord> fallback;
-  while (const auto record = source.next()) fallback.push_back(*record);
-  EXPECT_EQ(fallback.size(), source.info().total_records);
-
-  std::vector<trace::AccessRecord> mapped;
-  trace::MmapSource verify(file);
-  ASSERT_TRUE(verify.mapped());
-  while (const auto record = verify.next()) mapped.push_back(*record);
-  EXPECT_EQ(fallback, mapped);
+  EXPECT_NO_THROW(trace::verify_corpus(file));
 }
 
-/// EIO from pread in the fallback path is a precise read error naming
-/// the file — never a silent short stream.
-TEST_F(TortureTest, PreadFaultInTheFallbackPathIsAPreciseError) {
+/// EIO from any of the three preads that parse a corpus (header,
+/// trailer, footer) is a precise read error naming the file — never a
+/// misparse.
+TEST_F(TortureTest, PreadFaultWhileParsingIsAPreciseError) {
   const exp::SimConfig sim = corpus_sim_config();
   const std::string file = path("pread_eio.tvpc");
   exp::record_corpus(sim, file, corpus_options());
 
   failpoint::reset();
-  failpoint::Policy policy;
-  policy.action = failpoint::Policy::Action::kReturnErrno;
-  policy.error = EIO;
-  policy.nth = 1;
-  failpoint::set("corpus.read.mmap", policy);
-  trace::MmapSource source(file);
-  ASSERT_FALSE(source.mapped());
-  failpoint::reset();
+  trace::read_corpus_info(file);
+  ASSERT_EQ(failpoint::hits("corpus.read.pread"), 3u)
+      << "parsing reads the header, the trailer and the footer";
 
-  policy.nth = 1;
-  failpoint::set("corpus.read.pread", policy);
-  try {
-    source.next();
-    FAIL() << "the injected pread fault must surface";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("read failed"), std::string::npos)
-        << e.what();
-    EXPECT_NE(std::string(e.what()).find(file), std::string::npos) << e.what();
+  for (std::uint64_t nth = 1; nth <= 3; ++nth) {
+    SCOPED_TRACE("EIO at corpus.read.pread@" + std::to_string(nth));
+    failpoint::reset();
+    failpoint::Policy policy;
+    policy.action = failpoint::Policy::Action::kReturnErrno;
+    policy.error = EIO;
+    policy.nth = nth;
+    failpoint::set("corpus.read.pread", policy);
+    try {
+      trace::read_corpus_info(file);
+      ADD_FAILURE() << "the injected pread fault must surface";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("read failed"), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find(file), std::string::npos)
+          << e.what();
+    }
   }
+  failpoint::reset();
 }
 
 /// An EINTR inside corpus pread (a signal landed) must be retried, not

@@ -1,10 +1,8 @@
 // Unit tests for tvp::trace — sources, synthetic workloads, attacker
-// models, trace I/O and statistics.
+// models, address-trace import and statistics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
-#include <new>
 #include <set>
 #include <sstream>
 
@@ -730,96 +728,6 @@ TEST(Attack, MakeMultiAggressorSeparatesVictims) {
 
 // ----------------------------------------------------------------------- io
 
-std::vector<AccessRecord> sample_records() {
-  std::vector<AccessRecord> records;
-  util::Rng rng(21);
-  std::uint64_t t = 0;
-  for (int i = 0; i < 500; ++i) {
-    AccessRecord r;
-    t += rng.below(1000);
-    r.time_ps = t;
-    r.bank = static_cast<dram::BankId>(rng.below(16));
-    r.row = static_cast<dram::RowId>(rng.below(131072));
-    r.write = rng.bernoulli(0.3);
-    r.is_attack = rng.bernoulli(0.1);
-    r.source = static_cast<SourceId>(rng.below(8));
-    records.push_back(r);
-  }
-  return records;
-}
-
-TEST(TraceIo, TextRoundTrip) {
-  const auto records = sample_records();
-  std::stringstream ss;
-  EXPECT_EQ(write_text(ss, records), records.size());
-  EXPECT_EQ(read_text(ss), records);
-}
-
-TEST(TraceIo, BinaryRoundTrip) {
-  const auto records = sample_records();
-  std::stringstream ss;
-  EXPECT_EQ(write_binary(ss, records), records.size());
-  EXPECT_EQ(read_binary(ss), records);
-}
-
-TEST(TraceIo, TextToleratesCommentsAndBlanks) {
-  std::stringstream ss("# comment\n\n100 3 42 W 1 A\n");
-  const auto records = read_text(ss);
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].time_ps, 100u);
-  EXPECT_EQ(records[0].bank, 3u);
-  EXPECT_EQ(records[0].row, 42u);
-  EXPECT_TRUE(records[0].write);
-  EXPECT_TRUE(records[0].is_attack);
-}
-
-TEST(TraceIo, TextRejectsMalformed) {
-  std::stringstream ss("100 3 42 X 1 A\n");
-  EXPECT_THROW(read_text(ss), std::runtime_error);
-}
-
-TEST(TraceIo, BinaryRejectsBadMagicAndTruncation) {
-  std::stringstream bad("not a trace at all");
-  EXPECT_THROW(read_binary(bad), std::runtime_error);
-
-  std::stringstream ss;
-  write_binary(ss, sample_records());
-  std::string data = ss.str();
-  data.resize(data.size() / 2);
-  std::stringstream truncated(data);
-  EXPECT_THROW(read_binary(truncated), std::runtime_error);
-}
-
-TEST(TraceIo, BinaryRejectsCorruptCountWithoutAllocating) {
-  // A corrupt header count must fail the "truncated" check before the
-  // reader reserves memory for it — not attempt a huge allocation.
-  std::stringstream ss;
-  write_binary(ss, sample_records());
-  std::string data = ss.str();
-  const std::uint64_t huge = ~0ull / sizeof(std::uint64_t);
-  std::memcpy(data.data() + 8, &huge, sizeof huge);  // count field at offset 8
-  std::stringstream corrupt(data);
-  try {
-    read_binary(corrupt);
-    FAIL() << "corrupt count accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos);
-  } catch (const std::bad_alloc&) {
-    FAIL() << "corrupt count triggered an allocation instead of a parse error";
-  }
-}
-
-TEST(TraceIo, FileRoundTripByExtension) {
-  const auto records = sample_records();
-  const std::string text_path = ::testing::TempDir() + "/trace.txt";
-  const std::string bin_path = ::testing::TempDir() + "/trace.tvpt";
-  save_trace(text_path, records);
-  save_trace(bin_path, records);
-  EXPECT_EQ(load_trace(text_path), records);
-  EXPECT_EQ(load_trace(bin_path), records);
-  EXPECT_THROW(load_trace("/nonexistent/dir/x.tvpt"), std::runtime_error);
-}
-
 TEST(TraceIo, ImportAddressTrace) {
   dram::Geometry g;
   g.banks_per_rank = 4;
@@ -909,28 +817,6 @@ TEST(TraceIo, ImportDefaultClockComesFromDdr4Timing) {
             static_cast<std::uint64_t>(timing.t_ck_ps()));
 }
 
-TEST(TraceIo, FormatResolutionIsCaseInsensitiveAndOverridable) {
-  EXPECT_EQ(resolve_trace_format("a.tvpt", TraceFormat::kAuto),
-            TraceFormat::kBinaryV1);
-  EXPECT_EQ(resolve_trace_format("a.TVPT", TraceFormat::kAuto),
-            TraceFormat::kBinaryV1);
-  EXPECT_EQ(resolve_trace_format("a.TvPc", TraceFormat::kAuto),
-            TraceFormat::kCorpus);
-  EXPECT_EQ(resolve_trace_format("a.trace", TraceFormat::kAuto),
-            TraceFormat::kText);
-  EXPECT_EQ(resolve_trace_format("tvpt", TraceFormat::kAuto),
-            TraceFormat::kText)
-      << "an extensionless name that merely ends in the letters is text";
-  // An explicit format wins over the extension.
-  EXPECT_EQ(resolve_trace_format("a.tvpt", TraceFormat::kText),
-            TraceFormat::kText);
-
-  const auto records = sample_records();
-  const std::string upper = ::testing::TempDir() + "/trace.TVPT";
-  save_trace(upper, records);  // uppercase extension still picks binary
-  EXPECT_EQ(load_trace(upper), records);
-}
-
 TEST(TraceIo, ImportClampsUnsortedTimes) {
   dram::Geometry g;
   const dram::AddressMapper mapper(g, dram::AddressMapPolicy::kRowColBank);
@@ -959,6 +845,22 @@ TEST(TraceStats, CountsAndRates) {
   const auto per_interval = stats.acts_per_interval_per_bank();
   EXPECT_EQ(per_interval.count(), 2u);  // (interval 0, banks 0 and 1)
   EXPECT_DOUBLE_EQ(per_interval.mean(), 5.0);
+}
+
+TEST(TraceStats, HistogramCountsEachIntervalBankOnceAcrossInterleavedBanks) {
+  // Banks interleave in a time-ordered trace: bank 0 and bank 1 take
+  // turns through interval 0 (five ACTs each), then bank 0 alone takes
+  // three in interval 1. Each (interval, bank) total is one sample.
+  TraceStats stats(1000, 2);  // tREFI=1000ps, 2 banks
+  for (int i = 0; i < 10; ++i) stats.add(rec(i * 10, i % 2, 5));
+  for (int i = 0; i < 3; ++i) stats.add(rec(1000 + i * 10, 0, 5));
+
+  const util::Histogram hist = stats.acts_per_interval_histogram(0, 10, 10);
+  EXPECT_EQ(hist.total(), 3u);
+  EXPECT_EQ(hist.count(5), 2u);
+  EXPECT_EQ(hist.count(3), 1u);
+  EXPECT_EQ(hist.underflow() + hist.overflow(), 0u);
+  EXPECT_DOUBLE_EQ(hist.mean(), stats.acts_per_interval_per_bank().mean());
 }
 
 TEST(TraceStats, InvalidConfigThrows) {

@@ -1,17 +1,14 @@
-// tvp_trace — record, inspect, verify and convert trace files.
+// tvp_trace — record, inspect and verify trace corpora.
 //
 //   tvp_trace record  --out=FILE.tvpc [--config=FILE] [--seed=N]
 //                     [--block-records=N]
 //       Generates the workload the config describes (benign + attacks)
-//       and records it — records plus aggressor oracle — as a v2
-//       corpus. Without --config, the standard paper campaign.
+//       and records it — records plus aggressor oracle — as a corpus.
+//       Without --config, the standard paper campaign.
 //   tvp_trace inspect --in=FILE.tvpc
 //       Prints the footer: identity, totals, per-block index.
 //   tvp_trace verify  --in=FILE.tvpc
 //       Full integrity pass: every block CRC-checked and replayed.
-//   tvp_trace convert --in=SRC --out=DST [--in-format=F] [--out-format=F]
-//       Converts between text, binary v1 (.tvpt) and corpus (.tvpc);
-//       formats default to the extensions (F: auto|text|tvpt|tvpc).
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -20,7 +17,6 @@
 #include "tvp/exp/report.hpp"
 #include "tvp/exp/runner.hpp"
 #include "tvp/trace/corpus.hpp"
-#include "tvp/trace/io.hpp"
 #include "tvp/util/cli.hpp"
 
 namespace {
@@ -34,18 +30,8 @@ int usage(bool ok) {
       "  record   --out=FILE.tvpc [--config=FILE] [--seed=N]\n"
       "           [--block-records=N]   generate + record a workload corpus\n"
       "  inspect  --in=FILE.tvpc       print footer index and identity\n"
-      "  verify   --in=FILE.tvpc       CRC-check every block\n"
-      "  convert  --in=SRC --out=DST [--in-format=F] [--out-format=F]\n"
-      "           F: auto|text|tvpt|tvpc (default auto = by extension)\n");
+      "  verify   --in=FILE.tvpc       CRC-check every block\n");
   return ok ? 0 : 2;
-}
-
-trace::TraceFormat parse_format(const std::string& name) {
-  if (name == "auto") return trace::TraceFormat::kAuto;
-  if (name == "text") return trace::TraceFormat::kText;
-  if (name == "tvpt" || name == "binary") return trace::TraceFormat::kBinaryV1;
-  if (name == "tvpc" || name == "corpus") return trace::TraceFormat::kCorpus;
-  throw std::runtime_error("unknown trace format '" + name + "'");
 }
 
 const char* codec_name(trace::CorpusCodec codec) {
@@ -80,8 +66,7 @@ void print_info(const trace::CorpusInfo& info, bool blocks) {
 int main(int argc, char** argv) {
   try {
     util::Flags flags(argc, argv,
-                      {"in", "out", "config", "seed", "block-records",
-                       "in-format", "out-format", "help"});
+                      {"in", "out", "config", "seed", "block-records", "help"});
     if (flags.get_bool("help") || flags.positional().empty())
       return usage(flags.get_bool("help"));
     const std::string command = flags.positional()[0];
@@ -121,18 +106,6 @@ int main(int argc, char** argv) {
       const trace::CorpusInfo info = trace::verify_corpus(in);
       std::printf("%s: ok\n", in.c_str());
       print_info(info, false);
-      return 0;
-    }
-    if (command == "convert") {
-      if (!flags.has("in") || !flags.has("out")) return usage(false);
-      const std::string in = flags.get("in", "");
-      const std::string out = flags.get("out", "");
-      const auto records = trace::load_trace(
-          in, parse_format(flags.get("in-format", "auto")));
-      trace::save_trace(out, records,
-                        parse_format(flags.get("out-format", "auto")));
-      std::printf("converted %zu records: %s -> %s\n", records.size(),
-                  in.c_str(), out.c_str());
       return 0;
     }
     std::fprintf(stderr, "tvp_trace: unknown command '%s'\n", command.c_str());
