@@ -4,6 +4,9 @@
 //
 //   ./build/examples/design_space [variant]
 //
+// [variant] is LiPRoMi, LoPRoMi, LoLiPRoMi (the default) or CaPRoMi; any
+// other name exits 2.
+//
 // This is the workflow a memory-controller architect would follow to
 // re-derive the paper's chosen configuration (32 entries, Pbase = 2^-23).
 #include <chrono>
@@ -23,9 +26,15 @@ int main(int argc, char** argv) {
   using namespace tvp;
 
   hw::Technique variant = hw::Technique::kLoLiPRoMi;
-  if (argc > 1)
-    for (const auto t : hw::kTiVaPRoMiVariants)
-      if (hw::to_string(t) == std::string_view(argv[1])) variant = t;
+  if (argc > 1) {
+    const auto parsed = hw::parse_technique(argv[1]);
+    if (!parsed || !hw::is_tivapromi(*parsed)) {
+      std::fprintf(stderr, "design_space: '%s' is not a TiVaPRoMi variant\n",
+                   argv[1]);
+      return 2;
+    }
+    variant = *parsed;
+  }
 
   exp::SimConfig base;
   base.windows = 1;

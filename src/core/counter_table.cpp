@@ -24,7 +24,8 @@ void CounterTable::set_link(std::size_t index, std::uint8_t link) {
 }
 
 void CounterTable::clear() noexcept {
-  for (auto& e : slots_) e = Entry{};
+  // Slots past size_ have not been written since the last clear.
+  for (std::size_t i = 0; i < size_; ++i) slots_[i] = Entry{};
   size_ = 0;
 }
 

@@ -82,7 +82,8 @@ class CounterTable {
   /// Attaches a history-table link to the entry at @p index.
   void set_link(std::size_t index, std::uint8_t link);
 
-  /// Read-only view of the slots (REF-time decision walk).
+  /// Read-only view of the slots (REF-time decision walk); the valid
+  /// entries are exactly [0, size()).
   const std::vector<Entry>& slots() const noexcept { return slots_; }
 
   /// Clears the table (end of refresh interval, after decisions).
@@ -92,11 +93,13 @@ class CounterTable {
   std::uint64_t state_bits() const noexcept;
 
  private:
-  // Valid entries always occupy the prefix [0, size_): clear() empties
-  // the whole table, inserts fill the first free slot (== size_), and
-  // replacement overwrites a valid slot in place. The hot-path scan in
-  // on_activate relies on this — it sweeps the dense rows_ mirror up to
-  // size_ with no validity checks, which the compiler vectorizes.
+  // Valid entries always occupy the prefix [0, size_): inserts fill the
+  // first free slot (== size_), replacement overwrites a valid slot in
+  // place, and clear() empties the prefix (slots past size_ have not been
+  // written since the previous clear). Three walks rely on this: the
+  // hot-path scan in on_activate (util::find_u32's SSE2 sweep of the
+  // dense rows_ mirror up to size_, with no validity checks), CaPRoMi's
+  // REF walk over [0, size()) and clear() itself.
   std::vector<Entry> slots_;
   std::vector<dram::RowId> rows_;  // rows_[i] == slots_[i].row for i < size_
   std::size_t size_ = 0;

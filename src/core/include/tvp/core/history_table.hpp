@@ -91,8 +91,8 @@ class HistoryTable {
 
   std::size_t find(dram::RowId row) const noexcept {
     // The simulator's hottest scan (once per ACT for every *PRoMi
-    // variant): a chunked SIMD sweep of the dense row column, bounded by
-    // the live size (the valid slots are exactly [0, size_)).
+    // variant): util::find_u32's SSE2 sweep of the dense row column,
+    // bounded by the live size (the valid slots are exactly [0, size_)).
     return util::find_u32(rows_.data(), size_, row);
   }
 

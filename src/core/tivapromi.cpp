@@ -187,10 +187,12 @@ void CaPRoMi::on_refresh(const mem::MitigationContext& ctx,
     return;
   }
   const std::uint32_t i = ctx.interval_in_window;
-  for (const auto& entry : counters_.slots()) {
-    if (!entry.valid) continue;
-    std::uint32_t reference = assumed_slot(entry.row);
-    bool linked = false;
+  // The counter table's valid entries are exactly its prefix
+  // [0, size()), so this visits the same entries in the same order as a
+  // sweep of every valid slot, and makes the same draws.
+  const std::vector<CounterTable::Entry>& slots = counters_.slots();
+  for (std::size_t k = 0, n = counters_.size(); k < n; ++k) {
+    const CounterTable::Entry& entry = slots[k];
     // Deferred parallel-history search (the paper's hardware captures a
     // link per ACT; see on_activates). Searching here instead is
     // bit-identical: the history table only mutates inside this walk —
@@ -198,10 +200,9 @@ void CaPRoMi::on_refresh(const mem::MitigationContext& ctx,
     // trigger in the same walk can only re-enter via its own trigger,
     // so "linked at the row's walk position" matches what an ACT-time
     // link check would have concluded.
-    if (const auto current = history_.index_of(entry.row)) {
-      reference = history_.interval_at(*current);
-      linked = true;
-    }
+    const auto stored = history_.lookup(entry.row);
+    const bool linked = stored.has_value();
+    const std::uint32_t reference = linked ? *stored : assumed_slot(entry.row);
     const std::uint32_t w = linear_weight(i, reference, cfg_.refresh_intervals);
     const std::uint32_t w_log = log_weight(w);
     const util::FixedProb p =

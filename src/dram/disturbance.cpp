@@ -20,8 +20,8 @@ DisturbanceModel::DisturbanceModel(std::uint32_t banks, RowId rows_per_bank,
     throw std::invalid_argument(
         "DisturbanceModel: variation_pct must be below 100");
   const std::size_t cells = static_cast<std::size_t>(banks_) * rows_;
-  counts_.assign(cells, 0);
-  flipped_.assign(cells, 0);
+  cells_.assign(cells, 0);
+  pending_.resize(banks_);
   if (params_.variation_pct > 0) {
     // Device-fixed per-row threshold draw (weak/strong cell variation).
     util::Rng rng(params_.variation_seed);
@@ -32,65 +32,51 @@ DisturbanceModel::DisturbanceModel(std::uint32_t banks, RowId rows_per_bank,
       const double factor = 1.0 - v + 2.0 * v * rng.uniform();
       t = std::max<std::uint32_t>(1, static_cast<std::uint32_t>(base * factor));
     }
+  } else {
+    thresholds_.assign(1, params_.flip_threshold);
   }
 }
 
 std::uint32_t DisturbanceModel::threshold_of(BankId bank, RowId row) const {
   if (bank >= banks_ || row >= rows_)
     throw std::out_of_range("DisturbanceModel::threshold_of");
-  if (thresholds_.empty()) return params_.flip_threshold;
-  return thresholds_[static_cast<std::size_t>(bank) * rows_ + row];
-}
-
-void DisturbanceModel::disturb(BankId bank, RowId row, std::uint64_t amount_q8,
-                               std::uint32_t interval) {
-  auto& c = cell(bank, row);
-  c += amount_q8;
-  peak_q8_ = std::max(peak_q8_, c);
-  const std::size_t idx = static_cast<std::size_t>(bank) * rows_ + row;
-  const std::uint64_t threshold_q8 =
-      static_cast<std::uint64_t>(
-          thresholds_.empty() ? params_.flip_threshold : thresholds_[idx])
-      << 8;
-  if (c >= threshold_q8 && !flipped_[idx]) {
-    flipped_[idx] = 1;
-    flips_.push_back(FlipEvent{bank, row, activations_, interval});
-  }
+  return params_.variation_pct > 0 ? thresholds_[index(bank, row)]
+                                   : thresholds_[0];
 }
 
 void DisturbanceModel::on_activate(BankId bank, RowId row, std::uint32_t interval) {
-  ++activations_;
-  // The activated row's own charge is restored.
-  on_refresh_row(bank, row);
-  // Distance-1 neighbours take a full hit.
-  if (row > 0) disturb(bank, row - 1, 256, interval);
-  if (row + 1 < rows_) disturb(bank, row + 1, 256, interval);
-  if (params_.blast_radius >= 2) {
-    const std::uint64_t w = params_.distance2_weight_q8;
-    if (w != 0) {
-      if (row > 1) disturb(bank, row - 2, w, interval);
-      if (row + 2 < rows_) disturb(bank, row + 2, w, interval);
-    }
-  }
+  Lane l = lane(bank);
+  if (l.has_pending_flips())
+    throw std::logic_error(
+        "DisturbanceModel::on_activate: the bank's lane is not committed");
+  l.on_activate(row, interval, 0, 0);
+  Lane* const lanes[] = {&l};
+  const std::uint64_t prefix = 0;
+  commit_lanes(lanes, 1, &prefix);
 }
 
 void DisturbanceModel::on_refresh_row(BankId bank, RowId row) {
-  const std::size_t idx = static_cast<std::size_t>(bank) * rows_ + row;
-  counts_[idx] = 0;
-  flipped_[idx] = 0;
+  cells_[index(bank, row)] = 0;
 }
 
 std::uint64_t DisturbanceModel::disturbance_q8(BankId bank, RowId row) const {
   if (bank >= banks_ || row >= rows_)
     throw std::out_of_range("DisturbanceModel::disturbance_q8");
-  return counts_[static_cast<std::size_t>(bank) * rows_ + row];
+  return cells_[index(bank, row)] & kCountMask;
 }
 
 DisturbanceModel::Lane DisturbanceModel::lane(BankId bank) {
   if (bank >= banks_) throw std::out_of_range("DisturbanceModel::lane");
+  const bool per_row = params_.variation_pct > 0;
   Lane l;
-  l.model_ = this;
+  l.cells_ = cells_.data() + index(bank, 0);
+  l.thresholds_ = thresholds_.data() + (per_row ? index(bank, 0) : 0);
+  l.threshold_mask_ = per_row ? ~std::size_t{0} : 0;
+  l.distance2_q8_ =
+      params_.blast_radius >= 2 ? params_.distance2_weight_q8 : 0;
+  l.rows_ = rows_;
   l.bank_ = bank;
+  l.pending_ = &pending_[bank];
   return l;
 }
 
@@ -101,26 +87,25 @@ void DisturbanceModel::commit_lanes(Lane* const* lanes, std::size_t n_lanes,
   for (std::size_t i = 0; i < n_lanes; ++i) {
     activations_ += lanes[i]->activations_;
     peak_q8_ = std::max(peak_q8_, lanes[i]->peak_q8_);
-    any_flips = any_flips || !lanes[i]->pending_.empty();
+    any_flips = any_flips || lanes[i]->has_pending_flips();
   }
   if (any_flips) {
     if (prefix == nullptr)
       throw std::invalid_argument(
           "DisturbanceModel::commit_lanes: flips pending but no prefix");
     // Flips are rare (a mitigation failure); re-sequencing them into the
-    // serial activation order may allocate, exactly like the serial
-    // path's flips_ push_back.
+    // serial activation order may allocate.
     struct Tagged {
       BankId bank;
       Lane::PendingFlip flip;
     };
     std::vector<Tagged> all;
     for (std::size_t i = 0; i < n_lanes; ++i)
-      for (const auto& f : lanes[i]->pending_)
+      for (const auto& f : *lanes[i]->pending_)
         all.push_back(Tagged{lanes[i]->bank_, f});
-    // stable: a single activation can flip both neighbours (same serial
-    // and offset) — their relative order must stay row-1-before-row+1,
-    // exactly as the serial path pushes them.
+    // stable: a single activation can flip several neighbours (same
+    // serial and offset) — they keep the order the lane disturbed them
+    // in (row-1, row+1, row-2, row+2).
     std::stable_sort(all.begin(), all.end(), [](const Tagged& a, const Tagged& b) {
       if (a.flip.serial != b.flip.serial) return a.flip.serial < b.flip.serial;
       return a.flip.offset < b.flip.offset;
@@ -133,13 +118,12 @@ void DisturbanceModel::commit_lanes(Lane* const* lanes, std::size_t n_lanes,
   for (std::size_t i = 0; i < n_lanes; ++i) {
     lanes[i]->activations_ = 0;
     lanes[i]->peak_q8_ = 0;
-    lanes[i]->pending_.clear();
+    lanes[i]->pending_->clear();
   }
 }
 
 void DisturbanceModel::reset() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  std::fill(flipped_.begin(), flipped_.end(), 0);
+  std::fill(cells_.begin(), cells_.end(), 0);
   flips_.clear();
   activations_ = 0;
   peak_q8_ = 0;

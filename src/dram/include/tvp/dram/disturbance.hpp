@@ -62,6 +62,8 @@ class DisturbanceModel {
   /// Reports an activation of @p row in @p bank. Disturbs neighbours,
   /// restores the activated row's own charge.
   /// @p interval is the current refresh interval (for flip reporting).
+  /// One activation on the bank's lane, committed at once; throws
+  /// std::logic_error while the bank's lane holds uncommitted flips.
   void on_activate(BankId bank, RowId row, std::uint32_t interval);
 
   /// Reports a refresh of @p row (charge restored, no disturbance).
@@ -91,8 +93,8 @@ class DisturbanceModel {
 
   /// A per-bank shard of the model for one parallel region.
   ///
-  /// Per-row charge state (counts_/flipped_) is naturally disjoint per
-  /// bank, so a Lane mutates it directly; the *shared* members
+  /// Per-row charge state is naturally disjoint per bank, so a Lane
+  /// mutates its bank's cells directly; the *shared* members
   /// (activations_, peak_q8_, flips_) are accumulated lane-locally and
   /// folded back by commit_lanes() in a way that is bit-identical to
   /// serial execution. Each activation is tagged with its position in
@@ -100,8 +102,15 @@ class DisturbanceModel {
   /// index within the region and `offset` numbers the activations that
   /// record performs (0 = the demand ACT, 1.. = mitigation extras in
   /// issue order) — so commit_lanes can re-sequence flip events and
-  /// reconstruct their exact at_activation values via a prefix sum of
-  /// per-record activation totals.
+  /// reconstruct their exact at_activation values from a per-record
+  /// activation prefix sum.
+  ///
+  /// A Lane is a handful of raw pointers and two counters, bound once by
+  /// lane(): the bank's cells, its threshold column (or the one uniform
+  /// threshold, selected through an all-ones / zero index mask), the
+  /// distance-2 weight and the model's flip queue for the bank. It is
+  /// trivially copyable, so a hot loop can walk a local copy — whose
+  /// counters stay in registers — and store it back once.
   ///
   /// Lanes of distinct banks may run on different threads; a Lane itself
   /// is not thread-safe. A Lane is bound to (model, bank) once and
@@ -117,7 +126,8 @@ class DisturbanceModel {
 
     /// Activations performed through this lane since the last commit.
     std::uint64_t activations() const noexcept { return activations_; }
-    bool has_pending_flips() const noexcept { return !pending_.empty(); }
+    /// Whether a flip awaits commit_lanes (bound lanes only).
+    bool has_pending_flips() const noexcept { return !pending_->empty(); }
 
    private:
     friend class DisturbanceModel;
@@ -130,11 +140,15 @@ class DisturbanceModel {
     void disturb(RowId row, std::uint64_t amount_q8, std::uint32_t interval,
                  std::uint32_t serial, std::uint32_t offset);
 
-    DisturbanceModel* model_ = nullptr;
+    std::uint64_t* cells_ = nullptr;               // the bank's cells
+    const std::uint32_t* thresholds_ = nullptr;    // column or uniform value
+    std::size_t threshold_mask_ = 0;               // ~0 = column, 0 = uniform
+    std::uint64_t distance2_q8_ = 0;               // 0 at blast radius 1
+    RowId rows_ = 0;
     BankId bank_ = 0;
     std::uint64_t activations_ = 0;
     std::uint64_t peak_q8_ = 0;
-    std::vector<PendingFlip> pending_;
+    std::vector<PendingFlip>* pending_ = nullptr;  // the model's, per bank
   };
 
   /// Binds a lane to @p bank. At most one live lane per bank; the lane
@@ -152,18 +166,25 @@ class DisturbanceModel {
                     const std::uint64_t* prefix);
 
  private:
-  void disturb(BankId bank, RowId row, std::uint64_t amount_q8,
-               std::uint32_t interval);
-  std::uint64_t& cell(BankId bank, RowId row) {
-    return counts_[static_cast<std::size_t>(bank) * rows_ + row];
+  /// A cell holds the row's q8 disturbance count in bits 0-62 and its
+  /// flip latch in bit 63. A flip fires when threshold_q8 <= cell <
+  /// kLatch, i.e. the count has reached the threshold and the latch is
+  /// clear. The count reaches bit 63 only after 2^55 full-weight hits
+  /// without a restore, so the packing never changes a count, a peak or
+  /// a flip.
+  static constexpr std::uint64_t kLatch = std::uint64_t{1} << 63;
+  static constexpr std::uint64_t kCountMask = kLatch - 1;
+
+  std::size_t index(BankId bank, RowId row) const noexcept {
+    return static_cast<std::size_t>(bank) * rows_ + row;
   }
 
   std::uint32_t banks_;
   RowId rows_;
   DisturbanceParams params_;
-  std::vector<std::uint64_t> counts_;  // q8 disturbance per (bank, row)
-  std::vector<std::uint32_t> thresholds_;  // per (bank, row); empty = uniform
-  std::vector<std::uint8_t> flipped_;  // flip latched until next restore
+  std::vector<std::uint64_t> cells_;       // per (bank, row); see kLatch
+  std::vector<std::uint32_t> thresholds_;  // per (bank, row), or 1 uniform
+  std::vector<std::vector<Lane::PendingFlip>> pending_;  // per bank
   std::vector<FlipEvent> flips_;
   std::uint64_t activations_ = 0;
   std::uint64_t peak_q8_ = 0;
@@ -177,18 +198,17 @@ inline void DisturbanceModel::Lane::disturb(RowId row, std::uint64_t amount_q8,
                                             std::uint32_t interval,
                                             std::uint32_t serial,
                                             std::uint32_t offset) {
-  const std::size_t idx = static_cast<std::size_t>(bank_) * model_->rows_ + row;
-  auto& c = model_->counts_[idx];
-  c += amount_q8;
-  if (c > peak_q8_) peak_q8_ = c;
+  const std::uint64_t c = cells_[row] + amount_q8;
+  const std::uint64_t count = c & kCountMask;
+  peak_q8_ = count > peak_q8_ ? count : peak_q8_;
   const std::uint64_t threshold_q8 =
-      static_cast<std::uint64_t>(model_->thresholds_.empty()
-                                     ? model_->params_.flip_threshold
-                                     : model_->thresholds_[idx])
+      std::uint64_t{thresholds_[static_cast<std::size_t>(row) & threshold_mask_]}
       << 8;
-  if (c >= threshold_q8 && !model_->flipped_[idx]) {
-    model_->flipped_[idx] = 1;
-    pending_.push_back(PendingFlip{row, interval, serial, offset});
+  if (c >= threshold_q8 && c < kLatch) [[unlikely]] {
+    cells_[row] = c | kLatch;
+    pending_->push_back(PendingFlip{row, interval, serial, offset});
+  } else {
+    cells_[row] = c;
   }
 }
 
@@ -197,20 +217,13 @@ inline void DisturbanceModel::Lane::on_activate(RowId row,
                                                 std::uint32_t serial,
                                                 std::uint32_t offset) {
   ++activations_;
-  // The activated row's own charge is restored (no shared state touched:
-  // the (bank, row) cell belongs to this lane's bank).
-  const std::size_t idx = static_cast<std::size_t>(bank_) * model_->rows_ + row;
-  model_->counts_[idx] = 0;
-  model_->flipped_[idx] = 0;
-  const RowId rows = model_->rows_;
+  // The activated row's own charge is restored and its latch cleared.
+  cells_[row] = 0;
   if (row > 0) disturb(row - 1, 256, interval, serial, offset);
-  if (row + 1 < rows) disturb(row + 1, 256, interval, serial, offset);
-  if (model_->params_.blast_radius >= 2) {
-    const std::uint64_t w = model_->params_.distance2_weight_q8;
-    if (w != 0) {
-      if (row > 1) disturb(row - 2, w, interval, serial, offset);
-      if (row + 2 < rows) disturb(row + 2, w, interval, serial, offset);
-    }
+  if (row + 1 < rows_) disturb(row + 1, 256, interval, serial, offset);
+  if (distance2_q8_ != 0) {
+    if (row > 1) disturb(row - 2, distance2_q8_, interval, serial, offset);
+    if (row + 2 < rows_) disturb(row + 2, distance2_q8_, interval, serial, offset);
   }
 }
 

@@ -47,9 +47,10 @@ class RefreshScheduler {
   /// RowsPI: rows refreshed per interval.
   RowId rows_per_interval() const noexcept { return rows_ / intervals_; }
 
-  /// Physical rows refreshed in interval @p interval (mod RefInt).
-  /// The returned view stays valid for the scheduler's lifetime.
-  std::vector<RowId> rows_in_interval(std::uint32_t interval) const;
+  /// Replaces @p out with the physical rows refreshed in interval
+  /// @p interval (mod RefInt). A caller that keeps @p out across
+  /// intervals allocates only on the first call.
+  void rows_in_interval(std::uint32_t interval, std::vector<RowId>& out) const;
 
   /// Interval (within the window) in which physical row @p row is
   /// refreshed — the ground truth the device implements.

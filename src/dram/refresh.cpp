@@ -72,26 +72,24 @@ RefreshScheduler::RefreshScheduler(RowId rows_per_bank,
   }
 }
 
-std::vector<RowId> RefreshScheduler::rows_in_interval(std::uint32_t interval) const {
+void RefreshScheduler::rows_in_interval(std::uint32_t interval,
+                                        std::vector<RowId>& out) const {
   interval %= intervals_;
   const RowId rpi = rows_per_interval();
   switch (policy_) {
-    case RefreshPolicy::kNeighborSequential: {
-      std::vector<RowId> rows(rpi);
-      std::iota(rows.begin(), rows.end(), interval * rpi);
-      return rows;
-    }
-    case RefreshPolicy::kCounterMask: {
-      const std::uint32_t slot = (interval ^ mask_) % intervals_;
-      std::vector<RowId> rows(rpi);
-      std::iota(rows.begin(), rows.end(), slot * rpi);
-      return rows;
-    }
+    case RefreshPolicy::kNeighborSequential:
+      out.resize(rpi);
+      std::iota(out.begin(), out.end(), interval * rpi);
+      return;
+    case RefreshPolicy::kCounterMask:
+      out.resize(rpi);
+      std::iota(out.begin(), out.end(), ((interval ^ mask_) % intervals_) * rpi);
+      return;
     case RefreshPolicy::kNeighborRemapped:
     case RefreshPolicy::kRandom:
-      return interval_rows_[interval];
+      out = interval_rows_[interval];
+      return;
   }
-  return {};
 }
 
 std::uint32_t RefreshScheduler::interval_of_row(RowId row) const noexcept {

@@ -77,7 +77,7 @@ void MemoryController::refresh_interval_tick() {
   ctx.window_start = interval == 0;
 
   // All banks refresh the same row slot in lockstep (all-bank REF).
-  const std::vector<dram::RowId> rows = scheduler_.rows_in_interval(interval);
+  scheduler_.rows_in_interval(interval, refresh_rows_);
 
   const std::uint32_t banks = engine_.banks();
   for (dram::BankId b = 0; b < banks; ++b) {
@@ -88,10 +88,8 @@ void MemoryController::refresh_interval_tick() {
       bank_ready_ps_[b] =
           std::max(bank_ready_ps_[b], boundary_ps + timing_.t_rfc_ps);
 
-    for (const auto row : rows) {
-      disturbance_.on_refresh_row(b, row);
-      ++stats_.rows_refreshed;
-    }
+    for (const auto row : refresh_rows_) disturbance_.on_refresh_row(b, row);
+    stats_.rows_refreshed += refresh_rows_.size();
 
     issue_actions(b, engine_.on_refresh(b, ctx), interval);
   }
@@ -204,7 +202,6 @@ void MemoryController::on_records_partitioned(
     ctx.global_interval = global_interval_;
     ctx.window_start = false;
 
-    reset_shards();
     for (std::uint32_t b = 0; b < banks; ++b) {
       const trace::BankLaneView& lv = lanes[b];
       std::size_t cur = lane_cursor_[b];
@@ -226,39 +223,47 @@ void MemoryController::on_records_partitioned(
   }
 }
 
-void MemoryController::reset_shards() {
-  const std::uint32_t banks = engine_.banks();
-  for (std::uint32_t b = 0; b < banks; ++b) {
-    BankShard& s = shards_[b];
-    s.totals.clear();
-    s.reads = s.writes = s.delayed = s.triggers = s.extra = s.fp_extra = 0;
-    s.first_trigger_serial = kNoTrigger;
-    s.bank_ready_ps = bank_ready_ps_[b];
-  }
+void MemoryController::BankShard::grow_columns() {
+  const std::size_t capacity = std::max<std::size_t>(64, 2 * rows.size());
+  serials.resize(capacity);
+  rows.resize(capacity);
+  times.resize(capacity);
+  write_col.resize(capacity);
 }
 
 void MemoryController::process_segment(const trace::AccessRecord* records,
                                        std::size_t count) {
   const std::uint32_t banks = engine_.banks();
+  const dram::RowId rows_per_bank = cfg_.geometry.rows_per_bank;
   const bool timed = cfg_.profile;
   const std::uint64_t t0 = timed ? monotonic_ns() : 0;
 
-  // Address validation up-front; the valid prefix is still processed
-  // before the throw, as if the records had been fed one at a time.
-  std::size_t valid = count;
-  const char* bad_bank = nullptr;
-  const char* bad_row = nullptr;
-  for (std::size_t j = 0; j < count; ++j) {
-    if (records[j].bank >= banks) {
-      valid = j;
-      bad_bank = "MemoryController: bank out of range";
+  // The partition pass: validate each record and scatter it into its
+  // bank's SoA lane (row / time / serial / write columns), so the
+  // per-bank kernels stream contiguous columns instead of gathering
+  // from the record array. The first bad address ends the pass; the
+  // valid prefix is still processed before the throw, as if the records
+  // had been fed one at a time.
+  for (std::uint32_t b = 0; b < banks; ++b) shards_[b].lane_count = 0;
+  std::size_t valid = 0;
+  const char* error = nullptr;
+  for (; valid < count; ++valid) {
+    const trace::AccessRecord& r = records[valid];
+    if (r.bank >= banks) {
+      error = "MemoryController: bank out of range";
       break;
     }
-    if (records[j].row >= cfg_.geometry.rows_per_bank) {
-      valid = j;
-      bad_row = "MemoryController: row out of range";
+    if (r.row >= rows_per_bank) {
+      error = "MemoryController: row out of range";
       break;
     }
+    BankShard& s = shards_[r.bank];
+    const std::size_t k = s.lane_count++;
+    if (k == s.rows.size()) s.grow_columns();
+    s.serials[k] = static_cast<std::uint32_t>(valid);
+    s.rows[k] = r.row;
+    s.times[k] = r.time_ps;
+    s.write_col[k] = r.write ? 1 : 0;
   }
 
   if (valid > 0) {
@@ -268,32 +273,12 @@ void MemoryController::process_segment(const trace::AccessRecord* records,
     ctx.global_interval = global_interval_;
     ctx.window_start = false;
 
-    // The partition pass: scatter the segment once into per-bank SoA
-    // lanes (row / time / serial / write columns), so the per-bank
-    // kernels stream contiguous columns instead of gathering from the
-    // record array.
-    reset_shards();
-    for (std::uint32_t b = 0; b < banks; ++b) {
-      BankShard& s = shards_[b];
-      s.serials.clear();
-      s.rows.clear();
-      s.times.clear();
-      s.write_col.clear();
-    }
-    for (std::size_t j = 0; j < valid; ++j) {
-      BankShard& s = shards_[records[j].bank];
-      s.serials.push_back(static_cast<std::uint32_t>(j));
-      s.rows.push_back(records[j].row);
-      s.times.push_back(records[j].time_ps);
-      s.write_col.push_back(records[j].write ? 1 : 0);
-    }
     for (std::uint32_t b = 0; b < banks; ++b) {
       BankShard& s = shards_[b];
       s.lane_rows = s.rows.data();
       s.lane_times = s.times.data();
       s.lane_serials = s.serials.data();
       s.lane_writes = s.write_col.data();
-      s.lane_count = s.serials.size();
       s.serial_base = 0;
     }
     profile_.scattered_acts += valid;
@@ -304,9 +289,9 @@ void MemoryController::process_segment(const trace::AccessRecord* records,
     profile_.partition_ns += monotonic_ns() - t0;
   }
 
-  if (bad_bank || bad_row) {
+  if (error != nullptr) {
     now_ps_ = records[valid].time_ps;
-    throw std::out_of_range(bad_bank ? bad_bank : bad_row);
+    throw std::out_of_range(error);
   }
 }
 
@@ -348,8 +333,9 @@ void MemoryController::run_segment(std::size_t valid,
     stats_.fp_extra_acts += s.fp_extra;
     stats_.extra_acts_by_phase[phase_bin] += s.extra;
     interval_acts_[b] += static_cast<std::uint32_t>(s.lane_count);
-    bank_ready_ps_[b] = s.bank_ready_ps;
-    first_serial = std::min(first_serial, s.first_trigger_serial);
+    if (!s.triggered.empty())
+      first_serial = std::min<std::uint64_t>(first_serial,
+                                             s.triggered.front().serial);
     any_flips = any_flips || s.lane.has_pending_flips();
   }
   if (stats_.first_extra_act_at == 0 && first_serial != kNoTrigger)
@@ -357,19 +343,18 @@ void MemoryController::run_segment(std::size_t valid,
 
   const std::uint64_t* prefix = nullptr;
   if (any_flips) {
-    // Per-serial activation totals scattered from the shards, then
-    // prefix-summed: prefix[j] = activations performed by records < j.
+    // Every record performs its demand ACT plus its extras, so
+    // prefix[j] = j + the extras of records < j. Only records that
+    // triggered have extras; scatter those, then prefix-sum.
     act_prefix_.assign(valid, 0);
-    for (std::uint32_t b = 0; b < banks; ++b) {
-      const BankShard& s = shards_[b];
-      for (std::size_t k = 0; k < s.lane_count; ++k)
-        act_prefix_[s.lane_serials[k] - s.serial_base] = s.totals[k];
-    }
-    std::uint64_t running = 0;
+    for (std::uint32_t b = 0; b < banks; ++b)
+      for (const BankShard::Trigger& t : shards_[b].triggered)
+        act_prefix_[t.serial] = t.extra;
+    std::uint64_t extras = 0;
     for (std::size_t j = 0; j < valid; ++j) {
-      const std::uint64_t t = act_prefix_[j];
-      act_prefix_[j] = running;
-      running += t;
+      const std::uint64_t e = act_prefix_[j];
+      act_prefix_[j] = j + extras;
+      extras += e;
     }
     prefix = act_prefix_.data();
   }
@@ -381,69 +366,104 @@ void MemoryController::run_bank_shard(dram::BankId bank,
                                       const MitigationContext& ctx) {
   BankShard& s = shards_[bank];
   const std::size_t n = s.lane_count;
-  if (n == 0) return;
+  s.triggered.clear();
+  if (n == 0) {
+    s.reads = s.writes = s.delayed = s.triggers = s.extra = s.fp_extra = 0;
+    return;
+  }
 
-  const std::uint32_t interval = ctx.interval_in_window;
   const ActionBuffer& actions = engine_.on_activates(bank, s.lane_rows, n, ctx);
   const MitigationAction* act = actions.begin();
   const MitigationAction* const act_end = actions.end();
 
+  const dram::RowId* const lane_rows = s.lane_rows;
+  const std::uint64_t* const lane_times = s.lane_times;
+  const std::uint32_t* const lane_serials = s.lane_serials;
+  const std::uint8_t* const lane_writes = s.lane_writes;
+  const std::uint32_t serial_base = s.serial_base;
+  const std::uint32_t interval = ctx.interval_in_window;
   const bool enforce = cfg_.enforce_timing;
+  const bool remapped = !remapper_.is_identity();
   const std::uint64_t t_rc = timing_.t_rc_ps;
   const auto rows = cfg_.geometry.rows_per_bank;
   const auto radius = static_cast<std::int64_t>(cfg_.act_n_radius);
-  const std::uint32_t serial_base = s.serial_base;
-  std::uint64_t ready = s.bank_ready_ps;
 
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::uint32_t serial = s.lane_serials[k] - serial_base;
+  // The walk keeps its per-ACT state in locals whose address never
+  // escapes (the lane is a copy, stored back once), so the stores into
+  // the disturbance cells cannot force them through memory.
+  dram::DisturbanceModel::Lane lane = s.lane;
+  std::uint64_t ready = bank_ready_ps_[bank];
+  std::uint64_t delayed = 0;
+  std::uint64_t writes = 0;
+  std::uint64_t triggers = 0;
+  std::uint64_t extra = 0;
+  std::uint64_t fp_extra = 0;
+  const auto physical = [&](dram::RowId row) {
+    return remapped ? remapper_.to_physical(row) : row;
+  };
+  const auto demand = [&](std::size_t k) {
     if (enforce) {
-      const std::uint64_t t = s.lane_times[k];
-      if (ready > t) ++s.delayed;
+      const std::uint64_t t = lane_times[k];
+      delayed += ready > t;
       ready = std::max(ready, t) + t_rc;
     }
-    if (s.lane_writes[k])
-      ++s.writes;
-    else
-      ++s.reads;
-    s.lane.on_activate(remapper_.to_physical(s.lane_rows[k]), interval, serial,
-                       0);
+    writes += lane_writes[k];
+    lane.on_activate(physical(lane_rows[k]), interval,
+                     lane_serials[k] - serial_base, 0);
+  };
 
+  for (std::size_t k = 0;; ++k) {
+    // The demand-only run up to the next action's origin, then that
+    // record's demand ACT and its actions in issue order. If a
+    // technique breaks the non-decreasing origin contract, nothing from
+    // its first out-of-order action on is issued.
+    const std::size_t next = act != act_end ? act->origin : n;
+    for (const std::size_t stop = std::min(next, n); k < stop; ++k) demand(k);
+    if (k >= n) break;
+    demand(k);
+    if (act == act_end || act->origin != k) continue;
+
+    const std::uint32_t serial = lane_serials[k] - serial_base;
     std::uint32_t offset = 0;  // activations this record has performed - 1
     for (; act != act_end && act->origin == k; ++act) {
-      ++s.triggers;
-      if (s.first_trigger_serial == kNoTrigger) s.first_trigger_serial = serial;
+      ++triggers;
       std::uint32_t cost = 0;
       switch (act->kind) {
         case MitigationAction::Kind::kActNeighbors: {
-          const dram::RowId physical = remapper_.to_physical(act->row);
+          const dram::RowId p = physical(act->row);
           for (std::int64_t d = -radius; d <= radius; ++d) {
             if (d == 0) continue;
-            const std::int64_t neighbor =
-                static_cast<std::int64_t>(physical) + d;
+            const std::int64_t neighbor = static_cast<std::int64_t>(p) + d;
             if (neighbor < 0 || neighbor >= static_cast<std::int64_t>(rows))
               continue;
             if (enforce) ready += t_rc;
-            s.lane.on_activate(static_cast<dram::RowId>(neighbor), interval,
-                               serial, ++offset);
+            lane.on_activate(static_cast<dram::RowId>(neighbor), interval,
+                             serial, ++offset);
             ++cost;
           }
           break;
         }
         case MitigationAction::Kind::kActRow: {
           if (enforce) ready += t_rc;
-          s.lane.on_activate(remapper_.to_physical(act->row), interval, serial,
-                             ++offset);
+          lane.on_activate(physical(act->row), interval, serial, ++offset);
           cost = 1;
           break;
         }
       }
-      s.extra += cost;
-      if (oracle_ && !oracle_(bank, act->suspect)) s.fp_extra += cost;
+      extra += cost;
+      if (oracle_ && !oracle_(bank, act->suspect)) fp_extra += cost;
     }
-    s.totals.push_back(1 + offset);
+    s.triggered.push_back(BankShard::Trigger{serial, offset});
   }
-  s.bank_ready_ps = ready;
+
+  s.lane = lane;
+  bank_ready_ps_[bank] = ready;
+  s.reads = n - writes;
+  s.writes = writes;
+  s.delayed = delayed;
+  s.triggers = triggers;
+  s.extra = extra;
+  s.fp_extra = fp_extra;
 }
 
 void MemoryController::advance_to(std::uint64_t time_ps) {

@@ -167,12 +167,22 @@ class MemoryController {
   /// mmap'd partition columns directly (serials are span-relative, so
   /// serial_base rebases them to the segment).
   struct alignas(64) BankShard {
-    // Scatter-built columns (SoA; filled by the partition pass).
+    /// A record that triggered: its segment serial and the extra
+    /// activations it issued (the prefix-sum input for flip tags).
+    struct Trigger {
+      std::uint32_t serial = 0;
+      std::uint32_t extra = 0;
+    };
+    /// Grows the scatter columns (at least doubling) once a segment
+    /// fills them; sized by this bank's own lanes, never by the segment.
+    void grow_columns();
+
+    // Scatter-built columns (SoA; filled by the partition pass through
+    // lane_count; their size is the capacity).
     std::vector<std::uint32_t> serials;   ///< segment-serial per record
     std::vector<dram::RowId> rows;        ///< logical row per record
     std::vector<std::uint64_t> times;     ///< time_ps per record
     std::vector<std::uint8_t> write_col;  ///< write flag per record
-    std::vector<std::uint32_t> totals;    ///< activations per record (1+extras)
     // The lane view actually consumed (owned columns or borrowed corpus
     // partition columns).
     const dram::RowId* lane_rows = nullptr;
@@ -182,15 +192,15 @@ class MemoryController {
     std::size_t lane_count = 0;
     std::uint32_t serial_base = 0;
     dram::DisturbanceModel::Lane lane;
-    // Per-segment outputs, folded into stats_ by the serial reduce.
+    // Per-segment outputs, written by run_bank_shard and folded into
+    // stats_ by the serial reduce.
     std::uint64_t reads = 0;
     std::uint64_t writes = 0;
     std::uint64_t delayed = 0;
     std::uint64_t triggers = 0;
     std::uint64_t extra = 0;
     std::uint64_t fp_extra = 0;
-    std::uint64_t first_trigger_serial = 0;  ///< UINT64_MAX = none
-    std::uint64_t bank_ready_ps = 0;
+    std::vector<Trigger> triggered;  ///< in serial order
   };
 
   void process_refresh_boundaries(std::uint64_t up_to_ps);
@@ -204,14 +214,13 @@ class MemoryController {
   /// configured), then the serial reduce into stats_ / the disturbance
   /// model.
   void process_segment(const trace::AccessRecord* records, std::size_t count);
-  /// Shard reset common to both segment paths.
-  void reset_shards();
   /// The shared back half of a segment: run every bank shard (pool or
   /// serial), then the serial reduce + flip commit. @p valid is the
   /// segment's record count.
   void run_segment(std::size_t valid, const MitigationContext& ctx);
   /// The per-bank half of a segment (runs on a worker thread), driven
-  /// entirely by the shard's lane_* columns.
+  /// entirely by the shard's lane_* columns; writes every per-segment
+  /// output of the shard and the bank's bank_ready_ps_.
   void run_bank_shard(dram::BankId bank, const MitigationContext& ctx);
 
   ControllerConfig cfg_;
@@ -228,12 +237,14 @@ class MemoryController {
   std::uint64_t next_refresh_ps_;          // time of the next REF command
   std::vector<std::uint64_t> bank_ready_ps_;
   std::vector<std::uint32_t> interval_acts_;  // per-bank ACTs this interval
+  std::vector<dram::RowId> refresh_rows_;     // rows of the current REF
 
   // Batched hot-path scratch (reused across segments; steady-state
   // allocation-free once capacities stabilize).
   std::vector<BankShard> shards_;
   std::vector<dram::DisturbanceModel::Lane*> lane_ptrs_;
   std::vector<std::uint64_t> act_prefix_;  // per-serial activation prefix sums
+                                           // (built only when a flip is pending)
   std::vector<std::size_t> lane_cursor_;   // per-bank position in corpus lanes
   std::unique_ptr<util::WorkerPool> pool_;  // only when bank_jobs > 1
   StageProfile profile_;

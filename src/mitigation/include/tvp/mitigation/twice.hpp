@@ -51,8 +51,10 @@ class Twice final : public mem::IBankMitigation {
   std::uint64_t overflow_drops() const noexcept { return overflow_drops_; }
 
  private:
-  /// The per-ACT step of on_activates.
-  void observe(dram::RowId row, mem::ActionBuffer& out);
+  /// Issues act_n for the row in @p entry (the ACT at lane index
+  /// @p origin reached row_threshold) and restarts the entry's count.
+  void mitigate(std::size_t entry, dram::RowId row, std::uint32_t origin,
+                mem::ActionBuffer& out);
 
   TwiceConfig cfg_;
   // The hardware CAM, laid out as structure-of-arrays: live entries are

@@ -20,44 +20,53 @@ Twice::Twice(TwiceConfig config, util::Rng) : cfg_(config) {
   lifes_.assign(cfg_.entries, 0);
 }
 
-void Twice::observe(dram::RowId row, mem::ActionBuffer& out) {
-  // SIMD sweep of the dense row column — the simulation stand-in for
-  // the hardware CAM's single-cycle associative match.
-  const std::size_t hit = util::find_u32(rows_.data(), live_, row);
-  if (hit != live_) {
-    if (++counts_[hit] >= cfg_.row_threshold) {
-      mem::MitigationAction action;
-      action.kind = mem::MitigationAction::Kind::kActNeighbors;
-      action.row = row;
-      action.suspect = row;
-      out.push_back(action);
-      // Neighbours restored; counting starts over for this aggressor.
-      counts_[hit] = 0;
-      lifes_[hit] = 0;
-    }
-    return;
-  }
-  if (live_ == cfg_.entries) {
-    // Table exhausted: TWiCe's sizing analysis says this cannot happen;
-    // record it so the tests can assert the guarantee.
-    ++overflow_drops_;
-    return;
-  }
-  rows_[live_] = row;
-  counts_[live_] = 1;
-  lifes_[live_] = 0;
-  ++live_;
-  peak_live_ = std::max(peak_live_, live_);
-}
-
 void Twice::on_activates(const dram::RowId* rows, std::size_t n,
                           const mem::MitigationContext&,
                           mem::ActionBuffer& out) {
+  // The table's columns and live count sit in locals for the lane, so a
+  // hit costs the scan and an increment.
+  dram::RowId* const keys = rows_.data();
+  std::uint32_t* const counts = counts_.data();
+  std::uint32_t* const lifes = lifes_.data();
+  const std::uint32_t threshold = cfg_.row_threshold;
+  const std::size_t capacity = cfg_.entries;
+  std::size_t live = live_;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t before = out.size();
-    observe(rows[i], out);
-    out.stamp_origin(before, static_cast<std::uint32_t>(i));
+    const dram::RowId row = rows[i];
+    // SIMD sweep of the dense row column — the simulation stand-in for
+    // the hardware CAM's single-cycle associative match.
+    const std::size_t hit = util::find_u32(keys, live, row);
+    if (hit != live) {
+      if (++counts[hit] >= threshold)
+        mitigate(hit, row, static_cast<std::uint32_t>(i), out);
+      continue;
+    }
+    if (live == capacity) {
+      // Table exhausted: TWiCe's sizing analysis says this cannot happen;
+      // record it so the tests can assert the guarantee.
+      ++overflow_drops_;
+      continue;
+    }
+    keys[live] = row;
+    counts[live] = 1;
+    lifes[live] = 0;
+    ++live;
   }
+  live_ = live;
+  peak_live_ = std::max(peak_live_, live);  // live only grows between REFs
+}
+
+void Twice::mitigate(std::size_t entry, dram::RowId row, std::uint32_t origin,
+                     mem::ActionBuffer& out) {
+  mem::MitigationAction action;
+  action.kind = mem::MitigationAction::Kind::kActNeighbors;
+  action.row = row;
+  action.suspect = row;
+  action.origin = origin;
+  out.push_back(action);
+  // Neighbours restored; counting starts over for this aggressor.
+  counts_[entry] = 0;
+  lifes_[entry] = 0;
 }
 
 void Twice::on_refresh(const mem::MitigationContext& ctx,

@@ -1,32 +1,67 @@
-// Branch-light first-match scan for the small associative tables on the
-// ACT hot path (history table, CaPRoMi counters, MRLoc queue — 16 to 64
-// entries each, probed once or twice per activation).
+// First-match scan for the small associative tables on the ACT hot path
+// (history table, CaPRoMi counters, MRLoc queue, TWiCe and Graphene —
+// a few to a few hundred live entries, probed once or twice per
+// activation).
 //
-// A plain early-exit loop compiles to a serial compare-and-branch per
-// element, which the auto-vectorizer refuses; this helper tests fixed
-// 16-wide chunks with a branch only *between* chunks, so the inner loop
-// vectorizes into a handful of SIMD compares. Semantics are exactly
-// "index of first match, or n".
+// Where SSE2 is available (every x86-64 target) find_u32 tests 16 keys
+// at a time: four 4-wide equality compares, each reduced to 4 bits with
+// movmsk and merged into one 16-bit mask whose lowest set bit is the
+// first match. A table of 4 to 15 keys is one such mask, built from
+// windows clamped to end at n; a longer table runs whole 16-key blocks
+// and re-reads its last partial block as the final 16 keys. Overlapping
+// windows only repeat bits of keys that were already tested, so no load
+// leaves [data, data + n) and a table of fewer than 16 keys costs one
+// branch. The scalar loop handles n < 4 and is the whole scan on other
+// targets. Semantics are exactly "index of first match, or n"
+// (Scan.FindU32MatchesScalarReference holds every length and alignment
+// to a plain loop).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace tvp::util {
 
 inline std::size_t find_u32(const std::uint32_t* data, std::size_t n,
                             std::uint32_t needle) noexcept {
-  constexpr std::size_t kChunk = 16;
-  std::size_t i = 0;
-  for (; i + kChunk <= n; i += kChunk) {
-    std::uint32_t any = 0;
-    for (std::size_t j = 0; j < kChunk; ++j)
-      any |= static_cast<std::uint32_t>(data[i + j] == needle);
-    if (any) break;
+#if defined(__SSE2__)
+  if (n >= 4) {
+    const __m128i key = _mm_set1_epi32(static_cast<int>(needle));
+    // Bit k is set when data[at + k] == needle (k < 4).
+    const auto match4 = [&](std::size_t at) {
+      const __m128i keys =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + at));
+      return static_cast<unsigned>(
+          _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(keys, key))));
+    };
+    // Bit k is set when data[at + k] == needle (k < 16; at + 16 <= n).
+    const auto match16 = [&](std::size_t at) {
+      return match4(at) | match4(at + 4) << 4 | match4(at + 8) << 8 |
+             match4(at + 12) << 12;
+    };
+    const auto first = [&](std::size_t at, unsigned mask) {
+      return mask != 0 ? at + static_cast<std::size_t>(__builtin_ctz(mask))
+                       : n;
+    };
+    if (n < 16) {
+      const std::size_t last = n - 4;
+      const std::size_t w1 = std::min<std::size_t>(4, last);
+      const std::size_t w2 = std::min<std::size_t>(8, last);
+      return first(0, match4(0) | match4(w1) << w1 | match4(w2) << w2 |
+                          match4(last) << last);
+    }
+    std::size_t i = 0;
+    for (; i + 16 <= n; i += 16)
+      if (const unsigned mask = match16(i)) return first(i, mask);
+    return i == n ? n : first(n - 16, match16(n - 16));
   }
-  // Scalar resolve: the matching chunk (first match is in it by
-  // construction) or the sub-chunk tail.
-  for (; i < n; ++i)
+#endif
+  for (std::size_t i = 0; i < n; ++i)
     if (data[i] == needle) return i;
   return n;
 }

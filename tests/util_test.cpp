@@ -28,6 +28,7 @@
 #include "tvp/util/log.hpp"
 #include "tvp/util/parallel.hpp"
 #include "tvp/util/rng.hpp"
+#include "tvp/util/scan.hpp"
 #include "tvp/util/stats.hpp"
 #include "tvp/util/table.hpp"
 
@@ -997,6 +998,47 @@ TEST_F(Failpoint, AbortAndKillSpecsParse) {
   failpoint::configure("util.test.boom=abort;util.test.kaboom=kill@7");
   EXPECT_EQ(failpoint::eval("util.test.kaboom"), 0)
       << "kill@7 must stay quiet before the 7th hit";
+}
+
+// ------------------------------------------------------------------- scan
+
+TEST(Scan, FindU32MatchesScalarReference) {
+  const auto reference = [](const std::uint32_t* data, std::size_t n,
+                            std::uint32_t needle) {
+    for (std::size_t i = 0; i < n; ++i)
+      if (data[i] == needle) return i;
+    return n;
+  };
+  // 0xFFFFFFFF is the history table's empty-slot sentinel.
+  for (const std::uint32_t needle : {7u, 0xFFFFFFFFu}) {
+    // Offsets 0-3 put the base at every 4-byte position inside a
+    // 16-byte line, whatever the allocator's alignment.
+    for (std::size_t offset = 0; offset < 4; ++offset) {
+      for (std::size_t n = 0; n <= 80; ++n) {
+        // Exactly offset + n elements, so a load past the end leaves the
+        // allocation (caught under ASan). The elements before the base
+        // hold the needle, so a read before it would match.
+        std::vector<std::uint32_t> buf(offset + n, needle);
+        for (std::size_t i = 0; i < n; ++i)
+          buf[offset + i] = needle ^ static_cast<std::uint32_t>(i + 1);
+        const std::uint32_t* data = buf.data() + offset;
+        ASSERT_EQ(find_u32(data, n, needle), n) << "no match, n=" << n;
+        for (std::size_t first = 0; first < n; ++first) {
+          const std::uint32_t saved = buf[offset + first];
+          buf[offset + first] = needle;
+          ASSERT_EQ(find_u32(data, n, needle), first) << "n=" << n;
+          for (std::size_t second = first + 1; second < n; ++second) {
+            const std::uint32_t kept = buf[offset + second];
+            buf[offset + second] = needle;
+            ASSERT_EQ(find_u32(data, n, needle), reference(data, n, needle))
+                << "n=" << n << " first=" << first << " second=" << second;
+            buf[offset + second] = kept;
+          }
+          buf[offset + first] = saved;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
