@@ -27,12 +27,11 @@
 //     --smoke      CI-sized run (50000 ACTs) — same shape, seconds not minutes
 //     --out        JSON output path (default BENCH_hotpath.json)
 //     --profile    per-stage breakdown (partition / mitigation /
-//                  disturbance ns per ACT), the RNG draw microbench, and
-//                  a partitioned-corpus replay pass proving the lane
-//                  path skips the scatter stage. Adds a "profile"
-//                  section to the JSON; the stage timers add a little
-//                  overhead, so the headline numbers come from runs
-//                  without it.
+//                  disturbance ns per ACT) and a partitioned-corpus
+//                  replay pass proving the lane path skips the scatter
+//                  stage. Adds a "profile" section to the JSON; the
+//                  stage timers add a little overhead, so the headline
+//                  numbers come from runs without it.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -89,13 +88,7 @@ Result run_variant(const std::string& name,
   dram::DisturbanceModel disturbance(config.geometry.total_banks(),
                                      config.geometry.rows_per_bank,
                                      config.disturbance);
-  mem::ControllerConfig controller_cfg;
-  controller_cfg.geometry = config.geometry;
-  controller_cfg.timing = config.timing;
-  controller_cfg.refresh_policy = config.refresh_policy;
-  controller_cfg.remap_rows = config.remap_rows;
-  controller_cfg.remap_swaps = config.remap_swaps;
-  controller_cfg.act_n_radius = config.act_n_radius;
+  mem::ControllerConfig controller_cfg = exp::controller_config(config);
   controller_cfg.bank_jobs = bank_jobs;
   controller_cfg.profile = profile;
   mem::MemoryController controller(controller_cfg, engine, disturbance,
@@ -129,26 +122,6 @@ Result run_variant(const std::string& name,
   r.state_bytes_per_bank = engine.state_bytes_per_bank();
   r.stages = controller.stage_profile();
   return r;
-}
-
-/// ns per uniform draw, bare generator vs the buffered wrapper the
-/// techniques use on the hot path (same xoshiro stream; the buffer
-/// amortizes the per-call latency without changing a single draw).
-double rng_ns_per_draw(bool buffered) {
-  constexpr std::size_t kDraws = std::size_t{1} << 22;
-  std::uint64_t sink = 0;
-  util::Timer timer;
-  if (buffered) {
-    util::BufferedRng rng{util::Rng(12345)};
-    for (std::size_t i = 0; i < kDraws; ++i) sink ^= rng.next();
-  } else {
-    util::Rng rng(12345);
-    for (std::size_t i = 0; i < kDraws; ++i) sink ^= rng.next();
-  }
-  const double ns = util::throughput(kDraws, timer).ns_per_item();
-  // Keep the dependency chain observable so the loops cannot be DCE'd.
-  if (sink == 0xDEADBEEFull) std::fprintf(stderr, "(unlikely)\n");
-  return ns;
 }
 
 }  // namespace
@@ -297,13 +270,7 @@ int main(int argc, char** argv) try {
   // serial/sharded numbers above stay timer-free.
   std::vector<Result> profiled;
   std::vector<Result> replayed;
-  double rng_bare_ns = 0.0, rng_buffered_ns = 0.0;
   if (profile) {
-    rng_bare_ns = rng_ns_per_draw(false);
-    rng_buffered_ns = rng_ns_per_draw(true);
-    std::printf("\nrng draw: %.2f ns bare, %.2f ns buffered\n",
-                rng_bare_ns, rng_buffered_ns);
-
     const std::string corpus_path = out_path + ".profile.tvpc";
     trace::CorpusWriter::Options copt;
     copt.partition_banks = config.geometry.total_banks();
@@ -396,10 +363,6 @@ int main(int argc, char** argv) try {
   emit_results(fuzz_results);
   if (profile) {
     json.key("profile").begin_object();
-    json.key("rng_ns_per_draw").begin_object();
-    json.key("bare").value(rng_bare_ns);
-    json.key("buffered").value(rng_buffered_ns);
-    json.end_object();
     const double per = static_cast<double>(trace.size());
     const auto emit_stages = [&](const std::vector<Result>& rs) {
       json.begin_array();

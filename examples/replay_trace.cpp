@@ -99,11 +99,8 @@ int main(int argc, char** argv) {
   dram::DisturbanceModel disturbance(config.geometry.total_banks(),
                                      config.geometry.rows_per_bank,
                                      config.disturbance);
-  mem::ControllerConfig controller_cfg;
-  controller_cfg.geometry = config.geometry;
-  controller_cfg.timing = config.timing;
-  mem::MemoryController controller(controller_cfg, engine, disturbance,
-                                   controller_rng);
+  mem::MemoryController controller(exp::controller_config(config), engine,
+                                   disturbance, controller_rng);
   controller.on_records(records.data(), records.size());
   controller.advance_to(span_ps);
 

@@ -7,7 +7,8 @@
 //   --banks=<n>            banks to simulate (default 4)
 //   --windows=<n>          refresh windows (default 2)
 //   --benign=<rate>        benign ACTs/interval/bank (default 20)
-//   --workload=<model>     mixed|cache|uniform (default mixed)
+//   --workload=<model>     mixed|cache|uniform|replay|fuzz (default mixed;
+//                          replay needs a config with workload.trace)
 //   --victims=<n>          double-sided attack victims on bank 0 (default 1;
 //                          0 disables the attack)
 //   --attack-rate=<acts>   attacker ACTs/interval (default 24)
@@ -18,7 +19,8 @@
 //   --config=<file>        load a configs/*.cfg experiment description
 //                          (other flags are applied on top of it)
 //
-// Exit status: 0 when no bit flips occurred, 1 otherwise.
+// Exit status: 0 when no bit flips occurred, 1 otherwise, 2 on an
+// unknown name or an invalid configuration.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -31,33 +33,16 @@
 #include "tvp/util/json.hpp"
 #include "tvp/util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace tvp;
-  util::Flags flags(argc, argv,
-                    {"technique", "banks", "windows", "benign", "workload",
-                     "victims", "attack-rate", "policy", "seed", "seeds",
-                     "json", "config", "help"});
-  if (flags.get_bool("help")) {
-    std::printf("see the header of examples/tvp_sim.cpp for the flag list\n");
-    return 0;
-  }
+namespace {
 
-  const std::string tech_name = flags.get("technique", "LoLiPRoMi");
-  const auto technique = hw::parse_technique(tech_name);
-  if (!technique) {
-    std::fprintf(stderr, "unknown technique '%s'\n", tech_name.c_str());
-    return 2;
-  }
+using namespace tvp;
 
+/// The experiment the flags describe: the --config file (if any) with
+/// the other flags applied on top, finalized. Throws on an unknown name
+/// or an invalid configuration.
+exp::SimConfig configure(const util::Flags& flags) {
   exp::SimConfig config;
-  if (flags.has("config")) {
-    try {
-      config = exp::load_sim_config(flags.get("config", ""));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "bad --config: %s\n", e.what());
-      return 2;
-    }
-  }
+  if (flags.has("config")) config = exp::load_sim_config(flags.get("config", ""));
   config.geometry.banks_per_rank = static_cast<std::uint32_t>(
       flags.get_int("banks", config.geometry.banks_per_rank));
   config.windows =
@@ -67,19 +52,10 @@ int main(int argc, char** argv) {
   config.workload.benign_acts_per_interval_per_bank = flags.get_double(
       "benign", config.workload.benign_acts_per_interval_per_bank);
 
-  const std::string workload = flags.get("workload", "mixed");
-  if (workload == "cache")
-    config.workload.model = exp::BenignModel::kCacheFrontend;
-  else if (workload == "uniform")
-    config.workload.model = exp::BenignModel::kUniformRandom;
-
-  const std::string policy = flags.get("policy", "seq");
-  if (policy == "remap")
-    config.refresh_policy = dram::RefreshPolicy::kNeighborRemapped;
-  else if (policy == "random")
-    config.refresh_policy = dram::RefreshPolicy::kRandom;
-  else if (policy == "mask")
-    config.refresh_policy = dram::RefreshPolicy::kCounterMask;
+  if (flags.has("workload"))
+    config.workload.model = exp::parse_model(flags.get("workload", ""));
+  if (flags.has("policy"))
+    config.refresh_policy = exp::parse_policy(flags.get("policy", ""));
 
   // The flag-driven attack applies when no config supplied one, or when
   // --victims is given explicitly (overriding the config's attacks). A
@@ -101,6 +77,35 @@ int main(int argc, char** argv) {
     config.workload.attacks = {attack};
   }
   config.finalize();
+  return config;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  util::Flags flags(argc, argv,
+                    {"technique", "banks", "windows", "benign", "workload",
+                     "victims", "attack-rate", "policy", "seed", "seeds",
+                     "json", "config", "help"});
+  if (flags.get_bool("help")) {
+    std::printf("see the header of examples/tvp_sim.cpp for the flag list\n");
+    return 0;
+  }
+
+  const std::string tech_name = flags.get("technique", "LoLiPRoMi");
+  const auto technique = hw::parse_technique(tech_name);
+  if (!technique) {
+    std::fprintf(stderr, "unknown technique '%s'\n", tech_name.c_str());
+    return 2;
+  }
+
+  exp::SimConfig config;
+  try {
+    config = configure(flags);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "tvp_sim: %s\n", e.what());
+    return 2;
+  }
 
   const auto seeds = static_cast<std::uint32_t>(flags.get_int("seeds", 1));
   const auto sweep = exp::run_seed_sweep(*technique, config, seeds);

@@ -17,12 +17,6 @@ CounterTable::CounterTable(std::size_t capacity, std::uint8_t lock_threshold,
   rows_.assign(capacity, 0);
 }
 
-void CounterTable::set_link(std::size_t index, std::uint8_t link) {
-  if (index >= slots_.size() || !slots_[index].valid)
-    throw std::out_of_range("CounterTable::set_link");
-  slots_[index].link = link;
-}
-
 void CounterTable::clear() noexcept {
   // Slots past size_ have not been written since the last clear.
   for (std::size_t i = 0; i < size_; ++i) slots_[i] = Entry{};

@@ -12,8 +12,8 @@ HistoryTable::HistoryTable(std::size_t capacity, unsigned row_bits,
     throw std::invalid_argument("HistoryTable: zero capacity");
   if (capacity_ > 255)
     throw std::invalid_argument(
-        "HistoryTable: capacity above 255 breaks 8-bit link indices "
-        "(slot 255 would collide with CounterTable::kNoLink = 0xFF)");
+        "HistoryTable: capacity above 255 does not fit the hardware's "
+        "8-bit counter-table link (0xFF is reserved for no link)");
   rows_.assign(capacity_, kInvalidRow);
   intervals_.assign(capacity_, 0);
 }

@@ -4,8 +4,9 @@
 // miss with a full table one randomly chosen entry is replaced — unless
 // that entry has reached the lock threshold (the lock bit prevents
 // evicting frequently activated rows; the FSM's "fail" edge in Fig. 3).
-// Entries optionally link to a history-table slot so the weight
-// calculation at REF time can reuse the stored interval (Eq. 1).
+// The hardware's per-entry link to a history-table slot is counted in
+// state_bits(); the simulator finds the slot by a history lookup in the
+// REF walk instead (CaPRoMi::on_refresh).
 #pragma once
 
 #include <cstdint>
@@ -25,11 +26,7 @@ class CounterTable {
     std::uint8_t count = 0;
     bool locked = false;
     bool valid = false;
-    /// Slot index in the history table captured at activation time;
-    /// 0xFF = no link.
-    std::uint8_t link = kNoLink;
   };
-  static constexpr std::uint8_t kNoLink = 0xFF;
 
   /// @p capacity entries (the paper sizes it at 64, between the average
   /// 40 and maximum 165 activations per interval); @p lock_threshold is
@@ -47,12 +44,9 @@ class CounterTable {
   /// setting the lock bit at the threshold); inserts on a miss; when
   /// full, attempts one random replacement via @p rng which fails if the
   /// chosen entry is locked. Returns the entry index touched, or nullopt
-  /// when the replacement failed. Templated over the generator so the
-  /// buffered (util::BufferedRng) and bare (util::Rng) streams share one
-  /// kernel — draw order is identical either way. Inlined: it runs once
-  /// per ACT in CaPRoMi's batch kernel.
-  template <typename RngT>
-  std::optional<std::size_t> on_activate(dram::RowId row, RngT& rng) {
+  /// when the replacement failed. Inlined: it runs once per ACT in
+  /// CaPRoMi's batch kernel.
+  std::optional<std::size_t> on_activate(dram::RowId row, util::Rng& rng) {
     // Dense scan over the valid prefix (see the invariant note below);
     // identical decisions to a full valid-checked sweep because no slot
     // past size_ is ever valid.
@@ -65,7 +59,7 @@ class CounterTable {
       return hit;
     }
     if (n < slots_.size()) {
-      slots_[n] = Entry{row, 1, false, true, kNoLink};
+      slots_[n] = Entry{row, 1, false, true};
       rows_[n] = row;
       size_ = n + 1;
       return n;
@@ -74,13 +68,10 @@ class CounterTable {
     // "fail" edge) and the new row is simply not tracked this interval.
     const std::size_t victim = rng.below(slots_.size());
     if (slots_[victim].locked) return std::nullopt;
-    slots_[victim] = Entry{row, 1, false, true, kNoLink};
+    slots_[victim] = Entry{row, 1, false, true};
     rows_[victim] = row;
     return victim;
   }
-
-  /// Attaches a history-table link to the entry at @p index.
-  void set_link(std::size_t index, std::uint8_t link);
 
   /// Read-only view of the slots (REF-time decision walk); the valid
   /// entries are exactly [0, size()).

@@ -30,9 +30,9 @@ namespace tvp::core {
 class HistoryTable {
  public:
   /// @p capacity entries (the paper uses 32 -> 120 B per 1 GB bank), at
-  /// most 255 — slot indices are CaPRoMi's 8-bit link values and index
-  /// 255 is reserved for CounterTable::kNoLink (0xFF); @p row_bits /
-  /// @p interval_bits size the storage estimate.
+  /// most 255 — slot indices are the values of the hardware's 8-bit
+  /// CaPRoMi counter-table link, which reserves 0xFF for no link;
+  /// @p row_bits / @p interval_bits size the storage estimate.
   HistoryTable(std::size_t capacity, unsigned row_bits, unsigned interval_bits);
 
   std::size_t capacity() const noexcept { return capacity_; }

@@ -27,6 +27,18 @@ enum class Variant { kLinear, kLogarithmic, kLogLinear, kCounterAssisted };
 
 const char* to_string(Variant variant) noexcept;
 
+/// The escalation of the linear weight w (Eq. 1). kLinear and
+/// kLogarithmic are the paper's Eq. 1 and Eq. 2; kSqrt and kQuadratic
+/// are an exploration extension (not in the paper) that maps the design
+/// space between the two.
+enum class WeightShape { kLinear, kLogarithmic, kSqrt, kQuadratic };
+
+const char* to_string(WeightShape shape) noexcept;
+
+/// The shaped weight for an elapsed-interval count @p w.
+std::uint32_t shaped_weight(WeightShape shape, std::uint32_t w,
+                            std::uint32_t ref_int) noexcept;
+
 /// Shared configuration of all four variants.
 struct TiVaPRoMiConfig {
   std::uint32_t refresh_intervals = 8192;  ///< RefInt
@@ -90,10 +102,7 @@ class TiVaPRoMiBase : public mem::IBankMitigation {
   }
 
   TiVaPRoMiConfig cfg_;
-  /// Buffered: uniform words are drawn from the forked per-bank stream
-  /// in bulk and popped in generation order, so every decision is
-  /// bit-identical to per-call draws (see util::BufferedRng).
-  util::BufferedRng rng_;
+  util::Rng rng_;
   HistoryTable history_;
   util::FixedProb pbase_;
   bool rpi_is_pow2_ = false;
@@ -101,12 +110,20 @@ class TiVaPRoMiBase : public mem::IBankMitigation {
 };
 
 /// LiPRoMi / LoPRoMi / LoLiPRoMi: decision on every ACT (Fig. 2 FSM).
+/// Each decision compares one random number with Pbase * shape(w), using
+/// the hit shape for a row in the history table and the miss shape
+/// otherwise. LiPRoMi is linear/linear, LoPRoMi log/log, LoLiPRoMi
+/// linear/log (linear for rows already protected this window, lower
+/// expected risk), and an exploration shape s is s/s.
 class ProbabilisticTiVaPRoMi final : public TiVaPRoMiBase {
  public:
   /// @p variant must be kLinear, kLogarithmic or kLogLinear.
   ProbabilisticTiVaPRoMi(Variant variant, TiVaPRoMiConfig config, util::Rng rng);
+  /// The exploration class "TiVaPRoMi[shape]": @p shape on hits and
+  /// misses alike.
+  ProbabilisticTiVaPRoMi(WeightShape shape, TiVaPRoMiConfig config, util::Rng rng);
 
-  const char* name() const noexcept override;
+  const char* name() const noexcept override { return name_; }
   void on_activates(const dram::RowId* rows, std::size_t n,
                     const mem::MitigationContext& ctx,
                     mem::ActionBuffer& out) override;
@@ -114,16 +131,21 @@ class ProbabilisticTiVaPRoMi final : public TiVaPRoMiBase {
                   mem::ActionBuffer& out) override;
   std::uint64_t state_bits() const noexcept override;
 
-  /// The weight this variant would use right now: Eq. 1 / Eq. 2 computed
-  /// directly, the reference the threshold LUTs are tested against (also
-  /// used by the flood-analysis bench).
+  /// The weight this technique would use right now: Eq. 1 / Eq. 2 (or
+  /// the exploration shape) computed directly, the reference the
+  /// threshold LUTs are tested against (also used by the flood-analysis
+  /// bench).
   std::uint32_t weight_for(dram::RowId row, std::uint32_t interval) const noexcept;
 
  private:
-  Variant variant_;
+  ProbabilisticTiVaPRoMi(WeightShape hit, WeightShape miss, const char* name,
+                         TiVaPRoMiConfig config, util::Rng rng);
+
+  WeightShape hit_;
+  WeightShape miss_;
+  const char* name_;
   // Per-linear-weight Bernoulli thresholds, split by history-table
-  // outcome (LoLiPRoMi weights hits linearly and misses
-  // logarithmically; for the other variants the two tables coincide).
+  // outcome (the two tables coincide when hit_ == miss_).
   std::vector<std::uint64_t> lut_hit_;
   std::vector<std::uint64_t> lut_miss_;
 };
@@ -156,43 +178,8 @@ class CaPRoMi final : public TiVaPRoMiBase {
 mem::BankMitigationFactory make_tivapromi_factory(Variant variant,
                                                   TiVaPRoMiConfig config);
 
-// ---------------------------------------------------------------------
-// Exploration extension (not in the paper): arbitrary monotone weight
-// shapes between the paper's linear and logarithmic escalation.
-// ---------------------------------------------------------------------
-
-enum class WeightShape { kLinear, kLogarithmic, kSqrt, kQuadratic };
-
-const char* to_string(WeightShape shape) noexcept;
-
-/// The shaped weight for an elapsed-interval count @p w.
-std::uint32_t shaped_weight(WeightShape shape, std::uint32_t w,
-                            std::uint32_t ref_int) noexcept;
-
-/// TiVaPRoMi with a pluggable weight shape; otherwise identical to the
-/// probabilistic variants (per-ACT decision, history table, window
-/// clear). Lets the benches map the escalation design space the paper
-/// only samples at two points.
-class ShapedTiVaPRoMi final : public TiVaPRoMiBase {
- public:
-  ShapedTiVaPRoMi(WeightShape shape, TiVaPRoMiConfig config, util::Rng rng);
-
-  const char* name() const noexcept override;
-  void on_activates(const dram::RowId* rows, std::size_t n,
-                    const mem::MitigationContext& ctx,
-                    mem::ActionBuffer& out) override;
-  void on_refresh(const mem::MitigationContext& ctx,
-                  mem::ActionBuffer& out) override;
-  std::uint64_t state_bits() const noexcept override;
-
-  std::uint32_t weight_for(dram::RowId row, std::uint32_t interval) const noexcept;
-  WeightShape shape() const noexcept { return shape_; }
-
- private:
-  WeightShape shape_;
-  std::vector<std::uint64_t> lut_;  // threshold per linear weight
-};
-
+/// Factory for the exploration class: per-bank
+/// ProbabilisticTiVaPRoMi instances with @p shape on hits and misses.
 mem::BankMitigationFactory make_shaped_factory(WeightShape shape,
                                                TiVaPRoMiConfig config);
 

@@ -29,8 +29,8 @@ void TiVaPRoMiConfig::validate() const {
     throw std::invalid_argument("TiVaPRoMiConfig: zero table capacity");
   if (history_entries > 255)
     throw std::invalid_argument(
-        "TiVaPRoMiConfig: history_entries above 255 break the 8-bit link "
-        "encoding (0xFF = no link)");
+        "TiVaPRoMiConfig: history_entries above 255 do not fit the "
+        "hardware's 8-bit counter-table link (0xFF is reserved for no link)");
   // The time-varying probability must stay a probability at the maximum
   // weight: RefInt * Pbase <= 1. (Computed on raw values: FixedProb's
   // scaled() saturates and would mask the overflow.)
@@ -74,33 +74,45 @@ void TiVaPRoMiBase::trigger(dram::RowId row, std::uint32_t interval,
   history_.insert(row, interval);
 }
 
+namespace {
+WeightShape hit_shape(Variant variant) {
+  if (variant == Variant::kCounterAssisted)
+    throw std::invalid_argument(
+        "ProbabilisticTiVaPRoMi: use the CaPRoMi class for kCounterAssisted");
+  return variant == Variant::kLogarithmic ? WeightShape::kLogarithmic
+                                          : WeightShape::kLinear;
+}
+
+WeightShape miss_shape(Variant variant) {
+  return variant == Variant::kLinear ? WeightShape::kLinear
+                                     : WeightShape::kLogarithmic;
+}
+}  // namespace
+
 ProbabilisticTiVaPRoMi::ProbabilisticTiVaPRoMi(Variant variant,
                                                TiVaPRoMiConfig config,
                                                util::Rng rng)
-    : TiVaPRoMiBase(config, rng), variant_(variant) {
-  if (variant_ == Variant::kCounterAssisted)
-    throw std::invalid_argument(
-        "ProbabilisticTiVaPRoMi: use the CaPRoMi class for kCounterAssisted");
-  const auto linear = [](std::uint32_t w) { return w; };
-  const auto logarithmic = [](std::uint32_t w) { return log_weight(w); };
-  switch (variant_) {
-    case Variant::kLinear:
-      lut_hit_ = make_threshold_lut(linear);
-      lut_miss_ = lut_hit_;
-      break;
-    case Variant::kLogarithmic:
-      lut_hit_ = make_threshold_lut(logarithmic);
-      lut_miss_ = lut_hit_;
-      break;
-    default:  // kLogLinear
-      lut_hit_ = make_threshold_lut(linear);
-      lut_miss_ = make_threshold_lut(logarithmic);
-      break;
-  }
-}
+    : ProbabilisticTiVaPRoMi(hit_shape(variant), miss_shape(variant),
+                             to_string(variant), config, rng) {}
 
-const char* ProbabilisticTiVaPRoMi::name() const noexcept {
-  return to_string(variant_);
+ProbabilisticTiVaPRoMi::ProbabilisticTiVaPRoMi(WeightShape shape,
+                                               TiVaPRoMiConfig config,
+                                               util::Rng rng)
+    : ProbabilisticTiVaPRoMi(shape, shape, to_string(shape), config, rng) {}
+
+ProbabilisticTiVaPRoMi::ProbabilisticTiVaPRoMi(WeightShape hit,
+                                               WeightShape miss,
+                                               const char* name,
+                                               TiVaPRoMiConfig config,
+                                               util::Rng rng)
+    : TiVaPRoMiBase(config, rng), hit_(hit), miss_(miss), name_(name) {
+  const auto lut = [this](WeightShape shape) {
+    return make_threshold_lut([this, shape](std::uint32_t w) {
+      return shaped_weight(shape, w, cfg_.refresh_intervals);
+    });
+  };
+  lut_hit_ = lut(hit_);
+  lut_miss_ = miss_ == hit_ ? lut_hit_ : lut(miss_);
 }
 
 std::uint32_t ProbabilisticTiVaPRoMi::weight_for(dram::RowId row,
@@ -109,18 +121,7 @@ std::uint32_t ProbabilisticTiVaPRoMi::weight_for(dram::RowId row,
   const std::uint32_t reference = stored.value_or(assumed_slot(row));
   const std::uint32_t w =
       linear_weight(interval, reference, cfg_.refresh_intervals);
-  switch (variant_) {
-    case Variant::kLinear:
-      return w;
-    case Variant::kLogarithmic:
-      return log_weight(w);
-    case Variant::kLogLinear:
-      // Linear for rows already protected this window (table hit, lower
-      // expected risk), logarithmic escalation otherwise.
-      return stored ? w : log_weight(w);
-    default:
-      return w;
-  }
+  return shaped_weight(stored ? hit_ : miss_, w, cfg_.refresh_intervals);
 }
 
 void ProbabilisticTiVaPRoMi::on_activates(const dram::RowId* rows,
@@ -248,60 +249,12 @@ std::uint32_t shaped_weight(WeightShape shape, std::uint32_t w,
   return w;
 }
 
-ShapedTiVaPRoMi::ShapedTiVaPRoMi(WeightShape shape, TiVaPRoMiConfig config,
-                                 util::Rng rng)
-    : TiVaPRoMiBase(config, rng), shape_(shape) {
-  lut_ = make_threshold_lut([this](std::uint32_t w) {
-    return shaped_weight(shape_, w, cfg_.refresh_intervals);
-  });
-}
-
-const char* ShapedTiVaPRoMi::name() const noexcept { return to_string(shape_); }
-
-std::uint32_t ShapedTiVaPRoMi::weight_for(dram::RowId row,
-                                          std::uint32_t interval) const noexcept {
-  const auto stored = history_.lookup(row);
-  const std::uint32_t reference = stored.value_or(assumed_slot(row));
-  const std::uint32_t w =
-      linear_weight(interval, reference, cfg_.refresh_intervals);
-  return shaped_weight(shape_, w, cfg_.refresh_intervals);
-}
-
-void ShapedTiVaPRoMi::on_activates(const dram::RowId* rows, std::size_t n,
-                                   const mem::MitigationContext& ctx,
-                                   mem::ActionBuffer& out) {
-  // Same kernel as ProbabilisticTiVaPRoMi with a single shaped LUT.
-  const std::uint32_t ref_int = cfg_.refresh_intervals;
-  const std::uint64_t* const lut = lut_.data();
-  const std::uint32_t interval = ctx.interval_in_window;
-  for (std::size_t i = 0; i < n; ++i) {
-    const dram::RowId row = rows[i];
-    const auto stored = history_.lookup(row);
-    const std::uint32_t reference = stored ? *stored : assumed_slot(row);
-    const std::uint32_t w = linear_weight(interval, reference, ref_int);
-    if (rng_.bernoulli_q32(lut[w])) {
-      const std::size_t before = out.size();
-      trigger(row, interval, out);
-      out.stamp_origin(before, static_cast<std::uint32_t>(i));
-    }
-  }
-}
-
-void ShapedTiVaPRoMi::on_refresh(const mem::MitigationContext& ctx,
-                                 mem::ActionBuffer&) {
-  if (ctx.window_start) history_.clear();
-}
-
-std::uint64_t ShapedTiVaPRoMi::state_bits() const noexcept {
-  return history_.state_bits();
-}
-
 mem::BankMitigationFactory make_shaped_factory(WeightShape shape,
                                                TiVaPRoMiConfig config) {
   config.validate();
   return [shape, config](dram::BankId, util::Rng rng)
              -> std::unique_ptr<mem::IBankMitigation> {
-    return std::make_unique<ShapedTiVaPRoMi>(shape, config, rng);
+    return std::make_unique<ProbabilisticTiVaPRoMi>(shape, config, rng);
   };
 }
 

@@ -49,6 +49,8 @@ struct Timing {
 
   /// Throws std::invalid_argument on inconsistent parameters.
   void validate() const;
+
+  bool operator==(const Timing&) const = default;
 };
 
 /// DDR4 timing per Table I (1.2 GHz, 64 ms / 8192 intervals).

@@ -1,9 +1,10 @@
 #include "tvp/exp/config_io.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <iterator>
 #include <set>
 #include <stdexcept>
-
-#include "tvp/util/table.hpp"
 
 namespace tvp::exp {
 
@@ -32,21 +33,37 @@ bool is_attack_key(const std::string& key) {
   return key.rfind("attack.", 0) == 0 && key != "attack.count";
 }
 
-dram::RefreshPolicy parse_policy(const std::string& name) {
-  if (name == "seq" || name == "neighbor") return dram::RefreshPolicy::kNeighborSequential;
-  if (name == "remap") return dram::RefreshPolicy::kNeighborRemapped;
-  if (name == "random") return dram::RefreshPolicy::kRandom;
-  if (name == "mask") return dram::RefreshPolicy::kCounterMask;
-  throw std::invalid_argument("config: unknown refresh.policy '" + name + "'");
+struct TimingPreset {
+  const char* name;
+  dram::Timing (*timing)() noexcept;
+};
+constexpr TimingPreset kTimingPresets[] = {
+    {"ddr4", dram::ddr4_timing},
+    {"ddr3", dram::ddr3_timing},
+    {"ddr5", dram::ddr5_timing},
+};
+
+/// The shortest text that std::stod reads back as exactly @p value.
+std::string exact(double value) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof buf, value);
+  return std::string(buf, res.ptr);
 }
 
-BenignModel parse_model(const std::string& name) {
-  if (name == "mixed") return BenignModel::kMixedSynthetic;
-  if (name == "cache") return BenignModel::kCacheFrontend;
-  if (name == "uniform") return BenignModel::kUniformRandom;
-  if (name == "replay") return BenignModel::kReplay;
-  if (name == "fuzz") return BenignModel::kFuzz;
-  throw std::invalid_argument("config: unknown workload.model '" + name + "'");
+// apply_config truncates t_refi / rate and start_frac * t_refw to
+// integers. These pick the value it reads back as exactly @p target:
+// the plain ratio when it survives the rounding, else the ratio for
+// target + 0.5, which the rounding cannot push out of [target, target+1).
+double rate_for(std::uint64_t target, double t_refi) {
+  const double plain = t_refi / static_cast<double>(target);
+  if (static_cast<std::uint64_t>(t_refi / plain) == target) return plain;
+  return t_refi / (static_cast<double>(target) + 0.5);
+}
+
+double start_frac_for(std::uint64_t target, double t_refw) {
+  const double plain = static_cast<double>(target) / t_refw;
+  if (static_cast<std::uint64_t>(plain * t_refw) == target) return plain;
+  return (static_cast<double>(target) + 0.5) / t_refw;
 }
 
 trace::AttackPattern parse_pattern(const std::string& name) {
@@ -76,6 +93,23 @@ const char* pattern_name(trace::AttackPattern pattern) {
 
 }  // namespace
 
+dram::RefreshPolicy parse_policy(const std::string& name) {
+  if (name == "seq" || name == "neighbor") return dram::RefreshPolicy::kNeighborSequential;
+  if (name == "remap") return dram::RefreshPolicy::kNeighborRemapped;
+  if (name == "random") return dram::RefreshPolicy::kRandom;
+  if (name == "mask") return dram::RefreshPolicy::kCounterMask;
+  throw std::invalid_argument("config: unknown refresh.policy '" + name + "'");
+}
+
+BenignModel parse_model(const std::string& name) {
+  if (name == "mixed") return BenignModel::kMixedSynthetic;
+  if (name == "cache") return BenignModel::kCacheFrontend;
+  if (name == "uniform") return BenignModel::kUniformRandom;
+  if (name == "replay") return BenignModel::kReplay;
+  if (name == "fuzz") return BenignModel::kFuzz;
+  throw std::invalid_argument("config: unknown workload.model '" + name + "'");
+}
+
 void apply_config(SimConfig& config, const util::KeyValueFile& file) {
   for (const auto& key : file.keys()) {
     if (known_keys().count(key) == 0 && !is_attack_key(key))
@@ -88,14 +122,12 @@ void apply_config(SimConfig& config, const util::KeyValueFile& file) {
       file.get_int("geometry.rows_per_bank", config.geometry.rows_per_bank));
 
   const std::string preset = file.get("timing.preset", "ddr4");
-  if (preset == "ddr4")
-    config.timing = dram::ddr4_timing();
-  else if (preset == "ddr3")
-    config.timing = dram::ddr3_timing();
-  else if (preset == "ddr5")
-    config.timing = dram::ddr5_timing();
-  else
+  const auto known = std::find_if(
+      std::begin(kTimingPresets), std::end(kTimingPresets),
+      [&](const TimingPreset& p) { return preset == p.name; });
+  if (known == std::end(kTimingPresets))
     throw std::invalid_argument("config: unknown timing.preset '" + preset + "'");
+  config.timing = known->timing();
 
   config.windows =
       static_cast<std::uint32_t>(file.get_int("windows", config.windows));
@@ -229,10 +261,17 @@ SimConfig load_sim_config(const std::string& path) {
 }
 
 std::string to_config_text(const SimConfig& config) {
+  const auto preset = std::find_if(
+      std::begin(kTimingPresets), std::end(kTimingPresets),
+      [&](const TimingPreset& p) { return config.timing == p.timing(); });
+  if (preset == std::end(kTimingPresets))
+    throw std::invalid_argument(
+        "to_config_text: the timing matches no timing.preset");
   util::KeyValueFile file;
   file.set("geometry.banks", std::to_string(config.geometry.banks_per_rank));
   file.set("geometry.rows_per_bank",
            std::to_string(config.geometry.rows_per_bank));
+  file.set("timing.preset", preset->name);
   file.set("windows", std::to_string(config.windows));
   file.set("seed", std::to_string(config.seed));
   file.set("refresh.policy", [&] {
@@ -256,7 +295,7 @@ std::string to_config_text(const SimConfig& config) {
   file.set("disturbance.variation_pct",
            std::to_string(config.disturbance.variation_pct));
   file.set("workload.benign_rate",
-           util::strfmt("%g", config.workload.benign_acts_per_interval_per_bank));
+           exact(config.workload.benign_acts_per_interval_per_bank));
   file.set("workload.model", [&] {
     switch (config.workload.model) {
       case BenignModel::kMixedSynthetic: return "mixed";
@@ -273,7 +312,7 @@ std::string to_config_text(const SimConfig& config) {
     const auto& fuzz = config.workload.fuzz;
     file.set("fuzz.seed", std::to_string(fuzz.seed));
     file.set("fuzz.patterns", std::to_string(fuzz.patterns));
-    file.set("fuzz.rate", util::strfmt("%g", fuzz.acts_per_interval));
+    file.set("fuzz.rate", exact(fuzz.acts_per_interval));
     file.set("fuzz.pairs_min", std::to_string(fuzz.params.pairs_min));
     file.set("fuzz.pairs_max", std::to_string(fuzz.params.pairs_max));
     file.set("fuzz.period_exp_min", std::to_string(fuzz.params.period_exp_min));
@@ -287,6 +326,13 @@ std::string to_config_text(const SimConfig& config) {
            std::to_string(config.technique.params.history_entries));
   file.set("technique.counter_entries",
            std::to_string(config.technique.params.counter_entries));
+  file.set("technique.twice_entries",
+           std::to_string(config.technique.params.twice_entries));
+  file.set("technique.para_p", exact(config.technique.para_p));
+  file.set("technique.mrloc_p_min", exact(config.technique.mrloc_p_min));
+  file.set("technique.mrloc_p_max", exact(config.technique.mrloc_p_max));
+  file.set("technique.capromi_cooldown",
+           std::to_string(config.technique.capromi_cooldown));
   file.set("attack.count", std::to_string(config.workload.attacks.size()));
   for (std::size_t i = 0; i < config.workload.attacks.size(); ++i) {
     const auto& attack = config.workload.attacks[i];
@@ -300,8 +346,13 @@ std::string to_config_text(const SimConfig& config) {
     }
     file.set(prefix + "victims", victims);
     file.set(prefix + "rate",
-             util::strfmt("%g", static_cast<double>(config.timing.t_refi_ps()) /
-                                    static_cast<double>(attack.interarrival_ps)));
+             exact(rate_for(attack.interarrival_ps,
+                            static_cast<double>(config.timing.t_refi_ps()))));
+    file.set(prefix + "start_frac",
+             exact(start_frac_for(attack.start_ps,
+                                  static_cast<double>(config.timing.t_refw_ps))));
+    file.set(prefix + "sides", std::to_string(attack.sides));
+    file.set(prefix + "far_per_near", std::to_string(attack.far_per_near));
   }
   return file.to_text();
 }

@@ -20,8 +20,18 @@ void apply_config(SimConfig& config, const util::KeyValueFile& file);
 /// Loads a SimConfig from @p path on top of the defaults.
 SimConfig load_sim_config(const std::string& path);
 
-/// Serialises the scalar parts of @p config (geometry/timing/workload/
-/// technique; attacks included) to the file format.
+/// The refresh.policy names: seq (or neighbor), remap, random, mask.
+/// Throws std::invalid_argument on any other name.
+dram::RefreshPolicy parse_policy(const std::string& name);
+
+/// The workload.model names: mixed, cache, uniform, replay, fuzz.
+/// Throws std::invalid_argument on any other name.
+BenignModel parse_model(const std::string& name);
+
+/// Serialises every part of @p config that a key addresses (geometry,
+/// timing preset, workload, technique knobs, attacks), so that
+/// apply_config reads back the same experiment. Throws
+/// std::invalid_argument when the timing matches no timing.preset.
 std::string to_config_text(const SimConfig& config);
 
 }  // namespace tvp::exp

@@ -113,6 +113,11 @@ struct RunResult {
   double fpr_pct() const noexcept { return stats.fpr_pct(); }
 };
 
+/// The controller configuration @p config describes (geometry, timing,
+/// refresh policy, remapping, act_n radius, bank_jobs; profiling off).
+/// Callers that vary bank_jobs or profile set them on the result.
+mem::ControllerConfig controller_config(const SimConfig& config);
+
 /// Runs @p technique on the configured system. Deterministic in
 /// (config, config.seed).
 RunResult run_simulation(hw::Technique technique, const SimConfig& config);

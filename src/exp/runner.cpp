@@ -174,6 +174,18 @@ RunResult run_simulation(hw::Technique technique, const SimConfig& config) {
                                std::string(hw::to_string(technique)), cfg);
 }
 
+mem::ControllerConfig controller_config(const SimConfig& config) {
+  mem::ControllerConfig controller_cfg;
+  controller_cfg.geometry = config.geometry;
+  controller_cfg.timing = config.timing;
+  controller_cfg.refresh_policy = config.refresh_policy;
+  controller_cfg.remap_rows = config.remap_rows;
+  controller_cfg.remap_swaps = config.remap_swaps;
+  controller_cfg.act_n_radius = config.act_n_radius;
+  controller_cfg.bank_jobs = config.bank_jobs;
+  return controller_cfg;
+}
+
 RunResult run_custom_simulation(const mem::BankMitigationFactory& factory,
                                 const std::string& display_name,
                                 const SimConfig& config) {
@@ -192,16 +204,8 @@ RunResult run_custom_simulation(const mem::BankMitigationFactory& factory,
                                      cfg.geometry.rows_per_bank,
                                      cfg.disturbance);
 
-  mem::ControllerConfig controller_cfg;
-  controller_cfg.geometry = cfg.geometry;
-  controller_cfg.timing = cfg.timing;
-  controller_cfg.refresh_policy = cfg.refresh_policy;
-  controller_cfg.remap_rows = cfg.remap_rows;
-  controller_cfg.remap_swaps = cfg.remap_swaps;
-  controller_cfg.act_n_radius = cfg.act_n_radius;
-  controller_cfg.bank_jobs = cfg.bank_jobs;
-  mem::MemoryController controller(controller_cfg, engine, disturbance,
-                                   controller_rng);
+  mem::MemoryController controller(controller_config(cfg), engine,
+                                   disturbance, controller_rng);
 
   std::unordered_set<std::uint64_t> aggressors;
   std::unordered_set<std::uint64_t> victims;

@@ -17,6 +17,37 @@ std::uint64_t monotonic_ns() noexcept {
   return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
          static_cast<std::uint64_t>(ts.tv_nsec);
 }
+
+/// Calls @p activate once per physical row that an action of @p kind on
+/// @p physical activates, in issue order, and returns the count (the
+/// action's cost): act_n reaches the rows within @p radius that exist
+/// in the bank, kActRow the row itself. The one place an action becomes
+/// activations, for the ACT walk and the REF path alike.
+template <typename Activate>
+inline std::uint32_t for_each_activation(MitigationAction::Kind kind,
+                                         dram::RowId physical,
+                                         dram::RowId rows_per_bank,
+                                         std::int64_t radius,
+                                         Activate&& activate) {
+  switch (kind) {
+    case MitigationAction::Kind::kActNeighbors: {
+      std::uint32_t cost = 0;
+      for (std::int64_t d = -radius; d <= radius; ++d) {
+        if (d == 0) continue;
+        const std::int64_t neighbor = static_cast<std::int64_t>(physical) + d;
+        if (neighbor < 0 || neighbor >= static_cast<std::int64_t>(rows_per_bank))
+          continue;
+        activate(static_cast<dram::RowId>(neighbor));
+        ++cost;
+      }
+      return cost;
+    }
+    case MitigationAction::Kind::kActRow:
+      activate(physical);
+      return 1;
+  }
+  return 0;
+}
 }  // namespace
 
 MemoryController::MemoryController(ControllerConfig config, MitigationEngine& engine,
@@ -84,9 +115,8 @@ void MemoryController::refresh_interval_tick() {
     stats_.acts_per_interval.add(static_cast<double>(interval_acts_[b]));
     interval_acts_[b] = 0;
 
-    if (cfg_.enforce_timing)
-      bank_ready_ps_[b] =
-          std::max(bank_ready_ps_[b], boundary_ps + timing_.t_rfc_ps);
+    bank_ready_ps_[b] =
+        std::max(bank_ready_ps_[b], boundary_ps + timing_.t_rfc_ps);
 
     for (const auto row : refresh_rows_) disturbance_.on_refresh_row(b, row);
     stats_.rows_refreshed += refresh_rows_.size();
@@ -95,42 +125,21 @@ void MemoryController::refresh_interval_tick() {
   }
 }
 
-void MemoryController::activate_physical(dram::BankId bank, dram::RowId physical_row,
-                                         std::uint32_t interval) {
-  if (cfg_.enforce_timing) bank_ready_ps_[bank] += timing_.t_rc_ps;
-  disturbance_.on_activate(bank, physical_row, interval);
-}
-
 void MemoryController::issue_actions(dram::BankId bank,
                                      const ActionBuffer& actions,
                                      std::uint32_t interval) {
+  const auto radius = static_cast<std::int64_t>(cfg_.act_n_radius);
   for (const auto& action : actions) {
     ++stats_.triggers;
     if (stats_.first_extra_act_at == 0)
       stats_.first_extra_act_at = std::max<std::uint64_t>(stats_.demand_acts, 1);
 
-    std::uint32_t cost = 0;
-    switch (action.kind) {
-      case MitigationAction::Kind::kActNeighbors: {
-        const dram::RowId physical = remapper_.to_physical(action.row);
-        const auto rows = cfg_.geometry.rows_per_bank;
-        const auto radius = static_cast<std::int64_t>(cfg_.act_n_radius);
-        for (std::int64_t d = -radius; d <= radius; ++d) {
-          if (d == 0) continue;
-          const std::int64_t neighbor = static_cast<std::int64_t>(physical) + d;
-          if (neighbor < 0 || neighbor >= static_cast<std::int64_t>(rows))
-            continue;
-          activate_physical(bank, static_cast<dram::RowId>(neighbor), interval);
-          ++cost;
-        }
-        break;
-      }
-      case MitigationAction::Kind::kActRow: {
-        activate_physical(bank, remapper_.to_physical(action.row), interval);
-        cost = 1;
-        break;
-      }
-    }
+    const std::uint32_t cost = for_each_activation(
+        action.kind, remapper_.to_physical(action.row),
+        cfg_.geometry.rows_per_bank, radius, [&](dram::RowId row) {
+          bank_ready_ps_[bank] += timing_.t_rc_ps;
+          disturbance_.on_activate(bank, row, interval);
+        });
     stats_.extra_acts += cost;
     if (oracle_ && !oracle_(bank, action.suspect)) stats_.fp_extra_acts += cost;
     stats_.extra_acts_by_phase[interval * ControllerStats::kPhaseBins /
@@ -140,6 +149,31 @@ void MemoryController::issue_actions(dram::BankId bank,
 
 void MemoryController::on_records(const trace::AccessRecord* records,
                                   std::size_t count) {
+  feed(records, count, nullptr);
+}
+
+void MemoryController::on_records_partitioned(
+    const trace::AccessRecord* records, std::size_t count,
+    const trace::BankLaneView* lanes, std::size_t lane_banks) {
+  bool usable = lanes != nullptr && lane_banks == engine_.banks();
+  if (usable) {
+    // A whole-span range check per lane (O(banks), not O(records)): a
+    // lane row out of range means the scatter path's throw-with-valid-
+    // prefix semantics must apply, so fall back entirely.
+    for (std::size_t b = 0; b < lane_banks; ++b)
+      if (lanes[b].count != 0 &&
+          lanes[b].max_row >= cfg_.geometry.rows_per_bank) {
+        usable = false;
+        break;
+      }
+  }
+  if (usable) std::fill(lane_cursor_.begin(), lane_cursor_.end(), 0);
+  feed(records, count, usable ? lanes : nullptr);
+}
+
+void MemoryController::feed(const trace::AccessRecord* records,
+                            std::size_t count,
+                            const trace::BankLaneView* lanes) {
   std::size_t i = 0;
   while (i < count) {
     if (records[i].time_ps < now_ps_)
@@ -155,72 +189,50 @@ void MemoryController::on_records(const trace::AccessRecord* records,
     while (end < count && records[end].time_ps >= records[end - 1].time_ps &&
            records[end].time_ps < next_refresh_ps_)
       ++end;
-    process_segment(records + i, end - i);
+
+    std::size_t valid = end - i;
+    if (lanes != nullptr)
+      slice_lanes(lanes, i, end);
+    else
+      valid = scatter(records + i, end - i);
+    if (valid > 0) {
+      now_ps_ = records[i + valid - 1].time_ps;
+      run_segment(valid);
+    }
+    if (valid < end - i) {
+      // The first bad address ends the segment; the valid prefix has
+      // been processed, as if the records had been fed one at a time.
+      const trace::AccessRecord& bad = records[i + valid];
+      now_ps_ = bad.time_ps;
+      throw std::out_of_range(bad.bank >= engine_.banks()
+                                  ? "MemoryController: bank out of range"
+                                  : "MemoryController: row out of range");
+    }
     i = end;
   }
 }
 
-void MemoryController::on_records_partitioned(
-    const trace::AccessRecord* records, std::size_t count,
-    const trace::BankLaneView* lanes, std::size_t lane_banks) {
+void MemoryController::slice_lanes(const trace::BankLaneView* lanes,
+                                   std::size_t begin, std::size_t end) {
+  // Slice each bank's span lane by advancing its cursor while the
+  // (ascending) serials stay below `end` — zero-copy, no per-record
+  // scatter.
   const std::uint32_t banks = engine_.banks();
-  bool usable = lanes != nullptr && lane_banks == banks;
-  if (usable) {
-    // A whole-span range check per lane (O(banks), not O(records)): a
-    // lane row out of range means the scatter path's throw-with-valid-
-    // prefix semantics must apply, so fall back entirely.
-    for (std::size_t b = 0; b < lane_banks; ++b)
-      if (lanes[b].count != 0 &&
-          lanes[b].max_row >= cfg_.geometry.rows_per_bank) {
-        usable = false;
-        break;
-      }
+  for (std::uint32_t b = 0; b < banks; ++b) {
+    const trace::BankLaneView& lv = lanes[b];
+    const std::size_t cur = lane_cursor_[b];
+    std::size_t stop = cur;
+    while (stop < lv.count && lv.serials[stop] < end) ++stop;
+    BankShard& s = shards_[b];
+    s.lane_rows = lv.rows + cur;
+    s.lane_times = lv.times + cur;
+    s.lane_serials = lv.serials + cur;
+    s.lane_writes = lv.writes + cur;
+    s.lane_count = stop - cur;
+    s.serial_base = static_cast<std::uint32_t>(begin);
+    lane_cursor_[b] = stop;
   }
-  if (!usable) {
-    on_records(records, count);
-    return;
-  }
-
-  std::fill(lane_cursor_.begin(), lane_cursor_.end(), 0);
-  std::size_t i = 0;
-  while (i < count) {
-    if (records[i].time_ps < now_ps_)
-      throw std::invalid_argument(
-          "MemoryController: records must be time-ordered");
-    process_refresh_boundaries(records[i].time_ps);
-    std::size_t end = i + 1;
-    while (end < count && records[end].time_ps >= records[end - 1].time_ps &&
-           records[end].time_ps < next_refresh_ps_)
-      ++end;
-
-    // Segment [i, end): slice each bank's span lane by advancing its
-    // cursor while the (ascending) serials stay below `end` — zero-copy,
-    // no per-record scatter.
-    now_ps_ = records[end - 1].time_ps;
-    MitigationContext ctx;
-    ctx.interval_in_window = interval_in_window();
-    ctx.global_interval = global_interval_;
-    ctx.window_start = false;
-
-    for (std::uint32_t b = 0; b < banks; ++b) {
-      const trace::BankLaneView& lv = lanes[b];
-      std::size_t cur = lane_cursor_[b];
-      std::size_t stop = cur;
-      while (stop < lv.count && lv.serials[stop] < end) ++stop;
-      BankShard& s = shards_[b];
-      s.lane_rows = lv.rows + cur;
-      s.lane_times = lv.times + cur;
-      s.lane_serials = lv.serials + cur;
-      s.lane_writes = lv.writes + cur;
-      s.lane_count = stop - cur;
-      s.serial_base = static_cast<std::uint32_t>(i);
-      lane_cursor_[b] = stop;
-    }
-    profile_.partitioned_acts += end - i;
-
-    run_segment(end - i, ctx);
-    i = end;
-  }
+  profile_.partitioned_acts += end - begin;
 }
 
 void MemoryController::BankShard::grow_columns() {
@@ -231,8 +243,8 @@ void MemoryController::BankShard::grow_columns() {
   write_col.resize(capacity);
 }
 
-void MemoryController::process_segment(const trace::AccessRecord* records,
-                                       std::size_t count) {
+std::size_t MemoryController::scatter(const trace::AccessRecord* records,
+                                     std::size_t count) {
   const std::uint32_t banks = engine_.banks();
   const dram::RowId rows_per_bank = cfg_.geometry.rows_per_bank;
   const bool timed = cfg_.profile;
@@ -241,22 +253,12 @@ void MemoryController::process_segment(const trace::AccessRecord* records,
   // The partition pass: validate each record and scatter it into its
   // bank's SoA lane (row / time / serial / write columns), so the
   // per-bank kernels stream contiguous columns instead of gathering
-  // from the record array. The first bad address ends the pass; the
-  // valid prefix is still processed before the throw, as if the records
-  // had been fed one at a time.
+  // from the record array. The first bad address ends the pass.
   for (std::uint32_t b = 0; b < banks; ++b) shards_[b].lane_count = 0;
   std::size_t valid = 0;
-  const char* error = nullptr;
   for (; valid < count; ++valid) {
     const trace::AccessRecord& r = records[valid];
-    if (r.bank >= banks) {
-      error = "MemoryController: bank out of range";
-      break;
-    }
-    if (r.row >= rows_per_bank) {
-      error = "MemoryController: row out of range";
-      break;
-    }
+    if (r.bank >= banks || r.row >= rows_per_bank) break;
     BankShard& s = shards_[r.bank];
     const std::size_t k = s.lane_count++;
     if (k == s.rows.size()) s.grow_columns();
@@ -265,38 +267,24 @@ void MemoryController::process_segment(const trace::AccessRecord* records,
     s.times[k] = r.time_ps;
     s.write_col[k] = r.write ? 1 : 0;
   }
-
-  if (valid > 0) {
-    now_ps_ = records[valid - 1].time_ps;
-    MitigationContext ctx;
-    ctx.interval_in_window = interval_in_window();
-    ctx.global_interval = global_interval_;
-    ctx.window_start = false;
-
-    for (std::uint32_t b = 0; b < banks; ++b) {
-      BankShard& s = shards_[b];
-      s.lane_rows = s.rows.data();
-      s.lane_times = s.times.data();
-      s.lane_serials = s.serials.data();
-      s.lane_writes = s.write_col.data();
-      s.serial_base = 0;
-    }
-    profile_.scattered_acts += valid;
-    if (timed) profile_.partition_ns += monotonic_ns() - t0;
-
-    run_segment(valid, ctx);
-  } else if (timed) {
-    profile_.partition_ns += monotonic_ns() - t0;
+  for (std::uint32_t b = 0; b < banks; ++b) {
+    BankShard& s = shards_[b];
+    s.lane_rows = s.rows.data();
+    s.lane_times = s.times.data();
+    s.lane_serials = s.serials.data();
+    s.lane_writes = s.write_col.data();
+    s.serial_base = 0;
   }
-
-  if (error != nullptr) {
-    now_ps_ = records[valid].time_ps;
-    throw std::out_of_range(error);
-  }
+  profile_.scattered_acts += valid;
+  if (timed) profile_.partition_ns += monotonic_ns() - t0;
+  return valid;
 }
 
-void MemoryController::run_segment(std::size_t valid,
-                                   const MitigationContext& ctx) {
+void MemoryController::run_segment(std::size_t valid) {
+  MitigationContext ctx;
+  ctx.interval_in_window = interval_in_window();
+  ctx.global_interval = global_interval_;
+  ctx.window_start = false;
   const std::uint32_t banks = engine_.banks();
   const bool timed = cfg_.profile;
   const std::uint64_t t0 = timed ? monotonic_ns() : 0;
@@ -382,7 +370,6 @@ void MemoryController::run_bank_shard(dram::BankId bank,
   const std::uint8_t* const lane_writes = s.lane_writes;
   const std::uint32_t serial_base = s.serial_base;
   const std::uint32_t interval = ctx.interval_in_window;
-  const bool enforce = cfg_.enforce_timing;
   const bool remapped = !remapper_.is_identity();
   const std::uint64_t t_rc = timing_.t_rc_ps;
   const auto rows = cfg_.geometry.rows_per_bank;
@@ -402,11 +389,9 @@ void MemoryController::run_bank_shard(dram::BankId bank,
     return remapped ? remapper_.to_physical(row) : row;
   };
   const auto demand = [&](std::size_t k) {
-    if (enforce) {
-      const std::uint64_t t = lane_times[k];
-      delayed += ready > t;
-      ready = std::max(ready, t) + t_rc;
-    }
+    const std::uint64_t t = lane_times[k];
+    delayed += ready > t;
+    ready = std::max(ready, t) + t_rc;
     writes += lane_writes[k];
     lane.on_activate(physical(lane_rows[k]), interval,
                      lane_serials[k] - serial_base, 0);
@@ -427,29 +412,11 @@ void MemoryController::run_bank_shard(dram::BankId bank,
     std::uint32_t offset = 0;  // activations this record has performed - 1
     for (; act != act_end && act->origin == k; ++act) {
       ++triggers;
-      std::uint32_t cost = 0;
-      switch (act->kind) {
-        case MitigationAction::Kind::kActNeighbors: {
-          const dram::RowId p = physical(act->row);
-          for (std::int64_t d = -radius; d <= radius; ++d) {
-            if (d == 0) continue;
-            const std::int64_t neighbor = static_cast<std::int64_t>(p) + d;
-            if (neighbor < 0 || neighbor >= static_cast<std::int64_t>(rows))
-              continue;
-            if (enforce) ready += t_rc;
-            lane.on_activate(static_cast<dram::RowId>(neighbor), interval,
-                             serial, ++offset);
-            ++cost;
-          }
-          break;
-        }
-        case MitigationAction::Kind::kActRow: {
-          if (enforce) ready += t_rc;
-          lane.on_activate(physical(act->row), interval, serial, ++offset);
-          cost = 1;
-          break;
-        }
-      }
+      const std::uint32_t cost = for_each_activation(
+          act->kind, physical(act->row), rows, radius, [&](dram::RowId row) {
+            ready += t_rc;
+            lane.on_activate(row, interval, serial, ++offset);
+          });
       extra += cost;
       if (oracle_ && !oracle_(bank, act->suspect)) fp_extra += cost;
     }

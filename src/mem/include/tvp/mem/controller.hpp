@@ -63,7 +63,6 @@ struct ControllerConfig {
   dram::RefreshPolicy refresh_policy = dram::RefreshPolicy::kNeighborSequential;
   std::size_t remap_swaps = 16;     ///< spare-row swaps (policy (ii) & remapper)
   bool remap_rows = false;          ///< enable logical->physical remapping
-  bool enforce_timing = true;       ///< stall ACTs that violate tRC/tRFC
   /// How far the act_n command reaches: 1 activates the two adjacent
   /// rows (the paper's command); 2 additionally restores the rows at
   /// distance two — the countermeasure to half-double-style attacks
@@ -205,19 +204,26 @@ class MemoryController {
 
   void process_refresh_boundaries(std::uint64_t up_to_ps);
   void refresh_interval_tick();
+  /// Issues REF-time actions, committing each activation at once.
   void issue_actions(dram::BankId bank, const ActionBuffer& actions,
                      std::uint32_t interval);
-  void activate_physical(dram::BankId bank, dram::RowId physical_row,
-                         std::uint32_t interval);
-  /// Runs one refresh segment (no boundary inside): partition into
-  /// per-bank lanes, per-bank lane dispatch + replay (parallel when
-  /// configured), then the serial reduce into stats_ / the disturbance
-  /// model.
-  void process_segment(const trace::AccessRecord* records, std::size_t count);
-  /// The shared back half of a segment: run every bank shard (pool or
-  /// serial), then the serial reduce + flip commit. @p valid is the
-  /// segment's record count.
-  void run_segment(std::size_t valid, const MitigationContext& ctx);
+  /// The feed loop behind on_records and on_records_partitioned: cuts
+  /// the batch into refresh segments and, per segment, slices @p lanes
+  /// (when non-null) or scatters the records, then runs the segment.
+  void feed(const trace::AccessRecord* records, std::size_t count,
+            const trace::BankLaneView* lanes);
+  /// The partition pass of one segment: validates the records and
+  /// scatters them into the shards' owned columns; returns the length
+  /// of the valid prefix (the first bad address ends it).
+  std::size_t scatter(const trace::AccessRecord* records, std::size_t count);
+  /// Points the shards at the corpus lanes' slice for the segment
+  /// [begin, end) of the span (advancing lane_cursor_).
+  void slice_lanes(const trace::BankLaneView* lanes, std::size_t begin,
+                   std::size_t end);
+  /// Runs a refresh segment of @p valid records whose lanes are set:
+  /// every bank shard (pool or serial), then the serial reduce + flip
+  /// commit.
+  void run_segment(std::size_t valid);
   /// The per-bank half of a segment (runs on a worker thread), driven
   /// entirely by the shard's lane_* columns; writes every per-segment
   /// output of the shard and the bank's bank_ready_ps_.

@@ -58,7 +58,7 @@ class MrLoc final : public mem::IBankMitigation {
   std::uint64_t raw_probability(std::size_t depth, std::size_t size) const;
 
   MrLocConfig cfg_;
-  util::BufferedRng rng_;
+  util::Rng rng_;
   std::vector<dram::RowId> queue_;       // [0] = oldest, back = most recent
   std::vector<std::uint64_t> full_lut_;  // raw prob per depth, full queue
 };

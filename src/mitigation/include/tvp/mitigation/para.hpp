@@ -37,7 +37,7 @@ class Para final : public mem::IBankMitigation {
   void observe(dram::RowId row, mem::ActionBuffer& out);
 
   ParaConfig cfg_;
-  util::BufferedRng rng_;
+  util::Rng rng_;
 };
 
 mem::BankMitigationFactory make_para_factory(ParaConfig config = {});

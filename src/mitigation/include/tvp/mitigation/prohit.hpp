@@ -54,7 +54,7 @@ class ProHit final : public mem::IBankMitigation {
                                          dram::RowId row) noexcept;
 
   ProHitConfig cfg_;
-  util::BufferedRng rng_;
+  util::Rng rng_;
   std::vector<Victim> hot_;   // hot_[0] is the top (next to refresh)
   std::vector<Victim> cold_;  // cold_[0] is the oldest
 };

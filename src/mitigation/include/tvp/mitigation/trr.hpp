@@ -61,7 +61,7 @@ class Trr final : public mem::IBankMitigation {
   void refresh_opportunity(mem::ActionBuffer& out);
 
   TrrConfig cfg_;
-  util::BufferedRng rng_;
+  util::Rng rng_;
   std::vector<Sample> sampler_;
   std::uint32_t raa_ = 0;  ///< rolling accumulated ACT count (RFM)
   std::uint64_t rfm_commands_ = 0;

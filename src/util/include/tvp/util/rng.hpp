@@ -8,9 +8,7 @@
 // subsystem gets an independent stream.
 #pragma once
 
-#include <array>
 #include <cmath>
-#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -25,43 +23,6 @@ constexpr std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);
 }
-
-namespace detail {
-
-/// Uniform integer in [0, bound) drawn from @p gen's next() words;
-/// @p bound must be nonzero. The one body behind Rng::below and
-/// BufferedRng::below: both consume exactly the same words (including
-/// rejections), which is what keeps the buffered stream bit-compatible.
-template <class Gen>
-inline std::uint64_t below(Gen& gen, std::uint64_t bound) noexcept {
-#ifdef __SIZEOF_INT128__
-  // Lemire's nearly-divisionless unbiased method.
-  using u128 = unsigned __int128;
-  std::uint64_t x = gen.next();
-  u128 m = static_cast<u128>(x) * static_cast<u128>(bound);
-  auto l = static_cast<std::uint64_t>(m);
-  if (l < bound) [[unlikely]] {
-    const std::uint64_t t = -bound % bound;
-    while (l < t) {
-      x = gen.next();
-      m = static_cast<u128>(x) * static_cast<u128>(bound);
-      l = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-#else
-  // Portable fallback: rejection sampling on the top bits.
-  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
-  const std::uint64_t limit = kMax - kMax % bound;
-  std::uint64_t x;
-  do {
-    x = gen.next();
-  } while (x >= limit);
-  return x % bound;
-#endif
-}
-
-}  // namespace detail
 
 /// xoshiro256** pseudo-random generator.
 ///
@@ -109,7 +70,31 @@ class Rng {
   /// Uniform integer in [0, bound). @p bound must be nonzero.
   /// Uses Lemire's multiply-shift rejection method (unbiased).
   std::uint64_t below(std::uint64_t bound) noexcept {
-    return detail::below(*this, bound);
+#ifdef __SIZEOF_INT128__
+    // Lemire's nearly-divisionless unbiased method.
+    using u128 = unsigned __int128;
+    std::uint64_t x = next();
+    u128 m = static_cast<u128>(x) * static_cast<u128>(bound);
+    auto l = static_cast<std::uint64_t>(m);
+    if (l < bound) [[unlikely]] {
+      const std::uint64_t t = -bound % bound;
+      while (l < t) {
+        x = next();
+        m = static_cast<u128>(x) * static_cast<u128>(bound);
+        l = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+#else
+    // Portable fallback: rejection sampling on the top bits.
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    const std::uint64_t limit = kMax - kMax % bound;
+    std::uint64_t x;
+    do {
+      x = next();
+    } while (x >= limit);
+    return x % bound;
+#endif
   }
 
   /// Uniform integer in [lo, hi] inclusive; requires lo <= hi.
@@ -153,80 +138,6 @@ class Rng {
   }
 
   std::uint64_t state_[4]{};
-};
-
-/// Rng wrapper that pre-draws uniform 64-bit words into a buffer in
-/// bulk and hands them out strictly in generation order.
-///
-/// Popping in order is what keeps it a drop-in replacement: every
-/// derived draw (below, bernoulli_q32, ...) consumes exactly the words
-/// the wrapped Rng would have produced at that point, so decision
-/// sequences are bit-identical to calling the bare generator — the only
-/// difference is when the generator advances, which nothing observes.
-/// Eagerly pre-computing *decisions* would not have this property
-/// (draw consumption is data-dependent: bernoulli_q32 consumes nothing
-/// at the 0/1 endpoints and below() may reject), which is why the
-/// buffer holds raw words, not outcomes.
-class BufferedRng {
- public:
-  using result_type = std::uint64_t;
-
-  /// Words drawn per refill.
-  static constexpr std::size_t kCapacity = 256;
-
-  /// Wraps @p rng (by value; the buffer owns the stream from here on).
-  explicit BufferedRng(Rng rng) noexcept : rng_(rng) {}
-
-  static constexpr result_type min() noexcept { return Rng::min(); }
-  static constexpr result_type max() noexcept { return Rng::max(); }
-
-  result_type operator()() noexcept { return next(); }
-
-  /// Next 64 random bits (same stream as the wrapped Rng).
-  result_type next() noexcept {
-    if (pos_ == kCapacity) [[unlikely]] refill();
-    return buf_[pos_++];
-  }
-
-  /// Uniform integer in [0, bound); identical draws to Rng::below.
-  std::uint64_t below(std::uint64_t bound) noexcept {
-    return detail::below(*this, bound);
-  }
-
-  /// Uniform integer in [lo, hi] inclusive; requires lo <= hi.
-  std::uint64_t between(std::uint64_t lo, std::uint64_t hi) noexcept {
-    return lo + below(hi - lo + 1);
-  }
-
-  /// Uniform double in [0, 1).
-  double uniform() noexcept {
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-  }
-
-  /// Bernoulli trial with success probability @p p (clamped to [0,1]).
-  bool bernoulli(double p) noexcept {
-    if (p <= 0.0) return false;
-    if (p >= 1.0) return true;
-    return uniform() < p;
-  }
-
-  /// Hardware-style Q0.32 Bernoulli trial; consumes nothing at the
-  /// 0 / >=1 endpoints, exactly like Rng::bernoulli_q32.
-  bool bernoulli_q32(std::uint64_t threshold_q32) noexcept {
-    if (threshold_q32 == 0) return false;
-    if (threshold_q32 >= (1ull << 32)) return true;
-    return (next() >> 32) < threshold_q32;
-  }
-
- private:
-  void refill() noexcept {
-    for (auto& word : buf_) word = rng_.next();
-    pos_ = 0;
-  }
-
-  Rng rng_;
-  std::array<std::uint64_t, kCapacity> buf_{};
-  std::size_t pos_ = kCapacity;  // the first next() refills
 };
 
 }  // namespace tvp::util

@@ -130,9 +130,8 @@ TEST(HistoryTable, RejectsBadCapacity) {
 }
 
 TEST(HistoryTable, RejectsCapacity256) {
-  // Slot index 255 would collide with CounterTable::kNoLink (0xFF): a
-  // valid link to slot 255 becomes indistinguishable from "no link" in
-  // CaPRoMi::on_refresh. 255 slots is the maximum.
+  // Slot index 255 would collide with the hardware link's "no link"
+  // value (0xFF) in CaPRoMi's counter table. 255 slots is the maximum.
   EXPECT_THROW(HistoryTable(256, 17, 13), std::invalid_argument);
   const HistoryTable max_table(255, 17, 13);
   EXPECT_EQ(max_table.capacity(), 255u);
@@ -196,16 +195,13 @@ TEST(CounterTable, CountSaturates) {
   EXPECT_EQ(table.slots()[0].count, 255u);
 }
 
-TEST(CounterTable, LinksAndClear) {
+TEST(CounterTable, Clear) {
   CounterTable table(2, 16, 17);
   util::Rng rng(6);
-  const auto idx = table.on_activate(1, rng);
-  table.set_link(*idx, 5);
-  EXPECT_EQ(table.slots()[*idx].link, 5u);
+  table.on_activate(1, rng);
   table.clear();
   EXPECT_EQ(table.size(), 0u);
   EXPECT_FALSE(table.slots()[0].valid);
-  EXPECT_THROW(table.set_link(0, 1), std::out_of_range);
 }
 
 TEST(CounterTable, StateBitsMatchPaper) {
@@ -528,9 +524,8 @@ TEST(TiVaPRoMi, DeterministicForSameSeed) {
 // prediction fires. The row stream mixes a hot set larger than the
 // history table (hits and FIFO evictions) with cold rows; REFs include
 // window clears.
-template <typename Technique>
-void expect_kernel_matches_formula(Technique& technique, std::uint64_t seed,
-                                   const std::string& label) {
+void expect_kernel_matches_formula(ProbabilisticTiVaPRoMi& technique,
+                                   std::uint64_t seed, const std::string& label) {
   const TiVaPRoMiConfig& cfg = technique.config();
   std::vector<dram::RowId> hot;
   for (dram::RowId r = 0; r < 2 * cfg.history_entries; ++r)
@@ -587,7 +582,7 @@ TEST(TiVaPRoMiKernel, MatchesEq1Eq2FormulaForEveryVariantAndShape) {
   }
   for (const auto shape : {WeightShape::kLinear, WeightShape::kLogarithmic,
                            WeightShape::kSqrt, WeightShape::kQuadratic}) {
-    ShapedTiVaPRoMi technique(shape, cfg, util::Rng(++seed));
+    ProbabilisticTiVaPRoMi technique(shape, cfg, util::Rng(++seed));
     expect_kernel_matches_formula(technique, seed, to_string(shape));
   }
 }

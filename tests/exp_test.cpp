@@ -77,12 +77,8 @@ mem::ControllerStats feed_records(const SimConfig& cfg, std::size_t batch,
   dram::DisturbanceModel disturbance(cfg.geometry.total_banks(),
                                      cfg.geometry.rows_per_bank,
                                      cfg.disturbance);
-  mem::ControllerConfig controller_cfg;
-  controller_cfg.geometry = cfg.geometry;
-  controller_cfg.timing = cfg.timing;
-  controller_cfg.refresh_policy = cfg.refresh_policy;
-  mem::MemoryController controller(controller_cfg, engine, disturbance,
-                                   controller_rng);
+  mem::MemoryController controller(controller_config(cfg), engine,
+                                   disturbance, controller_rng);
   for (std::size_t i = 0; i < records.size(); i += batch)
     controller.on_records(records.data() + i,
                           std::min(batch, records.size() - i));
@@ -115,10 +111,7 @@ FeedOutcome feed_outcome(const SimConfig& cfg,
   dram::DisturbanceModel disturbance(cfg.geometry.total_banks(),
                                      cfg.geometry.rows_per_bank,
                                      cfg.disturbance);
-  mem::ControllerConfig controller_cfg;
-  controller_cfg.geometry = cfg.geometry;
-  controller_cfg.timing = cfg.timing;
-  controller_cfg.refresh_policy = cfg.refresh_policy;
+  mem::ControllerConfig controller_cfg = controller_config(cfg);
   controller_cfg.bank_jobs = bank_jobs;
   mem::MemoryController controller(controller_cfg, engine, disturbance,
                                    controller_rng);
@@ -545,27 +538,137 @@ TEST(ConfigIo, SampleConfigsLoadAndRun) {
 }
 
 TEST(ConfigIo, RoundTripPreservesTheExperiment) {
+  // Every key set away from its default: the reloaded config must equal
+  // the original in every field a key addresses, and run identically.
   SimConfig original;
-  install_standard_campaign(original);
-  original.windows = 3;
+  original.geometry.banks_per_rank = 2;
+  original.geometry.rows_per_bank = 65536;
+  original.timing = dram::ddr5_timing();
+  original.windows = 1;
+  original.seed = 77;
+  original.refresh_policy = dram::RefreshPolicy::kRandom;
+  original.remap_rows = true;
+  original.remap_swaps = 8;
   original.act_n_radius = 2;
-  const std::string text = to_config_text(original);
+  original.disturbance.flip_threshold = 100'000;
+  original.disturbance.blast_radius = 2;
+  original.disturbance.distance2_weight_q8 = 48;
+  original.disturbance.variation_pct = 10;
+  original.technique.flip_threshold = original.disturbance.flip_threshold;
+  original.workload.benign_acts_per_interval_per_bank = 33.3333333;
+  original.workload.model = BenignModel::kFuzz;
+  original.workload.trace_path = "unused.tvpc";
+  FuzzSpec& fuzz = original.workload.fuzz;
+  fuzz.seed = 5;
+  fuzz.patterns = 2;
+  fuzz.acts_per_interval = 40.1;
+  fuzz.params.pairs_min = 3;
+  fuzz.params.pairs_max = 5;
+  fuzz.params.period_exp_min = 6;
+  fuzz.params.period_exp_max = 7;
+  fuzz.params.amplitude_max = 3;
+  fuzz.params.decoys_max = 3;
+  fuzz.params.half_double = true;
+  original.technique.pbase_exp = 22;
+  original.technique.params.history_entries = 48;
+  original.technique.params.counter_entries = 96;
+  original.technique.params.twice_entries = 300;
+  original.technique.para_p = 0.002;
+  original.technique.mrloc_p_min = 4e-4;
+  original.technique.mrloc_p_max = 2e-3;
+  original.technique.capromi_cooldown = 64;
+  install_standard_campaign(original);  // one attack on bank 0
+  ASSERT_EQ(original.workload.attacks.size(), 1u);
+  original.workload.attacks[0].pattern = trace::AttackPattern::kManySided;
+  original.workload.attacks[0].sides = 6;
+  // Both values truncate one low when read back from the plain ratios
+  // t_refi / interarrival and start / t_refw.
+  original.workload.attacks[0].interarrival_ps = 180'030;
+  original.workload.attacks[0].start_ps = 8'325'485'393;
+  trace::AttackConfig half_double;
+  half_double.pattern = trace::AttackPattern::kHalfDouble;
+  half_double.bank = 1;
+  half_double.victims = {3000};
+  half_double.rows_per_bank = original.geometry.rows_per_bank;
+  half_double.interarrival_ps = 180'000;
+  half_double.start_ps = 12'345'678;
+  half_double.far_per_near = 8;
+  half_double.source_id = 201;
+  original.workload.attacks.push_back(half_double);
+  original.finalize();
+
   SimConfig reloaded;
-  apply_config(reloaded, util::KeyValueFile::parse(text));
+  apply_config(reloaded, util::KeyValueFile::parse(to_config_text(original)));
+  EXPECT_EQ(reloaded.geometry.banks_per_rank, original.geometry.banks_per_rank);
+  EXPECT_EQ(reloaded.geometry.rows_per_bank, original.geometry.rows_per_bank);
+  EXPECT_TRUE(reloaded.timing == original.timing);
   EXPECT_EQ(reloaded.windows, original.windows);
+  EXPECT_EQ(reloaded.seed, original.seed);
+  EXPECT_EQ(reloaded.refresh_policy, original.refresh_policy);
+  EXPECT_EQ(reloaded.remap_rows, original.remap_rows);
+  EXPECT_EQ(reloaded.remap_swaps, original.remap_swaps);
   EXPECT_EQ(reloaded.act_n_radius, original.act_n_radius);
+  EXPECT_EQ(reloaded.disturbance.flip_threshold,
+            original.disturbance.flip_threshold);
+  EXPECT_EQ(reloaded.disturbance.blast_radius, original.disturbance.blast_radius);
+  EXPECT_EQ(reloaded.disturbance.distance2_weight_q8,
+            original.disturbance.distance2_weight_q8);
+  EXPECT_EQ(reloaded.disturbance.variation_pct,
+            original.disturbance.variation_pct);
+  EXPECT_EQ(reloaded.technique.flip_threshold, original.technique.flip_threshold);
+  EXPECT_EQ(reloaded.workload.benign_acts_per_interval_per_bank,
+            original.workload.benign_acts_per_interval_per_bank);
+  EXPECT_EQ(reloaded.workload.model, original.workload.model);
+  EXPECT_EQ(reloaded.workload.trace_path, original.workload.trace_path);
+  const FuzzSpec& got = reloaded.workload.fuzz;
+  EXPECT_EQ(got.seed, fuzz.seed);
+  EXPECT_EQ(got.patterns, fuzz.patterns);
+  EXPECT_EQ(got.acts_per_interval, fuzz.acts_per_interval);
+  EXPECT_EQ(got.params.pairs_min, fuzz.params.pairs_min);
+  EXPECT_EQ(got.params.pairs_max, fuzz.params.pairs_max);
+  EXPECT_EQ(got.params.period_exp_min, fuzz.params.period_exp_min);
+  EXPECT_EQ(got.params.period_exp_max, fuzz.params.period_exp_max);
+  EXPECT_EQ(got.params.amplitude_max, fuzz.params.amplitude_max);
+  EXPECT_EQ(got.params.decoys_max, fuzz.params.decoys_max);
+  EXPECT_EQ(got.params.half_double, fuzz.params.half_double);
+  EXPECT_EQ(reloaded.technique.pbase_exp, original.technique.pbase_exp);
+  EXPECT_EQ(reloaded.technique.params.history_entries,
+            original.technique.params.history_entries);
+  EXPECT_EQ(reloaded.technique.params.counter_entries,
+            original.technique.params.counter_entries);
+  EXPECT_EQ(reloaded.technique.params.twice_entries,
+            original.technique.params.twice_entries);
+  EXPECT_EQ(reloaded.technique.para_p, original.technique.para_p);
+  EXPECT_EQ(reloaded.technique.mrloc_p_min, original.technique.mrloc_p_min);
+  EXPECT_EQ(reloaded.technique.mrloc_p_max, original.technique.mrloc_p_max);
+  EXPECT_EQ(reloaded.technique.capromi_cooldown,
+            original.technique.capromi_cooldown);
   ASSERT_EQ(reloaded.workload.attacks.size(), original.workload.attacks.size());
   for (std::size_t i = 0; i < original.workload.attacks.size(); ++i) {
-    EXPECT_EQ(reloaded.workload.attacks[i].victims,
-              original.workload.attacks[i].victims);
-    EXPECT_EQ(reloaded.workload.attacks[i].interarrival_ps,
-              original.workload.attacks[i].interarrival_ps);
+    const trace::AttackConfig& want = original.workload.attacks[i];
+    const trace::AttackConfig& have = reloaded.workload.attacks[i];
+    EXPECT_EQ(have.pattern, want.pattern) << "attack " << i;
+    EXPECT_EQ(have.bank, want.bank) << "attack " << i;
+    EXPECT_EQ(have.victims, want.victims) << "attack " << i;
+    EXPECT_EQ(have.rows_per_bank, want.rows_per_bank) << "attack " << i;
+    EXPECT_EQ(have.interarrival_ps, want.interarrival_ps) << "attack " << i;
+    EXPECT_EQ(have.start_ps, want.start_ps) << "attack " << i;
+    EXPECT_EQ(have.sides, want.sides) << "attack " << i;
+    EXPECT_EQ(have.far_per_near, want.far_per_near) << "attack " << i;
+    EXPECT_EQ(have.source_id, want.source_id) << "attack " << i;
   }
   // Same config file -> bit-identical run.
   const auto a = run_simulation(hw::Technique::kPara, original);
   const auto b = run_simulation(hw::Technique::kPara, reloaded);
+  EXPECT_EQ(a.records, b.records);
   EXPECT_EQ(a.stats.demand_acts, b.stats.demand_acts);
   EXPECT_EQ(a.stats.extra_acts, b.stats.extra_acts);
+}
+
+TEST(ConfigIo, TimingWithoutAPresetIsRejected) {
+  SimConfig config;
+  config.timing.t_rc_ps = 48'000;
+  EXPECT_THROW(to_config_text(config), std::invalid_argument);
 }
 
 // ------------------------------------------------------------------- sweep

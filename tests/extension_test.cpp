@@ -53,9 +53,10 @@ TEST(ShapedTiVaPRoMi, WeightsFollowTheShape) {
   cfg.refresh_intervals = 64;
   cfg.rows_per_bank = 1024;
   cfg.pbase_exp = 10;
-  core::ShapedTiVaPRoMi sq(core::WeightShape::kSqrt, cfg, util::Rng(1));
-  core::ShapedTiVaPRoMi quad(core::WeightShape::kQuadratic, cfg, util::Rng(1));
-  core::ShapedTiVaPRoMi lin(core::WeightShape::kLinear, cfg, util::Rng(1));
+  using core::WeightShape;
+  core::ProbabilisticTiVaPRoMi sq(WeightShape::kSqrt, cfg, util::Rng(1));
+  core::ProbabilisticTiVaPRoMi quad(WeightShape::kQuadratic, cfg, util::Rng(1));
+  core::ProbabilisticTiVaPRoMi lin(WeightShape::kLinear, cfg, util::Rng(1));
   // Row 100 -> slot 6; at interval 10 the linear weight is 4.
   EXPECT_EQ(lin.weight_for(100, 10), 4u);
   EXPECT_EQ(sq.weight_for(100, 10), 16u);    // ceil(sqrt(4*64))
@@ -70,7 +71,8 @@ TEST(ShapedTiVaPRoMi, LinearShapeMatchesLiPRoMi) {
   cfg.refresh_intervals = 64;
   cfg.rows_per_bank = 1024;
   cfg.pbase_exp = 10;
-  core::ShapedTiVaPRoMi shaped(core::WeightShape::kLinear, cfg, util::Rng(9));
+  core::ProbabilisticTiVaPRoMi shaped(core::WeightShape::kLinear, cfg,
+                                      util::Rng(9));
   core::ProbabilisticTiVaPRoMi li(core::Variant::kLinear, cfg, util::Rng(9));
   mem::ActionBuffer a, b;
   mem::MitigationContext ctx;
@@ -199,12 +201,9 @@ TEST(Graphene, StopsTheStandardAttack) {
                                engine_rng);
   dram::DisturbanceModel disturbance(cfg.geometry.total_banks(),
                                      cfg.geometry.rows_per_bank);
-  mem::ControllerConfig controller_cfg;
-  controller_cfg.geometry = cfg.geometry;
-  controller_cfg.timing = cfg.timing;
   util::Rng controller_rng(2);
-  mem::MemoryController controller(controller_cfg, engine, disturbance,
-                                   controller_rng);
+  mem::MemoryController controller(exp::controller_config(cfg), engine,
+                                   disturbance, controller_rng);
   util::Rng workload_rng(4);
   auto workload = exp::build_workload(cfg, workload_rng);
   while (auto record = workload->next()) feed(controller, *record);

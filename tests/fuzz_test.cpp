@@ -361,54 +361,6 @@ TEST(Fuzz, RandomConfigurationsKeepInvariants) {
   }
 }
 
-// ---------------------------------------------- buffered vs bare draws
-
-TEST(Fuzz, BufferedRngStreamMatchesBareRng) {
-  // The batched-draw contract at the stream level: a BufferedRng must
-  // hand out the exact word sequence of the bare generator it wraps —
-  // for every derived draw (below's rejection loop, bernoulli_q32's
-  // draw-nothing endpoints, uniform) and across buffer refills.
-  util::Rng control(20290);
-  util::Rng bare(777);
-  util::BufferedRng buffered{util::Rng(777)};
-  for (int op = 0; op < 20000; ++op) {
-    switch (control.below(5)) {
-      case 0: {
-        ASSERT_EQ(bare.next(), buffered.next()) << "op " << op;
-        break;
-      }
-      case 1: {
-        // Awkward bounds keep Lemire's rejection loop exercised.
-        const std::uint64_t bound = control.below(3) == 0
-                                        ? (~0ull >> control.below(8)) | 1
-                                        : 1 + control.below(1000);
-        ASSERT_EQ(bare.below(bound), buffered.below(bound)) << "op " << op;
-        break;
-      }
-      case 2: {
-        // Hits both draw-nothing endpoints and the middle.
-        const std::uint64_t q32 = control.below(3) == 0
-                                      ? (control.below(2) << 32)
-                                      : control.below(1ull << 32);
-        ASSERT_EQ(bare.bernoulli_q32(q32), buffered.bernoulli_q32(q32))
-            << "op " << op;
-        break;
-      }
-      case 3: {
-        ASSERT_EQ(bare.uniform(), buffered.uniform()) << "op " << op;
-        break;
-      }
-      default: {
-        const std::uint64_t lo = control.below(100);
-        const std::uint64_t hi = lo + control.below(1000);
-        ASSERT_EQ(bare.between(lo, hi), buffered.between(lo, hi))
-            << "op " << op;
-        break;
-      }
-    }
-  }
-}
-
 // ------------------------------------------------- merge vs offline sort
 
 TEST(Fuzz, MergedSourceEqualsOfflineSort) {

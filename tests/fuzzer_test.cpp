@@ -597,6 +597,9 @@ TEST(FuzzCampaign, RejectsNonFuzzBase) {
 
 TEST(ConfigIo, FuzzWorkloadRoundTripsThroughConfigText) {
   exp::SimConfig cfg = fuzz_config();
+  // The file names a timing by its preset; tiny_config's shortened
+  // window is none, and to_config_text rejects it.
+  cfg.timing = dram::ddr4_timing();
   cfg.workload.fuzz.params.pairs_min = 3;
   cfg.workload.fuzz.params.pairs_max = 5;
   cfg.workload.fuzz.params.period_exp_min = 6;

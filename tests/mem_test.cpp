@@ -26,6 +26,7 @@ class Probe final : public IBankMitigation {
     std::vector<std::pair<dram::BankId, dram::RowId>> activates;
     std::vector<std::pair<dram::BankId, std::uint32_t>> refreshes;
     std::vector<MitigationAction> respond_with;  // emitted on every ACT
+    std::vector<MitigationAction> respond_on_refresh;  // ...on every REF
   };
 
   Probe(dram::BankId bank, Shared* shared) : bank_(bank), shared_(shared) {}
@@ -40,8 +41,9 @@ class Probe final : public IBankMitigation {
       out.stamp_origin(before, static_cast<std::uint32_t>(i));
     }
   }
-  void on_refresh(const MitigationContext& ctx, ActionBuffer&) override {
+  void on_refresh(const MitigationContext& ctx, ActionBuffer& out) override {
     shared_->refreshes.emplace_back(bank_, ctx.interval_in_window);
+    for (const auto& a : shared_->respond_on_refresh) out.push_back(a);
   }
   std::uint64_t state_bits() const noexcept override { return 7; }
 
@@ -293,15 +295,31 @@ TEST(Controller, BatchedRecordsMatchRecordAtATime) {
 }
 
 TEST(Controller, TrcStallsBackToBackActs) {
-  ControllerConfig cfg = small_config();
-  cfg.enforce_timing = true;
-  Rig rig(cfg);
+  Rig rig;
   feed(rig.controller, rec(10, 0, 1));
   feed(rig.controller, rec(20, 0, 2));  // 10 ps later: inside tRC
   EXPECT_EQ(rig.controller.stats().delayed_acts, 1u);
   // A different bank is not stalled.
   feed(rig.controller, rec(30, 1, 2));
   EXPECT_EQ(rig.controller.stats().delayed_acts, 1u);
+}
+
+TEST(Controller, RefTimeActionsChargeTrcAfterTrfc) {
+  // A REF-time act_n issues its two activations once tRFC has passed,
+  // so a demand ACT one tRC after tRFC still waits for the second.
+  Probe::Shared shared;
+  MitigationAction action;
+  action.row = 100;
+  action.suspect = 100;
+  shared.respond_on_refresh = {action};
+  Rig rig(small_config(), &shared);
+  const dram::Timing& timing = small_config().timing;
+  feed(rig.controller,
+       rec(timing.t_refi_ps() + timing.t_rfc_ps + timing.t_rc_ps, 0, 7));
+  EXPECT_EQ(rig.controller.stats().extra_acts, 4u);  // 2 banks x 2 rows
+  EXPECT_EQ(rig.controller.stats().delayed_acts, 1u);
+  // At REF time the first trigger counts the demand ACTs so far, at least 1.
+  EXPECT_EQ(rig.controller.stats().first_extra_act_at, 1u);
 }
 
 TEST(Controller, WritesAndReadsCounted) {
