@@ -42,7 +42,6 @@
 
 #include "tvp/trace/corpus.hpp"
 
-#include "tvp/dram/disturbance.hpp"
 #include "tvp/exp/registry.hpp"
 #include "tvp/exp/report.hpp"
 #include "tvp/exp/runner.hpp"
@@ -66,7 +65,8 @@ struct Result {
   mem::StageProfile stages;       // zeros unless profiling
 };
 
-/// One timed run: fresh engine/controller, identical trace, batch feed.
+/// One timed run on a fresh rig: @p trace in @p batch-record chunks, or
+/// @p replay_corpus's spans and lanes as a replay run steps them.
 Result run_variant(const std::string& name,
                    const mem::BankMitigationFactory& factory,
                    const exp::SimConfig& config,
@@ -74,53 +74,32 @@ Result run_variant(const std::string& name,
                    std::size_t batch, std::size_t bank_jobs,
                    bool profile = false,
                    const std::string& replay_corpus = {}) {
-  // Same fork order as run_custom_simulation (workload first, even
-  // though the trace here is pre-generated) so per-variant RNG streams
-  // match what a real run of that variant would see.
-  util::Rng rng(config.seed);
-  util::Rng workload_rng = rng.fork();
-  (void)workload_rng;
-  util::Rng engine_rng = rng.fork();
-  util::Rng controller_rng = rng.fork();
-
-  mem::MitigationEngine engine(config.geometry.total_banks(), factory,
-                               engine_rng);
-  dram::DisturbanceModel disturbance(config.geometry.total_banks(),
-                                     config.geometry.rows_per_bank,
-                                     config.disturbance);
+  exp::SimConfig run_config = config;
+  if (!replay_corpus.empty()) {
+    run_config.workload.model = exp::BenignModel::kReplay;
+    run_config.workload.trace_path = replay_corpus;
+    run_config.workload.attacks.clear();  // the corpus holds them
+  }
   mem::ControllerConfig controller_cfg = exp::controller_config(config);
   controller_cfg.bank_jobs = bank_jobs;
   controller_cfg.profile = profile;
-  mem::MemoryController controller(controller_cfg, engine, disturbance,
-                                   controller_rng);
+  exp::Simulation sim(factory, run_config, controller_cfg);
 
   util::Timer timer;
   if (!replay_corpus.empty()) {
-    // Corpus feed: spans (and, with a partition index, lanes) straight
-    // out of the mapped file, exactly the runner's replay loop.
-    trace::MmapSource source(replay_corpus);
-    const trace::AccessRecord* span = nullptr;
-    const trace::BankLaneView* lanes = nullptr;
-    std::size_t lane_banks = 0;
-    while (const std::size_t n = source.span_lanes(&span, &lanes, &lane_banks)) {
-      if (lanes != nullptr)
-        controller.on_records_partitioned(span, n, lanes, lane_banks);
-      else
-        controller.on_records(span, n);
+    while (!sim.step().empty()) {
     }
   } else {
-    for (std::size_t i = 0; i < trace.size(); i += batch) {
-      const std::size_t n = std::min(batch, trace.size() - i);
-      controller.on_records(trace.data() + i, n);
-    }
+    for (std::size_t i = 0; i < trace.size(); i += batch)
+      sim.feed(trace.data() + i, std::min(batch, trace.size() - i));
   }
   Result r;
   r.technique = name;
   r.feed = util::throughput(trace.size(), timer);
-  r.extra_acts = controller.stats().extra_acts;
-  r.triggers = controller.stats().triggers;
-  r.state_bytes_per_bank = engine.state_bytes_per_bank();
-  r.stages = controller.stage_profile();
+  r.extra_acts = sim.controller().stats().extra_acts;
+  r.triggers = sim.controller().stats().triggers;
+  r.state_bytes_per_bank = sim.engine().state_bytes_per_bank();
+  r.stages = sim.controller().stage_profile();
   return r;
 }
 
@@ -163,8 +142,8 @@ int main(int argc, char** argv) try {
       static_cast<std::uint32_t>(static_cast<double>(acts) / acts_per_window) + 1;
   config.finalize();
 
-  util::Rng workload_rng = util::Rng(config.seed).fork();
-  auto source = exp::build_workload(config, workload_rng);
+  exp::Streams streams(config.seed);
+  auto source = exp::build_workload(config, streams.workload);
   std::vector<trace::AccessRecord> trace =
       trace::drain(*source, static_cast<std::size_t>(acts));
   if (trace.empty()) {
@@ -246,9 +225,9 @@ int main(int argc, char** argv) try {
   fuzz_config.workload.model = exp::BenignModel::kFuzz;
   fuzz_config.workload.fuzz.patterns = config.geometry.total_banks();
   fuzz_config.finalize();
-  util::Rng fuzz_workload_rng = util::Rng(fuzz_config.seed).fork();
+  exp::Streams fuzz_streams(fuzz_config.seed);
   const std::vector<trace::AccessRecord> fuzz_trace = trace::drain(
-      *exp::build_workload(fuzz_config, fuzz_workload_rng),
+      *exp::build_workload(fuzz_config, fuzz_streams.workload),
       static_cast<std::size_t>(acts));
   if (fuzz_trace.empty()) {
     std::fprintf(stderr, "perf_hotpath: fuzz workload produced no records\n");

@@ -35,9 +35,8 @@ Row run_one(const char* name, tvp::mem::MitigationEngine* engine,
   mem::CommandScheduler scheduler(config.geometry, timing,
                                   mem::PagePolicy::kOpenPage, engine,
                                   placement);
-  util::Rng rng(config.seed);
-  util::Rng workload_rng = rng.fork();
-  auto source = exp::build_workload(config, workload_rng);
+  exp::Streams streams(config.seed);
+  auto source = exp::build_workload(config, streams.workload);
   while (auto rec = source->next()) scheduler.push(*rec);
   scheduler.drain();
   Row row;

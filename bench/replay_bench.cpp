@@ -111,9 +111,9 @@ int main(int argc, char** argv) try {
               static_cast<unsigned long long>(seed), smoke ? " (smoke)" : "");
 
   // --- generate: what every non-replay run pays per simulation.
-  util::Rng workload_rng = util::Rng(config.seed).fork();
+  exp::Streams streams(config.seed);
   util::Timer generate_timer;
-  auto workload = exp::build_workload(config, workload_rng);
+  auto workload = exp::build_workload(config, streams.workload);
   const std::vector<trace::AccessRecord> records =
       trace::drain(*workload, static_cast<std::size_t>(acts));
   const Phase generate{"generate",

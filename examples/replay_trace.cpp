@@ -1,13 +1,13 @@
-// Replay an external memory trace against a chosen mitigation technique.
+// Replay a recorded memory trace against a chosen mitigation technique.
 //
 //   ./build/examples/replay_trace <trace-file> [technique] [--dramsim]
 //
-// Accepts this library's corpus format (.tvpc, as written by
-// trace_tools or `tvp_trace record`) or — with --dramsim —
-// DRAMSim2/ramulator-style address traces ("0xADDR R|W [cycle]"), which
-// are mapped onto the DDR4 geometry. Useful for evaluating a mitigation
-// against traffic recorded from a real system or another simulator.
-#include <algorithm>
+// A corpus (.tvpc, as written by trace_tools or `tvp_trace record`) is
+// streamed as the replay workload, oracles included, over the refresh
+// windows that cover its last record: the run tvp_sim makes with
+// `workload.model = replay`. With --dramsim the file is a
+// DRAMSim2/ramulator-style address trace ("0xADDR R|W [cycle]") mapped
+// onto the DDR4 geometry; it carries no oracle, so no FPR.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -47,80 +47,81 @@ int main(int argc, char** argv) {
   }
 
   exp::SimConfig config;  // DDR4 defaults, 4 banks
-  std::vector<trace::AccessRecord> records;
+  trace::TraceStats stats(config.timing.t_refi_ps(),
+                          config.geometry.total_banks());
+  std::uint64_t records = 0;
+  std::uint64_t last_time_ps = 0;
+  exp::RunResult result;
   try {
+    std::vector<trace::AccessRecord> imported;
     if (dramsim) {
       std::ifstream is(path);
       if (!is) throw std::runtime_error("cannot open " + path);
       const dram::AddressMapper mapper(config.geometry,
                                        dram::AddressMapPolicy::kRowColBank);
-      records = trace::import_address_trace(is, mapper,
-                                            config.timing.t_ck_ps());
+      imported =
+          trace::import_address_trace(is, mapper, config.timing.t_ck_ps());
+      records = imported.size();
+      if (records != 0) last_time_ps = imported.back().time_ps;
     } else {
-      records = trace::read_corpus(path);
+      const trace::CorpusInfo info = trace::read_corpus_info(path);
+      records = info.total_records;
+      if (records != 0) last_time_ps = info.blocks.back().max_time_ps;
+      config.workload.model = exp::BenignModel::kReplay;
+      config.workload.trace_path = path;
     }
+    if (records == 0) {
+      std::fprintf(stderr, "trace is empty\n");
+      return 1;
+    }
+    // The refresh windows that cover the last record.
+    config.windows =
+        static_cast<std::uint32_t>(last_time_ps / config.timing.t_refw_ps) + 1;
+    config.finalize();
+    exp::Simulation sim(exp::make_factory(technique, config.technique),
+                        config);
+    if (dramsim) {
+      sim.feed(imported.data(), imported.size());
+      for (const auto& r : imported) stats.add(r);
+    } else {
+      for (auto batch = sim.step(); !batch.empty(); batch = sim.step())
+        for (const auto& r : batch) stats.add(r);
+    }
+    sim.advance();
+    result = sim.result(std::string(hw::to_string(technique)));
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "failed to load trace: %s\n", e.what());
-    return 1;
-  }
-  if (records.empty()) {
-    std::fprintf(stderr, "trace is empty\n");
+    std::fprintf(stderr, "failed to replay trace: %s\n", e.what());
     return 1;
   }
 
-  // Characterise the input.
-  trace::TraceStats stats(config.timing.t_refi_ps(),
-                          config.geometry.total_banks());
-  dram::BankId max_bank = 0;
-  for (const auto& r : records) {
-    stats.add(r);
-    max_bank = std::max(max_bank, r.bank);
-  }
-  if (max_bank >= config.geometry.total_banks()) {
-    std::fprintf(stderr, "trace touches bank %u; raise geometry banks\n",
-                 max_bank);
-    return 1;
-  }
-  const std::uint64_t span_ps = records.back().time_ps + 1;
-  std::printf("trace: %zu records over %.2f ms (%zu unique rows, %.1f "
+  std::printf("trace: %llu records over %.2f ms (%zu unique rows, %.1f "
               "acts/interval/bank avg)\n",
-              records.size(), static_cast<double>(span_ps) / 1e9,
-              stats.unique_rows(),
+              static_cast<unsigned long long>(records),
+              static_cast<double>(last_time_ps + 1) / 1e9, stats.unique_rows(),
               stats.acts_per_interval_per_bank().mean());
 
-  // Wire the pipeline manually around the replayed records.
-  util::Rng rng(1);
-  util::Rng engine_rng = rng.fork();
-  util::Rng controller_rng = rng.fork();
-  config.finalize();
-  mem::MitigationEngine engine(config.geometry.total_banks(),
-                               exp::make_factory(technique, config.technique),
-                               engine_rng);
-  dram::DisturbanceModel disturbance(config.geometry.total_banks(),
-                                     config.geometry.rows_per_bank,
-                                     config.disturbance);
-  mem::MemoryController controller(exp::controller_config(config), engine,
-                                   disturbance, controller_rng);
-  controller.on_records(records.data(), records.size());
-  controller.advance_to(span_ps);
-
+  const auto with_oracle = [&](const std::string& value) {
+    return dramsim ? std::string("n/a (no oracle)") : value;
+  };
   util::TextTable table({"metric", "value"});
-  table.set_title(util::strfmt("\nreplay under %s",
-                               std::string(hw::to_string(technique)).c_str()));
-  table.add_row({"demand activations",
-                 std::to_string(controller.stats().demand_acts)});
+  table.set_title(util::strfmt("\nreplay under %s", result.technique.c_str()));
+  table.add_row({"demand activations", std::to_string(result.stats.demand_acts)});
   table.add_row({"mitigation extra activations",
-                 std::to_string(controller.stats().extra_acts)});
+                 std::to_string(result.stats.extra_acts)});
   table.add_row({"activation overhead %",
-                 util::strfmt("%.5f", controller.stats().overhead_pct())});
-  table.add_row({"bit flips", std::to_string(disturbance.flips().size())});
+                 util::strfmt("%.5f", result.overhead_pct())});
+  table.add_row({"false-positive rate %",
+                 with_oracle(util::strfmt("%.5f", result.fpr_pct()))});
+  table.add_row({"bit flips", std::to_string(result.flips)});
+  table.add_row({"victim bit flips",
+                 with_oracle(std::to_string(result.victim_flips))});
   table.add_row({"peak disturbance",
                  util::strfmt("%llu / %u",
                               static_cast<unsigned long long>(
-                                  disturbance.peak_disturbance_q8() >> 8),
+                                  result.peak_disturbance),
                               config.disturbance.flip_threshold)});
   table.add_row({"mitigation state / bank [B]",
-                 util::strfmt("%.0f", engine.state_bytes_per_bank())});
+                 util::strfmt("%.0f", result.state_bytes_per_bank)});
   std::fputs(table.render().c_str(), stdout);
-  return disturbance.any_flip() ? 1 : 0;
+  return result.flips == 0 ? 0 : 1;
 }

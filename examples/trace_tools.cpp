@@ -1,13 +1,14 @@
-// Trace tools: generate, save, reload and characterise a workload trace
+// Trace tools: record, verify and characterise a workload trace
 // without running any mitigation — the calibration workflow behind
 // Table I's "average 40 activations per refresh interval".
 //
 //   ./build/examples/trace_tools [output.tvpc]
 //
-// Writes the trace as a corpus, reloads it, verifies the round trip,
-// and prints the workload statistics plus the acts-per-interval
-// histogram that motivates CaPRoMi's 64-entry counter table (between
-// the average of 40 and the maximum of 165).
+// Records the standard campaign with exp::record_corpus (so the corpus
+// replays as the generated run), CRC-checks it, and streams it back for
+// the workload statistics plus the acts-per-interval histogram that
+// motivates CaPRoMi's 64-entry counter table (between the average of
+// 40 and the maximum of 165).
 #include <cstdio>
 #include <string>
 
@@ -25,20 +26,19 @@ int main(int argc, char** argv) {
   config.windows = 1;
   exp::install_standard_campaign(config);
 
-  util::Rng rng(config.seed);
-  auto source = exp::build_workload(config, rng);
-  std::vector<trace::AccessRecord> records = trace::drain(*source);
-  std::printf("generated %zu records over %u refresh window(s)\n",
-              records.size(), config.windows);
-
-  trace::write_corpus(path, records);
-  const auto reloaded = trace::read_corpus(path);
-  std::printf("saved + reloaded %s: %zu records, round-trip %s\n", path.c_str(),
-              reloaded.size(), reloaded == records ? "exact" : "MISMATCH");
+  const std::uint32_t identity = exp::record_corpus(config, path);
+  const trace::CorpusInfo info = trace::verify_corpus(path);
+  std::printf("recorded %llu records over %u refresh window(s) to %s "
+              "(identity %08x, every block CRC-checked)\n",
+              static_cast<unsigned long long>(info.total_records),
+              config.windows, path.c_str(), identity);
 
   trace::TraceStats stats(config.timing.t_refi_ps(),
                           config.geometry.total_banks());
-  for (const auto& r : reloaded) stats.add(r);
+  trace::MmapSource source(path);
+  const trace::AccessRecord* span = nullptr;
+  while (const std::size_t n = source.next_span(&span))
+    for (std::size_t i = 0; i < n; ++i) stats.add(span[i]);
 
   const auto per_interval = stats.acts_per_interval_per_bank();
   util::TextTable table({"metric", "value"});

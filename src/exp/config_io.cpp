@@ -3,45 +3,155 @@
 #include <algorithm>
 #include <charconv>
 #include <iterator>
-#include <set>
 #include <stdexcept>
+#include <variant>
 
 namespace tvp::exp {
 
 namespace {
 
-const std::set<std::string>& known_keys() {
-  static const std::set<std::string> keys = {
-      "geometry.banks", "geometry.rows_per_bank", "timing.preset", "windows",
-      "seed", "refresh.policy", "remap.rows", "remap.swaps", "act_n.radius",
-      "disturbance.flip_threshold", "disturbance.blast_radius",
-      "disturbance.distance2_weight_q8", "disturbance.variation_pct",
-      "workload.benign_rate",
-      "workload.model", "workload.trace",
-      "fuzz.seed", "fuzz.patterns", "fuzz.rate", "fuzz.pairs_min",
-      "fuzz.pairs_max", "fuzz.period_exp_min", "fuzz.period_exp_max",
-      "fuzz.amplitude_max", "fuzz.decoys_max", "fuzz.half_double",
-      "technique.pbase_exp", "technique.history_entries",
-      "technique.counter_entries", "technique.para_p", "technique.mrloc_p_min",
-      "technique.mrloc_p_max", "technique.twice_entries",
-      "technique.capromi_cooldown", "attack.count",
-  };
-  return keys;
-}
-
-bool is_attack_key(const std::string& key) {
-  return key.rfind("attack.", 0) == 0 && key != "attack.count";
-}
-
-struct TimingPreset {
+/// A config name and the value it denotes.
+template <typename T>
+struct Named {
   const char* name;
-  dram::Timing (*timing)() noexcept;
+  T value;
 };
-constexpr TimingPreset kTimingPresets[] = {
-    {"ddr4", dram::ddr4_timing},
-    {"ddr3", dram::ddr3_timing},
-    {"ddr5", dram::ddr5_timing},
+
+/// The config names of one value type, read in both directions: `what`
+/// (the key they are the values of) names them in errors, and the first
+/// name of a value is the one to_config_text writes.
+template <typename T, std::size_t N>
+struct Names {
+  const char* what;
+  Named<T> names[N];
 };
+
+constexpr Names<dram::Timing (*)() noexcept, 3> kTimings{
+    "timing.preset",
+    {{"ddr4", dram::ddr4_timing},
+     {"ddr3", dram::ddr3_timing},
+     {"ddr5", dram::ddr5_timing}}};
+
+constexpr Names<dram::RefreshPolicy, 5> kPolicies{
+    "refresh.policy",
+    {{"seq", dram::RefreshPolicy::kNeighborSequential},
+     {"neighbor", dram::RefreshPolicy::kNeighborSequential},
+     {"remap", dram::RefreshPolicy::kNeighborRemapped},
+     {"random", dram::RefreshPolicy::kRandom},
+     {"mask", dram::RefreshPolicy::kCounterMask}}};
+
+constexpr Names<BenignModel, 5> kModels{
+    "workload.model",
+    {{"mixed", BenignModel::kMixedSynthetic},
+     {"cache", BenignModel::kCacheFrontend},
+     {"uniform", BenignModel::kUniformRandom},
+     {"replay", BenignModel::kReplay},
+     {"fuzz", BenignModel::kFuzz}}};
+
+// kFuzzed has no name: its schedule is derived, not serialised, and
+// fuzz workloads use the fuzz.* keys.
+constexpr Names<trace::AttackPattern, 6> kPatterns{
+    "attack pattern",
+    {{"single", trace::AttackPattern::kSingleSided},
+     {"double", trace::AttackPattern::kDoubleSided},
+     {"multi", trace::AttackPattern::kMultiAggressor},
+     {"flood", trace::AttackPattern::kFlood},
+     {"many-sided", trace::AttackPattern::kManySided},
+     {"half-double", trace::AttackPattern::kHalfDouble}}};
+
+template <typename T, std::size_t N>
+T parse_name(const Names<T, N>& table, const std::string& name) {
+  for (const auto& entry : table.names)
+    if (name == entry.name) return entry.value;
+  throw std::invalid_argument(std::string("config: unknown ") + table.what +
+                              " '" + name + "'");
+}
+
+template <typename T, std::size_t N>
+const char* name_of(const Names<T, N>& table, T value) {
+  for (const auto& entry : table.names)
+    if (entry.value == value) return entry.name;
+  throw std::invalid_argument(std::string("to_config_text: the ") +
+                              table.what + " has no config name");
+}
+
+/// The SimConfig field a scalar key addresses.
+using Field = std::variant<std::uint32_t*, std::uint64_t*, bool*, double*,
+                           std::string*, dram::RefreshPolicy*, BenignModel*>;
+
+/// When to_config_text writes a key.
+enum Written { kAlways, kWithTrace, kWithFuzz };
+
+struct ScalarKey {
+  const char* name;
+  Field (*field)(SimConfig&);
+  Written when = kAlways;
+};
+
+// Every key but timing.preset and attack.*, in the order apply_config
+// reads them: the key, the SimConfig member it addresses and, unless
+// always, when to_config_text writes it.
+#define TVP_KEY(key, member, ...) \
+  {key, [](SimConfig& c) -> Field { return &c.member; }, __VA_ARGS__}
+constexpr ScalarKey kScalarKeys[] = {
+    TVP_KEY("geometry.banks", geometry.banks_per_rank),
+    TVP_KEY("geometry.rows_per_bank", geometry.rows_per_bank),
+    TVP_KEY("windows", windows),
+    TVP_KEY("seed", seed),
+    TVP_KEY(kPolicies.what, refresh_policy),
+    TVP_KEY("remap.rows", remap_rows),
+    TVP_KEY("remap.swaps", remap_swaps),
+    TVP_KEY("act_n.radius", act_n_radius),
+    TVP_KEY("disturbance.flip_threshold", disturbance.flip_threshold),
+    TVP_KEY("disturbance.blast_radius", disturbance.blast_radius),
+    TVP_KEY("disturbance.distance2_weight_q8", disturbance.distance2_weight_q8),
+    TVP_KEY("disturbance.variation_pct", disturbance.variation_pct),
+    TVP_KEY("workload.benign_rate", workload.benign_acts_per_interval_per_bank),
+    TVP_KEY(kModels.what, workload.model),
+    TVP_KEY("workload.trace", workload.trace_path, kWithTrace),
+    // An ordinary key, so run_param_sweep sweeps fuzzer seeds like any
+    // other parameter.
+    TVP_KEY("fuzz.seed", workload.fuzz.seed, kWithFuzz),
+    TVP_KEY("fuzz.patterns", workload.fuzz.patterns, kWithFuzz),
+    TVP_KEY("fuzz.rate", workload.fuzz.acts_per_interval, kWithFuzz),
+    TVP_KEY("fuzz.pairs_min", workload.fuzz.params.pairs_min, kWithFuzz),
+    TVP_KEY("fuzz.pairs_max", workload.fuzz.params.pairs_max, kWithFuzz),
+    TVP_KEY("fuzz.period_exp_min", workload.fuzz.params.period_exp_min, kWithFuzz),
+    TVP_KEY("fuzz.period_exp_max", workload.fuzz.params.period_exp_max, kWithFuzz),
+    TVP_KEY("fuzz.amplitude_max", workload.fuzz.params.amplitude_max, kWithFuzz),
+    TVP_KEY("fuzz.decoys_max", workload.fuzz.params.decoys_max, kWithFuzz),
+    TVP_KEY("fuzz.half_double", workload.fuzz.params.half_double, kWithFuzz),
+    TVP_KEY("technique.pbase_exp", technique.pbase_exp),
+    TVP_KEY("technique.history_entries", technique.params.history_entries),
+    TVP_KEY("technique.counter_entries", technique.params.counter_entries),
+    TVP_KEY("technique.twice_entries", technique.params.twice_entries),
+    TVP_KEY("technique.para_p", technique.para_p),
+    TVP_KEY("technique.mrloc_p_min", technique.mrloc_p_min),
+    TVP_KEY("technique.mrloc_p_max", technique.mrloc_p_max),
+    TVP_KEY("technique.capromi_cooldown", technique.capromi_cooldown),
+};
+#undef TVP_KEY
+
+// Reading a key into its field, per field type.
+void read(const util::KeyValueFile& file, const char* key, bool* field) {
+  *field = file.get_bool(key, false);
+}
+void read(const util::KeyValueFile& file, const char* key, double* field) {
+  *field = file.get_double(key, 0.0);
+}
+void read(const util::KeyValueFile& file, const char* key, std::string* field) {
+  *field = file.get(key, "");
+}
+void read(const util::KeyValueFile& file, const char* key, dram::RefreshPolicy* field) {
+  *field = parse_name(kPolicies, file.get(key, ""));
+}
+void read(const util::KeyValueFile& file, const char* key, BenignModel* field) {
+  *field = parse_name(kModels, file.get(key, ""));
+}
+template <typename Int>
+void read(const util::KeyValueFile& file, const char* key, Int* field) {
+  *field = static_cast<Int>(file.get_int(key, 0));
+}
 
 /// The shortest text that std::stod reads back as exactly @p value.
 std::string exact(double value) {
@@ -49,6 +159,15 @@ std::string exact(double value) {
   const auto res = std::to_chars(buf, buf + sizeof buf, value);
   return std::string(buf, res.ptr);
 }
+
+// A field's text, per field type.
+std::string text(bool value) { return value ? "true" : "false"; }
+std::string text(double value) { return exact(value); }
+std::string text(const std::string& value) { return value; }
+std::string text(dram::RefreshPolicy value) { return name_of(kPolicies, value); }
+std::string text(BenignModel value) { return name_of(kModels, value); }
+template <typename Int>
+std::string text(Int value) { return std::to_string(value); }
 
 // apply_config truncates t_refi / rate and start_frac * t_refw to
 // integers. These pick the value it reads back as exactly @p target:
@@ -66,144 +185,29 @@ double start_frac_for(std::uint64_t target, double t_refw) {
   return (static_cast<double>(target) + 0.5) / t_refw;
 }
 
-trace::AttackPattern parse_pattern(const std::string& name) {
-  if (name == "single") return trace::AttackPattern::kSingleSided;
-  if (name == "double") return trace::AttackPattern::kDoubleSided;
-  if (name == "multi") return trace::AttackPattern::kMultiAggressor;
-  if (name == "flood") return trace::AttackPattern::kFlood;
-  if (name == "many-sided") return trace::AttackPattern::kManySided;
-  if (name == "half-double") return trace::AttackPattern::kHalfDouble;
-  throw std::invalid_argument("config: unknown attack pattern '" + name + "'");
-}
-
-const char* pattern_name(trace::AttackPattern pattern) {
-  switch (pattern) {
-    case trace::AttackPattern::kSingleSided: return "single";
-    case trace::AttackPattern::kDoubleSided: return "double";
-    case trace::AttackPattern::kMultiAggressor: return "multi";
-    case trace::AttackPattern::kFlood: return "flood";
-    case trace::AttackPattern::kManySided: return "many-sided";
-    case trace::AttackPattern::kHalfDouble: return "half-double";
-    // kFuzzed never round-trips through attack.<i>.* (its schedule is
-    // derived, not serialised) — fuzz workloads use the fuzz.* keys.
-    case trace::AttackPattern::kFuzzed: return "fuzzed";
-  }
-  return "double";
-}
-
 }  // namespace
 
 dram::RefreshPolicy parse_policy(const std::string& name) {
-  if (name == "seq" || name == "neighbor") return dram::RefreshPolicy::kNeighborSequential;
-  if (name == "remap") return dram::RefreshPolicy::kNeighborRemapped;
-  if (name == "random") return dram::RefreshPolicy::kRandom;
-  if (name == "mask") return dram::RefreshPolicy::kCounterMask;
-  throw std::invalid_argument("config: unknown refresh.policy '" + name + "'");
+  return parse_name(kPolicies, name);
 }
 
-BenignModel parse_model(const std::string& name) {
-  if (name == "mixed") return BenignModel::kMixedSynthetic;
-  if (name == "cache") return BenignModel::kCacheFrontend;
-  if (name == "uniform") return BenignModel::kUniformRandom;
-  if (name == "replay") return BenignModel::kReplay;
-  if (name == "fuzz") return BenignModel::kFuzz;
-  throw std::invalid_argument("config: unknown workload.model '" + name + "'");
-}
+BenignModel parse_model(const std::string& name) { return parse_name(kModels, name); }
 
 void apply_config(SimConfig& config, const util::KeyValueFile& file) {
-  for (const auto& key : file.keys()) {
-    if (known_keys().count(key) == 0 && !is_attack_key(key))
+  for (const auto& key : file.keys())
+    if (key != kTimings.what && key.rfind("attack.", 0) != 0 &&
+        std::none_of(std::begin(kScalarKeys), std::end(kScalarKeys),
+                     [&](const ScalarKey& k) { return key == k.name; }))
       throw std::invalid_argument("config: unknown key '" + key + "'");
-  }
 
-  config.geometry.banks_per_rank = static_cast<std::uint32_t>(
-      file.get_int("geometry.banks", config.geometry.banks_per_rank));
-  config.geometry.rows_per_bank = static_cast<std::uint32_t>(
-      file.get_int("geometry.rows_per_bank", config.geometry.rows_per_bank));
-
-  const std::string preset = file.get("timing.preset", "ddr4");
-  const auto known = std::find_if(
-      std::begin(kTimingPresets), std::end(kTimingPresets),
-      [&](const TimingPreset& p) { return preset == p.name; });
-  if (known == std::end(kTimingPresets))
-    throw std::invalid_argument("config: unknown timing.preset '" + preset + "'");
-  config.timing = known->timing();
-
-  config.windows =
-      static_cast<std::uint32_t>(file.get_int("windows", config.windows));
-  config.seed = static_cast<std::uint64_t>(file.get_int("seed",
-                                                        static_cast<std::int64_t>(config.seed)));
-  if (file.has("refresh.policy"))
-    config.refresh_policy = parse_policy(file.get("refresh.policy", ""));
-  config.remap_rows = file.get_bool("remap.rows", config.remap_rows);
-  config.remap_swaps = static_cast<std::size_t>(
-      file.get_int("remap.swaps", static_cast<std::int64_t>(config.remap_swaps)));
-  config.act_n_radius = static_cast<std::uint32_t>(
-      file.get_int("act_n.radius", config.act_n_radius));
-
-  config.disturbance.flip_threshold = static_cast<std::uint32_t>(
-      file.get_int("disturbance.flip_threshold", config.disturbance.flip_threshold));
+  // An absent preset means the first, whatever the config held.
+  config.timing =
+      parse_name(kTimings, file.get(kTimings.what, kTimings.names[0].name))();
+  for (const ScalarKey& key : kScalarKeys)
+    if (file.has(key.name))
+      std::visit([&](auto* field) { read(file, key.name, field); },
+                 key.field(config));
   config.technique.flip_threshold = config.disturbance.flip_threshold;
-  config.disturbance.blast_radius = static_cast<std::uint32_t>(
-      file.get_int("disturbance.blast_radius", config.disturbance.blast_radius));
-  config.disturbance.distance2_weight_q8 = static_cast<std::uint32_t>(
-      file.get_int("disturbance.distance2_weight_q8",
-                   config.disturbance.distance2_weight_q8));
-  config.disturbance.variation_pct = static_cast<std::uint32_t>(
-      file.get_int("disturbance.variation_pct",
-                   config.disturbance.variation_pct));
-
-  config.workload.benign_acts_per_interval_per_bank = file.get_double(
-      "workload.benign_rate", config.workload.benign_acts_per_interval_per_bank);
-  if (file.has("workload.model"))
-    config.workload.model = parse_model(file.get("workload.model", ""));
-  config.workload.trace_path =
-      file.get("workload.trace", config.workload.trace_path);
-
-  // Fuzzed-attack layer (workload.model = fuzz). fuzz.seed is an
-  // ordinary config key, so run_param_sweep over "fuzz.seed" sweeps
-  // fuzzer seeds like any other parameter.
-  auto& fuzz = config.workload.fuzz;
-  fuzz.seed = static_cast<std::uint64_t>(
-      file.get_int("fuzz.seed", static_cast<std::int64_t>(fuzz.seed)));
-  fuzz.patterns =
-      static_cast<std::uint32_t>(file.get_int("fuzz.patterns", fuzz.patterns));
-  fuzz.acts_per_interval = file.get_double("fuzz.rate", fuzz.acts_per_interval);
-  fuzz.params.pairs_min = static_cast<std::uint32_t>(
-      file.get_int("fuzz.pairs_min", fuzz.params.pairs_min));
-  fuzz.params.pairs_max = static_cast<std::uint32_t>(
-      file.get_int("fuzz.pairs_max", fuzz.params.pairs_max));
-  fuzz.params.period_exp_min = static_cast<std::uint32_t>(
-      file.get_int("fuzz.period_exp_min", fuzz.params.period_exp_min));
-  fuzz.params.period_exp_max = static_cast<std::uint32_t>(
-      file.get_int("fuzz.period_exp_max", fuzz.params.period_exp_max));
-  fuzz.params.amplitude_max = static_cast<std::uint32_t>(
-      file.get_int("fuzz.amplitude_max", fuzz.params.amplitude_max));
-  fuzz.params.decoys_max = static_cast<std::uint32_t>(
-      file.get_int("fuzz.decoys_max", fuzz.params.decoys_max));
-  fuzz.params.half_double =
-      file.get_bool("fuzz.half_double", fuzz.params.half_double);
-
-  config.technique.pbase_exp = static_cast<unsigned>(
-      file.get_int("technique.pbase_exp", config.technique.pbase_exp));
-  config.technique.params.history_entries = static_cast<std::uint32_t>(
-      file.get_int("technique.history_entries",
-                   config.technique.params.history_entries));
-  config.technique.params.counter_entries = static_cast<std::uint32_t>(
-      file.get_int("technique.counter_entries",
-                   config.technique.params.counter_entries));
-  config.technique.params.twice_entries = static_cast<std::uint32_t>(
-      file.get_int("technique.twice_entries",
-                   config.technique.params.twice_entries));
-  config.technique.para_p =
-      file.get_double("technique.para_p", config.technique.para_p);
-  config.technique.mrloc_p_min =
-      file.get_double("technique.mrloc_p_min", config.technique.mrloc_p_min);
-  config.technique.mrloc_p_max =
-      file.get_double("technique.mrloc_p_max", config.technique.mrloc_p_max);
-  config.technique.capromi_cooldown = static_cast<std::uint32_t>(
-      file.get_int("technique.capromi_cooldown",
-                   config.technique.capromi_cooldown));
 
   // Attacks: attack.count = N, then attack.<i>.{pattern,bank,victims,
   // rate,start_frac,sides,far_per_near}. `victims` is either an explicit
@@ -217,7 +221,8 @@ void apply_config(SimConfig& config, const util::KeyValueFile& file) {
     trace::AttackConfig attack;
     attack.rows_per_bank = config.geometry.rows_per_bank;
     attack.bank = static_cast<dram::BankId>(file.get_int(prefix + "bank", 0));
-    attack.pattern = parse_pattern(file.get(prefix + "pattern", "double"));
+    if (file.has(prefix + "pattern"))
+      attack.pattern = parse_name(kPatterns, file.get(prefix + "pattern", ""));
     attack.sides =
         static_cast<std::uint32_t>(file.get_int(prefix + "sides", attack.sides));
     attack.far_per_near = static_cast<std::uint32_t>(
@@ -262,82 +267,26 @@ SimConfig load_sim_config(const std::string& path) {
 
 std::string to_config_text(const SimConfig& config) {
   const auto preset = std::find_if(
-      std::begin(kTimingPresets), std::end(kTimingPresets),
-      [&](const TimingPreset& p) { return config.timing == p.timing(); });
-  if (preset == std::end(kTimingPresets))
+      std::begin(kTimings.names), std::end(kTimings.names),
+      [&](const auto& p) { return config.timing == p.value(); });
+  if (preset == std::end(kTimings.names))
     throw std::invalid_argument(
-        "to_config_text: the timing matches no timing.preset");
+        std::string("to_config_text: the timing matches no ") + kTimings.what);
   util::KeyValueFile file;
-  file.set("geometry.banks", std::to_string(config.geometry.banks_per_rank));
-  file.set("geometry.rows_per_bank",
-           std::to_string(config.geometry.rows_per_bank));
-  file.set("timing.preset", preset->name);
-  file.set("windows", std::to_string(config.windows));
-  file.set("seed", std::to_string(config.seed));
-  file.set("refresh.policy", [&] {
-    switch (config.refresh_policy) {
-      case dram::RefreshPolicy::kNeighborSequential: return "seq";
-      case dram::RefreshPolicy::kNeighborRemapped: return "remap";
-      case dram::RefreshPolicy::kRandom: return "random";
-      case dram::RefreshPolicy::kCounterMask: return "mask";
-    }
-    return "seq";
-  }());
-  file.set("remap.rows", config.remap_rows ? "true" : "false");
-  file.set("remap.swaps", std::to_string(config.remap_swaps));
-  file.set("act_n.radius", std::to_string(config.act_n_radius));
-  file.set("disturbance.flip_threshold",
-           std::to_string(config.disturbance.flip_threshold));
-  file.set("disturbance.blast_radius",
-           std::to_string(config.disturbance.blast_radius));
-  file.set("disturbance.distance2_weight_q8",
-           std::to_string(config.disturbance.distance2_weight_q8));
-  file.set("disturbance.variation_pct",
-           std::to_string(config.disturbance.variation_pct));
-  file.set("workload.benign_rate",
-           exact(config.workload.benign_acts_per_interval_per_bank));
-  file.set("workload.model", [&] {
-    switch (config.workload.model) {
-      case BenignModel::kMixedSynthetic: return "mixed";
-      case BenignModel::kCacheFrontend: return "cache";
-      case BenignModel::kUniformRandom: return "uniform";
-      case BenignModel::kReplay: return "replay";
-      case BenignModel::kFuzz: return "fuzz";
-    }
-    return "mixed";
-  }());
-  if (!config.workload.trace_path.empty())
-    file.set("workload.trace", config.workload.trace_path);
-  if (config.workload.model == BenignModel::kFuzz) {
-    const auto& fuzz = config.workload.fuzz;
-    file.set("fuzz.seed", std::to_string(fuzz.seed));
-    file.set("fuzz.patterns", std::to_string(fuzz.patterns));
-    file.set("fuzz.rate", exact(fuzz.acts_per_interval));
-    file.set("fuzz.pairs_min", std::to_string(fuzz.params.pairs_min));
-    file.set("fuzz.pairs_max", std::to_string(fuzz.params.pairs_max));
-    file.set("fuzz.period_exp_min", std::to_string(fuzz.params.period_exp_min));
-    file.set("fuzz.period_exp_max", std::to_string(fuzz.params.period_exp_max));
-    file.set("fuzz.amplitude_max", std::to_string(fuzz.params.amplitude_max));
-    file.set("fuzz.decoys_max", std::to_string(fuzz.params.decoys_max));
-    file.set("fuzz.half_double", fuzz.params.half_double ? "true" : "false");
+  file.set(kTimings.what, preset->name);
+  SimConfig fields = config;  // the key table addresses a mutable config
+  for (const ScalarKey& key : kScalarKeys) {
+    if ((key.when == kWithTrace && config.workload.trace_path.empty()) ||
+        (key.when == kWithFuzz && config.workload.model != BenignModel::kFuzz))
+      continue;
+    std::visit([&](auto* field) { file.set(key.name, text(*field)); },
+               key.field(fields));
   }
-  file.set("technique.pbase_exp", std::to_string(config.technique.pbase_exp));
-  file.set("technique.history_entries",
-           std::to_string(config.technique.params.history_entries));
-  file.set("technique.counter_entries",
-           std::to_string(config.technique.params.counter_entries));
-  file.set("technique.twice_entries",
-           std::to_string(config.technique.params.twice_entries));
-  file.set("technique.para_p", exact(config.technique.para_p));
-  file.set("technique.mrloc_p_min", exact(config.technique.mrloc_p_min));
-  file.set("technique.mrloc_p_max", exact(config.technique.mrloc_p_max));
-  file.set("technique.capromi_cooldown",
-           std::to_string(config.technique.capromi_cooldown));
   file.set("attack.count", std::to_string(config.workload.attacks.size()));
   for (std::size_t i = 0; i < config.workload.attacks.size(); ++i) {
     const auto& attack = config.workload.attacks[i];
     const std::string prefix = "attack." + std::to_string(i) + ".";
-    file.set(prefix + "pattern", pattern_name(attack.pattern));
+    file.set(prefix + "pattern", name_of(kPatterns, attack.pattern));
     file.set(prefix + "bank", std::to_string(attack.bank));
     std::string victims;
     for (const auto v : attack.victims) {

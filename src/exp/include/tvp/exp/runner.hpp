@@ -3,8 +3,10 @@
 // every table/figure of the paper is built from.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -118,6 +120,71 @@ struct RunResult {
 /// Callers that vary bank_jobs or profile set them on the result.
 mem::ControllerConfig controller_config(const SimConfig& config);
 
+/// A run's RNG streams: the one definition of its fork order. Each is
+/// forked from util::Rng(seed) in declaration order.
+struct Streams {
+  explicit Streams(std::uint64_t seed);
+
+  util::Rng workload;    ///< the benign generators (build_workload)
+  util::Rng engine;      ///< the mitigation engine, forked once per bank
+  util::Rng controller;  ///< refresh order and row remapping
+};
+
+/// The rig of one run, and the one place a run is wired: it owns the
+/// run's Streams, engine, disturbance model, controller, workload and
+/// the workload's aggressor and victim oracles. A run is construct,
+/// workload(), step() until the batch is empty, advance(), result();
+/// each is its own call so that a caller can time it, or feed() records
+/// of its own instead of the workload.
+class Simulation {
+ public:
+  /// Records per batch when the workload lends no spans: enough to keep
+  /// refresh segments long for the per-bank kernels.
+  static constexpr std::size_t kBatchRecords = 4096;
+
+  /// Wires @p factory into the system @p config describes (finalized
+  /// here), under controller_config(config) or @p controller_cfg.
+  Simulation(const mem::BankMitigationFactory& factory, const SimConfig& config);
+  Simulation(const mem::BankMitigationFactory& factory, const SimConfig& config,
+             const mem::ControllerConfig& controller_cfg);
+  Simulation(const Simulation&) = delete;
+  Simulation& operator=(const Simulation&) = delete;
+
+  /// The config's workload, built on the workload stream at the first
+  /// call, which also installs its aggressor oracle.
+  trace::TraceSource& workload();
+
+  /// Feeds the workload's next batch (a borrowed span, with a corpus's
+  /// bank lanes, or up to kBatchRecords copied records) and returns it,
+  /// valid until the next call; empty once the workload is exhausted.
+  std::span<const trace::AccessRecord> step();
+
+  /// Feeds @p count records of the caller's.
+  void feed(const trace::AccessRecord* records, std::size_t count);
+
+  /// Completes refresh processing to the end of the configured run.
+  void advance();
+
+  RunResult result(const std::string& technique) const;
+
+  const mem::MitigationEngine& engine() const noexcept { return engine_; }
+  const dram::DisturbanceModel& disturbance() const noexcept { return disturbance_; }
+  const mem::MemoryController& controller() const noexcept { return controller_; }
+
+ private:
+  std::chrono::steady_clock::time_point start_;
+  SimConfig config_;
+  Streams streams_;
+  mem::MitigationEngine engine_;
+  dram::DisturbanceModel disturbance_;
+  mem::MemoryController controller_;
+  std::unique_ptr<trace::TraceSource> workload_;
+  std::unordered_set<std::uint64_t> aggressors_;
+  std::unordered_set<std::uint64_t> victims_;
+  std::vector<trace::AccessRecord> batch_;
+  std::uint64_t records_ = 0;
+};
+
 /// Runs @p technique on the configured system. Deterministic in
 /// (config, config.seed).
 RunResult run_simulation(hw::Technique technique, const SimConfig& config);
@@ -163,9 +230,9 @@ std::unique_ptr<trace::TraceSource> build_workload(
 
 /// Generates the workload @p config describes and records it — records
 /// plus aggressor oracle — to @p path as a v2 corpus. The generation
-/// consumes the same RNG fork run_custom_simulation would, so replaying
-/// the corpus reproduces the generated run bit-identically. Returns the
-/// corpus identity (footer CRC).
+/// draws on the run's Streams::workload, so replaying the corpus
+/// reproduces the generated run bit-identically. Returns the corpus
+/// identity (footer CRC).
 std::uint32_t record_corpus(const SimConfig& config, const std::string& path,
                             trace::CorpusWriter::Options options = {});
 

@@ -186,95 +186,104 @@ mem::ControllerConfig controller_config(const SimConfig& config) {
   return controller_cfg;
 }
 
-RunResult run_custom_simulation(const mem::BankMitigationFactory& factory,
-                                const std::string& display_name,
-                                const SimConfig& config) {
-  const auto t0 = std::chrono::steady_clock::now();
+Streams::Streams(std::uint64_t seed) {
+  util::Rng root(seed);
+  workload = root.fork();
+  engine = root.fork();
+  controller = root.fork();
+}
 
-  SimConfig cfg = config;
-  cfg.finalize();
+Simulation::Simulation(const mem::BankMitigationFactory& factory,
+                       const SimConfig& config)
+    : Simulation(factory, config, controller_config(config)) {}
 
-  util::Rng rng(cfg.seed);
-  util::Rng workload_rng = rng.fork();
-  util::Rng engine_rng = rng.fork();
-  util::Rng controller_rng = rng.fork();
+Simulation::Simulation(const mem::BankMitigationFactory& factory,
+                       const SimConfig& config,
+                       const mem::ControllerConfig& controller_cfg)
+    : start_(std::chrono::steady_clock::now()),
+      config_([&] { SimConfig c = config; c.finalize(); return c; }()),
+      streams_(config_.seed),
+      engine_(config_.geometry.total_banks(), factory, streams_.engine),
+      disturbance_(config_.geometry.total_banks(),
+                   config_.geometry.rows_per_bank, config_.disturbance),
+      controller_(controller_cfg, engine_, disturbance_, streams_.controller) {}
 
-  mem::MitigationEngine engine(cfg.geometry.total_banks(), factory, engine_rng);
-  dram::DisturbanceModel disturbance(cfg.geometry.total_banks(),
-                                     cfg.geometry.rows_per_bank,
-                                     cfg.disturbance);
+trace::TraceSource& Simulation::workload() {
+  if (!workload_) {
+    workload_ = build_workload(config_, streams_.workload, &aggressors_,
+                               &victims_);
+    controller_.set_aggressor_oracle(
+        [this](dram::BankId bank, dram::RowId row) {
+          return aggressors_.count(key_of(bank, row)) != 0;
+        });
+  }
+  return *workload_;
+}
 
-  mem::MemoryController controller(controller_config(cfg), engine,
-                                   disturbance, controller_rng);
-
-  std::unordered_set<std::uint64_t> aggressors;
-  std::unordered_set<std::uint64_t> victims;
-  auto workload = build_workload(cfg, workload_rng, &aggressors, &victims);
-  controller.set_aggressor_oracle(
-      [&aggressors](dram::BankId bank, dram::RowId row) {
-        return aggressors.count(key_of(bank, row)) != 0;
-      });
-
-  RunResult result;
-  // Batched delivery: one next_batch() virtual call per kBatchRecords
-  // instead of one next() per record. The record sequence — and thus
-  // every RNG draw — is identical to the record-at-a-time loop (the
-  // bit-identical-results test in exp_test holds the two paths equal).
-  // 4096 keeps refresh segments long enough for the per-bank batch
-  // kernels (and the bank_jobs sharding) to amortize their dispatch.
-  constexpr std::size_t kBatchRecords = 4096;
-  if (workload->supports_spans()) {
-    // Zero-copy feed: the controller consumes the source's own storage
-    // (for a corpus replay, the mmap'd page cache) span by span. When
-    // the span comes with precomputed bank lanes (a corpus with a
-    // partition index), the controller skips its own scatter pass; the
-    // record sequence is identical either way, and on_records is
-    // chunking-invariant, so results stay bit-identical.
+std::span<const trace::AccessRecord> Simulation::step() {
+  trace::TraceSource& source = workload();
+  if (source.supports_spans()) {
+    // Zero-copy; a corpus's partition index spares the scatter pass.
     const trace::AccessRecord* span = nullptr;
     const trace::BankLaneView* lanes = nullptr;
     std::size_t lane_banks = 0;
-    while (const std::size_t n =
-               workload->span_lanes(&span, &lanes, &lane_banks)) {
-      if (lanes != nullptr)
-        controller.on_records_partitioned(span, n, lanes, lane_banks);
-      else
-        controller.on_records(span, n);
-      result.records += n;
-    }
-  } else {
-    std::vector<trace::AccessRecord> batch(kBatchRecords);
-    for (;;) {
-      const std::size_t n = workload->next_batch(batch.data(), batch.size());
-      if (n == 0) break;
-      controller.on_records(batch.data(), n);
-      result.records += n;
-    }
+    const std::size_t n = source.span_lanes(&span, &lanes, &lane_banks);
+    if (n == 0) return {};
+    if (lanes != nullptr)
+      controller_.on_records_partitioned(span, n, lanes, lane_banks);
+    else
+      controller_.on_records(span, n);
+    records_ += n;
+    return {span, n};
   }
-  controller.advance_to(cfg.duration_ps());
+  batch_.resize(kBatchRecords);
+  const std::size_t n = source.next_batch(batch_.data(), batch_.size());
+  feed(batch_.data(), n);
+  return {batch_.data(), n};
+}
 
-  result.technique = display_name;
-  result.stats = controller.stats();
-  result.flips = disturbance.flips().size();
-  result.flip_events = disturbance.flips();
-  result.peak_disturbance = disturbance.peak_disturbance_q8() >> 8;
-  result.state_bytes_per_bank = engine.state_bytes_per_bank();
+void Simulation::feed(const trace::AccessRecord* records, std::size_t count) {
+  controller_.on_records(records, count);
+  records_ += count;
+}
 
-  // Victim flips: flips on the physical images of the declared victims
-  // (a flip anywhere is a failure, but victim flips are the attack's
-  // declared goal). build_workload collects them logical from every
-  // source — explicit attacks, fuzz-derived patterns, the replay
-  // corpus footer — and they are mapped through the remapper here.
+void Simulation::advance() { controller_.advance_to(config_.duration_ps()); }
+
+RunResult Simulation::result(const std::string& technique) const {
+  RunResult result;
+  result.technique = technique;
+  result.stats = controller_.stats();
+  result.flips = disturbance_.flips().size();
+  result.flip_events = disturbance_.flips();
+  result.peak_disturbance = disturbance_.peak_disturbance_q8() >> 8;
+  result.state_bytes_per_bank = engine_.state_bytes_per_bank();
+  result.records = records_;
+
+  // Victim flips: flips on the physical images of the declared victims,
+  // which build_workload collects logical from every source (explicit
+  // attacks, fuzz-derived patterns, the replay corpus footer).
   std::unordered_set<std::uint64_t> victim_keys;
-  for (const auto key : victims)
+  for (const auto key : victims_)
     victim_keys.insert(
         key_of(static_cast<dram::BankId>(key >> 32),
-               controller.remapper().to_physical(static_cast<dram::RowId>(key))));
-  for (const auto& flip : disturbance.flips())
+               controller_.remapper().to_physical(static_cast<dram::RowId>(key))));
+  for (const auto& flip : disturbance_.flips())
     if (victim_keys.count(key_of(flip.bank, flip.row))) ++result.victim_flips;
 
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  result.wall_seconds = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start_)
+                            .count();
   return result;
+}
+
+RunResult run_custom_simulation(const mem::BankMitigationFactory& factory,
+                                const std::string& display_name,
+                                const SimConfig& config) {
+  Simulation sim(factory, config);
+  while (!sim.step().empty()) {
+  }
+  sim.advance();
+  return sim.result(display_name);
 }
 
 SeedSweepResult run_seed_sweep(hw::Technique technique, SimConfig config,
@@ -286,9 +295,9 @@ SeedSweepResult run_seed_sweep(hw::Technique technique, SimConfig config,
   sweep.jobs = util::job_count();
 
   // Parallel-safety invariant: nothing below run_simulation shares
-  // mutable state between runs — every run builds its own Rng(cfg.seed),
-  // workload, controller, engine and disturbance model from its private
-  // SimConfig copy. Keep it that way: any global/static mutable state
+  // mutable state between runs — every run builds its own Simulation
+  // (streams, workload, controller, engine and disturbance model) from
+  // its private SimConfig copy. Keep it that way: any global/static mutable state
   // introduced under run_simulation breaks this grid.
   //
   // Sweep seeds derive from the caller's configured base seed (they used
@@ -327,13 +336,12 @@ std::uint32_t record_corpus(const SimConfig& config, const std::string& path,
   if (cfg.workload.model == BenignModel::kReplay)
     throw std::invalid_argument(
         "record_corpus: the workload is already a replay");
-  // Same fork order as run_custom_simulation: the workload stream drawn
-  // here is exactly the one a generated run would consume.
-  util::Rng rng(cfg.seed);
-  util::Rng workload_rng = rng.fork();
+  // The workload stream drawn here is exactly the one a generated run
+  // would consume.
+  Streams streams(cfg.seed);
   std::unordered_set<std::uint64_t> aggressors;
   std::unordered_set<std::uint64_t> victims;
-  auto workload = build_workload(cfg, workload_rng, &aggressors, &victims);
+  auto workload = build_workload(cfg, streams.workload, &aggressors, &victims);
 
   // Recorded corpora carry the partition index by default: the
   // config's bank count is known here, and writing the lanes once
@@ -342,13 +350,9 @@ std::uint32_t record_corpus(const SimConfig& config, const std::string& path,
   if (options.partition_banks == 0)
     options.partition_banks = cfg.geometry.total_banks();
   trace::CorpusWriter writer(path, options);
-  constexpr std::size_t kBatchRecords = 4096;
-  std::vector<trace::AccessRecord> batch(kBatchRecords);
-  for (;;) {
-    const std::size_t n = workload->next_batch(batch.data(), batch.size());
-    if (n == 0) break;
+  std::vector<trace::AccessRecord> batch(Simulation::kBatchRecords);
+  while (const std::size_t n = workload->next_batch(batch.data(), batch.size()))
     writer.append(batch.data(), n);
-  }
   writer.set_aggressors({aggressors.begin(), aggressors.end()});
   writer.set_victims({victims.begin(), victims.end()});
   return writer.close();

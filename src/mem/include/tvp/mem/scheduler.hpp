@@ -1,6 +1,6 @@
 // Command-level memory-controller model.
 //
-// MemoryController (controller.hpp) is the activation-accurate spine the
+// MemoryController, in controller.hpp, is the activation-accurate spine the
 // reproduction experiments run on: it counts every ACT and feeds the
 // disturbance model, but abstracts command scheduling. CommandScheduler
 // complements it with a queueing model at DDR command granularity —

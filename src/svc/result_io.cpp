@@ -1,6 +1,7 @@
 #include "tvp/svc/result_io.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace tvp::svc {
 
@@ -29,22 +30,28 @@ util::RunningStat read_running_stat(const util::JsonValue& value) {
   return util::RunningStat::from_raw(raw);
 }
 
+/// The ControllerStats counters, in their JSON key order.
+constexpr std::pair<const char*, std::uint64_t mem::ControllerStats::*>
+    kCounters[] = {
+        {"demand_acts", &mem::ControllerStats::demand_acts},
+        {"extra_acts", &mem::ControllerStats::extra_acts},
+        {"fp_extra_acts", &mem::ControllerStats::fp_extra_acts},
+        {"triggers", &mem::ControllerStats::triggers},
+        {"refresh_intervals", &mem::ControllerStats::refresh_intervals},
+        {"rows_refreshed", &mem::ControllerStats::rows_refreshed},
+        {"reads", &mem::ControllerStats::reads},
+        {"writes", &mem::ControllerStats::writes},
+        {"delayed_acts", &mem::ControllerStats::delayed_acts},
+        {"first_extra_act_at", &mem::ControllerStats::first_extra_act_at},
+};
+
 }  // namespace
 
 void write_run_result(util::JsonWriter& json, const exp::RunResult& result) {
   const mem::ControllerStats& s = result.stats;
   json.begin_object();
   json.key("technique").value(result.technique);
-  json.key("demand_acts").value(s.demand_acts);
-  json.key("extra_acts").value(s.extra_acts);
-  json.key("fp_extra_acts").value(s.fp_extra_acts);
-  json.key("triggers").value(s.triggers);
-  json.key("refresh_intervals").value(s.refresh_intervals);
-  json.key("rows_refreshed").value(s.rows_refreshed);
-  json.key("reads").value(s.reads);
-  json.key("writes").value(s.writes);
-  json.key("delayed_acts").value(s.delayed_acts);
-  json.key("first_extra_act_at").value(s.first_extra_act_at);
+  for (const auto& [name, counter] : kCounters) json.key(name).value(s.*counter);
   json.key("acts_per_interval");
   write_running_stat(json, s.acts_per_interval);
   json.key("extra_acts_by_phase").begin_array();
@@ -71,16 +78,7 @@ exp::RunResult read_run_result(const util::JsonValue& value) {
   exp::RunResult result;
   mem::ControllerStats& s = result.stats;
   result.technique = value.at("technique").as_string();
-  s.demand_acts = value.at("demand_acts").as_uint();
-  s.extra_acts = value.at("extra_acts").as_uint();
-  s.fp_extra_acts = value.at("fp_extra_acts").as_uint();
-  s.triggers = value.at("triggers").as_uint();
-  s.refresh_intervals = value.at("refresh_intervals").as_uint();
-  s.rows_refreshed = value.at("rows_refreshed").as_uint();
-  s.reads = value.at("reads").as_uint();
-  s.writes = value.at("writes").as_uint();
-  s.delayed_acts = value.at("delayed_acts").as_uint();
-  s.first_extra_act_at = value.at("first_extra_act_at").as_uint();
+  for (const auto& [name, counter] : kCounters) s.*counter = value.at(name).as_uint();
   s.acts_per_interval = read_running_stat(value.at("acts_per_interval"));
   const auto& phases = value.at("extra_acts_by_phase").items();
   if (phases.size() != s.extra_acts_by_phase.size())

@@ -85,12 +85,12 @@ constexpr std::size_t kPartitionEntryBytes = 16;  // offset + bytes + crc
 // to an 8-byte boundary as a whole.
 constexpr std::size_t kLaneBytesPerRecord = 8 + 4 + 4 + 1;
 
-constexpr std::size_t pad8_sz(std::size_t n) { return (n + 7u) & ~std::size_t{7}; }
+constexpr std::size_t pad8(std::size_t n) { return (n + 7u) & ~std::size_t{7}; }
 
 /// Exact byte size of one block's lane region.
 constexpr std::size_t partition_region_bytes(std::uint32_t banks,
                                              std::size_t records) {
-  return pad8_sz(std::size_t{banks} * 4) + records * 16 + pad8_sz(records);
+  return pad8(std::size_t{banks} * 4) + records * 16 + pad8(records);
 }
 
 // Failpoint sites, one per syscall location (see util/failpoint.hpp).
@@ -106,7 +106,6 @@ constexpr const char* kSiteReadOpen = "corpus.read.open";
 constexpr const char* kSiteReadMmap = "corpus.read.mmap";
 constexpr const char* kSiteReadPread = "corpus.read.pread";
 
-constexpr std::size_t pad8(std::size_t n) { return (n + 7u) & ~std::size_t{7}; }
 
 void store_u32(unsigned char* p, std::uint32_t v) { std::memcpy(p, &v, 4); }
 void store_u64(unsigned char* p, std::uint64_t v) { std::memcpy(p, &v, 8); }

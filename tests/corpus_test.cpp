@@ -461,8 +461,8 @@ TEST(CorpusReplay, RecordCorpusStoresTheAggressorOracle) {
 
   // The stored oracle equals the generation-time ground truth.
   std::unordered_set<std::uint64_t> expected;
-  util::Rng workload_rng = util::Rng(cfg.seed).fork();
-  exp::build_workload(cfg, workload_rng, &expected);
+  exp::Streams streams(cfg.seed);
+  exp::build_workload(cfg, streams.workload, &expected);
   const CorpusInfo info = read_corpus_info(file.path());
   EXPECT_EQ(info.aggressors.size(), expected.size());
   for (const auto key : info.aggressors) EXPECT_TRUE(expected.count(key));

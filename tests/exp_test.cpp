@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 #include "tvp/dram/disturbance.hpp"
 #include "tvp/exp/config_io.hpp"
@@ -62,31 +64,6 @@ TEST(Runner, DeterministicForSameSeed) {
   EXPECT_EQ(a.records, b.records);
 }
 
-// Feeds @p records into a freshly built system for @p cfg, delivering
-// them in chunks of @p batch.
-mem::ControllerStats feed_records(const SimConfig& cfg, std::size_t batch,
-                                  const std::vector<trace::AccessRecord>& records,
-                                  std::uint64_t* flips) {
-  util::Rng rng(cfg.seed);
-  (void)rng.fork();  // workload stream, unused: records are pre-drained
-  util::Rng engine_rng = rng.fork();
-  util::Rng controller_rng = rng.fork();
-  mem::MitigationEngine engine(
-      cfg.geometry.total_banks(),
-      make_factory(hw::Technique::kLoLiPRoMi, cfg.technique), engine_rng);
-  dram::DisturbanceModel disturbance(cfg.geometry.total_banks(),
-                                     cfg.geometry.rows_per_bank,
-                                     cfg.disturbance);
-  mem::MemoryController controller(controller_config(cfg), engine,
-                                   disturbance, controller_rng);
-  for (std::size_t i = 0; i < records.size(); i += batch)
-    controller.on_records(records.data() + i,
-                          std::min(batch, records.size() - i));
-  controller.advance_to(cfg.duration_ps());
-  *flips = disturbance.flips().size();
-  return controller.stats();
-}
-
 /// Everything the batch-equivalence contract pins: the controller
 /// counters plus the disturbance model's ground truth.
 struct FeedOutcome {
@@ -96,41 +73,25 @@ struct FeedOutcome {
   std::uint64_t peak_q8 = 0;
 };
 
-/// Like feed_records, but parameterized over technique, batch size and
-/// bank_jobs, with the aggressor oracle wired for FPR accounting.
+/// Feeds @p records, the drained workload of @p cfg, into a fresh rig
+/// in chunks of @p batch, with the workload's aggressor oracle wired
+/// for FPR accounting.
 FeedOutcome feed_outcome(const SimConfig& cfg,
                          const mem::BankMitigationFactory& factory,
                          std::size_t batch, std::size_t bank_jobs,
-                         const std::unordered_set<std::uint64_t>* aggressors,
                          const std::vector<trace::AccessRecord>& records) {
-  util::Rng rng(cfg.seed);
-  (void)rng.fork();  // workload stream, unused: records are pre-drained
-  util::Rng engine_rng = rng.fork();
-  util::Rng controller_rng = rng.fork();
-  mem::MitigationEngine engine(cfg.geometry.total_banks(), factory, engine_rng);
-  dram::DisturbanceModel disturbance(cfg.geometry.total_banks(),
-                                     cfg.geometry.rows_per_bank,
-                                     cfg.disturbance);
   mem::ControllerConfig controller_cfg = controller_config(cfg);
   controller_cfg.bank_jobs = bank_jobs;
-  mem::MemoryController controller(controller_cfg, engine, disturbance,
-                                   controller_rng);
-  if (aggressors) {
-    controller.set_aggressor_oracle(
-        [aggressors](dram::BankId bank, dram::RowId row) {
-          return aggressors->count((static_cast<std::uint64_t>(bank) << 32) |
-                                   row) != 0;
-        });
-  }
+  Simulation sim(factory, cfg, controller_cfg);
+  sim.workload();  // installs the oracle; the records are fed below
   for (std::size_t i = 0; i < records.size(); i += batch)
-    controller.on_records(records.data() + i,
-                          std::min(batch, records.size() - i));
-  controller.advance_to(cfg.duration_ps());
+    sim.feed(records.data() + i, std::min(batch, records.size() - i));
+  sim.advance();
   FeedOutcome out;
-  out.stats = controller.stats();
-  out.flips = disturbance.flips();
-  out.activations = disturbance.activations();
-  out.peak_q8 = disturbance.peak_disturbance_q8();
+  out.stats = sim.controller().stats();
+  out.flips = sim.disturbance().flips();
+  out.activations = sim.disturbance().activations();
+  out.peak_q8 = sim.disturbance().peak_disturbance_q8();
   return out;
 }
 
@@ -144,21 +105,21 @@ TEST(Runner, BatchedDeliveryIsBitIdenticalToRecordAtATime) {
   attack.rows_per_bank = cfg.geometry.rows_per_bank;
   cfg.workload.attacks.push_back(attack);
   cfg.finalize();
-  util::Rng workload_rng = util::Rng(cfg.seed).fork();
-  const auto records = trace::drain(*build_workload(cfg, workload_rng));
+  Streams streams(cfg.seed);
+  const auto records = trace::drain(*build_workload(cfg, streams.workload));
   ASSERT_FALSE(records.empty());
 
-  std::uint64_t flips1 = 0;
-  const auto one = feed_records(cfg, 1, records, &flips1);
+  const auto factory = make_factory(hw::Technique::kLoLiPRoMi, cfg.technique);
+  const FeedOutcome one = feed_outcome(cfg, factory, 1, 1, records);
   for (const std::size_t batch : {7ul, 256ul, records.size()}) {
-    std::uint64_t flips_b = 0;
-    const auto batched = feed_records(cfg, batch, records, &flips_b);
-    EXPECT_EQ(one.demand_acts, batched.demand_acts) << "batch " << batch;
-    EXPECT_EQ(one.extra_acts, batched.extra_acts) << "batch " << batch;
-    EXPECT_EQ(one.fp_extra_acts, batched.fp_extra_acts) << "batch " << batch;
-    EXPECT_EQ(one.triggers, batched.triggers) << "batch " << batch;
-    EXPECT_EQ(one.reads, batched.reads) << "batch " << batch;
-    EXPECT_EQ(flips1, flips_b) << "batch " << batch;
+    const FeedOutcome batched = feed_outcome(cfg, factory, batch, 1, records);
+    EXPECT_EQ(one.stats.demand_acts, batched.stats.demand_acts) << "batch " << batch;
+    EXPECT_EQ(one.stats.extra_acts, batched.stats.extra_acts) << "batch " << batch;
+    EXPECT_EQ(one.stats.fp_extra_acts, batched.stats.fp_extra_acts)
+        << "batch " << batch;
+    EXPECT_EQ(one.stats.triggers, batched.stats.triggers) << "batch " << batch;
+    EXPECT_EQ(one.stats.reads, batched.stats.reads) << "batch " << batch;
+    EXPECT_EQ(one.flips.size(), batched.flips.size()) << "batch " << batch;
   }
 }
 
@@ -192,9 +153,9 @@ TEST(Runner, EveryTechniqueBatchAndShardingAreBitIdentical) {
   cfg.finalize();
 
   std::unordered_set<std::uint64_t> aggressors;
-  util::Rng workload_rng = util::Rng(cfg.seed).fork();
+  Streams streams(cfg.seed);
   const auto records =
-      trace::drain(*build_workload(cfg, workload_rng, &aggressors));
+      trace::drain(*build_workload(cfg, streams.workload, &aggressors));
   ASSERT_FALSE(records.empty());
   ASSERT_FALSE(aggressors.empty());
 
@@ -211,42 +172,92 @@ TEST(Runner, EveryTechniqueBatchAndShardingAreBitIdentical) {
   variants.emplace_back("Graphene",
                         mitigation::make_graphene_factory(graphene_cfg));
 
+  const auto expect_same = [](const mem::ControllerStats& base,
+                              const std::vector<dram::FlipEvent>& base_flips,
+                              const mem::ControllerStats& got,
+                              const std::vector<dram::FlipEvent>& got_flips,
+                              const std::string& label) {
+    EXPECT_EQ(base.demand_acts, got.demand_acts) << label;
+    EXPECT_EQ(base.extra_acts, got.extra_acts) << label;
+    EXPECT_EQ(base.fp_extra_acts, got.fp_extra_acts) << label;
+    EXPECT_EQ(base.triggers, got.triggers) << label;
+    EXPECT_EQ(base.reads, got.reads) << label;
+    EXPECT_EQ(base.writes, got.writes) << label;
+    EXPECT_EQ(base.delayed_acts, got.delayed_acts) << label;
+    EXPECT_EQ(base.refresh_intervals, got.refresh_intervals) << label;
+    EXPECT_EQ(base.first_extra_act_at, got.first_extra_act_at) << label;
+    EXPECT_EQ(base.extra_acts_by_phase, got.extra_acts_by_phase) << label;
+    ASSERT_EQ(base_flips.size(), got_flips.size()) << label;
+    for (std::size_t f = 0; f < base_flips.size(); ++f) {
+      EXPECT_EQ(base_flips[f].bank, got_flips[f].bank) << label;
+      EXPECT_EQ(base_flips[f].row, got_flips[f].row) << label;
+      EXPECT_EQ(base_flips[f].at_activation, got_flips[f].at_activation)
+          << label;
+      EXPECT_EQ(base_flips[f].interval, got_flips[f].interval) << label;
+    }
+  };
+
   for (const auto& [name, factory] : variants) {
-    const FeedOutcome base =
-        feed_outcome(cfg, factory, 1, 1, &aggressors, records);
+    const FeedOutcome base = feed_outcome(cfg, factory, 1, 1, records);
     for (const std::size_t batch : {1ul, 7ul, 256ul, 4096ul}) {
       for (const std::size_t jobs : {1ul, 8ul}) {
         const FeedOutcome got =
-            feed_outcome(cfg, factory, batch, jobs, &aggressors, records);
+            feed_outcome(cfg, factory, batch, jobs, records);
         const std::string label =
             name + " batch " + std::to_string(batch) + " jobs " +
             std::to_string(jobs);
-        EXPECT_EQ(base.stats.demand_acts, got.stats.demand_acts) << label;
-        EXPECT_EQ(base.stats.extra_acts, got.stats.extra_acts) << label;
-        EXPECT_EQ(base.stats.fp_extra_acts, got.stats.fp_extra_acts) << label;
-        EXPECT_EQ(base.stats.triggers, got.stats.triggers) << label;
-        EXPECT_EQ(base.stats.reads, got.stats.reads) << label;
-        EXPECT_EQ(base.stats.writes, got.stats.writes) << label;
-        EXPECT_EQ(base.stats.delayed_acts, got.stats.delayed_acts) << label;
-        EXPECT_EQ(base.stats.refresh_intervals, got.stats.refresh_intervals)
-            << label;
-        EXPECT_EQ(base.stats.first_extra_act_at, got.stats.first_extra_act_at)
-            << label;
-        EXPECT_EQ(base.stats.extra_acts_by_phase, got.stats.extra_acts_by_phase)
-            << label;
+        expect_same(base.stats, base.flips, got.stats, got.flips, label);
         EXPECT_EQ(base.activations, got.activations) << label;
         EXPECT_EQ(base.peak_q8, got.peak_q8) << label;
-        ASSERT_EQ(base.flips.size(), got.flips.size()) << label;
-        for (std::size_t f = 0; f < base.flips.size(); ++f) {
-          EXPECT_EQ(base.flips[f].bank, got.flips[f].bank) << label;
-          EXPECT_EQ(base.flips[f].row, got.flips[f].row) << label;
-          EXPECT_EQ(base.flips[f].at_activation, got.flips[f].at_activation)
-              << label;
-          EXPECT_EQ(base.flips[f].interval, got.flips[f].interval) << label;
-        }
       }
     }
+    // The runner's own feed: the workload's spans, or its 4096-record
+    // batches when it lends none.
+    const RunResult run = run_custom_simulation(factory, name, cfg);
+    const std::string label = name + " run_custom_simulation";
+    EXPECT_EQ(records.size(), run.records) << label;
+    expect_same(base.stats, base.flips, run.stats, run.flip_events, label);
+    EXPECT_EQ(base.peak_q8 >> 8, run.peak_disturbance) << label;
   }
+}
+
+TEST(Runner, StreamAssignmentIsPinned) {
+  // Exact counts of a small attacked run, taken before the rig owned
+  // the fork order. The workload stream sets the demand, the engine
+  // stream PARA's coins and LoLiPRoMi's draws, and the controller
+  // stream the random refresh order, which decides when an unmitigated
+  // victim flips. A reordered fork, or a stream handed to the wrong
+  // consumer, moves them.
+  SimConfig cfg = fast_config();
+  cfg.refresh_policy = dram::RefreshPolicy::kRandom;
+  cfg.remap_rows = true;
+  trace::AttackConfig attack;
+  attack.victims = {1000, 5000};
+  attack.rows_per_bank = cfg.geometry.rows_per_bank;
+  cfg.workload.attacks.push_back(attack);
+  cfg.finalize();
+
+  struct Pin {
+    hw::Technique technique;
+    std::uint64_t extra_acts, triggers, fp_extra_acts, peak_disturbance;
+  };
+  for (const Pin& pin : {Pin{hw::Technique::kPara, 1660, 1660, 169, 13528},
+                         Pin{hw::Technique::kLoLiPRoMi, 218, 109, 88, 57452}}) {
+    const RunResult r = run_simulation(pin.technique, cfg);
+    EXPECT_EQ(r.stats.demand_acts, 1'585'013u) << r.technique;
+    EXPECT_EQ(r.stats.extra_acts, pin.extra_acts) << r.technique;
+    EXPECT_EQ(r.stats.triggers, pin.triggers) << r.technique;
+    EXPECT_EQ(r.stats.fp_extra_acts, pin.fp_extra_acts) << r.technique;
+    EXPECT_EQ(r.peak_disturbance, pin.peak_disturbance) << r.technique;
+  }
+  const RunResult none = run_custom_simulation(
+      [](dram::BankId, util::Rng) { return std::make_unique<mem::NoMitigation>(); },
+      "none", cfg);
+  EXPECT_EQ(none.peak_disturbance, 669'272u);
+  EXPECT_EQ(none.victim_flips, 2u);
+  ASSERT_EQ(none.flip_events.size(), 6u);
+  EXPECT_EQ(none.flip_events.front().at_activation, 309'604u);
+  EXPECT_EQ(none.flip_events.back().at_activation, 1'197'430u);
 }
 
 TEST(Runner, SeedChangesTheRun) {
@@ -669,6 +680,31 @@ TEST(ConfigIo, TimingWithoutAPresetIsRejected) {
   SimConfig config;
   config.timing.t_rc_ps = 48'000;
   EXPECT_THROW(to_config_text(config), std::invalid_argument);
+}
+
+TEST(ConfigIo, EveryWrittenKeyIsDocumented) {
+  // configs/README.md is the key reference: every key to_config_text
+  // writes, with each of its conditions on (a fuzz workload, a trace
+  // path, an attack), has a row naming it in backticks.
+  SimConfig config;
+  config.workload.model = BenignModel::kFuzz;
+  config.workload.trace_path = "corpus.tvpc";
+  trace::AttackConfig attack;
+  attack.victims = {1000};
+  config.workload.attacks.push_back(attack);
+  std::ifstream is(std::string(TVP_SOURCE_DIR) + "/configs/README.md");
+  ASSERT_TRUE(is);
+  std::ostringstream readme;
+  readme << is.rdbuf();
+  const auto file = util::KeyValueFile::parse(to_config_text(config));
+  for (std::string key : file.keys()) {
+    // One row documents attack.<i>.* for every attack index.
+    if (key.rfind("attack.0.", 0) == 0) key = "attack.<i>." + key.substr(9);
+    EXPECT_NE(readme.str().find("`" + key + "`"), std::string::npos) << key;
+  }
+  EXPECT_TRUE(file.has("workload.trace"));
+  EXPECT_TRUE(file.has("fuzz.half_double"));
+  EXPECT_TRUE(file.has("attack.0.far_per_near"));
 }
 
 // ------------------------------------------------------------------- sweep

@@ -463,10 +463,9 @@ exp::SimConfig fuzz_config() {
 
 TEST(FuzzWorkload, BuildWorkloadCollectsFuzzOracles) {
   const exp::SimConfig cfg = fuzz_config();
-  util::Rng rng(cfg.seed);
-  util::Rng workload_rng = rng.fork();
+  exp::Streams streams(cfg.seed);
   std::unordered_set<std::uint64_t> aggressors, victims;
-  auto source = exp::build_workload(cfg, workload_rng, &aggressors, &victims);
+  auto source = exp::build_workload(cfg, streams.workload, &aggressors, &victims);
   ASSERT_TRUE(source != nullptr);
   ASSERT_FALSE(aggressors.empty());
   ASSERT_FALSE(victims.empty());

@@ -171,9 +171,8 @@ TEST(Integration, RowRemappingDoesNotBreakProtection) {
 TEST(Integration, TraceRoundTripReplaysIdentically) {
   // Capture the workload, save, reload, re-run: byte-identical results.
   SimConfig cfg = campaign_config();
-  util::Rng rng(cfg.seed);
-  util::Rng workload_rng = rng.fork();
-  auto source = build_workload(cfg, workload_rng);
+  Streams streams(cfg.seed);
+  auto source = build_workload(cfg, streams.workload);
   const auto records = trace::drain(*source, 100000);
   const std::string path = ::testing::TempDir() + "/integration.tvpc";
   trace::write_corpus(path, records);
