@@ -27,7 +27,8 @@
 //     --smoke      CI-sized run (50000 ACTs) — same shape, seconds not minutes
 //     --out        JSON output path (default BENCH_hotpath.json)
 //     --profile    per-stage breakdown (partition / mitigation /
-//                  disturbance ns per ACT) and a partitioned-corpus
+//                  disturbance ns per ACT, mitigation split into the
+//                  technique kernel and the walk) and a partitioned-corpus
 //                  replay pass proving the lane path skips the scatter
 //                  stage. Adds a "profile" section to the JSON; the
 //                  stage timers add a little overhead, so the headline
@@ -64,6 +65,12 @@ struct Result {
   double state_bytes_per_bank = 0.0;
   mem::StageProfile stages;       // zeros unless profiling
 };
+
+/// The mitigation stage minus its technique kernel: the controller's
+/// walk over the lane and the kernel's actions.
+std::uint64_t walk_ns(const mem::StageProfile& stages) {
+  return stages.mitigation_ns - stages.kernel_ns;
+}
 
 /// One timed run on a fresh rig: @p trace in @p batch-record chunks, or
 /// @p replay_corpus's spans and lanes as a replay run steps them.
@@ -264,9 +271,12 @@ int main(int argc, char** argv) try {
       const Result& r = profiled.back();
       const double per = static_cast<double>(trace.size());
       std::printf(
-          "  %-12s partition %6.1f  mitigation %6.1f  disturbance %6.1f\n",
+          "  %-12s partition %6.1f  mitigation %6.1f (kernel %6.1f  walk "
+          "%6.1f)  disturbance %6.1f\n",
           r.technique.c_str(), static_cast<double>(r.stages.partition_ns) / per,
           static_cast<double>(r.stages.mitigation_ns) / per,
+          static_cast<double>(r.stages.kernel_ns) / per,
+          static_cast<double>(walk_ns(r.stages)) / per,
           static_cast<double>(r.stages.disturbance_ns) / per);
     }
 
@@ -353,6 +363,10 @@ int main(int argc, char** argv) try {
             .value(static_cast<double>(r.stages.partition_ns) / per);
         json.key("mitigation_ns_per_act")
             .value(static_cast<double>(r.stages.mitigation_ns) / per);
+        json.key("kernel_ns_per_act")
+            .value(static_cast<double>(r.stages.kernel_ns) / per);
+        json.key("walk_ns_per_act")
+            .value(static_cast<double>(walk_ns(r.stages)) / per);
         json.key("disturbance_ns_per_act")
             .value(static_cast<double>(r.stages.disturbance_ns) / per);
         json.key("scattered_acts").value(r.stages.scattered_acts);

@@ -8,6 +8,9 @@
 //
 // Phases, all over the identical record stream:
 //   generate       build_workload + drain (what every non-replay run pays)
+//   merge          the generated stream split back into one VectorSource
+//                  per AccessRecord::source and merged again: the k-way
+//                  merge alone, over pre-generated children
 //   record         CorpusWriter append + durable close
 //   replay_cold    first MmapSource, first pass — every block CRC-verified
 //   replay_shared  a second, fresh MmapSource — what every sweep cell
@@ -17,10 +20,11 @@
 //
 // An untimed pass also checks every replayed record equals the
 // generated one, so the speedups are only reported for an identical
-// stream. Gates (exit 1) on replay_shared — the steady-state per-cell
-// replay cost — being at least --min-speedup (default 5x) faster than
-// generation; writes BENCH_replay.json either way so CI can chart the
-// trajectory.
+// stream; likewise the merged stream must equal the generated one
+// (exit 1 otherwise). Gates (exit 1) on replay_shared — the
+// steady-state per-cell replay cost — being at least --min-speedup
+// (default 5x) faster than generation; writes BENCH_replay.json either
+// way so CI can chart the trajectory.
 //
 // Usage:
 //   replay_bench [--acts=N] [--seed=S] [--out=FILE] [--corpus=FILE]
@@ -29,10 +33,12 @@
 //     --corpus       corpus path (default: a temp file, removed on exit)
 //     --min-speedup  required shared-replay-vs-generation ratio (default 5)
 //     --smoke        CI-sized run (50000 ACTs) — same shape, seconds
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -123,6 +129,33 @@ int main(int argc, char** argv) try {
     return 1;
   }
   print_phase(generate);
+
+  // --- merge: one child per source id, pulled in the runs' batch size.
+  // In the standard campaign every generator has its own id and
+  // ascending id is registration order, so re-merging the split must
+  // give back the generated stream.
+  std::vector<std::vector<trace::AccessRecord>> by_source(256);  // 8-bit ids
+  for (const trace::AccessRecord& r : records) by_source[r.source].push_back(r);
+  std::vector<std::unique_ptr<trace::TraceSource>> children;
+  for (auto& child : by_source)
+    if (!child.empty())
+      children.push_back(std::make_unique<trace::VectorSource>(std::move(child)));
+  std::vector<trace::AccessRecord> merged(records.size());
+  util::Timer merge_timer;
+  trace::MergedSource merge_source(std::move(children));
+  std::size_t merged_count = 0;
+  while (const std::size_t n = merge_source.next_batch(
+             merged.data() + merged_count,
+             std::min(exp::Simulation::kBatchRecords,
+                      merged.size() - merged_count)))
+    merged_count += n;
+  const Phase merge{"merge", util::throughput(merged_count, merge_timer)};
+  print_phase(merge);
+  if (merged_count != records.size() || merged != records) {
+    std::fprintf(stderr,
+                 "replay_bench: merged stream diverged from generation\n");
+    return 1;
+  }
 
   // --- record: append + durable close.
   util::Timer record_timer;
@@ -223,7 +256,7 @@ int main(int argc, char** argv) try {
 #endif
   json.end_object();
   json.key("results").begin_array();
-  for (const Phase* phase : {&generate, &record, &cold, &shared, &warm}) {
+  for (const Phase* phase : {&generate, &merge, &record, &cold, &shared, &warm}) {
     json.begin_object();
     json.key("phase").value(phase->name);
     json.key("records").value(phase->rate.items);

@@ -155,7 +155,7 @@ std::unique_ptr<trace::TraceSource> build_workload(
   }
 
   // A single source needs no merge — and skipping it preserves the
-  // source's zero-copy span support (the k-way heap can't hand out
+  // source's zero-copy span support (the k-way merge can't hand out
   // borrowed spans). A 1-way merge is a passthrough, so the record
   // sequence is unchanged either way.
   std::unique_ptr<trace::TraceSource> stream;

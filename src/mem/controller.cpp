@@ -320,6 +320,7 @@ void MemoryController::run_segment(std::size_t valid) {
     stats_.extra_acts += s.extra;
     stats_.fp_extra_acts += s.fp_extra;
     stats_.extra_acts_by_phase[phase_bin] += s.extra;
+    profile_.kernel_ns += s.kernel_ns;
     interval_acts_[b] += static_cast<std::uint32_t>(s.lane_count);
     if (!s.triggered.empty())
       first_serial = std::min<std::uint64_t>(first_serial,
@@ -357,10 +358,14 @@ void MemoryController::run_bank_shard(dram::BankId bank,
   s.triggered.clear();
   if (n == 0) {
     s.reads = s.writes = s.delayed = s.triggers = s.extra = s.fp_extra = 0;
+    s.kernel_ns = 0;
     return;
   }
 
+  const bool timed = cfg_.profile;
+  const std::uint64_t t0 = timed ? monotonic_ns() : 0;
   const ActionBuffer& actions = engine_.on_activates(bank, s.lane_rows, n, ctx);
+  s.kernel_ns = timed ? monotonic_ns() - t0 : 0;
   const MitigationAction* act = actions.begin();
   const MitigationAction* const act_end = actions.end();
 

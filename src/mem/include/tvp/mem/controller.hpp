@@ -91,6 +91,10 @@ struct ControllerConfig {
 struct StageProfile {
   std::uint64_t partition_ns = 0;    ///< per-bank lane scatter (+ validation)
   std::uint64_t mitigation_ns = 0;   ///< bank-shard dispatch (techniques + lane bookkeeping)
+  /// Time inside MitigationEngine::on_activates, summed over the bank
+  /// shards: the technique-kernel part of mitigation_ns when serial
+  /// (with bank_jobs > 1 it adds up the workers and can exceed it).
+  std::uint64_t kernel_ns = 0;
   std::uint64_t disturbance_ns = 0;  ///< serial reduce + flip re-sequencing/commit
   std::uint64_t scattered_acts = 0;    ///< ACTs partitioned by the controller
   std::uint64_t partitioned_acts = 0;  ///< ACTs fed from pre-built corpus lanes
@@ -199,6 +203,7 @@ class MemoryController {
     std::uint64_t triggers = 0;
     std::uint64_t extra = 0;
     std::uint64_t fp_extra = 0;
+    std::uint64_t kernel_ns = 0;  ///< on_activates time (profile only)
     std::vector<Trigger> triggered;  ///< in serial order
   };
 

@@ -106,37 +106,47 @@ AttackSource::AttackSource(AttackConfig config)
     throw std::invalid_argument("AttackSource: no valid aggressors derived");
 }
 
-bool AttackSource::generate(AccessRecord& rec) {
-  now_ps_ += cfg_.interarrival_ps;
-  if (now_ps_ >= cfg_.end_ps) return false;
-  rec.time_ps = now_ps_;
-  rec.bank = cfg_.bank;
-  rec.write = false;
-  rec.is_attack = true;
-  rec.source = cfg_.source_id;
-  if (cfg_.pattern == AttackPattern::kFuzzed) {
-    // Fuzzed patterns replay their explicit base period cyclically.
-    rec.row = cfg_.schedule[cursor_];
-    if (++cursor_ == cfg_.schedule.size()) cursor_ = 0;
-    return true;
-  }
-  // Half-double interleaves one near-row dribble after every
-  // far_per_near hammering activations.
-  if (!dribble_.empty() &&
-      ++since_dribble_ == std::uint64_t{cfg_.far_per_near} + 1) {
-    since_dribble_ = 0;
-    rec.row = dribble_[dribble_cursor_];
-    if (++dribble_cursor_ == dribble_.size()) dribble_cursor_ = 0;
-  } else {
-    rec.row = aggressors_[cursor_];
-    if (++cursor_ == aggressors_.size()) cursor_ = 0;
-  }
-  return true;
-}
-
+// Fuzzed patterns replay their explicit base period cyclically (their
+// dribble list is empty); half-double interleaves one near-row dribble
+// after every far_per_near hammering activations. The clock and the
+// cursors live in locals for the whole batch, because a store into out[]
+// may alias the members and would force them through memory per record.
 std::size_t AttackSource::next_batch(AccessRecord* out, std::size_t max) {
+  const std::vector<dram::RowId>& hammered =
+      cfg_.pattern == AttackPattern::kFuzzed ? cfg_.schedule : aggressors_;
+  const dram::RowId* const rows = hammered.data();
+  const std::size_t row_count = hammered.size();
+  const dram::RowId* const dribble = dribble_.data();
+  const std::size_t dribble_count = dribble_.size();
+  const std::uint64_t dribble_every = std::uint64_t{cfg_.far_per_near} + 1;
+  const std::uint64_t step = cfg_.interarrival_ps;
+  const std::uint64_t end = cfg_.end_ps;
+  const dram::BankId bank = cfg_.bank;
+  const SourceId source = cfg_.source_id;
+
+  std::uint64_t now = now_ps_;
+  std::size_t cursor = cursor_;
+  std::size_t dribble_cursor = dribble_cursor_;
+  std::uint64_t since_dribble = since_dribble_;
   std::size_t n = 0;
-  while (n < max && generate(out[n])) ++n;
+  for (; n < max; ++n) {
+    now += step;
+    if (now >= end) break;
+    dram::RowId row;
+    if (dribble_count != 0 && ++since_dribble == dribble_every) {
+      since_dribble = 0;
+      row = dribble[dribble_cursor];
+      if (++dribble_cursor == dribble_count) dribble_cursor = 0;
+    } else {
+      row = rows[cursor];
+      if (++cursor == row_count) cursor = 0;
+    }
+    out[n] = AccessRecord{now, bank, row, false, true, source};
+  }
+  now_ps_ = now;
+  cursor_ = cursor;
+  dribble_cursor_ = dribble_cursor;
+  since_dribble_ = since_dribble;
   return n;
 }
 

@@ -81,8 +81,6 @@ class AttackSource final : public TraceSource {
   const AttackConfig& config() const noexcept { return cfg_; }
 
  private:
-  bool generate(AccessRecord& rec);
-
   AttackConfig cfg_;
   std::vector<dram::RowId> aggressors_;
   std::vector<dram::RowId> dribble_;

@@ -85,12 +85,19 @@ class VectorSource final : public TraceSource {
 /// merge; ties broken by source registration order).
 ///
 /// Each child is read ahead into a lane of kLaneRecords records with one
-/// next_batch() call per refill, and a binary min-heap keyed on
-/// (time_ps, source index) picks the next lane. Reading ahead changes no
-/// record: children own their state (RNG forks, cursors) and share
-/// nothing mutable, so when a child is pulled is unobservable and the
-/// merged order depends only on the children's sequences. Records read
-/// past a downstream cut (LimitSource's horizon) are simply discarded.
+/// next_batch() call per refill, and a loser tree over the lane heads,
+/// keyed on (time_ps, source index), picks the next lane. Its leaves are
+/// the children, padded to a power of two; each internal node keeps the
+/// loser of its last match, so a pop replays only the path from the
+/// popped child's leaf to the root. Padding leaves and exhausted
+/// children carry kDone in their index and sort after every real key,
+/// including a record at time_ps == UINT64_MAX.
+///
+/// Reading ahead changes no record: children own their state (RNG
+/// forks, cursors) and share nothing mutable, so when a child is pulled
+/// is unobservable and the merged order depends only on the children's
+/// sequences. Records read past a downstream cut (LimitSource's horizon)
+/// are simply discarded.
 class MergedSource final : public TraceSource {
  public:
   /// Records pulled from a child per refill.
@@ -101,17 +108,9 @@ class MergedSource final : public TraceSource {
   std::size_t next_batch(AccessRecord* out, std::size_t max) override;
 
  private:
-  /// Heap entry: the time of a child's current lane head.
-  struct Key {
-    std::uint64_t time_ps;
-    std::uint32_t index;
-    /// Earlier time first, then registration order. Keys never compare
-    /// equal (one per child), so any valid heap pops the same sequence.
-    bool operator<(const Key& other) const noexcept {
-      return time_ps < other.time_ps ||
-             (time_ps == other.time_ps && index < other.index);
-    }
-  };
+  /// Index bit of a leaf with no records left (padding or exhausted).
+  static constexpr std::uint32_t kDone = 1u << 31;
+
   /// A child's unconsumed lane range [pos, len).
   struct Lane {
     std::uint32_t pos = 0;
@@ -119,15 +118,18 @@ class MergedSource final : public TraceSource {
   };
 
   bool load(std::size_t index);
-  void sift_down(std::size_t hole);
-  bool pop(AccessRecord& out);
 
   std::vector<std::unique_ptr<TraceSource>> sources_;
   // Every child's lane in one block (child i owns records
   // [i * kLaneRecords, (i + 1) * kLaneRecords)).
   std::vector<AccessRecord> records_;
   std::vector<Lane> lanes_;
-  std::vector<Key> heap_;  // one entry per child with records left
+  // The tree's keys, one per node: node j in [1, leaves) holds the loser
+  // of the match between its subtrees 2j and 2j + 1 (leaf i is node
+  // leaves + i), and node 0 holds the overall winner. Keys never tie
+  // (one index per leaf), so the merged order is unique.
+  std::vector<std::uint64_t> times_;
+  std::vector<std::uint32_t> indices_;
 };
 
 /// Truncates an underlying source after @p limit records or @p end_ps

@@ -1,6 +1,7 @@
 #include "tvp/trace/source.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace tvp::trace {
@@ -51,18 +52,51 @@ std::size_t VectorSource::span_lanes(const AccessRecord** data,
   return n;
 }
 
+namespace {
+
+// Loser-tree order: earlier time first, then lower index (registration
+// order, with kDone leaves after every child that has records left).
+bool before(std::uint64_t time, std::uint32_t index, std::uint64_t other_time,
+            std::uint32_t other_index) noexcept {
+  return time < other_time || (time == other_time && index < other_index);
+}
+
+}  // namespace
+
 MergedSource::MergedSource(std::vector<std::unique_ptr<TraceSource>> sources)
     : sources_(std::move(sources)),
       records_(sources_.size() * kLaneRecords),
       lanes_(sources_.size()) {
   for (const auto& source : sources_)
     if (!source) throw std::invalid_argument("MergedSource: null source");
-  heap_.reserve(sources_.size());
-  for (std::size_t i = 0; i < sources_.size(); ++i)
-    if (load(i))
-      heap_.push_back(Key{records_[i * kLaneRecords].time_ps,
-                          static_cast<std::uint32_t>(i)});
-  for (std::size_t i = heap_.size() / 2; i-- > 0;) sift_down(i);
+  const std::size_t leaves =
+      std::bit_ceil(std::max<std::size_t>(sources_.size(), 1));
+  times_.resize(leaves);
+  indices_.resize(leaves);
+
+  // The first tournament, bottom-up: slot j of these scratch arrays
+  // holds the winner below node j, and the loser goes into the tree.
+  std::vector<std::uint64_t> times(2 * leaves, ~std::uint64_t{0});
+  std::vector<std::uint32_t> indices(2 * leaves);
+  for (std::size_t i = 0; i < leaves; ++i) {
+    indices[leaves + i] = static_cast<std::uint32_t>(i) | kDone;
+    if (i < sources_.size() && load(i)) {
+      times[leaves + i] = records_[i * kLaneRecords].time_ps;
+      indices[leaves + i] = static_cast<std::uint32_t>(i);
+    }
+  }
+  for (std::size_t j = leaves; j-- > 1;) {
+    std::size_t winner = 2 * j;
+    std::size_t loser = 2 * j + 1;
+    if (before(times[loser], indices[loser], times[winner], indices[winner]))
+      std::swap(winner, loser);
+    times[j] = times[winner];
+    indices[j] = indices[winner];
+    times_[j] = times[loser];
+    indices_[j] = indices[loser];
+  }
+  times_[0] = times[1];
+  indices_[0] = indices[1];
 }
 
 // Refills child @p index's lane; false once the child is exhausted.
@@ -73,44 +107,44 @@ bool MergedSource::load(std::size_t index) {
   return got != 0;
 }
 
-// Moves heap_[hole]'s key down to its place.
-void MergedSource::sift_down(std::size_t hole) {
-  const std::size_t n = heap_.size();
-  const Key key = heap_[hole];
-  for (;;) {
-    std::size_t child = 2 * hole + 1;
-    if (child >= n) break;
-    if (child + 1 < n && heap_[child + 1] < heap_[child]) ++child;
-    if (!(heap_[child] < key)) break;
-    heap_[hole] = heap_[child];
-    hole = child;
-  }
-  heap_[hole] = key;
-}
-
-// Emits the earliest lane head, then advances that lane: the top key is
-// replaced by the lane's next time (refilling the lane when it runs
-// dry) or removed when its child is exhausted, and sifted down once.
-bool MergedSource::pop(AccessRecord& out) {
-  if (heap_.empty()) return false;
-  const std::size_t index = heap_.front().index;
-  Lane& lane = lanes_[index];
-  const AccessRecord* lane_records = &records_[index * kLaneRecords];
-  out = lane_records[lane.pos];
-  if (++lane.pos < lane.len || load(index)) {
-    heap_.front().time_ps = lane_records[lane.pos].time_ps;
-  } else {
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (heap_.empty()) return true;
-  }
-  sift_down(0);
-  return true;
-}
-
+// Emits the winner's lane head, moves that lane on (refilling it when it
+// runs dry, or marking the leaf kDone once its child is exhausted) and
+// replays the leaf's path to the root: at each node the moving key and
+// the stored loser play, and the loser stays. The moving key lives in
+// locals and every array is reached through a local pointer, because a
+// store into out[] may alias any member.
 std::size_t MergedSource::next_batch(AccessRecord* out, std::size_t max) {
+  std::uint64_t* const times = times_.data();
+  std::uint32_t* const indices = indices_.data();
+  Lane* const lanes = lanes_.data();
+  const AccessRecord* const records = records_.data();
+  const std::size_t leaves = times_.size();
+  std::uint64_t time = times[0];
+  std::uint32_t index = indices[0];
   std::size_t n = 0;
-  while (n < max && pop(out[n])) ++n;
+  for (; n < max && (index & kDone) == 0; ++n) {
+    const std::uint32_t child = index;
+    const AccessRecord* const lane_records = records + child * kLaneRecords;
+    const Lane lane = lanes[child];
+    out[n] = lane_records[lane.pos];
+    if (lane.pos + 1 < lane.len) {
+      lanes[child].pos = lane.pos + 1;
+      time = lane_records[lane.pos + 1].time_ps;
+    } else if (load(child)) {
+      time = lane_records[0].time_ps;
+    } else {
+      time = ~std::uint64_t{0};
+      index = child | kDone;
+    }
+    for (std::size_t node = (leaves + child) >> 1; node != 0; node >>= 1) {
+      if (before(times[node], indices[node], time, index)) {
+        std::swap(time, times[node]);
+        std::swap(index, indices[node]);
+      }
+    }
+  }
+  times[0] = time;
+  indices[0] = index;
   return n;
 }
 

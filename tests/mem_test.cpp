@@ -294,6 +294,36 @@ TEST(Controller, BatchedRecordsMatchRecordAtATime) {
             batched.controller.stats().delayed_acts);
 }
 
+TEST(Controller, StageTimersRunOnlyWhenProfiling) {
+  // kernel_ns times on_activates inside the mitigation stage, so with
+  // one shard worker it never exceeds mitigation_ns; with profile off
+  // no timer moves (the act counters always do).
+  std::vector<trace::AccessRecord> records;
+  std::uint64_t t = 100;
+  for (int i = 0; i < 4000; ++i, t += 150)
+    records.push_back(rec(t, i % 2, 10 + (i % 100)));
+  for (const bool profile : {false, true}) {
+    ControllerConfig cfg = small_config();
+    cfg.bank_jobs = 1;
+    cfg.profile = profile;
+    Rig rig(cfg);
+    rig.shared->respond_with = {MitigationAction{
+        MitigationAction::Kind::kActNeighbors, 100, 100}};
+    rig.controller.on_records(records.data(), records.size());
+    const StageProfile& stages = rig.controller.stage_profile();
+    EXPECT_EQ(stages.scattered_acts, records.size());
+    if (!profile) {
+      EXPECT_EQ(stages.partition_ns, 0u);
+      EXPECT_EQ(stages.mitigation_ns, 0u);
+      EXPECT_EQ(stages.kernel_ns, 0u);
+      EXPECT_EQ(stages.disturbance_ns, 0u);
+      continue;
+    }
+    EXPECT_GT(stages.mitigation_ns, 0u);
+    EXPECT_LE(stages.kernel_ns, stages.mitigation_ns);
+  }
+}
+
 TEST(Controller, TrcStallsBackToBackActs) {
   Rig rig;
   feed(rig.controller, rec(10, 0, 1));

@@ -426,6 +426,37 @@ TEST(Batched, MergeInterleavedNextAndNextBatch) {
   }
 }
 
+TEST(Batched, MergeMatchesStableSortForEveryChildCount) {
+  // Counts that are not powers of two leave padding leaves in the
+  // merge's tree. Each tie run crosses the first lane refill inside a
+  // run of equal times, and the runs differ in length, so children run
+  // out at different points; children 2, 6, 10, ... get no tie run, so
+  // most of them are empty; and every third child ends in records at
+  // the largest time (child 0 in a run longer than a lane).
+  constexpr std::uint64_t kLast = ~std::uint64_t{0};
+  for (const std::size_t count : {1, 2, 3, 5, 7, 8, 9, 16, 17, 33}) {
+    MergeCase c{"", {}};
+    for (std::uint32_t s = 0; s < count; ++s) {
+      std::vector<AccessRecord> child;
+      if (s % 4 != 2) child = tie_run(257 + (s * 131) % 500, s);
+      if (s % 3 == 0)
+        for (std::size_t k = 0; k < (s == 0 ? 300u : 2u); ++k)
+          child.push_back(rec(kLast, s, static_cast<std::uint32_t>(k)));
+      c.children.push_back(std::move(child));
+    }
+    const auto expected = c.expected();
+    for (const std::size_t chunk : kBatchedChunks) {
+      const auto merged = c.merged();
+      EXPECT_EQ(pull_batched(*merged, chunk), expected)
+          << count << " children, chunk " << chunk;
+      expect_exhausted(*merged);
+    }
+    const auto mixed = c.merged();
+    EXPECT_EQ(pull_interleaved(*mixed), expected) << count << " children";
+    expect_exhausted(*mixed);
+  }
+}
+
 // The table3 shape: four synthetic streams and three attackers (one of
 // them half-double, one fuzzed), each child with its own RNG fork.
 std::vector<std::unique_ptr<TraceSource>> generated_mix() {
