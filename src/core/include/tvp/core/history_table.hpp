@@ -46,6 +46,16 @@ class HistoryTable {
     return intervals_[i];
   }
 
+  /// A filter of the rows stored with @p interval: bit (row % 64) is set
+  /// for each of them, so a clear bit proves a row is not.
+  std::uint64_t row_filter(std::uint32_t interval) const noexcept {
+    std::uint64_t filter = 0;
+    for (std::size_t i = 0; i < size_; ++i)
+      if (intervals_[i] == interval)
+        filter |= std::uint64_t{1} << (rows_[i] & 63u);
+    return filter;
+  }
+
   /// Index of @p row in the table (the "address" CaPRoMi links into its
   /// counter entries), or nullopt.
   std::optional<std::uint8_t> index_of(dram::RowId row) const noexcept {

@@ -148,6 +148,15 @@ class ProbabilisticTiVaPRoMi final : public TiVaPRoMiBase {
   // outcome (the two tables coincide when hit_ == miss_).
   std::vector<std::uint64_t> lut_hit_;
   std::vector<std::uint64_t> lut_miss_;
+  // The draw-first screen, read off the LUTs by the constructor: no
+  // threshold in either LUT reaches draw_ceiling_, so a draw at or above
+  // it cannot trigger. screen_ is false when a LUT reaches 2^32 (an
+  // auto-trigger, which draws nothing); zero_hit_ / zero_miss_ mark a
+  // LUT whose w = 0 threshold is 0 (a decision that draws nothing).
+  std::uint64_t draw_ceiling_ = 0;
+  bool screen_ = false;
+  bool zero_hit_ = false;
+  bool zero_miss_ = false;
 };
 
 /// CaPRoMi: counters during the interval, collective decision at REF

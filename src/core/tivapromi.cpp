@@ -1,5 +1,6 @@
 #include "tvp/core/tivapromi.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "tvp/core/weighting.hpp"
@@ -113,6 +114,15 @@ ProbabilisticTiVaPRoMi::ProbabilisticTiVaPRoMi(WeightShape hit,
   };
   lut_hit_ = lut(hit_);
   lut_miss_ = miss_ == hit_ ? lut_hit_ : lut(miss_);
+  // A threshold is 0 only at w = 0: Pbase is at least 2^-32 and every
+  // shape maps w >= 1 to at least 1.
+  std::uint64_t top = 0;
+  for (std::uint32_t w = 0; w < cfg_.refresh_intervals; ++w)
+    top = std::max({top, lut_hit_[w], lut_miss_[w]});
+  draw_ceiling_ = top;
+  screen_ = top < util::FixedProb::kOne;
+  zero_hit_ = lut_hit_[0] == 0;
+  zero_miss_ = lut_miss_[0] == 0;
 }
 
 std::uint32_t ProbabilisticTiVaPRoMi::weight_for(dram::RowId row,
@@ -132,23 +142,49 @@ void ProbabilisticTiVaPRoMi::on_activates(const dram::RowId* rows,
   // into the threshold LUTs, so each decision is
   // bernoulli(Pbase * weight_for(row, i)) — one table load instead of
   // the Eq. 1 / Eq. 2 arithmetic (bernoulli_q32 draws nothing at
-  // threshold 0).
+  // threshold 0 or 2^32).
+  //
+  // Draw first: a decision whose threshold lies in (0, 2^32) draws one
+  // number whatever the threshold, so drawing it before the history
+  // search changes no draw, and a draw at or above every threshold (all
+  // but a share of about RefInt * Pbase) needs no search, no Eq. 1 and
+  // no LUT load. A decision that may draw nothing takes the exact branch:
+  // every ACT when a LUT reaches 2^32; a row in its own refresh slot
+  // (a miss at w = 0) when the miss LUT is 0 there; and a row the history
+  // table may hold with this interval (a hit at w = 0) when the hit LUT
+  // is 0 there.
   const std::uint32_t ref_int = cfg_.refresh_intervals;
   const std::uint64_t* const hit_lut = lut_hit_.data();
   const std::uint64_t* const miss_lut = lut_miss_.data();
+  const std::uint64_t ceiling = draw_ceiling_;
   const std::uint32_t interval = ctx.interval_in_window;
+  // Bit (row % 64) set: the row takes the exact branch.
+  std::uint64_t exact_rows = ~std::uint64_t{0};
+  if (screen_) exact_rows = zero_hit_ ? history_.row_filter(interval) : 0;
+  // The generator lives in registers for the lane: the action buffer's
+  // stores could otherwise alias its state.
+  util::Rng rng = rng_;
   for (std::size_t i = 0; i < n; ++i) {
     const dram::RowId row = rows[i];
+    const bool screened = ((exact_rows >> (row & 63u)) & 1u) == 0 &&
+                          !(zero_miss_ && assumed_slot(row) == interval);
+    std::uint64_t draw = 0;
+    if (screened) {
+      draw = rng.next() >> 32;
+      if (draw >= ceiling) continue;
+    }
     const auto stored = history_.lookup(row);
     const std::uint32_t reference = stored ? *stored : assumed_slot(row);
     const std::uint32_t w = linear_weight(interval, reference, ref_int);
     const std::uint64_t threshold = stored ? hit_lut[w] : miss_lut[w];
-    if (rng_.bernoulli_q32(threshold)) {
+    if (screened ? draw < threshold : rng.bernoulli_q32(threshold)) {
       const std::size_t before = out.size();
       trigger(row, interval, out);
       out.stamp_origin(before, static_cast<std::uint32_t>(i));
+      if (zero_hit_) exact_rows |= std::uint64_t{1} << (row & 63u);
     }
   }
+  rng_ = rng;
 }
 
 void ProbabilisticTiVaPRoMi::on_refresh(const mem::MitigationContext& ctx,

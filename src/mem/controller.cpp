@@ -214,15 +214,16 @@ void MemoryController::feed(const trace::AccessRecord* records,
 
 void MemoryController::slice_lanes(const trace::BankLaneView* lanes,
                                    std::size_t begin, std::size_t end) {
-  // Slice each bank's span lane by advancing its cursor while the
-  // (ascending) serials stay below `end` — zero-copy, no per-record
-  // scatter.
+  // Slice each bank's span lane at the first serial at or past `end`
+  // (serials strictly ascend, so a binary search finds it) — zero-copy,
+  // no per-record scatter.
   const std::uint32_t banks = engine_.banks();
   for (std::uint32_t b = 0; b < banks; ++b) {
     const trace::BankLaneView& lv = lanes[b];
     const std::size_t cur = lane_cursor_[b];
-    std::size_t stop = cur;
-    while (stop < lv.count && lv.serials[stop] < end) ++stop;
+    const std::size_t stop = static_cast<std::size_t>(
+        std::lower_bound(lv.serials + cur, lv.serials + lv.count, end) -
+        lv.serials);
     BankShard& s = shards_[b];
     s.lane_rows = lv.rows + cur;
     s.lane_times = lv.times + cur;

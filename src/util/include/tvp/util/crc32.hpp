@@ -1,10 +1,14 @@
 // CRC-32 (ISO 3309, zlib polynomial 0xEDB88320).
 //
 // One implementation for every on-disk integrity check in the tree (the
-// campaign journal, the trace corpus). The kernel is slicing-by-8 — it
-// processes eight bytes per table round instead of one, which matters
-// for the corpus replay path where a CRC pass over every block is part
-// of the hot loop (GB/s, not hundreds of MB/s).
+// campaign journal, the trace corpus), where a CRC pass over every block
+// is part of the corpus record and replay paths. On an x86-64 CPU with
+// PCLMULQDQ (checked once, at run time: the build targets baseline
+// x86-64) the kernel folds 64-byte blocks by carry-less multiplication,
+// four 128-bit lanes at a time, and reduces the remainder to 32 bits
+// with a Barrett step; slicing-by-16 tables, sixteen bytes per table
+// round, take the tail, inputs under 64 bytes and every other CPU. Both
+// paths compute the same function.
 #pragma once
 
 #include <cstddef>

@@ -587,5 +587,124 @@ TEST(TiVaPRoMiKernel, MatchesEq1Eq2FormulaForEveryVariantAndShape) {
   }
 }
 
+// Feeds @p technique whole lanes of 1 to 64 rows, one on_activates call
+// each, and predicts every decision with the formula twin of
+// expect_kernel_matches_formula: Pbase * shape(Eq. 1) drawn on a bare Rng
+// twin, where shape is @p hit for a row in a model of the history table
+// and @p miss otherwise. Lanes activate again rows that triggered earlier
+// in the same lane and interval (history hits at w = 0) and rows in the
+// interval's own refresh slot (misses at w = 0); REFs include window
+// clears. After each lane, weight_for must agree with the model.
+void expect_lanes_match_formula(ProbabilisticTiVaPRoMi& technique,
+                                WeightShape hit, WeightShape miss,
+                                std::uint64_t seed, const std::string& label) {
+  const TiVaPRoMiConfig& cfg = technique.config();
+  const dram::RowId rpi = cfg.rows_per_interval();
+  HistoryTable model(cfg.history_entries, 1, 1);
+  util::Rng twin(seed);
+  util::Rng stream(seed ^ 0x1A4E5);
+  std::vector<dram::RowId> lane;
+  std::vector<std::size_t> fired;  // lane indices the twin predicts
+  mem::ActionBuffer out;
+  std::size_t length = 0;
+  std::uint64_t triggers = 0, hits_at_zero = 0, misses_at_zero = 0;
+  for (std::uint32_t step = 0; step < 3 * cfg.refresh_intervals; ++step) {
+    const std::uint32_t interval = step % cfg.refresh_intervals;
+    out.clear();
+    technique.on_refresh(ctx_at(interval, interval == 0), out);
+    ASSERT_TRUE(out.empty()) << label;
+    if (interval == 0) model.clear();
+    for (int k = 0; k < 4; ++k) {
+      length = length % 64 + 1;
+      lane.clear();
+      fired.clear();
+      for (std::size_t i = 0; i < length; ++i) {
+        const std::uint64_t pick = stream.below(4);
+        dram::RowId row;
+        if (pick == 0 && !fired.empty())
+          row = lane[fired[stream.below(fired.size())]];
+        else if (pick == 1)
+          row = interval * rpi + static_cast<dram::RowId>(stream.below(rpi));
+        else if (pick == 2 && !lane.empty())
+          row = lane[stream.below(lane.size())];
+        else
+          row = static_cast<dram::RowId>(stream.below(cfg.rows_per_bank));
+        const auto stored = model.lookup(row);
+        const std::uint32_t w = linear_weight(
+            interval, stored ? *stored : row / rpi, cfg.refresh_intervals);
+        if (w == 0) ++(stored ? hits_at_zero : misses_at_zero);
+        const std::uint32_t weight =
+            shaped_weight(stored ? hit : miss, w, cfg.refresh_intervals);
+        lane.push_back(row);
+        if (twin.bernoulli_q32(cfg.pbase().scaled(weight).raw())) {
+          fired.push_back(i);
+          model.insert(row, interval);
+        }
+      }
+      out.clear();
+      technique.on_activates(lane.data(), lane.size(), ctx_at(interval), out);
+      ASSERT_EQ(out.size(), fired.size())
+          << label << " interval " << interval << " lane of " << length;
+      for (std::size_t j = 0; j < fired.size(); ++j) {
+        ASSERT_EQ(out[j].origin, fired[j]) << label << " interval " << interval;
+        EXPECT_EQ(out[j].row, lane[fired[j]]) << label;
+      }
+      triggers += fired.size();
+      for (const dram::RowId row : lane) {
+        const auto stored = model.lookup(row);
+        ASSERT_EQ(technique.weight_for(row, interval),
+                  shaped_weight(stored ? hit : miss,
+                                linear_weight(interval,
+                                              stored ? *stored : row / rpi,
+                                              cfg.refresh_intervals),
+                                cfg.refresh_intervals))
+            << label << " row " << row;
+      }
+    }
+  }
+  EXPECT_GT(triggers, 0u) << label;
+  EXPECT_GT(hits_at_zero, 0u) << label;
+  EXPECT_GT(misses_at_zero, 0u) << label;
+}
+
+TEST(TiVaPRoMiKernel, DrawFirstMatchesFormulaOnLanes) {
+  // The kernel draws before it searches the history table and skips the
+  // search when the draw is at or above every threshold. Its draws and
+  // decisions must stay those of Eq. 1 / Eq. 2 on whole lanes, including
+  // the decisions that draw nothing: threshold 0 (w = 0 under a shape
+  // that maps 0 to 0, on a hit or in the row's own refresh slot) and
+  // threshold 2^32, which the second config reaches: it validates with
+  // RefInt * Pbase = 1, so the log shapes saturate at w = 1.
+  TiVaPRoMiConfig saturating;
+  saturating.refresh_intervals = 2;
+  saturating.rows_per_bank = 32;
+  saturating.pbase_exp = 1;
+  saturating.history_entries = 4;
+  struct Shapes {
+    Variant variant;
+    WeightShape hit, miss;
+  };
+  const Shapes variants[] = {
+      {Variant::kLinear, WeightShape::kLinear, WeightShape::kLinear},
+      {Variant::kLogarithmic, WeightShape::kLogarithmic,
+       WeightShape::kLogarithmic},
+      {Variant::kLogLinear, WeightShape::kLinear, WeightShape::kLogarithmic}};
+  std::uint64_t seed = 400;
+  for (const TiVaPRoMiConfig& cfg : {small_config(), saturating}) {
+    const std::string refint = " RefInt " + std::to_string(cfg.refresh_intervals);
+    for (const Shapes& v : variants) {
+      ProbabilisticTiVaPRoMi technique(v.variant, cfg, util::Rng(++seed));
+      expect_lanes_match_formula(technique, v.hit, v.miss, seed,
+                                 to_string(v.variant) + refint);
+    }
+    for (const auto shape : {WeightShape::kLinear, WeightShape::kLogarithmic,
+                             WeightShape::kSqrt, WeightShape::kQuadratic}) {
+      ProbabilisticTiVaPRoMi technique(shape, cfg, util::Rng(++seed));
+      expect_lanes_match_formula(technique, shape, shape, seed,
+                                 to_string(shape) + refint);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tvp::core
