@@ -182,19 +182,26 @@ void MemoryController::feed(const trace::AccessRecord* records,
     process_refresh_boundaries(records[i].time_ps);
     // A refresh segment: the maximal time-ordered run strictly before
     // the next refresh boundary (the mitigation context is constant
-    // inside it). An out-of-order record ends the segment and is
-    // rejected by the check above on the next pass, after the valid
-    // prefix has been processed.
-    std::size_t end = i + 1;
-    while (end < count && records[end].time_ps >= records[end - 1].time_ps &&
-           records[end].time_ps < next_refresh_ps_)
-      ++end;
-
-    std::size_t valid = end - i;
-    if (lanes != nullptr)
-      slice_lanes(lanes, i, end);
-    else
+    // inside it). On the scatter path an out-of-order record ends the
+    // segment and is rejected by the check above on the next pass,
+    // after the valid prefix has been processed. Lanes come with a
+    // time-ordered span (the precondition), so their cut reads no
+    // record in between.
+    std::size_t end;
+    std::size_t valid;
+    if (lanes != nullptr) {
+      end = i + slice_lanes(lanes, i);
+      if (end == i || end > count)
+        throw std::invalid_argument(
+            "MemoryController: partition lanes disagree with their records");
+      valid = end - i;
+    } else {
+      end = i + 1;
+      while (end < count && records[end].time_ps >= records[end - 1].time_ps &&
+             records[end].time_ps < next_refresh_ps_)
+        ++end;
       valid = scatter(records + i, end - i);
+    }
     if (valid > 0) {
       now_ps_ = records[i + valid - 1].time_ps;
       run_segment(valid);
@@ -212,18 +219,21 @@ void MemoryController::feed(const trace::AccessRecord* records,
   }
 }
 
-void MemoryController::slice_lanes(const trace::BankLaneView* lanes,
-                                   std::size_t begin, std::size_t end) {
-  // Slice each bank's span lane at the first serial at or past `end`
-  // (serials strictly ascend, so a binary search finds it) — zero-copy,
-  // no per-record scatter.
+std::size_t MemoryController::slice_lanes(const trace::BankLaneView* lanes,
+                                          std::size_t begin) {
+  // Cut each bank's lane at its first time at or past the next refresh
+  // boundary (a lane of a time-ordered span ascends in time, so a binary
+  // search from the lane's cursor finds it): the per-bank stops are the
+  // segment, zero-copy, with no per-record scan or scatter.
   const std::uint32_t banks = engine_.banks();
+  const std::uint64_t boundary = next_refresh_ps_;
+  std::size_t taken = 0;
   for (std::uint32_t b = 0; b < banks; ++b) {
     const trace::BankLaneView& lv = lanes[b];
     const std::size_t cur = lane_cursor_[b];
     const std::size_t stop = static_cast<std::size_t>(
-        std::lower_bound(lv.serials + cur, lv.serials + lv.count, end) -
-        lv.serials);
+        std::lower_bound(lv.times + cur, lv.times + lv.count, boundary) -
+        lv.times);
     BankShard& s = shards_[b];
     s.lane_rows = lv.rows + cur;
     s.lane_times = lv.times + cur;
@@ -232,8 +242,10 @@ void MemoryController::slice_lanes(const trace::BankLaneView* lanes,
     s.lane_count = stop - cur;
     s.serial_base = static_cast<std::uint32_t>(begin);
     lane_cursor_[b] = stop;
+    taken += stop - cur;
   }
-  profile_.partitioned_acts += end - begin;
+  profile_.partitioned_acts += taken;
+  return taken;
 }
 
 void MemoryController::BankShard::grow_columns() {

@@ -135,6 +135,16 @@ class MemoryController {
   /// scatter pass; otherwise it falls back to on_records — same
   /// observable results either way, including the out-of-range throw
   /// semantics.
+  ///
+  /// Precondition: @p records ascend in time and the lanes hold exactly
+  /// them (record i is the next element of its bank's lane, with serial
+  /// i and the record's time, row and write flag). trace::MmapSource,
+  /// the only producer of lanes, proves both on a block's first touch
+  /// before it hands the block out. The controller relies on it: it
+  /// cuts each refresh segment with one binary search per lane over
+  /// the lane times and reads only a segment's first record (checked
+  /// against the controller clock, as on_records checks every record)
+  /// and last record (the new clock).
   void on_records_partitioned(const trace::AccessRecord* records,
                               std::size_t count,
                               const trace::BankLaneView* lanes,
@@ -214,17 +224,18 @@ class MemoryController {
                      std::uint32_t interval);
   /// The feed loop behind on_records and on_records_partitioned: cuts
   /// the batch into refresh segments and, per segment, slices @p lanes
-  /// (when non-null) or scatters the records, then runs the segment.
+  /// by time (when non-null; see on_records_partitioned's precondition)
+  /// or scans and scatters the records, then runs the segment.
   void feed(const trace::AccessRecord* records, std::size_t count,
             const trace::BankLaneView* lanes);
   /// The partition pass of one segment: validates the records and
   /// scatters them into the shards' owned columns; returns the length
   /// of the valid prefix (the first bad address ends it).
   std::size_t scatter(const trace::AccessRecord* records, std::size_t count);
-  /// Points the shards at the corpus lanes' slice for the segment
-  /// [begin, end) of the span (advancing lane_cursor_).
-  void slice_lanes(const trace::BankLaneView* lanes, std::size_t begin,
-                   std::size_t end);
+  /// Points the shards at the corpus lanes' slice for the segment that
+  /// starts at span record @p begin and ends before the next refresh
+  /// boundary (advancing lane_cursor_); returns the segment's length.
+  std::size_t slice_lanes(const trace::BankLaneView* lanes, std::size_t begin);
   /// Runs a refresh segment of @p valid records whose lanes are set:
   /// every bank shard (pool or serial), then the serial reduce + flip
   /// commit.

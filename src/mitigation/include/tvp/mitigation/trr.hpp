@@ -12,8 +12,11 @@
 // the weakness the academic trackers (including TiVaPRoMi) do not have.
 //
 // Sampler policy: frequency-biased reservoir — an activation of an
-// already-sampled row increments its score; an unsampled activation
-// replaces the lowest-scoring entry with probability 1/(score+1).
+// already-sampled row increments its score, and one of an unsampled row
+// takes the first free entry or else replaces the first lowest-scoring
+// entry with probability 1/(score+1). The first entry that is free or
+// holds the row wins, so a row that a later entry holds is sampled a
+// second time into an earlier free one.
 #pragma once
 
 #include <cstdint>
@@ -49,20 +52,16 @@ class Trr final : public mem::IBankMitigation {
   std::uint64_t rfm_commands() const noexcept { return rfm_commands_; }
 
  private:
-  /// The per-ACT step of on_activates.
-  void observe(dram::RowId row, mem::ActionBuffer& out);
-
-  struct Sample {
-    dram::RowId row = 0;
-    std::uint32_t score = 0;
-    bool valid = false;
-  };
-
+  /// Refreshes the victims of the highest-scoring samples and retires
+  /// them.
   void refresh_opportunity(mem::ActionBuffer& out);
 
   TrrConfig cfg_;
   util::Rng rng_;
-  std::vector<Sample> sampler_;
+  // The sampler as two columns, one entry per index. A score of 0 marks
+  // a free entry (a sampled row scores at least 1).
+  std::vector<dram::RowId> rows_;
+  std::vector<std::uint32_t> scores_;
   std::uint32_t raa_ = 0;  ///< rolling accumulated ACT count (RFM)
   std::uint64_t rfm_commands_ = 0;
 };

@@ -23,12 +23,24 @@
 //  * Blocks are read only through that mapping: MmapSource maps the file
 //    or throws naming it. The header, trailer and footer are read with
 //    pread, which is all read_corpus_info does.
-//  * Every block carries a CRC-32 over its record bytes, checked
-//    once on first touch (trust-after-verify: rewind() keeps the
-//    verified bits, so warm replay passes skip the sweep entirely).
+//  * Every block carries a CRC-32 over its record bytes. A block's
+//    first touch checks it and proves the block time-ordered in one
+//    record-order sweep that trails the CRC chunk by chunk (a mismatch
+//    is reported as corruption first): every flag byte is 0 or 1, the
+//    records ascend, the first and last equal the footer index's min
+//    and max, and the first is no earlier than the previous block's
+//    index max. Once every block is touched the whole corpus is proven
+//    ordered, and every reader downstream (LimitSource's time cut, the
+//    controller's lane cut) relies on that without rescanning. A block
+//    that fails is a precise error naming it. Two verified bits per
+//    block record the proof (trust-after-verify: rewind() keeps them,
+//    so warm replay passes skip the sweep entirely): bit 0 covers the
+//    records (CRC, flag bytes, order), bit 1 the partition lanes
+//    (below). next_batch() needs bit 0 only and never reads the lanes;
+//    span_lanes() on a partitioned corpus sets both in the same sweep.
 //    The mapping and its verified bits are shared process-wide between
 //    sources of the same unchanged file, so a sweep replaying one
-//    corpus across many cells pays the CRC sweep once, not per cell.
+//    corpus across many cells pays the sweep once, not per cell.
 //  * The footer CRC covers the index — and therefore every block CRC —
 //    which makes it a cheap whole-corpus identity: the campaign service
 //    journals it so a resumed trace job proves it replays the same
@@ -46,10 +58,17 @@
 //    done once at write time). It lives between the block payload and
 //    the next block, is described by a footer extension (magic "PIDX" +
 //    bank count + per-block offset/size/CRC, covered by the footer CRC)
-//    and is CRC'd and cross-checked against the record bytes on first
-//    touch. Readers that predate the extension reject the footer size;
-//    corpora without it replay exactly as before (the controller
+//    and is CRC'd, its counts summed against the block, and every lane
+//    element cross-checked against its record on first touch (record i
+//    must be the next element of its bank's lane, with serial i and the
+//    same time, row and write flag), in the record-order sweep above.
+//    Readers that predate the extension reject the footer size; corpora
+//    without it replay exactly as before (the controller
 //    re-partitions).
+//  * The writer starts each block's writeback (sync_file_range) as soon
+//    as the block is written, so close()'s fsync of the file and its
+//    directory waits only for the tail; durability and every byte are
+//    unchanged.
 #pragma once
 
 #include <cstdint>
@@ -143,6 +162,8 @@ class CorpusWriter {
 
   /// Flushes the tail block, writes footer + trailer, fsyncs the file
   /// and its directory. Returns the footer CRC (the corpus identity).
+  /// Every earlier block's writeback was already started when it was
+  /// written, so the fsync mostly waits for the tail.
   std::uint32_t close();
 
  private:
@@ -173,7 +194,8 @@ struct CorpusMapping;
 /// Replays a corpus file as a TraceSource. The file is mapped read-only
 /// and raw blocks stream zero-copy through span_lanes(). Construction
 /// parses and validates the trailer, footer and file header, then maps
-/// the file; block payloads are CRC-checked on first touch.
+/// the file; each block is CRC-checked and proven time-ordered on first
+/// touch.
 class MmapSource final : public TraceSource {
  public:
   /// Throws std::runtime_error naming the file with a precise reason on
@@ -189,11 +211,14 @@ class MmapSource final : public TraceSource {
   /// Hands out the rest of the current block, or the next block. When
   /// the corpus carries a partition index, a whole block also comes
   /// with its on-disk lane columns (zero-copy: the lane pointers are
-  /// the page cache). The region is CRC-checked and cross-checked
-  /// record-by-record against the block payload on first touch
-  /// (trust-after-verify, shared like the block bits); any disagreement
-  /// is a precise error, never a silent fallback. A block tail left by
-  /// next_batch() comes without lanes.
+  /// the page cache). On first touch the region is CRC-checked and
+  /// every element cross-checked against its record in the block's
+  /// order-proof sweep (trust-after-verify, shared like the block
+  /// bits); any disagreement is a precise error, never a silent
+  /// fallback. So a span with lanes always ascends in time and its
+  /// lanes hold exactly its records, which is what
+  /// MemoryController::on_records_partitioned requires. A block tail
+  /// left by next_batch() comes without lanes.
   std::size_t span_lanes(const AccessRecord** data, const BankLaneView** lanes,
                          std::size_t* lane_banks) override;
 
@@ -207,8 +232,9 @@ class MmapSource final : public TraceSource {
   const std::string& path() const noexcept { return path_; }
 
  private:
-  void load_block(std::size_t index);
-  void prepare_lanes(std::size_t index);
+  void load_block(std::size_t index, bool with_lanes);
+  void point_lanes(std::size_t index, bool check);
+  void prove_block(std::size_t index, bool with_lanes, bool check_crc);
   void fail(const std::string& what) const;
 
   std::string path_;
@@ -228,9 +254,11 @@ class MmapSource final : public TraceSource {
 /// a corpus identity before queuing a job.
 CorpusInfo read_corpus_info(const std::string& path);
 
-/// Full verification: parses the footer and CRC-checks every block.
-/// Returns the corpus info; throws with the failing block's index on
-/// corruption.
+/// Full verification: parses the footer and touches every block through
+/// span_lanes(), so every first-touch check runs (block CRCs, the time
+/// order proof, and the partition index's CRCs and cross-check when
+/// there is one). Returns the corpus info; throws with the failing
+/// block's index on corruption.
 CorpusInfo verify_corpus(const std::string& path);
 
 /// Convenience: writes @p records (time-sorted) as a single corpus.

@@ -144,6 +144,12 @@ inline int fsync(const char* site, int fd) {
   return ::fsync(fd);
 }
 
+inline int sync_file_range(const char* site, int fd, ::off64_t offset,
+                           ::off64_t nbytes, unsigned int flags) {
+  TVP_FAILPOINT_INJECT(site, -1);
+  return ::sync_file_range(fd, offset, nbytes, flags);
+}
+
 inline int ftruncate(const char* site, int fd, ::off_t length) {
   TVP_FAILPOINT_INJECT(site, -1);
   return ::ftruncate(fd, length);

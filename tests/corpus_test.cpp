@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -22,9 +23,11 @@
 #include "tvp/exp/sweep.hpp"
 #include "tvp/mem/controller.hpp"
 #include "tvp/mem/mitigation.hpp"
+#include "tvp/mitigation/trr.hpp"
 #include "tvp/trace/corpus.hpp"
 #include "tvp/trace/source.hpp"
 #include "tvp/util/crc32.hpp"
+#include "tvp/util/rng.hpp"
 
 namespace tvp::trace {
 namespace {
@@ -740,6 +743,378 @@ TEST(CorpusReplay, RewritingARecordedCorpusReproducesItsBlocks) {
     SCOPED_TRACE("partition " + std::to_string(i));
     EXPECT_EQ(b.partitions[i].offset, a.partitions[i].offset);
     EXPECT_EQ(b.partitions[i].crc, a.partitions[i].crc);
+  }
+}
+
+// ------------------------------------------- the order proof on first touch
+
+std::uint64_t get_le(const std::vector<char>& bytes, std::size_t at, int width) {
+  std::uint64_t v = 0;
+  for (int k = width - 1; k >= 0; --k)
+    v = (v << 8) | static_cast<unsigned char>(bytes[at + k]);
+  return v;
+}
+
+void put_le(std::vector<char>& bytes, std::size_t at, std::uint64_t v, int width) {
+  for (int k = 0; k < width; ++k)
+    bytes[at + k] = static_cast<char>((v >> (8 * k)) & 0xFF);
+}
+
+/// Rewrites block @p k of the corpus image @p bytes (described by
+/// @p info) to hold @p records (the block's count) under the footer
+/// time range [@p min_ps, @p max_ps], re-encodes its partition lanes
+/// when the corpus has them (from @p lane_records if given, else from
+/// @p records), and re-stamps every CRC over what changed (block header
+/// and index entry, partition frame, footer). Every frame then checks
+/// out; only the records' order, the index's time range or the lanes'
+/// agreement with the records can be wrong.
+void restamp_block(std::vector<char>& bytes, const CorpusInfo& info,
+                   std::size_t k, const std::vector<AccessRecord>& records,
+                   std::uint64_t min_ps, std::uint64_t max_ps,
+                   const std::vector<AccessRecord>* lane_records = nullptr) {
+  const CorpusBlockInfo& block = info.blocks[k];
+  ASSERT_EQ(records.size(), block.records);
+  const std::size_t n = records.size();
+  const std::size_t payload = static_cast<std::size_t>(block.offset) + 40;
+  for (std::size_t i = 0; i < n; ++i) {
+    char* slot = bytes.data() + payload + i * 24;
+    std::memcpy(slot, &records[i], 19);
+    std::memset(slot + 19, 0, 5);
+  }
+  const std::uint32_t crc = util::crc32(bytes.data() + payload, n * 24);
+  put_le(bytes, static_cast<std::size_t>(block.offset) + 16, min_ps, 8);
+  put_le(bytes, static_cast<std::size_t>(block.offset) + 24, max_ps, 8);
+  put_le(bytes, static_cast<std::size_t>(block.offset) + 32, crc, 4);
+
+  const std::size_t trailer = bytes.size() - 24;
+  const std::size_t footer = static_cast<std::size_t>(get_le(bytes, trailer, 8));
+  const std::size_t footer_bytes =
+      static_cast<std::size_t>(get_le(bytes, trailer + 8, 4));
+  const std::size_t entry = footer + 32 + k * 48;
+  put_le(bytes, entry + 24, crc, 4);
+  put_le(bytes, entry + 32, min_ps, 8);
+  put_le(bytes, entry + 40, max_ps, 8);
+
+  if (info.partition_banks != 0) {
+    // The writer's lane layout: per-bank counts (padded to 8 bytes),
+    // then the time, row, serial and write columns, bank after bank.
+    const std::vector<AccessRecord>& lane =
+        lane_records != nullptr ? *lane_records : records;
+    const std::uint32_t banks = info.partition_banks;
+    const CorpusPartitionInfo& frame = info.partitions[k];
+    const std::size_t counts = static_cast<std::size_t>(frame.offset);
+    const std::size_t times = counts + (banks * 4 + 7) / 8 * 8;
+    const std::size_t rows = times + n * 8;
+    const std::size_t serials = rows + n * 4;
+    const std::size_t writes = serials + n * 4;
+    std::size_t at = 0;
+    for (std::uint32_t b = 0; b < banks; ++b) {
+      std::uint32_t count = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (lane[i].bank != b) continue;
+        put_le(bytes, times + at * 8, lane[i].time_ps, 8);
+        put_le(bytes, rows + at * 4, lane[i].row, 4);
+        put_le(bytes, serials + at * 4, i, 4);
+        bytes[writes + at] = lane[i].write ? 1 : 0;
+        ++at;
+        ++count;
+      }
+      put_le(bytes, counts + b * 4, count, 4);
+    }
+    const std::size_t frame_at = footer + 32 + info.blocks.size() * 48 +
+                                 (info.aggressors.size() + info.victims.size()) * 8 +
+                                 8 + k * 16;
+    put_le(bytes, frame_at + 12,
+           util::crc32(bytes.data() + counts, std::size_t{frame.bytes}), 4);
+  }
+  put_le(bytes, trailer + 12, util::crc32(bytes.data() + footer, footer_bytes), 4);
+}
+
+/// Both read paths must reject @p path on the first touch of its bad
+/// block with an error that contains @p what (which names the block):
+/// span_lanes (with the lanes when the corpus has them) and next_batch
+/// (which never reads the lanes). The blocks before it replay.
+void expect_rejected_on_first_touch(const std::string& path,
+                                    const std::string& what,
+                                    std::size_t records_before) {
+  {
+    MmapSource source(path);
+    const AccessRecord* span = nullptr;
+    const BankLaneView* lanes = nullptr;
+    std::size_t lane_banks = 0;
+    std::size_t replayed = 0;
+    try {
+      while (const std::size_t n = source.span_lanes(&span, &lanes, &lane_banks))
+        replayed += n;
+      ADD_FAILURE() << "span_lanes accepted the corpus";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(replayed, records_before);
+  }
+  {
+    MmapSource source(path);
+    std::vector<AccessRecord> batch(33);
+    std::size_t replayed = 0;
+    try {
+      while (const std::size_t n = source.next_batch(batch.data(), batch.size()))
+        replayed += n;
+      ADD_FAILURE() << "next_batch accepted the corpus";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+    }
+    EXPECT_LE(replayed, records_before);
+  }
+  EXPECT_THROW(verify_corpus(path), std::runtime_error);
+}
+
+/// Writes four blocks of @p per_block records (with or without a
+/// partition index), then lets @p corrupt rewrite block 2 through
+/// restamp_block.
+template <typename Corrupt>
+void write_and_corrupt(const std::string& path, std::uint32_t partition_banks,
+                       Corrupt&& corrupt, std::size_t per_block = 100) {
+  const auto records = make_records(4 * per_block);
+  CorpusWriter::Options options;
+  options.records_per_block = per_block;
+  options.partition_banks = partition_banks;
+  write_corpus(path, records, options);
+  const CorpusInfo info = read_corpus_info(path);
+  ASSERT_EQ(info.blocks.size(), 4u);
+  std::vector<AccessRecord> block(records.begin() + 2 * per_block,
+                                  records.begin() + 3 * per_block);
+  auto bytes = slurp(path);
+  corrupt(bytes, info, block);
+  spit(path, bytes);
+  // The frames all check out: the footer parses.
+  EXPECT_EQ(read_corpus_info(path).total_records, records.size());
+}
+
+TEST(Corpus, SwappedRecordsAreRejectedOnFirstTouch) {
+  // At 4096 records per block the swapped pair straddles the 2048-record
+  // chunks the reader CRCs and sweeps a block in.
+  for (const std::size_t per_block : {std::size_t{100}, std::size_t{4096}})
+    for (const std::uint32_t banks : {0u, 4u}) {
+      SCOPED_TRACE("partition banks " + std::to_string(banks) + ", " +
+                   std::to_string(per_block) + " records per block");
+      TempFile file("order_swap_" + std::to_string(banks) + "_" +
+                    std::to_string(per_block));
+      const std::size_t at = per_block == 100 ? 40 : 2047;
+      write_and_corrupt(
+          file.path(), banks,
+          [at](std::vector<char>& bytes, const CorpusInfo& info,
+               std::vector<AccessRecord>& block) {
+            // Two records in the middle trade places; the block's first
+            // and last stay, so the footer's time range still holds.
+            std::swap(block[at], block[at + 1]);
+            restamp_block(bytes, info, 2, block, info.blocks[2].min_time_ps,
+                          info.blocks[2].max_time_ps);
+          },
+          per_block);
+      expect_rejected_on_first_touch(
+          file.path(), "block 2 records are not time-ordered", 2 * per_block);
+    }
+}
+
+TEST(Corpus, BlockStartingBeforeThePreviousBlockEndsIsRejectedOnFirstTouch) {
+  for (const std::uint32_t banks : {0u, 4u}) {
+    SCOPED_TRACE("partition banks " + std::to_string(banks));
+    TempFile file("order_overlap_" + std::to_string(banks));
+    write_and_corrupt(file.path(), banks,
+                      [](std::vector<char>& bytes, const CorpusInfo& info,
+                         std::vector<AccessRecord>& block) {
+                        // Block 2's first record moves just before block
+                        // 1's last; the block still ascends and the
+                        // footer's min follows it.
+                        block[0].time_ps = info.blocks[1].max_time_ps - 1;
+                        restamp_block(bytes, info, 2, block, block[0].time_ps,
+                                      info.blocks[2].max_time_ps);
+                      });
+    expect_rejected_on_first_touch(
+        file.path(), "block 2 records are not time-ordered across blocks", 200);
+  }
+}
+
+TEST(Corpus, FooterTimeRangeDisagreeingWithTheRecordsIsRejectedOnFirstTouch) {
+  for (const std::uint32_t banks : {0u, 4u})
+    for (const bool at_min : {true, false}) {
+      SCOPED_TRACE("partition banks " + std::to_string(banks) +
+                   (at_min ? ", min" : ", max"));
+      TempFile file("order_range_" + std::to_string(banks) +
+                    (at_min ? "_min" : "_max"));
+      write_and_corrupt(file.path(), banks,
+                        [at_min](std::vector<char>& bytes, const CorpusInfo& info,
+                                 std::vector<AccessRecord>& block) {
+                          // Records untouched; the index claims a range
+                          // one picosecond narrower than they span.
+                          const CorpusBlockInfo& b = info.blocks[2];
+                          restamp_block(bytes, info, 2, block,
+                                        b.min_time_ps + (at_min ? 1 : 0),
+                                        b.max_time_ps - (at_min ? 0 : 1));
+                        });
+      expect_rejected_on_first_touch(
+          file.path(), "block 2 time range disagrees with the footer index", 200);
+    }
+}
+
+TEST(Corpus, LaneDisagreeingWithItsRecordIsRejectedOnFirstTouch) {
+  // The lane path's cross-check: a partition element that restates its
+  // record wrongly, under a valid region CRC, fails span_lanes, while
+  // next_batch (which never reads the lanes) replays every record.
+  for (const int field : {0, 1, 2}) {
+    SCOPED_TRACE("field " + std::to_string(field));
+    TempFile file("lane_field_" + std::to_string(field));
+    write_and_corrupt(file.path(), 4,
+                      [field](std::vector<char>& bytes, const CorpusInfo& info,
+                              std::vector<AccessRecord>& block) {
+                        std::vector<AccessRecord> lanes = block;
+                        if (field == 0) lanes[50].row ^= 1;
+                        if (field == 1) lanes[50].write = !lanes[50].write;
+                        if (field == 2) lanes[50].bank = (lanes[50].bank + 1) % 4;
+                        restamp_block(bytes, info, 2, block,
+                                      info.blocks[2].min_time_ps,
+                                      info.blocks[2].max_time_ps, &lanes);
+                      });
+    MmapSource source(file.path());
+    const AccessRecord* span = nullptr;
+    const BankLaneView* lanes = nullptr;
+    std::size_t lane_banks = 0;
+    try {
+      while (source.span_lanes(&span, &lanes, &lane_banks) != 0) {
+      }
+      ADD_FAILURE() << "span_lanes accepted the lanes";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "block 2 partition lane disagrees with its records"),
+                std::string::npos)
+          << e.what();
+    }
+    MmapSource by_batch(file.path());
+    std::vector<AccessRecord> replayed(400);
+    std::size_t got = 0;
+    while (const std::size_t n = by_batch.next_batch(replayed.data() + got, 64))
+      got += n;
+    replayed.resize(got);
+    EXPECT_EQ(replayed, make_records(400));
+  }
+}
+
+/// Records that sit exactly on refresh boundaries, in equal-time runs
+/// whose banks are drawn independently (so a run straddles banks, and
+/// at small block sizes blocks too), mostly on a few hot rows.
+std::vector<AccessRecord> boundary_records(std::uint64_t refi_ps) {
+  util::Rng rng(21);
+  std::vector<AccessRecord> out;
+  std::uint64_t t = 0;
+  while (out.size() < 3000) {
+    if (rng.below(4) == 0)
+      t = (t / refi_ps + 1) * refi_ps;  // exactly on the next boundary
+    else
+      t += rng.below(refi_ps / 8);
+    for (std::uint64_t run = 1 + rng.below(4); run > 0; --run) {
+      AccessRecord r;
+      r.time_ps = t;
+      r.bank = static_cast<dram::BankId>(rng.below(4));
+      r.row = rng.below(4) != 0 ? static_cast<dram::RowId>(100 + 2 * rng.below(3))
+                                : static_cast<dram::RowId>(rng.below(8192));
+      r.write = rng.below(2) != 0;
+      out.push_back(r);
+    }
+  }
+  return out;
+}
+
+TEST(CorpusReplay, PartitionedReplayEqualsOnRecordsAtRefreshBoundaries) {
+  mem::ControllerConfig cfg;
+  cfg.geometry.banks_per_rank = 4;
+  cfg.geometry.rows_per_bank = 8192;
+  const std::uint64_t refi = cfg.timing.t_refi_ps();
+  const auto records = boundary_records(refi);
+  dram::DisturbanceParams disturbance_params;
+  disturbance_params.flip_threshold = 40;  // the hot rows' victims flip
+  mitigation::TrrConfig trr;
+  trr.rows_per_bank = cfg.geometry.rows_per_bank;
+  trr.rfm_enabled = true;  // actions in the middle of lanes too
+  trr.raaimt = 8;
+
+  struct Run {
+    mem::ControllerStats stats;
+    mem::StageProfile profile;
+    std::vector<dram::FlipEvent> flips;
+    std::uint64_t activations = 0;
+  };
+  const auto replay = [&](const std::string& path, bool partitioned) {
+    util::Rng rng{9};
+    mem::MitigationEngine engine(cfg.geometry.total_banks(),
+                                 mitigation::make_trr_factory(trr), rng);
+    dram::DisturbanceModel disturbance(cfg.geometry.total_banks(),
+                                       cfg.geometry.rows_per_bank,
+                                       disturbance_params);
+    mem::MemoryController controller(cfg, engine, disturbance, rng);
+    MmapSource source(path);
+    const AccessRecord* span = nullptr;
+    const BankLaneView* lanes = nullptr;
+    std::size_t lane_banks = 0;
+    while (const std::size_t n = source.span_lanes(&span, &lanes, &lane_banks)) {
+      if (partitioned) {
+        EXPECT_NE(lanes, nullptr);
+        controller.on_records_partitioned(span, n, lanes, lane_banks);
+      } else {
+        controller.on_records(span, n);
+      }
+    }
+    controller.advance_to(records.back().time_ps + 2 * refi);
+    return Run{controller.stats(), controller.stage_profile(), disturbance.flips(),
+               disturbance.activations()};
+  };
+
+  for (const std::size_t per_block :
+       {std::size_t{1}, std::size_t{7}, std::size_t{128},
+        CorpusWriter::Options{}.records_per_block}) {
+    SCOPED_TRACE("records_per_block " + std::to_string(per_block));
+    TempFile file("boundaries_" + std::to_string(per_block));
+    CorpusWriter::Options options;
+    options.records_per_block = per_block;
+    options.partition_banks = 4;
+    write_corpus(file.path(), records, options);
+
+    const Run lanes = replay(file.path(), true);
+    const Run scatter = replay(file.path(), false);
+    EXPECT_EQ(lanes.profile.partitioned_acts, records.size());
+    EXPECT_EQ(lanes.profile.scattered_acts, 0u);
+    EXPECT_EQ(scatter.profile.partitioned_acts, 0u);
+    EXPECT_EQ(scatter.profile.scattered_acts, records.size());
+
+    const mem::ControllerStats& a = lanes.stats;
+    const mem::ControllerStats& b = scatter.stats;
+    EXPECT_EQ(a.demand_acts, records.size());
+    EXPECT_GT(a.extra_acts, 0u);
+    EXPECT_EQ(a.demand_acts, b.demand_acts);
+    EXPECT_EQ(a.extra_acts, b.extra_acts);
+    EXPECT_EQ(a.fp_extra_acts, b.fp_extra_acts);
+    EXPECT_EQ(a.triggers, b.triggers);
+    EXPECT_EQ(a.refresh_intervals, b.refresh_intervals);
+    EXPECT_EQ(a.rows_refreshed, b.rows_refreshed);
+    EXPECT_EQ(a.reads, b.reads);
+    EXPECT_EQ(a.writes, b.writes);
+    EXPECT_EQ(a.delayed_acts, b.delayed_acts);
+    EXPECT_EQ(a.first_extra_act_at, b.first_extra_act_at);
+    EXPECT_EQ(a.acts_per_interval.count(), b.acts_per_interval.count());
+    EXPECT_EQ(a.acts_per_interval.mean(), b.acts_per_interval.mean());
+    EXPECT_EQ(a.acts_per_interval.variance(), b.acts_per_interval.variance());
+    EXPECT_EQ(a.acts_per_interval.min(), b.acts_per_interval.min());
+    EXPECT_EQ(a.acts_per_interval.max(), b.acts_per_interval.max());
+    EXPECT_EQ(a.extra_acts_by_phase, b.extra_acts_by_phase);
+    EXPECT_EQ(lanes.activations, scatter.activations);
+    EXPECT_FALSE(lanes.flips.empty());
+    ASSERT_EQ(lanes.flips.size(), scatter.flips.size());
+    for (std::size_t i = 0; i < lanes.flips.size(); ++i) {
+      EXPECT_EQ(lanes.flips[i].bank, scatter.flips[i].bank) << "flip " << i;
+      EXPECT_EQ(lanes.flips[i].row, scatter.flips[i].row) << "flip " << i;
+      EXPECT_EQ(lanes.flips[i].at_activation, scatter.flips[i].at_activation)
+          << "flip " << i;
+      EXPECT_EQ(lanes.flips[i].interval, scatter.flips[i].interval) << "flip " << i;
+    }
   }
 }
 

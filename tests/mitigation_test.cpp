@@ -1,14 +1,18 @@
-// Unit tests for tvp::mitigation — the five state-of-the-art baselines:
-// PARA, ProHit, MRLoc, TWiCe, CRA.
+// Unit tests for tvp::mitigation — the five state-of-the-art baselines
+// (PARA, ProHit, MRLoc, TWiCe, CRA) and a differential reference for
+// TRR's sampler.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "tvp/mitigation/cra.hpp"
 #include "tvp/mitigation/mrloc.hpp"
 #include "tvp/mitigation/para.hpp"
 #include "tvp/mitigation/prohit.hpp"
+#include "tvp/mitigation/trr.hpp"
 #include "tvp/mitigation/twice.hpp"
+#include "tvp/util/rng.hpp"
 #include "lane.hpp"
 
 namespace tvp::mitigation {
@@ -372,6 +376,139 @@ TEST(Cra, StateBitsScaleWithRows) {
   EXPECT_EQ(cra.state_bits(), 131072ull * 16u);
   EXPECT_THROW(Cra(CraConfig{1000, 64, 10}, util::Rng(1)),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------- TRR
+
+/// TRR written naively from its sampler policy: plain {row, score,
+/// valid} structs, one ACT at a time, with its own util::Rng twin. Each
+/// call returns the rows whose victims are refreshed.
+class TrrReference {
+ public:
+  TrrReference(TrrConfig cfg, util::Rng rng)
+      : cfg_(cfg), rng_(rng), sampler_(cfg.sampler_entries) {}
+
+  std::vector<dram::RowId> activate(dram::RowId row) {
+    // The first entry that is free or already holds the row takes it.
+    Sample* slot = nullptr;
+    for (Sample& s : sampler_)
+      if (!s.valid || s.row == row) {
+        slot = &s;
+        break;
+      }
+    if (slot != nullptr && slot->valid) {
+      ++slot->score;
+    } else if (slot != nullptr) {
+      *slot = Sample{row, 1, true};
+    } else {
+      // All entries hold other rows: the first lowest-scoring one is
+      // replaced with probability 1/(score + 1).
+      Sample* lowest = &sampler_.front();
+      for (Sample& s : sampler_)
+        if (s.score < lowest->score) lowest = &s;
+      if (rng_.below(lowest->score + 1) == 0) *lowest = Sample{row, 1, true};
+    }
+    std::vector<dram::RowId> refreshed;
+    if (cfg_.rfm_enabled && ++raa_ >= cfg_.raaimt) {
+      raa_ = 0;
+      ++rfm_commands_;
+      refreshed = opportunity();
+    }
+    return refreshed;
+  }
+
+  std::vector<dram::RowId> refresh() {
+    raa_ = 0;
+    return opportunity();
+  }
+
+  std::uint64_t rfm_commands() const { return rfm_commands_; }
+
+ private:
+  struct Sample {
+    dram::RowId row = 0;
+    std::uint32_t score = 0;
+    bool valid = false;
+  };
+
+  // The highest-scoring valid samples (the first of equals), retired.
+  std::vector<dram::RowId> opportunity() {
+    std::vector<dram::RowId> rows;
+    for (std::uint32_t k = 0; k < cfg_.victims_per_ref; ++k) {
+      Sample* best = nullptr;
+      for (Sample& s : sampler_)
+        if (s.valid && (best == nullptr || s.score > best->score)) best = &s;
+      if (best == nullptr) break;
+      rows.push_back(best->row);
+      best->valid = false;
+    }
+    return rows;
+  }
+
+  TrrConfig cfg_;
+  util::Rng rng_;
+  std::vector<Sample> sampler_;
+  std::uint32_t raa_ = 0;
+  std::uint64_t rfm_commands_ = 0;
+};
+
+// Trr against the reference over seeded lanes of 1 to 48 ACTs drawn
+// from a small hot set plus one-off rows (so entries tie, fill, match
+// and get replaced), with REF retirements between lanes, for several
+// sampler sizes and refresh budgets, RFM on and off. Every action's
+// row, suspect, kind and origin must match, and so must the RFM count.
+TEST(TrrKernel, MatchesNaiveReferenceOnLanes) {
+  for (const bool rfm : {false, true})
+    for (const std::uint32_t entries : {1u, 2u, 4u, 5u})
+      for (const std::uint32_t budget : {1u, 2u}) {
+        SCOPED_TRACE("rfm " + std::to_string(rfm) + " entries " +
+                     std::to_string(entries) + " budget " +
+                     std::to_string(budget));
+        TrrConfig cfg;
+        cfg.sampler_entries = entries;
+        cfg.victims_per_ref = budget;
+        cfg.rfm_enabled = rfm;
+        cfg.raaimt = 13;
+        cfg.rows_per_bank = 1024;
+        const std::uint64_t seed = 100 + entries * 10 + budget + (rfm ? 1000 : 0);
+        Trr trr(cfg, util::Rng(seed));
+        TrrReference reference(cfg, util::Rng(seed));
+        util::Rng lanes(seed ^ 0x5eed);
+        mem::ActionBuffer out;
+        std::vector<dram::RowId> lane;
+        for (int round = 0; round < 400; ++round) {
+          lane.resize(1 + lanes.below(48));
+          for (auto& row : lane)
+            row = lanes.below(4) != 0
+                      ? static_cast<dram::RowId>(lanes.below(6))
+                      : static_cast<dram::RowId>(100 + lanes.below(900));
+          out.clear();
+          trr.on_activates(lane.data(), lane.size(), ctx_at(0), out);
+          std::size_t at = 0;
+          for (std::size_t k = 0; k < lane.size(); ++k)
+            for (const dram::RowId row : reference.activate(lane[k])) {
+              ASSERT_LT(at, out.size()) << "round " << round << " ACT " << k;
+              EXPECT_EQ(out[at].row, row) << "round " << round << " ACT " << k;
+              EXPECT_EQ(out[at].suspect, row);
+              EXPECT_EQ(out[at].kind, mem::MitigationAction::Kind::kActNeighbors);
+              EXPECT_EQ(out[at].origin, k);
+              ++at;
+            }
+          ASSERT_EQ(at, out.size()) << "round " << round;
+          if (lanes.below(3) == 0) {
+            out.clear();
+            trr.on_refresh(ctx_at(1), out);
+            const std::vector<dram::RowId> expected = reference.refresh();
+            ASSERT_EQ(out.size(), expected.size()) << "REF after round " << round;
+            for (std::size_t i = 0; i < expected.size(); ++i)
+              EXPECT_EQ(out[i].row, expected[i]) << "REF after round " << round;
+          }
+        }
+        EXPECT_EQ(trr.rfm_commands(), reference.rfm_commands());
+        if (rfm) {
+          EXPECT_GT(trr.rfm_commands(), 0u);
+        }
+      }
 }
 
 }  // namespace
