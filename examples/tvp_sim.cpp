@@ -4,6 +4,8 @@
 //
 //   --technique=<name>     PARA|ProHit|MRLoc|TWiCe|CRA|LiPRoMi|LoPRoMi|
 //                          LoLiPRoMi|CaPRoMi (default LoLiPRoMi)
+//   --trace=<file.tvpc>    replay a corpus (`tvp_trace record|import`) over
+//                          the windows that cover its last record
 //   --banks=<n>            banks to simulate (default 4)
 //   --windows=<n>          refresh windows (default 2)
 //   --benign=<rate>        benign ACTs/interval/bank (default 20)
@@ -19,10 +21,17 @@
 //   --config=<file>        load a configs/*.cfg experiment description
 //                          (other flags are applied on top of it)
 //
-// Exit status: 0 when no bit flips occurred, 1 otherwise, 2 on an
-// unknown name or an invalid configuration.
+// Counts are totals over the seeds, peak disturbance their maximum. A
+// corpus without an oracle (an imported trace) prints its FPR and victim
+// flips as "n/a (no oracle)".
+//
+// Exit status: 0 when no bit flips occurred, 1 otherwise or when the
+// trace cannot be read or is empty, 2 on a bad flag, an unknown name or
+// an invalid configuration.
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 
 #include "tvp/exp/config_io.hpp"
@@ -54,6 +63,10 @@ exp::SimConfig configure(const util::Flags& flags) {
 
   if (flags.has("workload"))
     config.workload.model = exp::parse_model(flags.get("workload", ""));
+  if (flags.has("trace")) {
+    config.workload.model = exp::BenignModel::kReplay;
+    config.workload.trace_path = flags.get("trace", "");
+  }
   if (flags.has("policy"))
     config.refresh_policy = exp::parse_policy(flags.get("policy", ""));
 
@@ -80,13 +93,7 @@ exp::SimConfig configure(const util::Flags& flags) {
   return config;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  util::Flags flags(argc, argv,
-                    {"technique", "banks", "windows", "benign", "workload",
-                     "victims", "attack-rate", "policy", "seed", "seeds",
-                     "json", "config", "help"});
+int run(const util::Flags& flags) {
   if (flags.get_bool("help")) {
     std::printf("see the header of examples/tvp_sim.cpp for the flag list\n");
     return 0;
@@ -100,26 +107,59 @@ int main(int argc, char** argv) {
   }
 
   exp::SimConfig config;
+  std::int64_t seeds = 0;
   try {
     config = configure(flags);
+    seeds = flags.get_int("seeds", 1);
+    if (seeds < 1 || seeds > UINT32_MAX)
+      throw std::invalid_argument("--seeds must be a positive count");
   } catch (const std::exception& e) {
     std::fprintf(stderr, "tvp_sim: %s\n", e.what());
     return 2;
   }
 
-  const auto seeds = static_cast<std::uint32_t>(flags.get_int("seeds", 1));
-  const auto sweep = exp::run_seed_sweep(*technique, config, seeds);
+  bool oracle = true;
+  exp::SeedSweepResult sweep;
+  try {
+    if (config.workload.model == exp::BenignModel::kReplay) {
+      const std::string& path = config.workload.trace_path;
+      const trace::CorpusInfo info = trace::read_corpus_info(path);
+      oracle = info.oracle;
+      if (flags.has("trace") && info.total_records == 0)
+        throw std::runtime_error("trace " + path + " holds no records");
+      if (flags.has("trace") && !flags.has("windows"))  // tREFW >= 32 ms: fits
+        config.windows = static_cast<std::uint32_t>(
+            info.blocks.back().max_time_ps / config.timing.t_refw_ps + 1);
+    }
+    sweep = exp::run_seed_sweep(*technique, config, static_cast<std::uint32_t>(seeds));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "tvp_sim: %s\n", e.what());
+    return 1;
+  }
   const auto verdict =
       exp::security_verdict(*technique, config.technique, sweep.total_flips > 0);
+  const auto with_oracle = [oracle](const std::string& value) {
+    return oracle ? value : std::string("n/a (no oracle)");
+  };
 
   util::TextTable table({"metric", "value"});
   table.set_title(util::strfmt("tvp_sim: %s, %u banks, %u windows, %u seed(s)",
                                sweep.technique.c_str(),
                                config.geometry.total_banks(), config.windows,
-                               seeds));
+                               static_cast<std::uint32_t>(seeds)));
+  table.add_row({"demand activations", std::to_string(sweep.total_demand_acts)});
+  table.add_row({"mitigation extra activations",
+                 std::to_string(sweep.total_extra_acts)});
   table.add_row({"activation overhead", exp::format_mu_sigma(sweep.overhead_pct)});
-  table.add_row({"false-positive rate", exp::format_mu_sigma(sweep.fpr_pct)});
+  table.add_row({"false-positive rate",
+                 with_oracle(exp::format_mu_sigma(sweep.fpr_pct))});
   table.add_row({"bit flips", std::to_string(sweep.total_flips)});
+  table.add_row({"victim bit flips",
+                 with_oracle(std::to_string(sweep.total_victim_flips))});
+  table.add_row({"peak disturbance",
+                 util::strfmt("%llu / %u",
+                              static_cast<unsigned long long>(sweep.peak_disturbance),
+                              config.disturbance.flip_threshold)});
   table.add_row({"mitigation state / bank [B]",
                  util::strfmt("%.0f", sweep.state_bytes_per_bank)});
   table.add_row({"security verdict",
@@ -136,11 +176,12 @@ int main(int argc, char** argv) {
     json.key("technique").value(sweep.technique);
     json.key("banks").value(std::uint64_t{config.geometry.total_banks()});
     json.key("windows").value(std::uint64_t{config.windows});
-    json.key("seeds").value(std::uint64_t{seeds});
+    json.key("seeds").value(seeds);
     json.key("workload").value(exp::to_string(config.workload.model));
     json.key("refresh_policy").value(dram::to_string(config.refresh_policy));
     json.key("overhead_pct_mean").value(sweep.overhead_pct.mean());
     json.key("overhead_pct_stddev").value(sweep.overhead_pct.stddev());
+    json.key("oracle").value(oracle);
     json.key("fpr_pct_mean").value(sweep.fpr_pct.mean());
     json.key("flips").value(sweep.total_flips);
     json.key("state_bytes_per_bank").value(sweep.state_bytes_per_bank);
@@ -153,4 +194,18 @@ int main(int argc, char** argv) {
     std::printf("results written to %s\n", path.c_str());
   }
   return sweep.total_flips == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(util::Flags(argc, argv,
+                           {"technique", "trace", "banks", "windows", "benign",
+                            "workload", "victims", "attack-rate", "policy",
+                            "seed", "seeds", "json", "config", "help"}));
+  } catch (const std::exception& e) {  // an unknown or malformed flag
+    std::fprintf(stderr, "tvp_sim: %s\n", e.what());
+    return 2;
+  }
 }

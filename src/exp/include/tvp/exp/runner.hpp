@@ -203,6 +203,9 @@ struct SeedSweepResult {
   util::RunningStat fpr_pct;
   std::uint64_t total_flips = 0;
   std::uint64_t total_victim_flips = 0;
+  std::uint64_t total_demand_acts = 0;
+  std::uint64_t total_extra_acts = 0;
+  std::uint64_t peak_disturbance = 0;  ///< max over the seeds
   double state_bytes_per_bank = 0.0;
   double wall_seconds = 0.0;  ///< wall-clock of the whole sweep
   std::size_t jobs = 1;       ///< worker threads used (TVP_JOBS)

@@ -1,5 +1,6 @@
 #include "tvp/exp/runner.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <stdexcept>
@@ -322,6 +323,9 @@ SeedSweepResult run_seed_sweep(hw::Technique technique, SimConfig config,
     sweep.fpr_pct.merge(fpr);
     sweep.total_flips += run.flips;
     sweep.total_victim_flips += run.victim_flips;
+    sweep.total_demand_acts += run.stats.demand_acts;
+    sweep.total_extra_acts += run.stats.extra_acts;
+    sweep.peak_disturbance = std::max(sweep.peak_disturbance, run.peak_disturbance);
     sweep.state_bytes_per_bank = run.state_bytes_per_bank;
   }
   sweep.wall_seconds =

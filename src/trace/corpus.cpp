@@ -73,6 +73,9 @@ constexpr std::size_t kFooterHeadBytes = 32;
 constexpr std::size_t kIndexEntryBytes = 48;
 constexpr std::size_t kTrailerBytes = 24;
 constexpr std::uint32_t kVersion = 2;
+// File-header flags word (offset 12); bytes 16-31 stay zero.
+constexpr std::size_t kFlagsOffset = 12;
+constexpr std::uint32_t kFlagNoOracle = 1u;  // the writer was given no oracle
 constexpr char kFileMagic[4] = {'T', 'V', 'P', 'C'};
 constexpr char kBlockMagic[4] = {'T', 'V', 'P', 'B'};
 constexpr char kFooterMagic[4] = {'T', 'V', 'P', 'F'};
@@ -177,6 +180,13 @@ ParsedCorpus parse_corpus(int fd, const std::string& path) {
     corrupt(path, "record size " + std::to_string(record_bytes) +
                       " does not match this build's " +
                       std::to_string(kRecordBytes));
+  const std::uint32_t flags = load_u32(header + kFlagsOffset);
+  if ((flags & ~kFlagNoOracle) != 0)
+    corrupt(path, "unknown header flags " + std::to_string(flags));
+  for (std::size_t i = kFlagsOffset + 4; i < kFileHeaderBytes; ++i)
+    if (header[i] != 0)
+      corrupt(path, "reserved header byte " + std::to_string(i) + " is not zero");
+  parsed.info.oracle = (flags & kFlagNoOracle) == 0;
 
   unsigned char trailer[kTrailerBytes];
   pread_exact(fd, trailer, sizeof trailer, parsed.file_size - kTrailerBytes,
@@ -454,10 +464,12 @@ void CorpusWriter::append(const AccessRecord* records, std::size_t count) {
 
 void CorpusWriter::set_aggressors(std::vector<std::uint64_t> keys) {
   aggressors_ = std::move(keys);
+  oracle_ = true;
 }
 
 void CorpusWriter::set_victims(std::vector<std::uint64_t> keys) {
   victims_ = std::move(keys);
+  oracle_ = true;
 }
 
 void CorpusWriter::flush_block() {
@@ -561,6 +573,14 @@ void CorpusWriter::flush_block() {
 std::uint32_t CorpusWriter::close() {
   if (fd_ < 0) throw std::logic_error("CorpusWriter: double close");
   flush_block();
+  // Before the footer: any file with a trailer has its final header.
+  if (!oracle_) {
+    unsigned char flags[4];
+    store_u32(flags, kFlagNoOracle);
+    if (fp::pwrite(kSiteHeaderWrite, fd_, flags, sizeof flags,
+                   static_cast<::off_t>(kFlagsOffset)) != sizeof flags)
+      fail("cannot write header flags");
+  }
 
   std::sort(aggressors_.begin(), aggressors_.end());
   aggressors_.erase(std::unique(aggressors_.begin(), aggressors_.end()),
@@ -967,12 +987,12 @@ std::uint32_t write_corpus(const std::string& path,
 }
 
 std::vector<AccessRecord> read_corpus(const std::string& path) {
+  // next_batch proves each block's records and never reads its lanes.
   MmapSource source(path);
   std::vector<AccessRecord> out;
-  out.reserve(static_cast<std::size_t>(source.info().total_records));
-  const AccessRecord* span = nullptr;
-  while (const std::size_t n = source.next_span(&span))
-    out.insert(out.end(), span, span + n);
+  std::vector<AccessRecord> batch(std::size_t{1} << 12);
+  while (const std::size_t n = source.next_batch(batch.data(), batch.size()))
+    out.insert(out.end(), batch.data(), batch.data() + n);
   return out;
 }
 

@@ -1,10 +1,12 @@
-// Trace corpus (".tvpc"): the one on-disk format for recorded access
-// streams, built for replay at memory speed. (External DRAMSim2/ramulator
-// address traces are imported through trace/io.hpp.)
+// Trace corpus (".tvpc"): the one on-disk format for access streams,
+// built for replay at memory speed, and the one way a trace enters a run
+// (external address traces are imported as corpora through trace/io.hpp).
 //
 // Layout (all integers little-endian, all offsets 8-byte aligned):
 //
-//   [file header, 32 B]   "TVPC" | version=2 | record_bytes=24 | reserved
+//   [file header, 32 B]   "TVPC" | version=2 | record_bytes=24 | flags
+//                         (u32; bit 0 = no oracle, other bits zero) |
+//                         16 zero bytes
 //   [block]*              40 B block header ("TVPB", codec, record
 //                         count, payload size, min/max time_ps, CRC-32
 //                         of the record bytes), then the packed records
@@ -51,7 +53,9 @@
 //    (the (bank, row) keys the attack generators marked) and the victim
 //    oracle (the rows the attacks aim to flip), so replayed experiments
 //    compute the same false-positive rate and victim-flip counts as
-//    generated ones.
+//    generated ones. Header flag bit 0 marks a corpus whose writer got no
+//    oracle (an imported trace): unlike an empty oracle (a benign-only
+//    recording), it leaves FPR and victim flips unknown.
 //  * Optionally each block carries a partition index: the block's
 //    records pre-split into per-bank column lanes (times, rows,
 //    span-relative serials, write flags — the controller's scatter pass
@@ -123,6 +127,8 @@ struct CorpusInfo {
   /// Per-block partition frames (one per block when partition_banks > 0,
   /// empty otherwise).
   std::vector<CorpusPartitionInfo> partitions;
+  /// False when the header marks the corpus as carrying no oracle.
+  bool oracle = true;
 };
 
 /// Streaming corpus writer: append records (non-decreasing time_ps,
@@ -152,7 +158,8 @@ class CorpusWriter {
   void append(const AccessRecord* records, std::size_t count);
 
   /// Installs the aggressor oracle (any order; sorted and deduplicated
-  /// on write). Call any time before close().
+  /// on write). Call any time before close(). A writer that gets neither
+  /// this nor set_victims() marks its corpus as carrying no oracle.
   void set_aggressors(std::vector<std::uint64_t> keys);
 
   /// Installs the victim oracle (same key encoding and semantics).
@@ -183,6 +190,7 @@ class CorpusWriter {
   std::uint64_t total_records_ = 0;
   std::uint64_t write_offset_ = 0;
   std::uint64_t last_time_ps_ = 0;
+  bool oracle_ = false;
 };
 
 /// One process-wide read-only mapping of a corpus file, shared between
@@ -267,7 +275,8 @@ std::uint32_t write_corpus(const std::string& path,
                            const std::vector<AccessRecord>& records,
                            CorpusWriter::Options options = {});
 
-/// Convenience: loads every record of a corpus into memory.
+/// Convenience: loads every record of a corpus into memory (through
+/// next_batch(), so partition lanes are never read).
 std::vector<AccessRecord> read_corpus(const std::string& path);
 
 /// Failpoint sites on the corpus I/O paths (see util/failpoint.hpp);

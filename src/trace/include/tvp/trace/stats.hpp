@@ -21,6 +21,8 @@ class TraceStats {
   /// @p banks the number of banks (for per-bank rates).
   TraceStats(std::uint64_t t_refi_ps, std::uint32_t banks);
 
+  /// Throws std::invalid_argument naming the bank when the record's
+  /// bank is not below the configured bank count.
   void add(const AccessRecord& record);
 
   std::uint64_t records() const noexcept { return records_; }

@@ -1,17 +1,45 @@
 #include "tvp/trace/io.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <istream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace tvp::trace {
+
+namespace {
+
+// All of @p text as an unsigned integer in @p base (0: a C literal, 0x
+// hex or 0 octal): no sign, no stray character, nothing past 64 bits.
+std::optional<std::uint64_t> parse_u64(std::string_view text, int base) {
+  if (base == 0 && text.size() > 1 && text[0] == '0') {
+    const bool hex = text[1] == 'x' || text[1] == 'X';
+    return parse_u64(text.substr(hex ? 2 : 1), hex ? 16 : 8);
+  }
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), end, value, base == 0 ? 10 : base);
+  if (text.empty() || ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+// The line number leads, so a NUL echoed in @p what cannot hide it.
+[[noreturn]] void bad_line(std::size_t lineno, const std::string& what) {
+  throw std::runtime_error("address trace line " + std::to_string(lineno) +
+                           ": " + what);
+}
+
+}  // namespace
 
 std::vector<AccessRecord> import_address_trace(std::istream& is,
                                                const dram::AddressMapper& mapper,
                                                double t_ck_ps) {
-  if (t_ck_ps <= 0.0)
+  if (!(t_ck_ps > 0.0))
     throw std::runtime_error("import_address_trace: non-positive clock");
   std::vector<AccessRecord> out;
   std::string line;
@@ -23,30 +51,28 @@ std::vector<AccessRecord> import_address_trace(std::istream& is,
     const auto comment = line.find_first_of("#;");
     if (comment != std::string::npos) line.erase(comment);
     std::istringstream ls(line);
-    std::string addr_text, op;
+    std::string addr_text, op, cycle_text, extra;
     if (!(ls >> addr_text)) continue;  // blank line
-    if (!(ls >> op))
-      throw std::runtime_error("address trace: missing op at line " +
-                               std::to_string(lineno));
-    std::uint64_t addr = 0;
-    try {
-      addr = std::stoull(addr_text, nullptr, 0);  // handles 0x prefix
-    } catch (const std::exception&) {
-      throw std::runtime_error("address trace: bad address at line " +
-                               std::to_string(lineno));
-    }
+    if (!(ls >> op)) bad_line(lineno, "missing op");
+    const auto addr = parse_u64(addr_text, 0);
+    if (!addr) bad_line(lineno, "bad address '" + addr_text + "'");
     bool write = false;
     if (op == "W" || op == "WRITE" || op == "write" || op == "P_MEM_WR")
       write = true;
     else if (op != "R" && op != "READ" && op != "read" && op != "P_MEM_RD" &&
              op != "P_FETCH")
-      throw std::runtime_error("address trace: bad op '" + op + "' at line " +
-                               std::to_string(lineno));
+      bad_line(lineno, "bad op '" + op + "'");
 
-    std::uint64_t cycle = 0;
     AccessRecord rec;
-    if (ls >> cycle) {
-      rec.time_ps = static_cast<std::uint64_t>(static_cast<double>(cycle) * t_ck_ps);
+    if (ls >> cycle_text) {
+      const auto cycle = parse_u64(cycle_text, 10);
+      if (!cycle) bad_line(lineno, "bad cycle '" + cycle_text + "'");
+      // Below 2^64 ps, or the conversion is undefined.
+      const double time = static_cast<double>(*cycle) * t_ck_ps;
+      if (!(time < 18446744073709551616.0))
+        bad_line(lineno, "cycle " + cycle_text + " is past the picosecond range");
+      rec.time_ps = static_cast<std::uint64_t>(time);
+      if (ls >> extra) bad_line(lineno, "unexpected '" + extra + "' after the cycle");
     } else {
       fallback_time += static_cast<std::uint64_t>(t_ck_ps);
       rec.time_ps = fallback_time;
@@ -55,7 +81,7 @@ std::vector<AccessRecord> import_address_trace(std::istream& is,
     rec.time_ps = std::max(rec.time_ps, last_time);
     last_time = rec.time_ps;
 
-    const dram::Address coords = mapper.decode(addr);
+    const dram::Address coords = mapper.decode(*addr);
     rec.bank = mapper.flat_bank(coords);
     rec.row = coords.row;
     rec.write = write;
@@ -64,17 +90,6 @@ std::vector<AccessRecord> import_address_trace(std::istream& is,
     out.push_back(rec);
   }
   return out;
-}
-
-std::vector<AccessRecord> import_address_trace(std::istream& is,
-                                               const dram::AddressMapper& mapper,
-                                               const dram::Timing& timing) {
-  return import_address_trace(is, mapper, timing.t_ck_ps());
-}
-
-std::vector<AccessRecord> import_address_trace(std::istream& is,
-                                               const dram::AddressMapper& mapper) {
-  return import_address_trace(is, mapper, dram::ddr4_timing());
 }
 
 }  // namespace tvp::trace

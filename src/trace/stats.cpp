@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace tvp::trace {
 
@@ -12,6 +13,9 @@ TraceStats::TraceStats(std::uint64_t t_refi_ps, std::uint32_t banks)
 }
 
 void TraceStats::add(const AccessRecord& record) {
+  if (record.bank >= banks_)  // the (interval, bank) key needs it in range
+    throw std::invalid_argument("TraceStats: record bank " + std::to_string(record.bank) +
+                                " outside the " + std::to_string(banks_) + " banks");
   ++records_;
   if (record.is_attack) ++attack_;
   if (record.write) ++writes_;

@@ -166,6 +166,12 @@ inline ssize_t pread(const char* site, int fd, void* buf, std::size_t count,
   return ::pread(fd, buf, count, offset);
 }
 
+inline ssize_t pwrite(const char* site, int fd, const void* buf,
+                      std::size_t count, ::off_t offset) {
+  TVP_FAILPOINT_INJECT(site, -1);
+  return ::pwrite(fd, buf, count, offset);
+}
+
 inline void* mmap(const char* site, void* addr, std::size_t length, int prot,
                   int flags, int fd, ::off_t offset) {
   TVP_FAILPOINT_INJECT(site, MAP_FAILED);

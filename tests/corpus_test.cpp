@@ -256,6 +256,61 @@ TEST(Corpus, NotACorpusIsRejected) {
   EXPECT_THROW(read_corpus_info(file.path()), std::runtime_error);
 }
 
+TEST(Corpus, HeaderMarksAWriterThatWasGivenNoOracle) {
+  // Flag bit 0 at header offset 12 means "no oracle": set exactly when
+  // neither set_aggressors nor set_victims was called. An empty oracle
+  // (a benign-only recording) is still an oracle.
+  const auto records = make_records(300);
+  TempFile bare("oracle_none");
+  write_corpus(bare.path(), records);
+  EXPECT_FALSE(read_corpus_info(bare.path()).oracle);
+  EXPECT_EQ(slurp(bare.path())[12], 1);
+  EXPECT_EQ(read_corpus(bare.path()), records);
+
+  for (const bool victims : {false, true}) {
+    TempFile given(victims ? "oracle_victims" : "oracle_aggressors");
+    CorpusWriter writer(given.path());
+    writer.append(records.data(), records.size());
+    if (victims)
+      writer.set_victims({});
+    else
+      writer.set_aggressors({});
+    writer.close();
+    EXPECT_TRUE(read_corpus_info(given.path()).oracle);
+    const auto bytes = slurp(given.path());
+    EXPECT_TRUE(std::all_of(bytes.begin() + 12, bytes.begin() + 32,
+                            [](char c) { return c == 0; }));
+    // The flag is all the two files differ in: same blocks, same footer.
+    auto unmarked = slurp(bare.path());
+    unmarked[12] = 0;
+    EXPECT_EQ(bytes, unmarked);
+  }
+}
+
+TEST(Corpus, UnknownHeaderFlagOrReservedByteIsRejected) {
+  TempFile file("header_flags");
+  write_corpus(file.path(), make_records(64));
+  const auto clean = slurp(file.path());
+  const std::pair<std::size_t, const char*> cases[] = {
+      {12, "unknown header flags 3"},  // bit 1 next to the oracle bit
+      {16, "reserved header byte 16 is not zero"},
+      {31, "reserved header byte 31 is not zero"},
+  };
+  for (const auto& [at, message] : cases) {
+    SCOPED_TRACE(message);
+    auto bytes = clean;
+    bytes[at] = static_cast<char>(bytes[at] | 2);
+    spit(file.path(), bytes);
+    try {
+      read_corpus_info(file.path());
+      ADD_FAILURE() << "accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Corpus, ZstdCodecIsRejectedByName) {
   // Codec 1 is reserved for zstd-compressed blocks, which this reader
   // does not decode: a corpus claiming it must be refused precisely,
@@ -959,8 +1014,9 @@ TEST(Corpus, FooterTimeRangeDisagreeingWithTheRecordsIsRejectedOnFirstTouch) {
 
 TEST(Corpus, LaneDisagreeingWithItsRecordIsRejectedOnFirstTouch) {
   // The lane path's cross-check: a partition element that restates its
-  // record wrongly, under a valid region CRC, fails span_lanes, while
-  // next_batch (which never reads the lanes) replays every record.
+  // record wrongly, under a valid region CRC, fails span_lanes and
+  // verify_corpus, while next_batch and read_corpus (which never read
+  // the lanes) return every record.
   for (const int field : {0, 1, 2}) {
     SCOPED_TRACE("field " + std::to_string(field));
     TempFile file("lane_field_" + std::to_string(field));
@@ -996,6 +1052,10 @@ TEST(Corpus, LaneDisagreeingWithItsRecordIsRejectedOnFirstTouch) {
       got += n;
     replayed.resize(got);
     EXPECT_EQ(replayed, make_records(400));
+    // read_corpus reads the records alone, like next_batch; the full
+    // verification still reaches the lane.
+    EXPECT_EQ(read_corpus(file.path()), make_records(400));
+    EXPECT_THROW(verify_corpus(file.path()), std::runtime_error);
   }
 }
 

@@ -2,6 +2,7 @@
 // and the security analysis (flood + verdict).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -341,6 +342,28 @@ TEST(Runner, SeedSweepAggregates) {
   EXPECT_EQ(sweep.technique, "PARA");
   EXPECT_THROW(run_seed_sweep(hw::Technique::kPara, cfg, 0),
                std::invalid_argument);
+}
+
+TEST(Runner, SeedSweepSumsActivationsAndKeepsThePeakDisturbance) {
+  SimConfig cfg = fast_config();
+  cfg.seed = 11;
+  const SeedSweepResult sweep = run_seed_sweep(hw::Technique::kPara, cfg, 3);
+  std::uint64_t demand = 0, extra = 0, victim_flips = 0, peak = 0;
+  for (std::uint64_t s = 0; s < 3; ++s) {
+    SimConfig one = cfg;
+    one.seed = cfg.seed + s;
+    const RunResult run = run_simulation(hw::Technique::kPara, one);
+    demand += run.stats.demand_acts;
+    extra += run.stats.extra_acts;
+    victim_flips += run.victim_flips;
+    peak = std::max(peak, run.peak_disturbance);
+  }
+  EXPECT_EQ(sweep.total_demand_acts, demand);
+  EXPECT_EQ(sweep.total_extra_acts, extra);
+  EXPECT_EQ(sweep.total_victim_flips, victim_flips);
+  EXPECT_EQ(sweep.peak_disturbance, peak);
+  EXPECT_GT(demand, 0u);
+  EXPECT_GT(peak, 0u);
 }
 
 TEST(Runner, SeedSweepRespectsBaseSeed) {

@@ -589,10 +589,14 @@ exp::SimConfig corpus_sim_config() {
   return sim;
 }
 
-/// Small blocks so the block-write site fires more than once.
+/// Blocks small enough that the tiny campaign's 82,292 records fill
+/// nine of them (eight full ones and the tail that close() flushes), so
+/// the block sites fire on a first, an interior and a tail block, yet
+/// few enough that re-recording the corpus for every (site, Nth hit)
+/// case stays cheap.
 trace::CorpusWriter::Options corpus_options() {
   trace::CorpusWriter::Options options;
-  options.records_per_block = 64;
+  options.records_per_block = 10'000;
   return options;
 }
 
@@ -616,10 +620,16 @@ TEST_F(TortureTest, ErrnoAtEveryCorpusWriteSiteNeverLeavesAHalfCorpus) {
     for (std::uint64_t n = 1; n <= failpoint::hits(site); ++n)
       cases.push_back({site, n});
   }
+  // First, interior and tail block: each block writes its header, its
+  // records and its lanes, then starts its writeback.
+  EXPECT_GE(failpoint::hits("corpus.block.write"), 3u);
+  EXPECT_GE(failpoint::hits("corpus.block.writeback"), 3u);
   failpoint::reset();
   ASSERT_FALSE(cases.empty()) << "no corpus writer sites fired";
   const trace::CorpusInfo reference = trace::verify_corpus(count_file);
   ASSERT_EQ(reference.footer_crc, identity);
+  EXPECT_GE(reference.blocks.size(), 6u);
+  EXPECT_LE(reference.blocks.size(), 10u);
 
   std::size_t index = 0;
   for (const TortureCase& torture : cases) {

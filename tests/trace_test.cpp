@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <set>
 #include <sstream>
 
+#include "tvp/dram/timing.hpp"
 #include "tvp/trace/attack.hpp"
 #include "tvp/trace/fuzzer.hpp"
 #include "tvp/trace/io.hpp"
@@ -803,17 +806,201 @@ TEST(TraceIo, ImportWithoutCyclesSpacesByClock) {
 TEST(TraceIo, ImportRejectsMalformed) {
   dram::Geometry g;
   const dram::AddressMapper mapper(g, dram::AddressMapPolicy::kRowColBank);
-  std::stringstream no_op("0x1000\n");
-  EXPECT_THROW(import_address_trace(no_op, mapper), std::runtime_error);
-  std::stringstream bad_op("0x1000 X\n");
-  EXPECT_THROW(import_address_trace(bad_op, mapper), std::runtime_error);
-  std::stringstream bad_addr("zzz R\n");
-  EXPECT_THROW(import_address_trace(bad_addr, mapper), std::runtime_error);
+  const double t_ck = dram::ddr4_timing().t_ck_ps();
+  // Each bad line follows a good one, so the error must name line 2.
+  for (const char* bad : {
+           "0x1000",                          // no op
+           "0x1000 X",                        // unknown op
+           "zzz R",                           // not a number
+           "0x40zz R 10",                     // address with a stray tail
+           "08 R 10",                         // not an octal digit
+           "-64 R 10",                        // a sign
+           "0x R 10",                         // a prefix without digits
+           "0x10000000000000000 R 10",        // an address past 64 bits
+           "0x80 W 12abc",                    // cycle with a stray tail
+           "0x80 W abc",                      // cycle that is no number
+           "0x100 R -5",                      // a negative cycle
+           "0x100 R +5",                      // a sign
+           "0xc0 R 18446744073709551615",     // a time past 64 bits
+           "0xc0 R 18446744073709551616",     // a cycle past 64 bits
+           "0x100 R 5 extra",                 // a token after the cycle
+       }) {
+    SCOPED_TRACE(bad);
+    std::stringstream ss(std::string("0x40 R 1\n") + bad + "\n");
+    try {
+      import_address_trace(ss, mapper, t_ck);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("address trace line 2: ", 0), 0u)
+          << e.what();
+    }
+  }
   std::stringstream bad_clock("0x1000 R\n");
   EXPECT_THROW(import_address_trace(bad_clock, mapper, 0.0),
                std::runtime_error);
   EXPECT_THROW(import_address_trace(bad_clock, mapper, -833.0),
                std::runtime_error);
+}
+
+// The importer's grammar restated independently, byte by byte: a line is
+// cut at its first '#' or ';' and split on C-locale whitespace into
+// ADDRESS OP [CYCLE], nothing after. Returns the records, or the number
+// of the first line it rejects.
+struct ReferenceImport {
+  std::vector<AccessRecord> records;
+  std::size_t bad_line = 0;  // 0: accepted
+};
+
+bool reference_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+// All of @p text as digits in @p base, below 2^64.
+std::optional<std::uint64_t> reference_digits(const std::string& text,
+                                              std::uint64_t base) {
+  if (text.empty()) return std::nullopt;
+  std::uint64_t value = 0;
+  for (const char c : text) {
+    std::uint64_t d = 99;
+    if (c >= '0' && c <= '9') d = static_cast<std::uint64_t>(c - '0');
+    if (c >= 'a' && c <= 'f') d = static_cast<std::uint64_t>(c - 'a' + 10);
+    if (c >= 'A' && c <= 'F') d = static_cast<std::uint64_t>(c - 'A' + 10);
+    if (d >= base || value > (UINT64_MAX - d) / base) return std::nullopt;
+    value = value * base + d;
+  }
+  return value;
+}
+
+ReferenceImport reference_import(const std::string& text,
+                                 const dram::AddressMapper& mapper,
+                                 double t_ck) {
+  ReferenceImport out;
+  std::uint64_t fallback = 0;
+  std::uint64_t last = 0;
+  std::size_t lineno = 0;
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t nl = std::min(text.find('\n', pos), text.size());
+    std::string line = text.substr(pos, nl - pos);
+    pos = nl + 1;
+    ++lineno;
+    line = line.substr(0, std::min(line.find('#'), line.find(';')));
+    std::vector<std::string> tokens;
+    for (std::size_t i = 0; i < line.size();) {
+      if (reference_space(line[i])) {
+        ++i;
+        continue;
+      }
+      std::size_t j = i;
+      while (j < line.size() && !reference_space(line[j])) ++j;
+      tokens.push_back(line.substr(i, j - i));
+      i = j;
+    }
+    if (tokens.empty()) continue;
+    const std::string& a = tokens[0];
+    std::optional<std::uint64_t> addr;
+    if (a.size() > 2 && a[0] == '0' && (a[1] == 'x' || a[1] == 'X'))
+      addr = reference_digits(a.substr(2), 16);
+    else if (a.size() > 1 && a[0] == '0')
+      addr = reference_digits(a.substr(1), 8);
+    else
+      addr = reference_digits(a, 10);
+    const std::set<std::string> reads = {"R", "READ", "read", "P_MEM_RD", "P_FETCH"};
+    const std::set<std::string> writes = {"W", "WRITE", "write", "P_MEM_WR"};
+    const bool op_ok = tokens.size() >= 2 &&
+                       (reads.count(tokens[1]) != 0 || writes.count(tokens[1]) != 0);
+    std::optional<std::uint64_t> cycle;
+    if (tokens.size() >= 3) cycle = reference_digits(tokens[2], 10);
+    const bool time_ok =
+        tokens.size() < 3 ||
+        (cycle && static_cast<double>(*cycle) * t_ck < 18446744073709551616.0);
+    if (!addr || !op_ok || !time_ok || tokens.size() > 3) {
+      out.bad_line = lineno;
+      return out;
+    }
+    AccessRecord r;
+    if (tokens.size() == 3) {
+      r.time_ps = static_cast<std::uint64_t>(static_cast<double>(*cycle) * t_ck);
+    } else {
+      fallback += static_cast<std::uint64_t>(t_ck);
+      r.time_ps = fallback;
+    }
+    r.time_ps = std::max(r.time_ps, last);
+    last = r.time_ps;
+    const dram::Address coords = mapper.decode(*addr);
+    r.bank = mapper.flat_bank(coords);
+    r.row = coords.row;
+    r.write = writes.count(tokens[1]) != 0;
+    out.records.push_back(r);
+  }
+  return out;
+}
+
+TEST(TraceIo, ImportMatchesAStrictReferenceUnderMutation) {
+  // Seeded mutations of a valid trace (byte flips, truncations, line
+  // splices): the importer either accepts with the reference's records
+  // or throws naming the reference's first bad line, never anything
+  // else.
+  dram::Geometry g;
+  g.banks_per_rank = 4;
+  const dram::AddressMapper mapper(g, dram::AddressMapPolicy::kRowColBank);
+  const double t_ck = dram::ddr4_timing().t_ck_ps();
+  const std::string base =
+      "# DRAMSim2-style sample\n"
+      "0x1000 R 10\n"
+      "0x2040 W 12\n"
+      "4096 READ 15\n"
+      "0755 WRITE\n"
+      "; comment line\n"
+      "\n"
+      "0x7FFF40 P_MEM_RD 22136092888451\n"
+      "0x80 P_MEM_WR 30 # trailing comment\n"
+      "\t0XABCDEF01  P_FETCH\t40\r\n"
+      "12345 read 7\n"
+      "0x10 write\n";
+  const std::string alphabet = "0123456789abcdefxXRWP_ \t\n\r#;-+z";
+  util::Rng rng(2022);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::string text = base;
+    for (std::uint64_t m = 1 + rng.below(3); m > 0; --m) {
+      const std::size_t at = rng.below(text.size() + 1);
+      switch (rng.below(4)) {
+        case 0:  // a byte flipped to a grammar-relevant one
+          if (at < text.size()) text[at] = alphabet[rng.below(alphabet.size())];
+          break;
+        case 1:  // a byte flipped to anything
+          if (at < text.size()) text[at] = static_cast<char>(rng.below(256));
+          break;
+        case 2:  // truncation
+          text.resize(at);
+          break;
+        default: {  // splice: a slice of the base inserted anywhere
+          const std::size_t from = rng.below(base.size());
+          const std::size_t len = rng.below(base.size() - from + 1);
+          text.insert(at, base, from, len);
+        }
+      }
+    }
+    SCOPED_TRACE(::testing::Message() << "iteration " << iter << ": " << text);
+    const ReferenceImport expected = reference_import(text, mapper, t_ck);
+    std::stringstream ss(text);
+    try {
+      const auto records = import_address_trace(ss, mapper, t_ck);
+      EXPECT_EQ(expected.bad_line, 0u) << "accepted a line the reference rejects";
+      EXPECT_EQ(records, expected.records);
+      ++accepted;
+    } catch (const std::runtime_error& e) {
+      const std::string line =
+          "address trace line " + std::to_string(expected.bad_line) + ": ";
+      EXPECT_EQ(std::string(e.what()).rfind(line, 0), 0u) << e.what();
+      ++rejected;
+    }
+  }
+  // Both outcomes must be well represented, or the mutations say little.
+  EXPECT_GT(accepted, 400u);
+  EXPECT_GT(rejected, 400u);
 }
 
 TEST(TraceIo, ImportErrorsCarryTheFailingLineNumber) {
@@ -827,25 +1014,6 @@ TEST(TraceIo, ImportErrorsCarryTheFailingLineNumber) {
     EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
         << e.what();
   }
-}
-
-TEST(TraceIo, ImportDefaultClockComesFromDdr4Timing) {
-  // The no-clock overloads derive the period from dram::Timing (the
-  // DDR4 preset every SimConfig starts from), not a hardcoded constant:
-  // all three spellings must agree.
-  dram::Geometry g;
-  const dram::AddressMapper mapper(g, dram::AddressMapPolicy::kRowColBank);
-  const dram::Timing timing = dram::ddr4_timing();
-  const std::string text = "0x100 R\n0x200 W\n";
-  std::stringstream a(text), b(text), c(text);
-  const auto by_default = import_address_trace(a, mapper);
-  const auto by_timing = import_address_trace(b, mapper, timing);
-  const auto by_clock = import_address_trace(c, mapper, timing.t_ck_ps());
-  EXPECT_EQ(by_default, by_timing);
-  EXPECT_EQ(by_timing, by_clock);
-  ASSERT_EQ(by_default.size(), 2u);
-  EXPECT_EQ(by_default[0].time_ps,
-            static_cast<std::uint64_t>(timing.t_ck_ps()));
 }
 
 TEST(TraceIo, ImportClampsUnsortedTimes) {
@@ -897,6 +1065,22 @@ TEST(TraceStats, HistogramCountsEachIntervalBankOnceAcrossInterleavedBanks) {
 TEST(TraceStats, InvalidConfigThrows) {
   EXPECT_THROW(TraceStats(0, 2), std::invalid_argument);
   EXPECT_THROW(TraceStats(1000, 0), std::invalid_argument);
+}
+
+TEST(TraceStats, BankOutsideTheConfiguredCountThrows) {
+  // With 2 banks, bank 2 in interval 0 would share a key with bank 0 in
+  // interval 1 and merge two samples into one.
+  TraceStats stats(1000, 2);
+  stats.add(rec(0, 1, 5));
+  try {
+    stats.add(rec(0, 2, 5));
+    ADD_FAILURE() << "bank 2 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("bank 2"), std::string::npos) << e.what();
+  }
+  stats.add(rec(1000, 0, 5));
+  EXPECT_EQ(stats.records(), 2u);
+  EXPECT_EQ(stats.acts_per_interval_per_bank().count(), 2u);
 }
 
 }  // namespace

@@ -1,15 +1,9 @@
-// tvp_trace — record, inspect and verify trace corpora.
-//
-//   tvp_trace record  --out=FILE.tvpc [--config=FILE] [--seed=N]
-//                     [--block-records=N]
-//       Generates the workload the config describes (benign + attacks)
-//       and records it — records plus aggressor oracle — as a corpus.
-//       Without --config, the standard paper campaign.
-//   tvp_trace inspect --in=FILE.tvpc
-//       Prints the footer: identity, totals, per-block index.
-//   tvp_trace verify  --in=FILE.tvpc
-//       Full integrity pass: every block CRC-checked and replayed.
+// tvp_trace — record, import, inspect, verify and characterise trace
+// corpora, the one form in which a trace enters a run (`tvp_sim --trace`
+// or a config's workload.trace). The commands are listed in usage().
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <stdexcept>
 #include <string>
 
@@ -17,7 +11,10 @@
 #include "tvp/exp/report.hpp"
 #include "tvp/exp/runner.hpp"
 #include "tvp/trace/corpus.hpp"
+#include "tvp/trace/io.hpp"
+#include "tvp/trace/stats.hpp"
 #include "tvp/util/cli.hpp"
+#include "tvp/util/table.hpp"
 
 namespace {
 
@@ -27,10 +24,14 @@ int usage(bool ok) {
   std::printf(
       "usage: tvp_trace COMMAND [options]\n"
       "commands:\n"
-      "  record   --out=FILE.tvpc [--config=FILE] [--seed=N]\n"
-      "           [--block-records=N]   generate + record a workload corpus\n"
-      "  inspect  --in=FILE.tvpc       print footer index and identity\n"
-      "  verify   --in=FILE.tvpc       CRC-check every block\n");
+      "  record   --out=F.tvpc [--config=F] [--seed=N] [--block-records=N]\n"
+      "           record the config's workload (default: the paper campaign)\n"
+      "  import   --dramsim=IN --out=F.tvpc [--config=F] [--block-records=N]\n"
+      "           map an address trace (\"ADDR R|W [cycle]\") onto the config's\n"
+      "           geometry and clock (default: DDR4, 4 banks); no oracle\n"
+      "  inspect  --in=F.tvpc   print footer index, identity and oracle\n"
+      "  verify   --in=F.tvpc   CRC-check and replay every block\n"
+      "  stats    --in=F.tvpc [--config=F]   Table I statistics, histogram\n");
   return ok ? 0 : 2;
 }
 
@@ -43,6 +44,7 @@ void print_info(const trace::CorpusInfo& info, bool blocks) {
   std::printf("records    %llu\n",
               static_cast<unsigned long long>(info.total_records));
   std::printf("blocks     %zu\n", info.blocks.size());
+  std::printf("oracle     %s\n", info.oracle ? "yes" : "no");
   std::printf("aggressors %zu\n", info.aggressors.size());
   std::printf("victims    %zu\n", info.victims.size());
   if (!info.blocks.empty())
@@ -66,33 +68,53 @@ void print_info(const trace::CorpusInfo& info, bool blocks) {
 int main(int argc, char** argv) {
   try {
     util::Flags flags(argc, argv,
-                      {"in", "out", "config", "seed", "block-records", "help"});
+                      {"in", "out", "config", "seed", "block-records",
+                       "dramsim", "help"});
     if (flags.get_bool("help") || flags.positional().empty())
       return usage(flags.get_bool("help"));
     const std::string command = flags.positional()[0];
+    // import and stats default to the plain system: DDR4, 4 banks.
+    const exp::SimConfig system = flags.has("config")
+        ? exp::load_sim_config(flags.get("config", "")) : exp::SimConfig{};
+    trace::CorpusWriter::Options options;
+    if (flags.has("block-records")) {
+      const std::int64_t n = flags.get_int("block-records", 0);
+      if (n < 1 || n > UINT32_MAX)  // a block's record count is a u32
+        throw std::invalid_argument("--block-records must be in [1, 2^32)");
+      options.records_per_block = static_cast<std::size_t>(n);
+    }
 
     if (command == "record") {
       if (!flags.has("out")) return usage(false);
-      exp::SimConfig config;
-      if (flags.has("config")) {
-        config = exp::load_sim_config(flags.get("config", ""));
-      } else {
-        exp::install_standard_campaign(config);
-      }
+      exp::SimConfig config = system;
+      if (!flags.has("config")) exp::install_standard_campaign(config);
       if (flags.has("seed")) {
         config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
         config.finalize();
       }
-      trace::CorpusWriter::Options options;
-      if (flags.has("block-records"))
-        options.records_per_block =
-            static_cast<std::size_t>(flags.get_int("block-records", 1 << 16));
       const std::string out = flags.get("out", "");
       const std::uint32_t identity = exp::record_corpus(config, out, options);
       const trace::CorpusInfo info = trace::read_corpus_info(out);
       std::printf("recorded %llu records to %s (identity %08x)\n",
                   static_cast<unsigned long long>(info.total_records),
                   out.c_str(), identity);
+      return 0;
+    }
+    if (command == "import") {
+      if (!flags.has("dramsim") || !flags.has("out")) return usage(false);
+      const std::string in = flags.get("dramsim", "");
+      std::ifstream is(in);
+      if (!is) throw std::runtime_error("cannot open " + in);
+      const dram::AddressMapper mapper(system.geometry,
+                                       dram::AddressMapPolicy::kRowColBank);
+      const auto records =
+          trace::import_address_trace(is, mapper, system.timing.t_ck_ps());
+      // Lanes, as a recording has; no oracle, so the header says so.
+      options.partition_banks = system.geometry.total_banks();
+      const std::string out = flags.get("out", "");
+      const std::uint32_t identity = trace::write_corpus(out, records, options);
+      std::printf("imported %zu records to %s (identity %08x)\n",
+                  records.size(), out.c_str(), identity);
       return 0;
     }
     if (command == "inspect") {
@@ -106,6 +128,34 @@ int main(int argc, char** argv) {
       const trace::CorpusInfo info = trace::verify_corpus(in);
       std::printf("%s: ok\n", in.c_str());
       print_info(info, false);
+      return 0;
+    }
+    if (command == "stats") {
+      if (!flags.has("in")) return usage(false);
+      trace::TraceStats stats(system.timing.t_refi_ps(),
+                              system.geometry.total_banks());
+      // next_batch checks the records and never reads partition lanes.
+      trace::MmapSource source(flags.get("in", ""));
+      std::vector<trace::AccessRecord> batch(exp::Simulation::kBatchRecords);
+      while (const std::size_t n = source.next_batch(batch.data(), batch.size()))
+        for (std::size_t i = 0; i < n; ++i) stats.add(batch[i]);
+      const auto per_interval = stats.acts_per_interval_per_bank();
+      util::TextTable table({"metric", "value"});
+      table.set_title("workload characteristics (Table I calibration)");
+      table.add_row({"records", std::to_string(stats.records())});
+      table.add_row({"attack records", std::to_string(stats.attack_records())});
+      table.add_row({"attack share %", util::strfmt("%.2f", 100 * stats.attack_fraction())});
+      table.add_row({"write share %", util::strfmt("%.2f",
+                     100.0 * stats.writes() / std::max<std::uint64_t>(1, stats.records()))});
+      table.add_row({"unique (bank,row) pairs", std::to_string(stats.unique_rows())});
+      table.add_row({"hottest row ACT count", std::to_string(stats.hottest_row_count())});
+      table.add_row({"mean ACTs/interval/bank", util::strfmt("%.1f", per_interval.mean())});
+      table.add_row({"max ACTs/interval/bank", util::strfmt("%.0f", per_interval.max())});
+      std::fputs(table.render().c_str(), stdout);
+      // Between Table I's average of 40 and its maximum of 165: the range
+      // that sizes CaPRoMi's 64-entry counter table.
+      std::printf("\nactivations per (interval, active bank):\n%s",
+                  stats.acts_per_interval_histogram(0, 170, 17).render(40).c_str());
       return 0;
     }
     std::fprintf(stderr, "tvp_trace: unknown command '%s'\n", command.c_str());
