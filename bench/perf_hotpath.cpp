@@ -251,18 +251,14 @@ int main(int argc, char** argv) try {
   }
 
   // Profile pass: re-run each variant serial with the stage timers on,
-  // then replay the same records out of a partitioned corpus to prove
+  // then replay the same records out of a corpus (with its lanes) to prove
   // the lane path never scatters. Separate pass so the headline
   // serial/sharded numbers above stay timer-free.
   std::vector<Result> profiled;
   std::vector<Result> replayed;
   if (profile) {
     const std::string corpus_path = out_path + ".profile.tvpc";
-    trace::CorpusWriter::Options copt;
-    copt.partition_banks = config.geometry.total_banks();
-    trace::CorpusWriter writer(corpus_path, copt);
-    writer.append(trace.data(), trace.size());
-    writer.close();
+    trace::write_corpus(corpus_path, trace, config.geometry.total_banks());
 
     std::printf("\nprofile (serial, stage ns/ACT):\n");
     for (const auto& [name, factory] : variants) {

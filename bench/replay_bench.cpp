@@ -13,6 +13,7 @@
 //                  merge alone, over pre-generated children
 //   record         CorpusWriter append + durable close
 //   replay_cold    first MmapSource, first pass — every block CRC-verified
+//                  and its lanes cross-checked
 //   replay_shared  a second, fresh MmapSource — what every sweep cell
 //                  after the first pays: the process-wide mapping cache
 //                  hands it the already-verified mapping
@@ -161,7 +162,7 @@ int main(int argc, char** argv) try {
   util::Timer record_timer;
   std::uint32_t identity = 0;
   {
-    trace::CorpusWriter writer(corpus_path, {});
+    trace::CorpusWriter writer(corpus_path, config.geometry.total_banks());
     writer.append(records.data(), records.size());
     identity = writer.close();
   }

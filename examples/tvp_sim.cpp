@@ -5,7 +5,9 @@
 //   --technique=<name>     PARA|ProHit|MRLoc|TWiCe|CRA|LiPRoMi|LoPRoMi|
 //                          LoLiPRoMi|CaPRoMi (default LoLiPRoMi)
 //   --trace=<file.tvpc>    replay a corpus (`tvp_trace record|import`) over
-//                          the windows that cover its last record
+//                          the windows that cover its last record, on the
+//                          corpus's bank count unless --banks or --config
+//                          sets one (which must then match it)
 //   --banks=<n>            banks to simulate (default 4)
 //   --windows=<n>          refresh windows (default 2)
 //   --benign=<rate>        benign ACTs/interval/bank (default 20)
@@ -26,8 +28,8 @@
 // flips as "n/a (no oracle)".
 //
 // Exit status: 0 when no bit flips occurred, 1 otherwise or when the
-// trace cannot be read or is empty, 2 on a bad flag, an unknown name or
-// an invalid configuration.
+// trace cannot be read or is empty, 2 on a bad flag, an unknown name, an
+// invalid configuration or a bank count that disagrees with the trace's.
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -118,15 +120,23 @@ int run(const util::Flags& flags) {
     return 2;
   }
 
-  bool oracle = true;
   exp::SeedSweepResult sweep;
   try {
     if (config.workload.model == exp::BenignModel::kReplay) {
       const std::string& path = config.workload.trace_path;
       const trace::CorpusInfo info = trace::read_corpus_info(path);
-      oracle = info.oracle;
       if (flags.has("trace") && info.total_records == 0)
         throw std::runtime_error("trace " + path + " holds no records");
+      if (!flags.has("banks") && !flags.has("config")) {
+        config.geometry.banks_per_rank = info.banks;
+        config.finalize();
+      } else if (config.geometry.total_banks() != info.banks) {
+        std::fprintf(stderr,
+                     "tvp_sim: trace %s holds %u banks, but --banks or "
+                     "--config sets %u\n",
+                     path.c_str(), info.banks, config.geometry.total_banks());
+        return 2;
+      }
       if (flags.has("trace") && !flags.has("windows"))  // tREFW >= 32 ms: fits
         config.windows = static_cast<std::uint32_t>(
             info.blocks.back().max_time_ps / config.timing.t_refw_ps + 1);
@@ -138,8 +148,8 @@ int run(const util::Flags& flags) {
   }
   const auto verdict =
       exp::security_verdict(*technique, config.technique, sweep.total_flips > 0);
-  const auto with_oracle = [oracle](const std::string& value) {
-    return oracle ? value : std::string("n/a (no oracle)");
+  const auto with_oracle = [&sweep](const std::string& value) {
+    return sweep.oracle ? value : std::string("n/a (no oracle)");
   };
 
   util::TextTable table({"metric", "value"});
@@ -181,7 +191,7 @@ int run(const util::Flags& flags) {
     json.key("refresh_policy").value(dram::to_string(config.refresh_policy));
     json.key("overhead_pct_mean").value(sweep.overhead_pct.mean());
     json.key("overhead_pct_stddev").value(sweep.overhead_pct.stddev());
-    json.key("oracle").value(oracle);
+    json.key("oracle").value(sweep.oracle);
     json.key("fpr_pct_mean").value(sweep.fpr_pct.mean());
     json.key("flips").value(sweep.total_flips);
     json.key("state_bytes_per_bank").value(sweep.state_bytes_per_bank);

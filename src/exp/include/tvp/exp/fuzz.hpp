@@ -31,7 +31,7 @@ struct FuzzCampaignOptions {
   bool include_none = true;  ///< unprotected potency baseline
   bool include_trr = true;   ///< in-DRAM sampler baseline
   /// When non-empty: record each seed's workload to
-  /// `<trace_dir>/fuzz_<seed>.tvpc` (with partition index) and run
+  /// `<trace_dir>/fuzz_<seed>.tvpc` (with its lanes) and run
   /// every defence cell as a replay of that corpus instead of
   /// regenerating — verdicts are bit-identical either way.
   std::string trace_dir;

@@ -110,6 +110,9 @@ struct RunResult {
   double state_bytes_per_bank = 0.0;
   std::uint64_t records = 0;       ///< trace records consumed
   double wall_seconds = 0.0;
+  /// False when the workload carried no oracle (a corpus whose header
+  /// says so): FPR and victim flips are then unknown, not zero.
+  bool oracle = true;
 
   double overhead_pct() const noexcept { return stats.overhead_pct(); }
   double fpr_pct() const noexcept { return stats.fpr_pct(); }
@@ -181,6 +184,7 @@ class Simulation {
   std::unique_ptr<trace::TraceSource> workload_;
   std::unordered_set<std::uint64_t> aggressors_;
   std::unordered_set<std::uint64_t> victims_;
+  bool oracle_ = true;
   std::vector<trace::AccessRecord> batch_;
   std::uint64_t records_ = 0;
 };
@@ -209,6 +213,7 @@ struct SeedSweepResult {
   double state_bytes_per_bank = 0.0;
   double wall_seconds = 0.0;  ///< wall-clock of the whole sweep
   std::size_t jobs = 1;       ///< worker threads used (TVP_JOBS)
+  bool oracle = true;         ///< every run had an oracle (RunResult::oracle)
 };
 
 /// Runs @p seeds independent simulations at seeds config.seed,
@@ -225,19 +230,22 @@ SeedSweepResult run_seed_sweep(hw::Technique technique, SimConfig config,
 /// workloads, the oracle stored in the corpus footer. @p victims, if
 /// non-null, receives the declared victim keys (logical, same scheme)
 /// from the same sources: explicit attacks, fuzz-derived patterns and
-/// the replay corpus footer.
+/// the replay corpus footer. @p oracle, if non-null, receives false when
+/// the workload is a corpus whose header says it carries no oracle.
 std::unique_ptr<trace::TraceSource> build_workload(
     const SimConfig& config, util::Rng& rng,
     std::unordered_set<std::uint64_t>* aggressors = nullptr,
-    std::unordered_set<std::uint64_t>* victims = nullptr);
+    std::unordered_set<std::uint64_t>* victims = nullptr,
+    bool* oracle = nullptr);
 
-/// Generates the workload @p config describes and records it — records
-/// plus aggressor oracle — to @p path as a v2 corpus. The generation
-/// draws on the run's Streams::workload, so replaying the corpus
-/// reproduces the generated run bit-identically. Returns the corpus
-/// identity (footer CRC).
-std::uint32_t record_corpus(const SimConfig& config, const std::string& path,
-                            trace::CorpusWriter::Options options = {});
+/// Generates the workload @p config describes and records it — records,
+/// one lane per configured bank, and the aggressor and victim oracles —
+/// to @p path as a corpus. The generation draws on the run's
+/// Streams::workload, so replaying the corpus reproduces the generated
+/// run bit-identically. Returns the corpus identity (footer CRC).
+std::uint32_t record_corpus(
+    const SimConfig& config, const std::string& path,
+    std::size_t records_per_block = trace::CorpusWriter::kDefaultBlockRecords);
 
 /// Reads TVP_SCALE from the environment: "full" selects the paper-scale
 /// configuration (16 banks, more windows); anything else the scaled one.

@@ -84,7 +84,8 @@ SweepResult run_param_sweep(const util::KeyValueFile& base,
 /// Formats the overhead matrix (values down, techniques across).
 util::TextTable sweep_overhead_table(const SweepResult& sweep);
 
-/// CSV export: param,value,technique,overhead_pct,fpr_pct,flips,bytes.
+/// CSV export: param,value,technique,overhead_pct,fpr_pct,flips,bytes;
+/// fpr_pct reads "n/a" for a cell whose workload had no oracle.
 std::string sweep_to_csv(const SweepResult& sweep);
 
 }  // namespace tvp::exp

@@ -66,8 +66,9 @@ void SimConfig::finalize() {
 std::unique_ptr<trace::TraceSource> build_workload(
     const SimConfig& config, util::Rng& rng,
     std::unordered_set<std::uint64_t>* aggressors,
-    std::unordered_set<std::uint64_t>* victims) {
+    std::unordered_set<std::uint64_t>* victims, bool* oracle) {
   std::vector<std::unique_ptr<trace::TraceSource>> sources;
+  if (oracle != nullptr) *oracle = true;
 
   if (config.workload.model == BenignModel::kReplay) {
     // The corpus already contains the full recorded stream (benign and
@@ -81,6 +82,7 @@ std::unique_ptr<trace::TraceSource> build_workload(
     if (victims != nullptr)
       victims->insert(corpus->info().victims.begin(),
                       corpus->info().victims.end());
+    if (oracle != nullptr) *oracle = corpus->info().oracle;
     sources.push_back(std::move(corpus));
   } else if (config.workload.benign_acts_per_interval_per_bank > 0.0) {
     if (config.workload.model == BenignModel::kUniformRandom) {
@@ -212,7 +214,7 @@ Simulation::Simulation(const mem::BankMitigationFactory& factory,
 trace::TraceSource& Simulation::workload() {
   if (!workload_) {
     workload_ = build_workload(config_, streams_.workload, &aggressors_,
-                               &victims_);
+                               &victims_, &oracle_);
     controller_.set_aggressor_oracle(
         [this](dram::BankId bank, dram::RowId row) {
           return aggressors_.count(key_of(bank, row)) != 0;
@@ -224,7 +226,7 @@ trace::TraceSource& Simulation::workload() {
 std::span<const trace::AccessRecord> Simulation::step() {
   trace::TraceSource& source = workload();
   if (source.supports_spans()) {
-    // Zero-copy; a corpus's partition index spares the scatter pass.
+    // Zero-copy; a corpus block's lanes spare the scatter pass.
     const trace::AccessRecord* span = nullptr;
     const trace::BankLaneView* lanes = nullptr;
     std::size_t lane_banks = 0;
@@ -259,6 +261,7 @@ RunResult Simulation::result(const std::string& technique) const {
   result.peak_disturbance = disturbance_.peak_disturbance_q8() >> 8;
   result.state_bytes_per_bank = engine_.state_bytes_per_bank();
   result.records = records_;
+  result.oracle = oracle_;
 
   // Victim flips: flips on the physical images of the declared victims,
   // which build_workload collects logical from every source (explicit
@@ -327,6 +330,7 @@ SeedSweepResult run_seed_sweep(hw::Technique technique, SimConfig config,
     sweep.total_extra_acts += run.stats.extra_acts;
     sweep.peak_disturbance = std::max(sweep.peak_disturbance, run.peak_disturbance);
     sweep.state_bytes_per_bank = run.state_bytes_per_bank;
+    sweep.oracle = sweep.oracle && run.oracle;
   }
   sweep.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -334,7 +338,7 @@ SeedSweepResult run_seed_sweep(hw::Technique technique, SimConfig config,
 }
 
 std::uint32_t record_corpus(const SimConfig& config, const std::string& path,
-                            trace::CorpusWriter::Options options) {
+                            std::size_t records_per_block) {
   SimConfig cfg = config;
   cfg.finalize();
   if (cfg.workload.model == BenignModel::kReplay)
@@ -347,13 +351,8 @@ std::uint32_t record_corpus(const SimConfig& config, const std::string& path,
   std::unordered_set<std::uint64_t> victims;
   auto workload = build_workload(cfg, streams.workload, &aggressors, &victims);
 
-  // Recorded corpora carry the partition index by default: the
-  // config's bank count is known here, and writing the lanes once
-  // saves every future replay its per-segment scatter pass. An
-  // explicit partition_banks in @p options (matching or not) wins.
-  if (options.partition_banks == 0)
-    options.partition_banks = cfg.geometry.total_banks();
-  trace::CorpusWriter writer(path, options);
+  trace::CorpusWriter writer(path, cfg.geometry.total_banks(),
+                             records_per_block);
   std::vector<trace::AccessRecord> batch(Simulation::kBatchRecords);
   while (const std::size_t n = workload->next_batch(batch.data(), batch.size()))
     writer.append(batch.data(), n);

@@ -100,10 +100,14 @@ std::string sweep_to_csv(const SweepResult& sweep) {
   std::string out =
       "param,value,technique,overhead_pct,fpr_pct,flips,table_bytes_per_bank\n";
   for (const auto& cell : sweep.cells) {
-    out += util::strfmt("%s,%s,%s,%.6f,%.6f,%llu,%.1f\n",
+    // Without an oracle every extra ACT would count as a false positive.
+    const std::string fpr = cell.result.oracle
+                                ? util::strfmt("%.6f", cell.result.fpr_pct())
+                                : std::string("n/a");
+    out += util::strfmt("%s,%s,%s,%.6f,%s,%llu,%.1f\n",
                         sweep.param_key.c_str(), cell.value.c_str(),
                         cell.technique.c_str(), cell.result.overhead_pct(),
-                        cell.result.fpr_pct(),
+                        fpr.c_str(),
                         static_cast<unsigned long long>(cell.result.flips),
                         cell.result.state_bytes_per_bank);
   }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace tvp::mem {
 
@@ -211,9 +212,15 @@ void MemoryController::feed(const trace::AccessRecord* records,
       // been processed, as if the records had been fed one at a time.
       const trace::AccessRecord& bad = records[i + valid];
       now_ps_ = bad.time_ps;
-      throw std::out_of_range(bad.bank >= engine_.banks()
-                                  ? "MemoryController: bank out of range"
-                                  : "MemoryController: row out of range");
+      throw std::out_of_range(
+          bad.bank >= engine_.banks()
+              ? "MemoryController: bank " + std::to_string(bad.bank) +
+                    " out of range (" + std::to_string(engine_.banks()) +
+                    " banks)"
+              : "MemoryController: row " + std::to_string(bad.row) +
+                    " out of range (" +
+                    std::to_string(cfg_.geometry.rows_per_bank) +
+                    " rows per bank)");
     }
     i = end;
   }

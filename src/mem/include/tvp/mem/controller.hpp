@@ -86,8 +86,8 @@ struct ControllerConfig {
 /// Per-stage breakdown of the columnar hot path, for perf attribution
 /// (bench/perf_hotpath --profile). The *_ns timers accumulate only when
 /// ControllerConfig::profile is set; the act counters are always live —
-/// they are how replay tests prove a partition-indexed corpus actually
-/// skipped the re-partition pass.
+/// they are how replay tests prove a corpus's lanes actually skipped the
+/// re-partition pass.
 struct StageProfile {
   std::uint64_t partition_ns = 0;    ///< per-bank lane scatter (+ validation)
   std::uint64_t mitigation_ns = 0;   ///< bank-shard dispatch (techniques + lane bookkeeping)
@@ -128,7 +128,7 @@ class MemoryController {
   void on_records(const trace::AccessRecord* records, std::size_t count);
 
   /// Like on_records, but with the per-bank partition pre-computed (a
-  /// corpus-carried partition index): @p lanes holds @p lane_banks
+  /// corpus block's lanes): @p lanes holds @p lane_banks
   /// column views whose serials are indices into @p records. When the
   /// lanes are usable (bank count matches the geometry, every lane row
   /// is in range) the controller feeds them zero-copy and skips the

@@ -119,9 +119,9 @@ class IBankMitigation {
   /// the only way an ACT reaches a technique; a single ACT is a lane of
   /// length 1. @p rows is a contiguous column of logical row ids (SoA:
   /// the controller's partition pass scatters each batch into per-bank
-  /// lanes once; a partition-indexed corpus hands the lane out
-  /// zero-copy). @p ctx applies to every element (a controller lane
-  /// never crosses a refresh boundary). The outcome must not depend on
+  /// lanes once; a corpus block hands its lane out zero-copy). @p ctx
+  /// applies to every element (a controller lane never crosses a
+  /// refresh boundary). The outcome must not depend on
   /// how a stream is cut into lanes (same RNG draw order, same state
   /// transitions); each appended action must carry the lane index of the
   /// ACT that produced it in MitigationAction::origin, appended in

@@ -71,6 +71,7 @@ void write_run_result(util::JsonWriter& json, const exp::RunResult& result) {
   json.key("state_bytes_per_bank").value_exact(result.state_bytes_per_bank);
   json.key("records").value(result.records);
   json.key("wall_seconds").value_exact(result.wall_seconds);
+  json.key("oracle").value(result.oracle);
   json.end_object();
 }
 
@@ -102,6 +103,9 @@ exp::RunResult read_run_result(const util::JsonValue& value) {
   result.state_bytes_per_bank = value.at("state_bytes_per_bank").as_double();
   result.records = value.at("records").as_uint();
   result.wall_seconds = value.at("wall_seconds").as_double();
+  // Journals written before the field existed hold oracle runs only.
+  if (const util::JsonValue* oracle = value.find("oracle"))
+    result.oracle = oracle->as_bool();
   return result;
 }
 

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cerrno>
@@ -17,6 +18,7 @@
 #include <stdexcept>
 #include <tuple>
 #include <type_traits>
+#include <utility>
 
 #include "tvp/util/crc32.hpp"
 #include "tvp/util/failpoint.hpp"
@@ -33,14 +35,14 @@ struct CorpusMapping {
   std::uint64_t size = 0;
   /// Per-block trust-after-verify bits (set with fetch_or): bit 0 =
   /// the records are proven (payload CRC, flag bytes, time order
-  /// against the footer index), bit 1 = the partition lanes are proven
-  /// too (region CRC, counts, every element against its record). The
+  /// against the footer index), bit 1 = the lanes are proven too
+  /// (counts, zero padding, every element against its record). The
   /// lane path sets both in one sweep; next_batch only ever needs bit 0.
   std::unique_ptr<std::atomic<std::uint8_t>[]> verified;
   /// Per-(block, bank) lane row maxima, filled by the lane path's proof
   /// (published by the bit-1 release store); lets every source range-
-  /// check a whole lane in O(1). Empty when the corpus has no partition
-  /// index. Atomics because racing sources may write the same values.
+  /// check a whole lane in O(1). Atomics because racing sources may
+  /// write the same values.
   std::unique_ptr<std::atomic<std::uint32_t>[]> lane_max_rows;
 
   ~CorpusMapping() {
@@ -68,34 +70,38 @@ namespace {
 
 constexpr std::size_t kRecordBytes = sizeof(AccessRecord);
 constexpr std::size_t kFileHeaderBytes = 32;
-constexpr std::size_t kBlockHeaderBytes = 40;
-constexpr std::size_t kFooterHeadBytes = 32;
-constexpr std::size_t kIndexEntryBytes = 48;
-constexpr std::size_t kTrailerBytes = 24;
-constexpr std::uint32_t kVersion = 2;
-// File-header flags word (offset 12); bytes 16-31 stay zero.
+constexpr std::size_t kFooterHeadBytes = 24;
+constexpr std::size_t kIndexEntryBytes = 24;
+constexpr std::size_t kTrailerBytes = 16;
+constexpr std::uint32_t kVersion = 3;
+// File-header words after the magic, version and record size; bytes
+// 20-31 stay zero.
 constexpr std::size_t kFlagsOffset = 12;
+constexpr std::size_t kBanksOffset = 16;
 constexpr std::uint32_t kFlagNoOracle = 1u;  // the writer was given no oracle
 constexpr char kFileMagic[4] = {'T', 'V', 'P', 'C'};
-constexpr char kBlockMagic[4] = {'T', 'V', 'P', 'B'};
 constexpr char kFooterMagic[4] = {'T', 'V', 'P', 'F'};
 constexpr char kTrailerMagic[8] = {'T', 'V', 'P', 'C', 'E', 'N', 'D', '\0'};
-// Footer extension framing the per-block partition index ("PIDX").
-constexpr std::uint32_t kPartitionMagic = 0x58444950u;
-constexpr std::size_t kPartitionHeadBytes = 8;    // magic + bank count
-constexpr std::size_t kPartitionEntryBytes = 16;  // offset + bytes + crc
-// Per-bank/per-record sizes of a block's lane region: a u32 count per
-// bank, then the concatenated lane columns (u64 time + u32 row + u32
-// span-relative serial + u8 write flag per record), each column padded
-// to an 8-byte boundary as a whole.
-constexpr std::size_t kLaneBytesPerRecord = 8 + 4 + 4 + 1;
 
-constexpr std::size_t pad8(std::size_t n) { return (n + 7u) & ~std::size_t{7}; }
+constexpr std::uint64_t pad8(std::uint64_t n) { return (n + 7u) & ~std::uint64_t{7}; }
 
-/// Exact byte size of one block's lane region.
-constexpr std::size_t partition_region_bytes(std::uint32_t banks,
-                                             std::size_t records) {
-  return pad8(std::size_t{banks} * 4) + records * 16 + pad8(records);
+// Where a block's lane columns start, relative to its lane region, for
+// @p banks banks and @p n records (see corpus.hpp): the per-bank counts,
+// padded to 8 bytes, then the time (u64), row (u32), serial (u32) and
+// write-flag (u8) columns, the last padded to 8 bytes.
+struct LaneLayout {
+  constexpr LaneLayout(std::uint64_t banks, std::uint64_t n)
+      : times(pad8(banks * 4)),
+        rows(times + n * 8),
+        serials(rows + n * 4),
+        writes(serials + n * 4),
+        end(writes + pad8(n)) {}
+  std::uint64_t times, rows, serials, writes, end;
+};
+
+// Bytes of a block of @p n records: the records, then the lane region.
+constexpr std::uint64_t block_bytes(std::uint64_t banks, std::uint64_t n) {
+  return n * kRecordBytes + LaneLayout(banks, n).end;
 }
 
 // Failpoint sites, one per syscall location (see util/failpoint.hpp).
@@ -151,14 +157,27 @@ void pread_exact(int fd, void* buf, std::size_t size, std::uint64_t offset,
   }
 }
 
+// The file header of a corpus of @p banks banks, with or without an
+// oracle.
+std::array<unsigned char, kFileHeaderBytes> encode_header(std::uint32_t banks,
+                                                          bool oracle) {
+  std::array<unsigned char, kFileHeaderBytes> header{};
+  std::memcpy(header.data(), kFileMagic, 4);
+  store_u32(header.data() + 4, kVersion);
+  store_u32(header.data() + 8, static_cast<std::uint32_t>(kRecordBytes));
+  store_u32(header.data() + kFlagsOffset, oracle ? 0 : kFlagNoOracle);
+  store_u32(header.data() + kBanksOffset, banks);
+  return header;
+}
+
 struct ParsedCorpus {
   std::uint64_t file_size = 0;
-  std::uint64_t footer_offset = 0;
   CorpusInfo info;
 };
 
-// Parses and validates header + trailer + footer through @p fd. Only
-// O(footer) bytes are read; block payloads stay untouched.
+// Parses and validates header + trailer + footer through @p fd, and
+// derives every block's offset from the record counts. Only O(footer)
+// bytes are read; block payloads stay untouched.
 ParsedCorpus parse_corpus(int fd, const std::string& path) {
   struct ::stat st{};
   if (::fstat(fd, &st) != 0) io_fail(path, "cannot stat");
@@ -174,7 +193,9 @@ ParsedCorpus parse_corpus(int fd, const std::string& path) {
     corrupt(path, "bad file magic (not a .tvpc corpus)");
   const std::uint32_t version = load_u32(header + 4);
   if (version != kVersion)
-    corrupt(path, "unsupported corpus version " + std::to_string(version));
+    corrupt(path, "unsupported corpus version " + std::to_string(version) +
+                      " (this reader reads version " + std::to_string(kVersion) +
+                      ")");
   const std::uint32_t record_bytes = load_u32(header + 8);
   if (record_bytes != kRecordBytes)
     corrupt(path, "record size " + std::to_string(record_bytes) +
@@ -183,83 +204,72 @@ ParsedCorpus parse_corpus(int fd, const std::string& path) {
   const std::uint32_t flags = load_u32(header + kFlagsOffset);
   if ((flags & ~kFlagNoOracle) != 0)
     corrupt(path, "unknown header flags " + std::to_string(flags));
-  for (std::size_t i = kFlagsOffset + 4; i < kFileHeaderBytes; ++i)
+  CorpusInfo& info = parsed.info;
+  info.oracle = (flags & kFlagNoOracle) == 0;
+  info.banks = load_u32(header + kBanksOffset);
+  if (info.banks == 0) corrupt(path, "header declares zero banks");
+  for (std::size_t i = kBanksOffset + 4; i < kFileHeaderBytes; ++i)
     if (header[i] != 0)
       corrupt(path, "reserved header byte " + std::to_string(i) + " is not zero");
-  parsed.info.oracle = (flags & kFlagNoOracle) == 0;
 
   unsigned char trailer[kTrailerBytes];
   pread_exact(fd, trailer, sizeof trailer, parsed.file_size - kTrailerBytes,
               path);
-  if (std::memcmp(trailer + 16, kTrailerMagic, 8) != 0)
+  if (std::memcmp(trailer + 8, kTrailerMagic, 8) != 0)
     corrupt(path, "bad trailer magic (truncated or not a corpus)");
-  parsed.footer_offset = load_u64(trailer);
-  const std::uint64_t footer_bytes = load_u32(trailer + 8);
-  const std::uint32_t footer_crc = load_u32(trailer + 12);
-  if (parsed.footer_offset < kFileHeaderBytes ||
-      footer_bytes < kFooterHeadBytes ||
-      parsed.footer_offset + footer_bytes != parsed.file_size - kTrailerBytes)
+  const std::uint64_t footer_bytes = load_u32(trailer);
+  const std::uint32_t footer_crc = load_u32(trailer + 4);
+  if (footer_bytes < kFooterHeadBytes ||
+      footer_bytes > parsed.file_size - kFileHeaderBytes - kTrailerBytes)
     corrupt(path, "trailer does not frame a footer (truncated footer?)");
+  const std::uint64_t footer_offset =
+      parsed.file_size - kTrailerBytes - footer_bytes;
 
   std::vector<unsigned char> footer(static_cast<std::size_t>(footer_bytes));
-  pread_exact(fd, footer.data(), footer.size(), parsed.footer_offset, path);
-  const std::uint32_t got_crc = util::crc32(footer.data(), footer.size());
-  if (got_crc != footer_crc)
-    corrupt(path, "footer CRC mismatch (corrupt or truncated footer)");
+  pread_exact(fd, footer.data(), footer.size(), footer_offset, path);
+  if (util::crc32(footer.data(), footer.size(),
+                  util::crc32(header, sizeof header)) != footer_crc)
+    corrupt(path, "footer CRC mismatch (corrupt header or footer)");
   if (std::memcmp(footer.data(), kFooterMagic, 4) != 0)
     corrupt(path, "bad footer magic");
 
-  CorpusInfo& info = parsed.info;
   info.footer_crc = footer_crc;
   const std::uint64_t block_count = load_u32(footer.data() + 4);
-  info.total_records = load_u64(footer.data() + 8);
-  const std::uint64_t aggressor_count = load_u64(footer.data() + 16);
-  const std::uint64_t victim_count = load_u64(footer.data() + 24);
-  const std::uint64_t base_bytes = kFooterHeadBytes +
-                                   block_count * kIndexEntryBytes +
-                                   (aggressor_count + victim_count) * 8;
-  // Exactly two footer shapes exist: the base layout, and the base
-  // layout followed by the partition-index extension. Anything else is
-  // corruption, not a fallback.
-  const bool has_partition =
-      footer_bytes ==
-      base_bytes + kPartitionHeadBytes + block_count * kPartitionEntryBytes;
-  if (!has_partition && footer_bytes != base_bytes)
+  const std::uint64_t aggressor_count = load_u64(footer.data() + 8);
+  const std::uint64_t victim_count = load_u64(footer.data() + 16);
+  // Bounded first, so the size below cannot wrap.
+  if (aggressor_count > footer_bytes / 8 || victim_count > footer_bytes / 8 ||
+      footer_bytes != kFooterHeadBytes + block_count * kIndexEntryBytes +
+                          (aggressor_count + victim_count) * 8)
     corrupt(path, "footer size does not match its counts");
 
+  // The blocks follow the header back to back, each as long as its
+  // record count and the bank count make it, and end at the footer.
   info.blocks.reserve(static_cast<std::size_t>(block_count));
-  std::uint64_t running = 0;
+  std::uint64_t offset = kFileHeaderBytes;
   const unsigned char* entry = footer.data() + kFooterHeadBytes;
   for (std::uint64_t b = 0; b < block_count; ++b, entry += kIndexEntryBytes) {
     CorpusBlockInfo block;
-    block.offset = load_u64(entry);
-    block.first_record = load_u64(entry + 8);
-    block.records = load_u32(entry + 16);
-    const std::uint32_t codec = load_u32(entry + 20);
-    block.crc = load_u32(entry + 24);
-    block.min_time_ps = load_u64(entry + 32);
-    block.max_time_ps = load_u64(entry + 40);
-    if (codec == static_cast<std::uint32_t>(CorpusCodec::kZstd))
-      corrupt(path, "block " + std::to_string(b) +
-                        " is zstd-compressed (codec 1), a reserved codec "
-                        "this reader does not decode");
-    if (codec != static_cast<std::uint32_t>(CorpusCodec::kRaw))
-      corrupt(path, "block " + std::to_string(b) + " has unknown codec " +
-                        std::to_string(codec));
-    if (block.offset < kFileHeaderBytes ||
-        block.offset + kBlockHeaderBytes > parsed.footer_offset)
-      corrupt(path, "block " + std::to_string(b) + " offset out of range");
-    if (block.first_record != running)
-      corrupt(path, "block " + std::to_string(b) + " index is not contiguous");
+    block.offset = offset;
+    block.first_record = info.total_records;
+    block.records = load_u32(entry);
+    block.crc = load_u32(entry + 4);
+    block.min_time_ps = load_u64(entry + 8);
+    block.max_time_ps = load_u64(entry + 16);
     // The writer never emits an empty block, and the order proof needs
     // a first and a last record to hold against the index's time range.
     if (block.records == 0)
       corrupt(path, "block " + std::to_string(b) + " is empty");
-    running += block.records;
+    offset += block_bytes(info.banks, block.records);
+    if (offset > footer_offset)
+      corrupt(path, "block " + std::to_string(b) + " runs into the footer");
+    info.total_records += block.records;
     info.blocks.push_back(block);
   }
-  if (running != info.total_records)
-    corrupt(path, "footer record total does not match its index");
+  if (offset != footer_offset)
+    corrupt(path, "blocks end at byte " + std::to_string(offset) +
+                      ", not at the footer (byte " +
+                      std::to_string(footer_offset) + ")");
 
   info.aggressors.reserve(static_cast<std::size_t>(aggressor_count));
   const unsigned char* key = entry;
@@ -268,31 +278,6 @@ ParsedCorpus parse_corpus(int fd, const std::string& path) {
   info.victims.reserve(static_cast<std::size_t>(victim_count));
   for (std::uint64_t i = 0; i < victim_count; ++i, key += 8)
     info.victims.push_back(load_u64(key));
-
-  if (has_partition) {
-    if (load_u32(key) != kPartitionMagic)
-      corrupt(path, "partition index has a bad magic");
-    info.partition_banks = load_u32(key + 4);
-    if (info.partition_banks == 0)
-      corrupt(path, "partition index declares zero banks");
-    key += kPartitionHeadBytes;
-    info.partitions.reserve(static_cast<std::size_t>(block_count));
-    for (std::uint64_t b = 0; b < block_count; ++b, key += kPartitionEntryBytes) {
-      CorpusPartitionInfo p;
-      p.offset = load_u64(key);
-      p.bytes = load_u32(key + 8);
-      p.crc = load_u32(key + 12);
-      if (p.offset < kFileHeaderBytes ||
-          p.offset + p.bytes > parsed.footer_offset)
-        corrupt(path, "block " + std::to_string(b) +
-                          " partition region out of range");
-      if (p.bytes != partition_region_bytes(info.partition_banks,
-                                            info.blocks[b].records))
-        corrupt(path, "block " + std::to_string(b) +
-                          " partition size does not match its records");
-      info.partitions.push_back(p);
-    }
-  }
   return parsed;
 }
 
@@ -407,23 +392,20 @@ const std::vector<std::string>& corpus_failpoint_sites() {
 // ---------------------------------------------------------------------------
 // CorpusWriter
 
-CorpusWriter::CorpusWriter(const std::string& path)
-    : CorpusWriter(path, Options{}) {}
-
-CorpusWriter::CorpusWriter(const std::string& path, Options options)
-    : path_(path), options_(options) {
-  if (options_.records_per_block == 0)
+CorpusWriter::CorpusWriter(const std::string& path, std::uint32_t banks,
+                           std::size_t records_per_block)
+    : path_(path), banks_(banks), records_per_block_(records_per_block) {
+  if (banks_ == 0)
+    throw std::invalid_argument("CorpusWriter: a corpus needs at least one bank");
+  if (records_per_block_ == 0)
     throw std::invalid_argument("CorpusWriter: records_per_block must be > 0");
   fd_ = fp::open(kSiteCreateOpen, path.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
                  0644);
   if (fd_ < 0) io_fail(path_, "cannot create");
-  block_.reserve(options_.records_per_block);
+  block_.reserve(records_per_block_);
 
-  unsigned char header[kFileHeaderBytes] = {};
-  std::memcpy(header, kFileMagic, 4);
-  store_u32(header + 4, kVersion);
-  store_u32(header + 8, static_cast<std::uint32_t>(kRecordBytes));
-  if (!fp::write_full(kSiteHeaderWrite, fd_, header, sizeof header)) {
+  const auto header = encode_header(banks_, true);
+  if (!fp::write_full(kSiteHeaderWrite, fd_, header.data(), header.size())) {
     const int saved = errno;
     ::close(fd_);
     fd_ = -1;
@@ -451,14 +433,13 @@ void CorpusWriter::append(const AccessRecord* records, std::size_t count) {
           "CorpusWriter: record time goes backwards (" +
           std::to_string(r.time_ps) + " after " +
           std::to_string(last_time_ps_) + ")");
-    if (options_.partition_banks != 0 && r.bank >= options_.partition_banks)
-      throw std::invalid_argument(
-          "CorpusWriter: record bank " + std::to_string(r.bank) +
-          " outside the partition index's " +
-          std::to_string(options_.partition_banks) + " banks");
+    if (r.bank >= banks_)
+      throw std::invalid_argument("CorpusWriter: record bank " +
+                                  std::to_string(r.bank) + " outside the corpus's " +
+                                  std::to_string(banks_) + " banks");
     last_time_ps_ = r.time_ps;
     block_.push_back(r);
-    if (block_.size() >= options_.records_per_block) flush_block();
+    if (block_.size() >= records_per_block_) flush_block();
   }
 }
 
@@ -474,87 +455,58 @@ void CorpusWriter::set_victims(std::vector<std::uint64_t> keys) {
 
 void CorpusWriter::flush_block() {
   if (block_.empty()) return;
-  const std::size_t raw_bytes = block_.size() * kRecordBytes;
-  staging_.resize(raw_bytes);
-  for (std::size_t i = 0; i < block_.size(); ++i) {
+  const std::size_t n = block_.size();
+  const std::size_t payload = n * kRecordBytes;
+  const LaneLayout layout(banks_, n);
+  // Every byte below is written, padding as zeros: the file must be
+  // deterministic (its bytes are CRC'd, cross-checked and identity-hashed).
+  staging_.resize(payload + static_cast<std::size_t>(layout.end));
+  for (std::size_t i = 0; i < n; ++i) {
     unsigned char* slot = staging_.data() + i * kRecordBytes;
     std::memcpy(slot, &block_[i], kRecordBytes);
-    // The struct's tail padding is indeterminate in memory; the file
-    // must be deterministic (its bytes are CRC'd and identity-hashed).
+    // The struct's tail padding is indeterminate in memory.
     std::memset(slot + 19, 0, kRecordBytes - 19);
   }
-  const std::uint32_t crc = util::crc32(staging_.data(), raw_bytes);
+
+  // The block's scatter pass, done once at write time: per-bank lane
+  // columns (time, row, span-relative serial, write flag), laid out
+  // bank after bank so replay hands the mapped bytes straight to the
+  // controller.
+  unsigned char* counts = staging_.data() + payload;
+  unsigned char* times = counts + layout.times;
+  unsigned char* rows = counts + layout.rows;
+  unsigned char* serials = counts + layout.serials;
+  unsigned char* writes = counts + layout.writes;
+  // Each lane's length, then its next slot in the columns.
+  std::vector<std::uint32_t> next(banks_, 0);
+  for (const AccessRecord& r : block_) ++next[r.bank];
+  std::memset(counts, 0, static_cast<std::size_t>(layout.times));  // + padding
+  for (std::uint32_t b = 0, at = 0; b < banks_; ++b) {
+    store_u32(counts + std::size_t{b} * 4, next[b]);
+    at += std::exchange(next[b], at);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const AccessRecord& r = block_[i];
+    const std::uint32_t k = next[r.bank]++;
+    store_u64(times + std::size_t{k} * 8, r.time_ps);
+    store_u32(rows + std::size_t{k} * 4, r.row);
+    store_u32(serials + std::size_t{k} * 4, static_cast<std::uint32_t>(i));
+    writes[k] = r.write ? 1 : 0;
+  }
+  std::memset(writes + n, 0, static_cast<std::size_t>(layout.end - layout.writes) - n);
 
   CorpusBlockInfo info;
   info.offset = write_offset_;
-  info.first_record = total_records_;
-  info.records = static_cast<std::uint32_t>(block_.size());
-  info.crc = crc;
+  info.records = static_cast<std::uint32_t>(n);
+  info.crc = util::crc32(staging_.data(), payload);
   info.min_time_ps = block_.front().time_ps;
   info.max_time_ps = block_.back().time_ps;
-
-  unsigned char header[kBlockHeaderBytes] = {};
-  std::memcpy(header, kBlockMagic, 4);
-  store_u32(header + 4, static_cast<std::uint32_t>(info.codec));
-  store_u32(header + 8, info.records);
-  store_u32(header + 12, static_cast<std::uint32_t>(raw_bytes));
-  store_u64(header + 16, info.min_time_ps);
-  store_u64(header + 24, info.max_time_ps);
-  store_u32(header + 32, crc);
-
-  // Raw payloads are whole 24-byte records, so they end 8-byte aligned.
+  // Whole 24-byte records and an 8-byte padded lane region: every block
+  // ends 8-byte aligned.
   static_assert(kRecordBytes % 8 == 0);
-  if (!fp::write_full(kSiteBlockWrite, fd_, header, sizeof header) ||
-      !fp::write_full(kSiteBlockWrite, fd_, staging_.data(), raw_bytes))
+  if (!fp::write_full(kSiteBlockWrite, fd_, staging_.data(), staging_.size()))
     fail("cannot write block");
-  write_offset_ += kBlockHeaderBytes + raw_bytes;
-
-  if (options_.partition_banks != 0) {
-    // The block's scatter pass, done once at write time: per-bank lane
-    // columns (time, row, span-relative serial, write flag), laid out
-    // bank after bank so replay hands the mapped bytes straight to the
-    // controller. All padding is zeroed — the file stays byte-
-    // deterministic.
-    const std::uint32_t banks = options_.partition_banks;
-    const std::size_t n = block_.size();
-    const std::size_t region = partition_region_bytes(banks, n);
-    lane_staging_.assign(region, 0);
-    unsigned char* counts = lane_staging_.data();
-    unsigned char* times = counts + pad8(std::size_t{banks} * 4);
-    unsigned char* rows = times + n * 8;
-    unsigned char* serials = rows + n * 4;
-    unsigned char* writes = serials + n * 4;
-
-    std::vector<std::uint32_t> lane_count(banks, 0);
-    for (const AccessRecord& r : block_) ++lane_count[r.bank];
-    std::vector<std::uint32_t> cursor(banks, 0);
-    for (std::uint32_t b = 0, at = 0; b < banks; ++b) {
-      store_u32(counts + std::size_t{b} * 4, lane_count[b]);
-      cursor[b] = at;
-      at += lane_count[b];
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const AccessRecord& r = block_[i];
-      const std::uint32_t k = cursor[r.bank]++;
-      store_u64(times + std::size_t{k} * 8, r.time_ps);
-      store_u32(rows + std::size_t{k} * 4, r.row);
-      store_u32(serials + std::size_t{k} * 4,
-                static_cast<std::uint32_t>(i));
-      writes[k] = r.write ? 1 : 0;
-    }
-
-    if (region > 0xFFFFFFFFull)
-      throw std::invalid_argument(
-          "CorpusWriter: block too large for a partition index");
-    CorpusPartitionInfo pinfo;
-    pinfo.offset = write_offset_;
-    pinfo.bytes = static_cast<std::uint32_t>(region);
-    pinfo.crc = util::crc32(lane_staging_.data(), region);
-    if (!fp::write_full(kSiteBlockWrite, fd_, lane_staging_.data(), region))
-      fail("cannot write block partition");
-    write_offset_ += region;
-    pindex_.push_back(pinfo);
-  }
+  write_offset_ += staging_.size();
 
   // Start the block's writeback now, so close()'s fsync waits on the
   // tail alone instead of flushing the whole file at once. Durability
@@ -565,7 +517,7 @@ void CorpusWriter::flush_block() {
                           SYNC_FILE_RANGE_WRITE) != 0)
     fail("cannot start block writeback");
 
-  total_records_ += block_.size();
+  total_records_ += n;
   index_.push_back(info);
   block_.clear();
 }
@@ -574,13 +526,10 @@ std::uint32_t CorpusWriter::close() {
   if (fd_ < 0) throw std::logic_error("CorpusWriter: double close");
   flush_block();
   // Before the footer: any file with a trailer has its final header.
-  if (!oracle_) {
-    unsigned char flags[4];
-    store_u32(flags, kFlagNoOracle);
-    if (fp::pwrite(kSiteHeaderWrite, fd_, flags, sizeof flags,
-                   static_cast<::off_t>(kFlagsOffset)) != sizeof flags)
-      fail("cannot write header flags");
-  }
+  const auto header = encode_header(banks_, oracle_);
+  if (!oracle_ && fp::pwrite(kSiteHeaderWrite, fd_, header.data() + kFlagsOffset,
+                             4, static_cast<::off_t>(kFlagsOffset)) != 4)
+    fail("cannot write header flags");
 
   std::sort(aggressors_.begin(), aggressors_.end());
   aggressors_.erase(std::unique(aggressors_.begin(), aggressors_.end()),
@@ -589,28 +538,19 @@ std::uint32_t CorpusWriter::close() {
   victims_.erase(std::unique(victims_.begin(), victims_.end()),
                  victims_.end());
 
-  const std::size_t ext_bytes =
-      options_.partition_banks != 0
-          ? kPartitionHeadBytes + pindex_.size() * kPartitionEntryBytes
-          : 0;
-  std::vector<unsigned char> footer(
-      kFooterHeadBytes + index_.size() * kIndexEntryBytes +
-      (aggressors_.size() + victims_.size()) * 8 + ext_bytes);
+  std::vector<unsigned char> footer(kFooterHeadBytes +
+                                    index_.size() * kIndexEntryBytes +
+                                    (aggressors_.size() + victims_.size()) * 8);
   std::memcpy(footer.data(), kFooterMagic, 4);
   store_u32(footer.data() + 4, static_cast<std::uint32_t>(index_.size()));
-  store_u64(footer.data() + 8, total_records_);
-  store_u64(footer.data() + 16, aggressors_.size());
-  store_u64(footer.data() + 24, victims_.size());
+  store_u64(footer.data() + 8, aggressors_.size());
+  store_u64(footer.data() + 16, victims_.size());
   unsigned char* entry = footer.data() + kFooterHeadBytes;
   for (const CorpusBlockInfo& b : index_) {
-    store_u64(entry, b.offset);
-    store_u64(entry + 8, b.first_record);
-    store_u32(entry + 16, b.records);
-    store_u32(entry + 20, static_cast<std::uint32_t>(b.codec));
-    store_u32(entry + 24, b.crc);
-    store_u32(entry + 28, 0);
-    store_u64(entry + 32, b.min_time_ps);
-    store_u64(entry + 40, b.max_time_ps);
+    store_u32(entry, b.records);
+    store_u32(entry + 4, b.crc);
+    store_u64(entry + 8, b.min_time_ps);
+    store_u64(entry + 16, b.max_time_ps);
     entry += kIndexEntryBytes;
   }
   for (const std::uint64_t key : aggressors_) {
@@ -621,27 +561,13 @@ std::uint32_t CorpusWriter::close() {
     store_u64(entry, key);
     entry += 8;
   }
-  if (options_.partition_banks != 0) {
-    // Footer extension: the partition index's frame. Covered by the
-    // footer CRC like everything else, so a tampered lane frame fails
-    // the identity check before any lane byte is trusted.
-    store_u32(entry, kPartitionMagic);
-    store_u32(entry + 4, options_.partition_banks);
-    entry += kPartitionHeadBytes;
-    for (const CorpusPartitionInfo& p : pindex_) {
-      store_u64(entry, p.offset);
-      store_u32(entry + 8, p.bytes);
-      store_u32(entry + 12, p.crc);
-      entry += kPartitionEntryBytes;
-    }
-  }
-  const std::uint32_t footer_crc = util::crc32(footer.data(), footer.size());
+  const std::uint32_t footer_crc = util::crc32(
+      footer.data(), footer.size(), util::crc32(header.data(), header.size()));
 
   unsigned char trailer[kTrailerBytes] = {};
-  store_u64(trailer, write_offset_);
-  store_u32(trailer + 8, static_cast<std::uint32_t>(footer.size()));
-  store_u32(trailer + 12, footer_crc);
-  std::memcpy(trailer + 16, kTrailerMagic, 8);
+  store_u32(trailer, static_cast<std::uint32_t>(footer.size()));
+  store_u32(trailer + 4, footer_crc);
+  std::memcpy(trailer + 8, kTrailerMagic, 8);
 
   if (!fp::write_full(kSiteFooterWrite, fd_, footer.data(), footer.size()))
     fail("cannot write footer");
@@ -690,7 +616,7 @@ void keep_alive(const std::shared_ptr<CorpusMapping>& mapping) {
 std::shared_ptr<CorpusMapping> acquire_mapping(int fd, const std::string& path,
                                                std::uint64_t file_size,
                                                std::size_t blocks,
-                                               std::uint32_t lane_banks,
+                                               std::uint32_t banks,
                                                std::uint32_t identity) {
   struct ::stat st{};
   if (::fstat(fd, &st) != 0) io_fail(path, "cannot stat");
@@ -725,13 +651,10 @@ std::shared_ptr<CorpusMapping> acquire_mapping(int fd, const std::string& path,
   mapping->verified = std::make_unique<std::atomic<std::uint8_t>[]>(blocks);
   for (std::size_t i = 0; i < blocks; ++i)
     mapping->verified[i].store(0, std::memory_order_relaxed);
-  if (lane_banks != 0) {
-    const std::size_t cells = blocks * lane_banks;
-    mapping->lane_max_rows =
-        std::make_unique<std::atomic<std::uint32_t>[]>(cells);
-    for (std::size_t i = 0; i < cells; ++i)
-      mapping->lane_max_rows[i].store(0, std::memory_order_relaxed);
-  }
+  const std::size_t cells = blocks * banks;
+  mapping->lane_max_rows = std::make_unique<std::atomic<std::uint32_t>[]>(cells);
+  for (std::size_t i = 0; i < cells; ++i)
+    mapping->lane_max_rows[i].store(0, std::memory_order_relaxed);
   g_mappings[key] = mapping;
   keep_alive(mapping);
   return mapping;
@@ -746,45 +669,29 @@ MmapSource::MmapSource(const std::string& path) : path_(path) {
   info_ = std::move(parsed.info);
   // The mapping outlives the descriptor, which closes on return.
   mapping_ = acquire_mapping(fd.get(), path_, file_size_, info_.blocks.size(),
-                             info_.partition_banks, info_.footer_crc);
+                             info_.banks, info_.footer_crc);
   base_ = mapping_->base;
-  lanes_.resize(info_.partition_banks);
+  // Blocks bound the bank count by the file size; an empty corpus's
+  // count bounds nothing, and it has no lanes to view.
+  lanes_.resize(info_.blocks.empty() ? 0 : info_.banks);
 }
 
 void MmapSource::fail(const std::string& what) const { corrupt(path_, what); }
 
 // Loads block @p index and points span_ at its records: the mapped
 // bytes themselves (zero-copy). With @p with_lanes it also points
-// lanes_ at the block's partition columns. The block's first touch
-// verifies what it needs (point_lanes, then prove_block) and records
-// that in the shared verified bits.
+// lanes_ at the block's lane columns. The block's first touch verifies
+// what it needs (point_lanes, then prove_block) and records that in the
+// shared verified bits.
 void MmapSource::load_block(std::size_t index, bool with_lanes) {
   const CorpusBlockInfo& b = info_.blocks[index];
-  const std::uint64_t payload_offset = b.offset + kBlockHeaderBytes;
-  const std::uint64_t raw_bytes = std::uint64_t{b.records} * kRecordBytes;
-
-  const unsigned char* header = base_ + b.offset;
-  if (std::memcmp(header, kBlockMagic, 4) != 0)
-    fail("block " + std::to_string(index) + " has a bad magic");
-  if (load_u32(header + 4) != static_cast<std::uint32_t>(b.codec) ||
-      load_u32(header + 8) != b.records ||
-      load_u32(header + 32) != b.crc)
-    fail("block " + std::to_string(index) +
-         " header disagrees with the footer index");
-  const std::uint64_t payload_bytes = load_u32(header + 12);
-  if (payload_offset + payload_bytes > file_size_ - kTrailerBytes)
-    fail("block " + std::to_string(index) + " payload out of range");
-
-  if (payload_bytes != raw_bytes)
-    fail("block " + std::to_string(index) + " payload size mismatch");
-  const unsigned char* payload = base_ + payload_offset;
-  span_ = reinterpret_cast<const AccessRecord*>(payload);
+  span_ = reinterpret_cast<const AccessRecord*>(base_ + b.offset);
   span_len_ = b.records;
   span_pos_ = 0;
 
   // Trust-after-verify, shared process-wide: if a concurrent source
   // races us here both verify — harmless, the bytes are immutable.
-  // Bit 0 covers the records, bit 1 the partition lanes.
+  // Bit 0 covers the records, bit 1 the lanes.
   const std::uint8_t need = with_lanes ? 3 : 1;
   const std::uint8_t have =
       mapping_->verified[index].load(std::memory_order_acquire);
@@ -795,45 +702,45 @@ void MmapSource::load_block(std::size_t index, bool with_lanes) {
     mapping_->verified[index].fetch_or(need, std::memory_order_release);
   }
   if (with_lanes)
-    for (std::uint32_t k = 0; k < info_.partition_banks; ++k)
-      lanes_[k].max_row =
-          mapping_->lane_max_rows[index * info_.partition_banks + k].load(
-              std::memory_order_relaxed);
+    for (std::uint32_t k = 0; k < info_.banks; ++k)
+      lanes_[k].max_row = mapping_->lane_max_rows[index * info_.banks + k].load(
+          std::memory_order_relaxed);
 }
 
-// Points lanes_ at block @p index's partition columns (zero-copy: the
-// lane pointers are the page cache). With @p check (the first touch)
-// the region's CRC and lane counts are verified before any pointer is
-// formed; prove_block cross-checks the elements.
+// Points lanes_ at block @p index's lane columns (zero-copy: the lane
+// pointers are the page cache). With @p check (the first touch) the
+// lane counts must sum to the block and the padding must be zero before
+// any pointer is formed; prove_block cross-checks the elements.
 void MmapSource::point_lanes(std::size_t index, bool check) {
-  const std::uint32_t banks = info_.partition_banks;
-  const CorpusPartitionInfo& p = info_.partitions[index];
-  const unsigned char* counts = base_ + p.offset;
+  const std::uint32_t banks = info_.banks;
+  const std::size_t n = span_len_;
+  const LaneLayout layout(banks, n);
+  const unsigned char* counts =
+      reinterpret_cast<const unsigned char*>(span_ + n);
   if (check) {
-    if (util::crc32(counts, p.bytes) != p.crc)
-      fail("block " + std::to_string(index) +
-           " partition CRC mismatch (corrupt)");
     std::uint64_t covered = 0;
     for (std::uint32_t b = 0; b < banks; ++b)
       covered += load_u32(counts + std::size_t{b} * 4);
-    if (covered != span_len_)
-      fail("block " + std::to_string(index) +
-           " partition lanes do not cover the block");
+    if (covered != n)
+      fail("block " + std::to_string(index) + " lanes do not cover the block");
+    const auto zero = [](const unsigned char* from, const unsigned char* to) {
+      return std::all_of(from, to, [](unsigned char c) { return c == 0; });
+    };
+    if (!zero(counts + std::size_t{banks} * 4, counts + layout.times) ||
+        !zero(counts + layout.writes + n, counts + layout.end))
+      fail("block " + std::to_string(index) + " lane padding is not zero");
   }
-  const unsigned char* times = counts + pad8(std::size_t{banks} * 4);
-  const unsigned char* rows = times + span_len_ * 8;
-  const unsigned char* serials = rows + span_len_ * 4;
-  const unsigned char* writes = serials + span_len_ * 4;
   std::size_t at = 0;
   for (std::uint32_t b = 0; b < banks; ++b) {
-    const std::uint32_t n = load_u32(counts + std::size_t{b} * 4);
+    const std::uint32_t count = load_u32(counts + std::size_t{b} * 4);
     BankLaneView& lv = lanes_[b];
-    lv.rows = reinterpret_cast<const dram::RowId*>(rows + at * 4);
-    lv.times = reinterpret_cast<const std::uint64_t*>(times + at * 8);
-    lv.serials = reinterpret_cast<const std::uint32_t*>(serials + at * 4);
-    lv.writes = writes + at;
-    lv.count = n;
-    at += n;
+    lv.rows = reinterpret_cast<const dram::RowId*>(counts + layout.rows + at * 4);
+    lv.times = reinterpret_cast<const std::uint64_t*>(counts + layout.times + at * 8);
+    lv.serials =
+        reinterpret_cast<const std::uint32_t*>(counts + layout.serials + at * 4);
+    lv.writes = counts + layout.writes + at;
+    lv.count = count;
+    at += count;
   }
 }
 
@@ -844,13 +751,12 @@ void MmapSource::point_lanes(std::size_t index, bool check) {
 // the first and last equal the footer's min and max, and the first is
 // no earlier than the previous block's footer max — so once every
 // block is touched the whole corpus is proven time-ordered. With
-// @p with_lanes the same sweep cross-checks the partition lanes: record
+// @p with_lanes the same sweep cross-checks the lanes: record
 // i must be the next element of its bank's lane, with serial i and
 // equal time, row and write flag (the counts already sum to the block,
 // so the lanes then hold exactly its records), and the lanes' row
 // maxima are filled. Any disagreement is a precise error naming the
-// block, corruption (a CRC mismatch) reported first: a corpus that
-// advertises a partition index must carry a correct one.
+// block, corruption (a CRC mismatch) reported first.
 void MmapSource::prove_block(std::size_t index, bool with_lanes,
                              bool check_crc) {
   const CorpusBlockInfo& info = info_.blocks[index];
@@ -871,7 +777,7 @@ void MmapSource::prove_block(std::size_t index, bool with_lanes,
     crc_end = to;
   };
   SweepState state(records, with_lanes ? lanes_.data() : nullptr,
-                   with_lanes ? info_.partition_banks : 0);
+                   with_lanes ? info_.banks : 0);
   SweepStop stop;
   for (std::size_t at = 0; at < n && stop.why == SweepStop::kNone;
        at += kChunkRecords) {
@@ -893,11 +799,11 @@ void MmapSource::prove_block(std::size_t index, bool with_lanes,
   if (stop.why == SweepStop::kOrder)
     fail(block + " records are not time-ordered");
   if (stop.why == SweepStop::kLane)
-    fail(block + " partition lane disagrees with its records");
+    fail(block + " lane disagrees with its records");
   if (!with_lanes) return;
   // The lanes now hold exactly the block's records, so each lane's row
   // maximum is a plain scan of its row column.
-  const std::uint32_t banks = info_.partition_banks;
+  const std::uint32_t banks = info_.banks;
   for (std::uint32_t b = 0; b < banks; ++b) {
     const BankLaneView& lane = lanes_[b];
     const dram::RowId max_row =
@@ -937,12 +843,9 @@ std::size_t MmapSource::span_lanes(const AccessRecord** data,
       *data = nullptr;
       return 0;
     }
-    const bool with_lanes = info_.partition_banks != 0;
-    load_block(block_++, with_lanes);
-    if (with_lanes) {
-      *lanes = lanes_.data();
-      *lane_banks = info_.partition_banks;
-    }
+    load_block(block_++, true);
+    *lanes = lanes_.data();
+    *lane_banks = info_.banks;
   }
   *data = span_ + span_pos_;
   const std::size_t n = span_len_ - span_pos_;
@@ -967,8 +870,8 @@ CorpusInfo read_corpus_info(const std::string& path) {
 
 CorpusInfo verify_corpus(const std::string& path) {
   // Touching every block through the lane path runs the whole proof:
-  // block CRCs, time order against the footer index, and a partition
-  // index's CRC and element cross-check when there is one.
+  // block CRCs, time order against the footer index, and the lanes'
+  // counts, padding and element cross-check.
   MmapSource source(path);
   const AccessRecord* span = nullptr;
   const BankLaneView* lanes = nullptr;
@@ -980,8 +883,8 @@ CorpusInfo verify_corpus(const std::string& path) {
 
 std::uint32_t write_corpus(const std::string& path,
                            const std::vector<AccessRecord>& records,
-                           CorpusWriter::Options options) {
-  CorpusWriter writer(path, options);
+                           std::uint32_t banks, std::size_t records_per_block) {
+  CorpusWriter writer(path, banks, records_per_block);
   writer.append(records.data(), records.size());
   return writer.close();
 }

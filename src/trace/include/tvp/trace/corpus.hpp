@@ -2,53 +2,65 @@
 // built for replay at memory speed, and the one way a trace enters a run
 // (external address traces are imported as corpora through trace/io.hpp).
 //
-// Layout (all integers little-endian, all offsets 8-byte aligned):
+// Layout, version 3 (all integers little-endian, all offsets 8-byte
+// aligned). Each fact is stored once; what can be derived is derived.
 //
-//   [file header, 32 B]   "TVPC" | version=2 | record_bytes=24 | flags
+//   [file header, 32 B]   "TVPC" | version=3 | record_bytes=24 | flags
 //                         (u32; bit 0 = no oracle, other bits zero) |
-//                         16 zero bytes
-//   [block]*              40 B block header ("TVPB", codec, record
-//                         count, payload size, min/max time_ps, CRC-32
-//                         of the record bytes), then the packed records
-//   [footer]              "TVPF" | totals | per-block index entries
-//                         (offset, first record, count, codec, CRC,
-//                         time range) | sorted aggressor-oracle keys |
-//                         sorted victim-oracle keys
-//   [trailer, 24 B]       footer offset | footer size | footer CRC-32 |
+//                         bank count (u32, >= 1) | 12 zero bytes
+//   [block]*              the block's packed records, then its lane
+//                         region: a u32 record count per bank (zero-
+//                         padded to 8 B), then one column each of u64
+//                         times, u32 rows, u32 block-relative serials and
+//                         u8 write flags (zero-padded to 8 B), the lanes
+//                         concatenated bank after bank in each column
+//   [footer]              "TVPF" | block count (u32) | aggressor count
+//                         (u64) | victim count (u64) | per-block entries
+//                         (u32 record count, u32 CRC-32 of the record
+//                         bytes, u64 min and max time_ps) | sorted
+//                         aggressor-oracle keys | sorted victim-oracle keys
+//   [trailer, 16 B]       footer size (u32) | footer CRC-32 (u32, over
+//                         the file header and then the footer) |
 //                         "TVPCEND\0"
+//
+// A block's size follows from its record count and the bank count, so
+// the parser derives every block's offset and first record and the
+// record total, and requires the blocks to tile the file exactly from
+// the header to the footer. Every byte is then proven by one of four
+// checks: the footer CRC (the header and the footer), a block's payload
+// CRC (its records), the lane cross-check (lane counts and elements), or
+// a zero check (lane padding); no byte is proven twice over, apart from
+// the header's constant fields and zero bytes, which are also compared.
 //
 // The design invariants the readers rely on:
 //  * The on-disk record layout IS the in-memory AccessRecord layout
-//    (static_asserts in corpus.cpp pin every offset), so an mmap'd raw
+//    (static_asserts in corpus.cpp pin every offset), so an mmap'd
 //    block replays zero-copy: the span handed to the controller is the
 //    page cache itself.
 //  * Blocks are read only through that mapping: MmapSource maps the file
 //    or throws naming it. The header, trailer and footer are read with
 //    pread, which is all read_corpus_info does.
-//  * Every block carries a CRC-32 over its record bytes. A block's
-//    first touch checks it and proves the block time-ordered in one
-//    record-order sweep that trails the CRC chunk by chunk (a mismatch
-//    is reported as corruption first): every flag byte is 0 or 1, the
-//    records ascend, the first and last equal the footer index's min
-//    and max, and the first is no earlier than the previous block's
-//    index max. Once every block is touched the whole corpus is proven
-//    ordered, and every reader downstream (LimitSource's time cut, the
-//    controller's lane cut) relies on that without rescanning. A block
-//    that fails is a precise error naming it. Two verified bits per
-//    block record the proof (trust-after-verify: rewind() keeps them,
-//    so warm replay passes skip the sweep entirely): bit 0 covers the
-//    records (CRC, flag bytes, order), bit 1 the partition lanes
-//    (below). next_batch() needs bit 0 only and never reads the lanes;
-//    span_lanes() on a partitioned corpus sets both in the same sweep.
-//    The mapping and its verified bits are shared process-wide between
-//    sources of the same unchanged file, so a sweep replaying one
-//    corpus across many cells pays the sweep once, not per cell.
-//  * The footer CRC covers the index — and therefore every block CRC —
-//    which makes it a cheap whole-corpus identity: the campaign service
-//    journals it so a resumed trace job proves it replays the same
-//    bytes.
-//  * Blocks are stored raw (codec 0). Codec 1 is reserved for zstd and
-//    rejected by name; any other codec is reported as unknown.
+//  * A block's first touch checks its payload CRC and proves the block
+//    time-ordered in one record-order sweep that trails the CRC chunk by
+//    chunk (a mismatch is reported as corruption first): every flag byte
+//    is 0 or 1, the records ascend, the first and last equal the footer
+//    index's min and max, and the first is no earlier than the previous
+//    block's index max. Once every block is touched the whole corpus is
+//    proven ordered, and every reader downstream (LimitSource's time
+//    cut, the controller's lane cut) relies on that without rescanning.
+//    A block that fails is a precise error naming it. Two verified bits
+//    per block record the proof (trust-after-verify: rewind() keeps
+//    them, so warm replay passes skip the sweep entirely): bit 0 covers
+//    the records (CRC, flag bytes, order), bit 1 the lanes (below).
+//    next_batch() needs bit 0 only and never reads the lanes;
+//    span_lanes() sets both in the same sweep. The mapping and its
+//    verified bits are shared process-wide between sources of the same
+//    unchanged file, so a sweep replaying one corpus across many cells
+//    pays the sweep once, not per cell.
+//  * The footer CRC covers the header and the index — and therefore
+//    every block CRC and the bank count that lays out the lanes — which
+//    makes it a cheap whole-corpus identity: the campaign service
+//    journals it so a resumed trace job proves it replays the same bytes.
 //  * The ground truth travels with the corpus: the aggressor oracle
 //    (the (bank, row) keys the attack generators marked) and the victim
 //    oracle (the rows the attacks aim to flip), so replayed experiments
@@ -56,19 +68,13 @@
 //    generated ones. Header flag bit 0 marks a corpus whose writer got no
 //    oracle (an imported trace): unlike an empty oracle (a benign-only
 //    recording), it leaves FPR and victim flips unknown.
-//  * Optionally each block carries a partition index: the block's
-//    records pre-split into per-bank column lanes (times, rows,
-//    span-relative serials, write flags — the controller's scatter pass
-//    done once at write time). It lives between the block payload and
-//    the next block, is described by a footer extension (magic "PIDX" +
-//    bank count + per-block offset/size/CRC, covered by the footer CRC)
-//    and is CRC'd, its counts summed against the block, and every lane
-//    element cross-checked against its record on first touch (record i
-//    must be the next element of its bank's lane, with serial i and the
-//    same time, row and write flag), in the record-order sweep above.
-//    Readers that predate the extension reject the footer size; corpora
-//    without it replay exactly as before (the controller
-//    re-partitions).
+//  * Every block carries its lanes: the block's records pre-split into
+//    per-bank columns (the controller's scatter pass done once at write
+//    time). The lanes carry no checksum of their own: on first touch the
+//    counts must sum to the block, the padding must be zero, and the
+//    record-order sweep above cross-checks every element against its
+//    CRC-checked record (record i must be the next element of its
+//    bank's lane, with serial i and the same time, row and write flag).
 //  * The writer starts each block's writeback (sync_file_range) as soon
 //    as the block is written, so close()'s fsync of the file and its
 //    directory waits only for the tail; durability and every byte are
@@ -84,72 +90,51 @@
 
 namespace tvp::trace {
 
-/// Per-block payload encoding.
-enum class CorpusCodec : std::uint32_t {
-  kRaw = 0,   ///< packed records, mmap-replayable in place
-  kZstd = 1,  ///< reserved (zstd); readers reject it
-};
-
 /// One footer index entry: everything needed to locate, size and check
-/// a block without touching its bytes.
+/// a block without touching its bytes. The offset and first record are
+/// derived by the parser, not stored.
 struct CorpusBlockInfo {
-  std::uint64_t offset = 0;        ///< file offset of the block header
+  std::uint64_t offset = 0;        ///< file offset of the block's records
   std::uint64_t first_record = 0;  ///< global index of the block's first record
   std::uint32_t records = 0;
-  CorpusCodec codec = CorpusCodec::kRaw;
   std::uint32_t crc = 0;  ///< CRC-32 of the record bytes
   std::uint64_t min_time_ps = 0;
   std::uint64_t max_time_ps = 0;
 };
 
-/// One block's partition-index frame: where its per-bank lane columns
-/// live and their checksum.
-struct CorpusPartitionInfo {
-  std::uint64_t offset = 0;  ///< file offset of the block's lane region
-  std::uint32_t bytes = 0;   ///< exact region size (padding included)
-  std::uint32_t crc = 0;     ///< CRC-32 of the region bytes
-};
-
-/// Parsed footer: the corpus's index and identity.
+/// Parsed header and footer: the corpus's index and identity.
 struct CorpusInfo {
-  std::uint64_t total_records = 0;
-  /// CRC-32 of the footer bytes — the corpus identity (covers every
-  /// block CRC via the index).
+  std::uint64_t total_records = 0;  ///< the sum of the blocks' records
+  /// The footer CRC, over the file header and the footer — the corpus
+  /// identity (covers every block CRC via the index, and the bank count).
   std::uint32_t footer_crc = 0;
+  /// Lanes per block: the bank count the corpus was written for.
+  std::uint32_t banks = 0;
   std::vector<CorpusBlockInfo> blocks;
   /// Sorted (bank << 32 | row) keys of ground-truth aggressor rows.
   std::vector<std::uint64_t> aggressors;
   /// Sorted (bank << 32 | row) keys of the attacks' declared victim
   /// rows (logical, pre-remap).
   std::vector<std::uint64_t> victims;
-  /// Bank count of the partition index; 0 = the corpus has none.
-  std::uint32_t partition_banks = 0;
-  /// Per-block partition frames (one per block when partition_banks > 0,
-  /// empty otherwise).
-  std::vector<CorpusPartitionInfo> partitions;
   /// False when the header marks the corpus as carrying no oracle.
   bool oracle = true;
 };
 
-/// Streaming corpus writer: append records (non-decreasing time_ps,
-/// enforced), then close() for a durable file. A writer destroyed
-/// without close() leaves no usable corpus (no footer/trailer).
+/// Streaming corpus writer: append records (non-decreasing time_ps and
+/// a bank below the corpus's bank count, both enforced), then close()
+/// for a durable file. A writer destroyed without close() leaves no
+/// usable corpus (no footer/trailer).
 class CorpusWriter {
  public:
-  struct Options {
-    /// Records per block; 64 Ki records = 1.5 MiB of raw payload.
-    std::size_t records_per_block = std::size_t{1} << 16;
-    /// Write a per-block partition index for this many banks (0 = none).
-    /// When set, every appended record's bank must be below this count
-    /// (enforced; the lanes must cover the whole block for replay to
-    /// skip its own scatter pass).
-    std::uint32_t partition_banks = 0;
-  };
+  /// Records per block by default; 64 Ki records = 1.5 MiB of records.
+  static constexpr std::size_t kDefaultBlockRecords = std::size_t{1} << 16;
 
-  /// Creates (truncates) @p path. Throws std::runtime_error on I/O
+  /// Creates (truncates) @p path for a corpus of @p banks banks (>= 1;
+  /// each block carries one lane per bank). Throws std::invalid_argument
+  /// on zero banks or zero records per block, std::runtime_error on I/O
   /// failure.
-  explicit CorpusWriter(const std::string& path);
-  CorpusWriter(const std::string& path, Options options);
+  CorpusWriter(const std::string& path, std::uint32_t banks,
+               std::size_t records_per_block = kDefaultBlockRecords);
   CorpusWriter(const CorpusWriter&) = delete;
   CorpusWriter& operator=(const CorpusWriter&) = delete;
   ~CorpusWriter();
@@ -178,13 +163,12 @@ class CorpusWriter {
   void fail(const std::string& what) const;
 
   std::string path_;
-  Options options_;
+  std::uint32_t banks_;
+  std::size_t records_per_block_;
   int fd_ = -1;
   std::vector<AccessRecord> block_;
   std::vector<unsigned char> staging_;
-  std::vector<unsigned char> lane_staging_;
   std::vector<CorpusBlockInfo> index_;
-  std::vector<CorpusPartitionInfo> pindex_;
   std::vector<std::uint64_t> aggressors_;
   std::vector<std::uint64_t> victims_;
   std::uint64_t total_records_ = 0;
@@ -200,15 +184,15 @@ class CorpusWriter {
 struct CorpusMapping;
 
 /// Replays a corpus file as a TraceSource. The file is mapped read-only
-/// and raw blocks stream zero-copy through span_lanes(). Construction
-/// parses and validates the trailer, footer and file header, then maps
-/// the file; each block is CRC-checked and proven time-ordered on first
-/// touch.
+/// and blocks stream zero-copy through span_lanes(). Construction parses
+/// and validates the file header, trailer and footer (and that the
+/// blocks tile the file), then maps it; each block is CRC-checked and
+/// proven time-ordered on first touch.
 class MmapSource final : public TraceSource {
  public:
   /// Throws std::runtime_error naming the file with a precise reason on
-  /// any structural problem (bad magic/version, truncated footer, a
-  /// reserved or unknown block codec, ...) and when the file cannot be
+  /// any structural problem (bad magic or version, a truncated footer,
+  /// blocks that do not tile the file, ...) and when the file cannot be
   /// mapped.
   explicit MmapSource(const std::string& path);
   MmapSource(const MmapSource&) = delete;
@@ -216,15 +200,14 @@ class MmapSource final : public TraceSource {
 
   std::size_t next_batch(AccessRecord* out, std::size_t max) override;
   bool supports_spans() const noexcept override { return true; }
-  /// Hands out the rest of the current block, or the next block. When
-  /// the corpus carries a partition index, a whole block also comes
-  /// with its on-disk lane columns (zero-copy: the lane pointers are
-  /// the page cache). On first touch the region is CRC-checked and
-  /// every element cross-checked against its record in the block's
-  /// order-proof sweep (trust-after-verify, shared like the block
-  /// bits); any disagreement is a precise error, never a silent
-  /// fallback. So a span with lanes always ascends in time and its
-  /// lanes hold exactly its records, which is what
+  /// Hands out the rest of the current block, or the next block. A
+  /// whole block comes with its on-disk lane columns (zero-copy: the
+  /// lane pointers are the page cache). On first touch the lane counts
+  /// and padding are checked and every element cross-checked against
+  /// its record in the block's order-proof sweep (trust-after-verify,
+  /// shared like the block bits); any disagreement is a precise error,
+  /// never a silent fallback. So a span with lanes always ascends in
+  /// time and its lanes hold exactly its records, which is what
   /// MemoryController::on_records_partitioned requires. A block tail
   /// left by next_batch() comes without lanes.
   std::size_t span_lanes(const AccessRecord** data, const BankLaneView** lanes,
@@ -264,19 +247,19 @@ CorpusInfo read_corpus_info(const std::string& path);
 
 /// Full verification: parses the footer and touches every block through
 /// span_lanes(), so every first-touch check runs (block CRCs, the time
-/// order proof, and the partition index's CRCs and cross-check when
-/// there is one). Returns the corpus info; throws with the failing
-/// block's index on corruption.
+/// order proof, and the lanes' counts, padding and cross-check). Returns
+/// the corpus info; throws with the failing block's index on corruption.
 CorpusInfo verify_corpus(const std::string& path);
 
-/// Convenience: writes @p records (time-sorted) as a single corpus.
-/// Returns the footer CRC.
-std::uint32_t write_corpus(const std::string& path,
-                           const std::vector<AccessRecord>& records,
-                           CorpusWriter::Options options = {});
+/// Convenience: writes @p records (time-sorted, banks below @p banks) as
+/// a single corpus without an oracle. Returns the footer CRC.
+std::uint32_t write_corpus(
+    const std::string& path, const std::vector<AccessRecord>& records,
+    std::uint32_t banks,
+    std::size_t records_per_block = CorpusWriter::kDefaultBlockRecords);
 
 /// Convenience: loads every record of a corpus into memory (through
-/// next_batch(), so partition lanes are never read).
+/// next_batch(), so the lanes are never read).
 std::vector<AccessRecord> read_corpus(const std::string& path);
 
 /// Failpoint sites on the corpus I/O paths (see util/failpoint.hpp);

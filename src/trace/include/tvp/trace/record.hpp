@@ -32,11 +32,11 @@ struct AccessRecord {
 /// span's records with this bank id, in arrival order, as separate
 /// contiguous arrays. `serials[k]` is the span-relative index of the
 /// k-th element (strictly ascending), so a consumer can rebase a lane
-/// onto any sub-range of the span. Produced by a corpus partition index
+/// onto any sub-range of the span. Produced by a corpus block's lanes
 /// (zero-copy out of the mapped file) so the controller skips its own
 /// scatter pass; `max_row` is the lane's row maximum, computed when the
-/// partition is verified, letting the controller range-check a whole
-/// lane in O(1).
+/// lanes are verified, letting the controller range-check a whole lane
+/// in O(1).
 struct BankLaneView {
   const dram::RowId* rows = nullptr;
   const std::uint64_t* times = nullptr;

@@ -44,7 +44,7 @@ class TraceSource {
   /// all spans is exactly the next_batch() sequence.
   ///
   /// When the source has the span's per-bank column lanes precomputed
-  /// (a corpus with a partition index), *lanes points at @p lane_banks
+  /// (a whole corpus block), *lanes points at @p lane_banks
   /// BankLaneView entries — one per bank, serials relative to the
   /// returned span, valid until the next call. Otherwise *lanes is null
   /// and the consumer partitions the span itself. Lanes are an

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace tvp::trace {
 
@@ -36,21 +37,21 @@ std::optional<std::uint64_t> parse_u64(std::string_view text, int base) {
 
 }  // namespace
 
-std::vector<AccessRecord> import_address_trace(std::istream& is,
-                                               const dram::AddressMapper& mapper,
-                                               double t_ck_ps) {
+AddressTraceSource::AddressTraceSource(std::istream& is,
+                                       dram::AddressMapper mapper,
+                                       double t_ck_ps)
+    : is_(is), mapper_(std::move(mapper)), t_ck_ps_(t_ck_ps) {
   if (!(t_ck_ps > 0.0))
-    throw std::runtime_error("import_address_trace: non-positive clock");
-  std::vector<AccessRecord> out;
-  std::string line;
-  std::size_t lineno = 0;
-  std::uint64_t fallback_time = 0;
-  std::uint64_t last_time = 0;
-  while (std::getline(is, line)) {
-    ++lineno;
-    const auto comment = line.find_first_of("#;");
-    if (comment != std::string::npos) line.erase(comment);
-    std::istringstream ls(line);
+    throw std::runtime_error("AddressTraceSource: non-positive clock");
+}
+
+std::size_t AddressTraceSource::next_batch(AccessRecord* out, std::size_t max) {
+  std::size_t n = 0;
+  while (n < max && std::getline(is_, line_)) {
+    const std::size_t lineno = ++lineno_;
+    const auto comment = line_.find_first_of("#;");
+    if (comment != std::string::npos) line_.erase(comment);
+    std::istringstream ls(line_);
     std::string addr_text, op, cycle_text, extra;
     if (!(ls >> addr_text)) continue;  // blank line
     if (!(ls >> op)) bad_line(lineno, "missing op");
@@ -68,28 +69,28 @@ std::vector<AccessRecord> import_address_trace(std::istream& is,
       const auto cycle = parse_u64(cycle_text, 10);
       if (!cycle) bad_line(lineno, "bad cycle '" + cycle_text + "'");
       // Below 2^64 ps, or the conversion is undefined.
-      const double time = static_cast<double>(*cycle) * t_ck_ps;
+      const double time = static_cast<double>(*cycle) * t_ck_ps_;
       if (!(time < 18446744073709551616.0))
         bad_line(lineno, "cycle " + cycle_text + " is past the picosecond range");
       rec.time_ps = static_cast<std::uint64_t>(time);
       if (ls >> extra) bad_line(lineno, "unexpected '" + extra + "' after the cycle");
     } else {
-      fallback_time += static_cast<std::uint64_t>(t_ck_ps);
-      rec.time_ps = fallback_time;
+      fallback_time_ += static_cast<std::uint64_t>(t_ck_ps_);
+      rec.time_ps = fallback_time_;
     }
     // Tolerate mildly unsorted inputs by clamping monotone.
-    rec.time_ps = std::max(rec.time_ps, last_time);
-    last_time = rec.time_ps;
+    rec.time_ps = std::max(rec.time_ps, last_time_);
+    last_time_ = rec.time_ps;
 
-    const dram::Address coords = mapper.decode(*addr);
-    rec.bank = mapper.flat_bank(coords);
+    const dram::Address coords = mapper_.decode(*addr);
+    rec.bank = mapper_.flat_bank(coords);
     rec.row = coords.row;
     rec.write = write;
     rec.is_attack = false;
     rec.source = 0;
-    out.push_back(rec);
+    out[n++] = rec;
   }
-  return out;
+  return n;
 }
 
 }  // namespace tvp::trace

@@ -1,7 +1,8 @@
-// Tests for the v2 trace corpus (trace/corpus.hpp): the on-disk format,
-// CorpusWriter, MmapSource replay, corruption rejection, the span API,
-// and — the contract the whole record/replay pipeline stands on — that
-// a replayed sweep is bit-identical to a generated one.
+// Tests for the v3 trace corpus (trace/corpus.hpp): the on-disk format,
+// CorpusWriter, MmapSource replay, corruption rejection (down to every
+// single-bit flip), the span API, and — the contract the whole
+// record/replay pipeline stands on — that a replayed sweep is
+// bit-identical to a generated one.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -11,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -25,6 +27,7 @@
 #include "tvp/mem/mitigation.hpp"
 #include "tvp/mitigation/trr.hpp"
 #include "tvp/trace/corpus.hpp"
+#include "tvp/trace/io.hpp"
 #include "tvp/trace/source.hpp"
 #include "tvp/util/crc32.hpp"
 #include "tvp/util/rng.hpp"
@@ -83,9 +86,7 @@ void spit(const std::string& path, const std::vector<char>& bytes) {
 TEST(Corpus, RoundTripPreservesRecordsAndOracle) {
   TempFile file("roundtrip");
   const auto records = make_records(1000);
-  CorpusWriter::Options options;
-  options.records_per_block = 64;  // force many blocks
-  CorpusWriter writer(file.path(), options);
+  CorpusWriter writer(file.path(), 4, 64);  // 64 records a block: many blocks
   writer.append(records.data(), records.size());
   writer.set_aggressors({42, 7, 42, 99});  // unsorted + duplicate
   writer.set_victims({8, 3, 8});
@@ -100,6 +101,15 @@ TEST(Corpus, RoundTripPreservesRecordsAndOracle) {
   EXPECT_EQ(info.victims, (std::vector<std::uint64_t>{3, 8}));
   EXPECT_EQ(info.blocks.front().min_time_ps, records.front().time_ps);
   EXPECT_EQ(info.blocks.back().max_time_ps, records.back().time_ps);
+  EXPECT_EQ(info.banks, 4u);
+  EXPECT_TRUE(info.oracle);
+  // Derived, not stored: each block starts where the last one ends.
+  for (std::size_t b = 0; b < info.blocks.size(); ++b) {
+    EXPECT_EQ(info.blocks[b].first_record, b * 64);
+    if (b > 0) {
+      EXPECT_GT(info.blocks[b].offset, info.blocks[b - 1].offset);
+    }
+  }
 
   EXPECT_EQ(read_corpus(file.path()), records);
 }
@@ -111,13 +121,13 @@ TEST(Corpus, WriterIsDeterministic) {
   TempFile a("det_a");
   TempFile b("det_b");
   const auto records = make_records(257);
-  EXPECT_EQ(write_corpus(a.path(), records), write_corpus(b.path(), records));
+  EXPECT_EQ(write_corpus(a.path(), records, 4), write_corpus(b.path(), records, 4));
   EXPECT_EQ(slurp(a.path()), slurp(b.path()));
 }
 
 TEST(Corpus, EmptyCorpusRoundTrips) {
   TempFile file("empty");
-  CorpusWriter writer(file.path());
+  CorpusWriter writer(file.path(), 4);
   writer.close();
   const CorpusInfo info = verify_corpus(file.path());
   EXPECT_EQ(info.total_records, 0u);
@@ -128,7 +138,7 @@ TEST(Corpus, EmptyCorpusRoundTrips) {
 
 TEST(Corpus, WriterRejectsTimeGoingBackwards) {
   TempFile file("backwards");
-  CorpusWriter writer(file.path());
+  CorpusWriter writer(file.path(), 4);
   AccessRecord r;
   r.time_ps = 100;
   writer.append(r);
@@ -139,9 +149,7 @@ TEST(Corpus, WriterRejectsTimeGoingBackwards) {
 TEST(Corpus, MmapSourceStreamsIdenticallyToEveryApi) {
   TempFile file("apis");
   const auto records = make_records(500);
-  CorpusWriter::Options options;
-  options.records_per_block = 100;
-  write_corpus(file.path(), records, options);
+  write_corpus(file.path(), records, 4, 100);
 
   MmapSource by_next(file.path());
   std::vector<AccessRecord> via_next;
@@ -170,9 +178,7 @@ TEST(Corpus, MmapSourceStreamsIdenticallyToEveryApi) {
 TEST(Corpus, RewindReplaysIdentically) {
   TempFile file("rewind");
   const auto records = make_records(300);
-  CorpusWriter::Options options;
-  options.records_per_block = 128;
-  write_corpus(file.path(), records, options);
+  write_corpus(file.path(), records, 4, 128);
 
   MmapSource source(file.path());
   const AccessRecord* span = nullptr;
@@ -192,17 +198,14 @@ TEST(Corpus, RewindReplaysIdentically) {
 TEST(Corpus, CorruptedBlockPayloadIsRejected) {
   TempFile file("corrupt_block");
   const auto records = make_records(200);
-  CorpusWriter::Options options;
-  options.records_per_block = 50;
-  write_corpus(file.path(), records, options);
+  write_corpus(file.path(), records, 4, 50);
 
-  // Flip one byte inside the third block's payload (row field of some
-  // record): the footer still parses, the block CRC must catch it.
+  // Flip one byte inside the third block's payload (row field of its
+  // first record): the footer still parses, the block CRC must catch it.
   const CorpusInfo info = read_corpus_info(file.path());
   ASSERT_GE(info.blocks.size(), 3u);
   auto bytes = slurp(file.path());
-  const std::size_t victim =
-      static_cast<std::size_t>(info.blocks[2].offset) + 40 + 12;
+  const std::size_t victim = static_cast<std::size_t>(info.blocks[2].offset) + 12;
   bytes[victim] = static_cast<char>(bytes[victim] ^ 0x40);
   spit(file.path(), bytes);
 
@@ -221,10 +224,10 @@ TEST(Corpus, CorruptedBlockPayloadIsRejected) {
 
 TEST(Corpus, TruncatedFooterIsRejected) {
   TempFile file("trunc_footer");
-  write_corpus(file.path(), make_records(100));
+  write_corpus(file.path(), make_records(100), 4);
   auto bytes = slurp(file.path());
-  // Chop 16 bytes out of the middle: the trailer magic is gone.
-  bytes.resize(bytes.size() - 16);
+  // Chop the last 8 bytes: the trailer magic is gone.
+  bytes.resize(bytes.size() - 8);
   spit(file.path(), bytes);
   EXPECT_THROW(read_corpus_info(file.path()), std::runtime_error);
   EXPECT_THROW(MmapSource{file.path()}, std::runtime_error);
@@ -232,11 +235,11 @@ TEST(Corpus, TruncatedFooterIsRejected) {
 
 TEST(Corpus, TamperedFooterIsRejected) {
   TempFile file("tamper_footer");
-  write_corpus(file.path(), make_records(100));
+  write_corpus(file.path(), make_records(100), 4);
   auto bytes = slurp(file.path());
   // Corrupt a footer byte but leave the trailer intact: the footer CRC
   // in the trailer must catch it.
-  bytes[bytes.size() - 24 - 4] ^= 0x01;
+  bytes[bytes.size() - 16 - 4] ^= 0x01;
   spit(file.path(), bytes);
   try {
     read_corpus_info(file.path());
@@ -262,14 +265,14 @@ TEST(Corpus, HeaderMarksAWriterThatWasGivenNoOracle) {
   // (a benign-only recording) is still an oracle.
   const auto records = make_records(300);
   TempFile bare("oracle_none");
-  write_corpus(bare.path(), records);
+  write_corpus(bare.path(), records, 4);
   EXPECT_FALSE(read_corpus_info(bare.path()).oracle);
   EXPECT_EQ(slurp(bare.path())[12], 1);
   EXPECT_EQ(read_corpus(bare.path()), records);
 
   for (const bool victims : {false, true}) {
     TempFile given(victims ? "oracle_victims" : "oracle_aggressors");
-    CorpusWriter writer(given.path());
+    CorpusWriter writer(given.path(), 4);
     writer.append(records.data(), records.size());
     if (victims)
       writer.set_victims({});
@@ -278,22 +281,29 @@ TEST(Corpus, HeaderMarksAWriterThatWasGivenNoOracle) {
     writer.close();
     EXPECT_TRUE(read_corpus_info(given.path()).oracle);
     const auto bytes = slurp(given.path());
-    EXPECT_TRUE(std::all_of(bytes.begin() + 12, bytes.begin() + 32,
+    EXPECT_TRUE(std::all_of(bytes.begin() + 12, bytes.begin() + 16,
                             [](char c) { return c == 0; }));
-    // The flag is all the two files differ in: same blocks, same footer.
+    // The flag, and the footer CRC over it, are all the two files differ
+    // in: same blocks, same footer.
     auto unmarked = slurp(bare.path());
     unmarked[12] = 0;
+    ASSERT_EQ(bytes.size(), unmarked.size());
+    const std::size_t crc_at = bytes.size() - 12;
+    EXPECT_NE(std::vector<char>(bytes.begin() + crc_at, bytes.begin() + crc_at + 4),
+              std::vector<char>(unmarked.begin() + crc_at, unmarked.begin() + crc_at + 4));
+    std::copy(bytes.begin() + crc_at, bytes.begin() + crc_at + 4,
+              unmarked.begin() + crc_at);
     EXPECT_EQ(bytes, unmarked);
   }
 }
 
 TEST(Corpus, UnknownHeaderFlagOrReservedByteIsRejected) {
   TempFile file("header_flags");
-  write_corpus(file.path(), make_records(64));
+  write_corpus(file.path(), make_records(64), 4);
   const auto clean = slurp(file.path());
   const std::pair<std::size_t, const char*> cases[] = {
       {12, "unknown header flags 3"},  // bit 1 next to the oracle bit
-      {16, "reserved header byte 16 is not zero"},
+      {20, "reserved header byte 20 is not zero"},
       {31, "reserved header byte 31 is not zero"},
   };
   for (const auto& [at, message] : cases) {
@@ -311,51 +321,97 @@ TEST(Corpus, UnknownHeaderFlagOrReservedByteIsRejected) {
   }
 }
 
-TEST(Corpus, ZstdCodecIsRejectedByName) {
-  // Codec 1 is reserved for zstd-compressed blocks, which this reader
-  // does not decode: a corpus claiming it must be refused precisely,
-  // naming the block and the codec, not reported as generic corruption.
-  TempFile file("zstd_codec");
-  write_corpus(file.path(), make_records(128));
+std::uint64_t get_le(const std::vector<char>& bytes, std::size_t at, int width) {
+  std::uint64_t v = 0;
+  for (int k = width - 1; k >= 0; --k)
+    v = (v << 8) | static_cast<unsigned char>(bytes[at + k]);
+  return v;
+}
+
+void put_le(std::vector<char>& bytes, std::size_t at, std::uint64_t v, int width) {
+  for (int k = 0; k < width; ++k)
+    bytes[at + k] = static_cast<char>((v >> (8 * k)) & 0xFF);
+}
+
+std::uint64_t pad8(std::uint64_t n) { return (n + 7) / 8 * 8; }
+
+/// Where the footer of the corpus image @p bytes starts (from its trailer).
+std::size_t footer_at(const std::vector<char>& bytes) {
+  return bytes.size() - 16 - static_cast<std::size_t>(get_le(bytes, bytes.size() - 16, 4));
+}
+
+/// Re-stamps the trailer's footer CRC (over the file header, then the
+/// footer) of the corpus image @p bytes, so that only the structure a
+/// test altered can be wrong.
+void restamp_footer_crc(std::vector<char>& bytes) {
+  const std::size_t footer = footer_at(bytes);
+  const std::uint32_t crc = util::crc32(bytes.data() + footer,
+                                        bytes.size() - 16 - footer,
+                                        util::crc32(bytes.data(), 32));
+  put_le(bytes, bytes.size() - 12, crc, 4);
+}
+
+TEST(Corpus, FormatV3StoresEachFactOnce) {
+  // Version 3 on disk: the header carries the version and the bank count;
+  // a block is its records followed by its lanes, with no header, codec
+  // or lane checksum; the footer holds a 24-byte head, one 24-byte entry
+  // per block and the keys; the trailer is 16 bytes. The file is exactly
+  // that long, so no other field (a stored first record, a record
+  // total, a partition frame) can hide in it.
+  TempFile file("layout");
+  const auto records = make_records(333);  // blocks of 100, 100, 100, 33
+  CorpusWriter writer(file.path(), 5, 100);
+  writer.append(records.data(), records.size());
+  writer.set_aggressors({1, 2, 3});
+  writer.set_victims({9});
+  const std::uint32_t identity = writer.close();
+  const auto bytes = slurp(file.path());
+
+  EXPECT_EQ(std::string(bytes.data(), 4), "TVPC");
+  EXPECT_EQ(get_le(bytes, 4, 4), 3u);   // version
+  EXPECT_EQ(get_le(bytes, 8, 4), 24u);  // record size
+  EXPECT_EQ(get_le(bytes, 16, 4), 5u);  // bank count
+  std::uint64_t expected = 32;
+  for (const std::uint64_t n : {100, 100, 100, 33})
+    expected += n * 24 + pad8(5 * 4) + n * 16 + pad8(n);
+  const std::uint64_t blocks_end = expected;
+  expected += 24 + 4 * 24 + (3 + 1) * 8 + 16;
+  EXPECT_EQ(bytes.size(), expected);
+
+  // The first block's records start right after the file header.
+  EXPECT_EQ(get_le(bytes, 32 + 24, 8), records[1].time_ps);
+  EXPECT_EQ(get_le(bytes, 32 + 24 + 12, 4), records[1].row);
+
   const CorpusInfo info = read_corpus_info(file.path());
-  ASSERT_FALSE(info.blocks.empty());
+  EXPECT_EQ(footer_at(bytes), blocks_end);
+  EXPECT_EQ(info.footer_crc, identity);
+  EXPECT_EQ(info.banks, 5u);
+  EXPECT_EQ(info.total_records, records.size());
+  ASSERT_EQ(info.blocks.size(), 4u);
+  EXPECT_EQ(info.blocks[3].first_record, 300u);
+  EXPECT_EQ(info.blocks[3].records, 33u);
+  EXPECT_EQ(verify_corpus(file.path()).total_records, records.size());
+}
 
-  // Footer entry 0's codec field, then a recomputed footer CRC so the
-  // footer itself still checks out.
+TEST(Corpus, OlderVersionIsRejectedByNumber) {
+  // A version-2 corpus (block headers, codec fields, an optional
+  // partition index) is refused by its version number, not misread as
+  // version 3.
+  TempFile file("version");
+  write_corpus(file.path(), make_records(64), 4);
   auto bytes = slurp(file.path());
-  const std::size_t trailer = bytes.size() - 24;
-  auto load = [&](std::size_t at, int width) {
-    std::uint64_t v = 0;
-    for (int k = width - 1; k >= 0; --k)
-      v = (v << 8) | static_cast<unsigned char>(bytes[at + k]);
-    return v;
-  };
-  const std::size_t footer = static_cast<std::size_t>(load(trailer, 8));
-  const std::size_t footer_bytes = static_cast<std::size_t>(load(trailer + 8, 4));
-  const std::size_t codec_at = footer + 32 + 20;  // footer head + entry field
-  ASSERT_EQ(load(codec_at, 4), 0u);
-  bytes[codec_at] = 1;  // CorpusCodec::kZstd
-  const std::uint32_t crc = util::crc32(bytes.data() + footer, footer_bytes);
-  for (int k = 0; k < 4; ++k)
-    bytes[trailer + 12 + k] = static_cast<char>((crc >> (8 * k)) & 0xFF);
+  put_le(bytes, 4, 2, 4);
   spit(file.path(), bytes);
-
-  auto expect_named = [](const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("block 0"), std::string::npos) << what;
-    EXPECT_NE(what.find("zstd"), std::string::npos) << what;
-  };
-  try {
-    read_corpus_info(file.path());
-    FAIL() << "zstd block not rejected by read_corpus_info";
-  } catch (const std::runtime_error& e) {
-    expect_named(e);
-  }
-  try {
-    MmapSource source(file.path());
-    FAIL() << "zstd block not rejected by MmapSource";
-  } catch (const std::runtime_error& e) {
-    expect_named(e);
+  for (const auto& open : {std::function<void()>([&] { read_corpus_info(file.path()); }),
+                           std::function<void()>([&] { MmapSource{file.path()}; })}) {
+    try {
+      open();
+      ADD_FAILURE() << "a version-2 corpus was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported corpus version 2"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -528,19 +584,13 @@ TEST(CorpusReplay, RecordCorpusStoresTheAggressorOracle) {
   EXPECT_EQ(info.victims, (std::vector<std::uint64_t>{1000, 5000}));
 }
 
-// ------------------------------------------------- partition index (lanes)
+// ------------------------------------------------------------------ lanes
 
 TEST(Corpus, PartitionedSpanLanesReconstructTheSpan) {
   TempFile file("lanes");
   const auto records = make_records(500);  // banks cycle 0..3
-  CorpusWriter::Options options;
-  options.records_per_block = 100;
-  options.partition_banks = 4;
-  write_corpus(file.path(), records, options);
-
-  const CorpusInfo info = read_corpus_info(file.path());
-  EXPECT_EQ(info.partition_banks, 4u);
-  ASSERT_EQ(info.partitions.size(), info.blocks.size());
+  write_corpus(file.path(), records, 4, 100);
+  EXPECT_EQ(read_corpus_info(file.path()).banks, 4u);
 
   MmapSource source(file.path());
   std::vector<AccessRecord> all;
@@ -582,45 +632,20 @@ TEST(Corpus, PartitionedSpanLanesReconstructTheSpan) {
   EXPECT_EQ(all, records);
 }
 
-TEST(Corpus, UnpartitionedCorpusOffersNoLanes) {
-  // A corpus written without a partition index (every pre-extension
-  // corpus) must replay through span_lanes with null lanes — the
-  // consumer re-partitions — and identical records.
-  TempFile file("no_lanes");
-  const auto records = make_records(300);
-  write_corpus(file.path(), records);  // default: no partition index
-  EXPECT_EQ(read_corpus_info(file.path()).partition_banks, 0u);
-
-  MmapSource source(file.path());
-  std::vector<AccessRecord> all;
-  const AccessRecord* span = nullptr;
-  const BankLaneView* lanes = reinterpret_cast<const BankLaneView*>(&all);
-  std::size_t lane_banks = 99;
-  while (const std::size_t n = source.span_lanes(&span, &lanes, &lane_banks)) {
-    EXPECT_EQ(lanes, nullptr);
-    EXPECT_EQ(lane_banks, 0u);
-    all.insert(all.end(), span, span + n);
-  }
-  EXPECT_EQ(all, records);
-}
-
 TEST(Corpus, PartitionedWriterIsDeterministic) {
   TempFile a("pdet_a");
   TempFile b("pdet_b");
   const auto records = make_records(257);
-  CorpusWriter::Options options;
-  options.records_per_block = 64;
-  options.partition_banks = 4;
-  EXPECT_EQ(write_corpus(a.path(), records, options),
-            write_corpus(b.path(), records, options));
+  // Five banks (one empty lane, padded counts) over several blocks.
+  EXPECT_EQ(write_corpus(a.path(), records, 5, 64),
+            write_corpus(b.path(), records, 5, 64));
   EXPECT_EQ(slurp(a.path()), slurp(b.path()));
 }
 
 TEST(Corpus, PartitionedWriterRejectsOutOfRangeBank) {
   TempFile file("pbank");
-  CorpusWriter::Options options;
-  options.partition_banks = 2;
-  CorpusWriter writer(file.path(), options);
+  EXPECT_THROW(CorpusWriter(file.path(), 0), std::invalid_argument);
+  CorpusWriter writer(file.path(), 2);
   AccessRecord r;
   r.bank = 2;  // lanes cover banks [0, 2)
   EXPECT_THROW(writer.append(r), std::invalid_argument);
@@ -629,19 +654,17 @@ TEST(Corpus, PartitionedWriterRejectsOutOfRangeBank) {
 TEST(Corpus, CorruptedPartitionSectionIsRejectedPrecisely) {
   TempFile file("corrupt_lanes");
   const auto records = make_records(400);
-  CorpusWriter::Options options;
-  options.records_per_block = 100;
-  options.partition_banks = 4;
-  write_corpus(file.path(), records, options);
+  write_corpus(file.path(), records, 4, 100);
 
-  // Flip one byte inside the second block's partition region: the
+  // Flip one byte in the middle of the second block's lane region: the
   // record payloads and the footer stay intact.
   const CorpusInfo info = read_corpus_info(file.path());
-  ASSERT_GE(info.partitions.size(), 2u);
+  ASSERT_GE(info.blocks.size(), 3u);
   auto bytes = slurp(file.path());
+  const std::size_t region =
+      static_cast<std::size_t>(info.blocks[1].offset) + info.blocks[1].records * 24;
   const std::size_t victim =
-      static_cast<std::size_t>(info.partitions[1].offset) +
-      info.partitions[1].bytes / 2;
+      (region + static_cast<std::size_t>(info.blocks[2].offset)) / 2;
   bytes[victim] = static_cast<char>(bytes[victim] ^ 0x20);
   spit(file.path(), bytes);
 
@@ -652,9 +675,8 @@ TEST(Corpus, CorruptedPartitionSectionIsRejectedPrecisely) {
     while (source.next()) ++n;
     EXPECT_EQ(n, records.size());
   }
-  // ...but a corpus that advertises a partition index must carry a
-  // correct one: the lane path reports the damage precisely instead of
-  // silently falling back to re-partitioning.
+  // ...but a corpus must carry correct lanes: the lane path reports the
+  // damage precisely instead of silently falling back to re-partitioning.
   MmapSource source(file.path());
   const AccessRecord* span = nullptr;
   const BankLaneView* lanes = nullptr;
@@ -662,26 +684,22 @@ TEST(Corpus, CorruptedPartitionSectionIsRejectedPrecisely) {
   try {
     while (source.span_lanes(&span, &lanes, &lane_banks)) {
     }
-    FAIL() << "corrupt partition section not detected";
+    FAIL() << "corrupt lanes not detected";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("block 1 partition"),
-              std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("block 1 lane"), std::string::npos)
         << e.what();
   }
   EXPECT_THROW(verify_corpus(file.path()), std::runtime_error);
 }
 
 TEST(Corpus, PartitionedReplayFeedsLanesWithoutScatter) {
-  // The point of carrying the partition index: a replayed corpus feeds
+  // The point of carrying the lanes: a replayed corpus feeds
   // the controller's per-bank lanes zero-copy. The always-on profile
   // counters are the proof — every ACT arrives partitioned, none are
   // scattered — and the stats must equal the scatter path's.
   TempFile file("lane_feed");
   const auto records = make_records(600);
-  CorpusWriter::Options options;
-  options.records_per_block = 128;
-  options.partition_banks = 4;
-  write_corpus(file.path(), records, options);
+  write_corpus(file.path(), records, 4, 128);
 
   mem::ControllerConfig cfg;
   cfg.geometry.banks_per_rank = 4;
@@ -721,68 +739,25 @@ TEST(Corpus, PartitionedReplayFeedsLanesWithoutScatter) {
   EXPECT_EQ(profile_scatter.scattered_acts, records.size());
 }
 
-TEST(CorpusReplay, UnpartitionedCorpusReplaysBitIdenticallyViaFallback) {
-  // Pre-extension corpora carry no partition index; replaying one must
-  // produce bit-identical results to replaying the partitioned recording
-  // of the same workload (the controller re-partitions the spans).
-  const exp::SimConfig cfg = small_attacked_config();
-
-  TempFile with_lanes("fallback_lanes");
-  exp::record_corpus(cfg, with_lanes.path());  // partitioned by default
-  const CorpusInfo info = read_corpus_info(with_lanes.path());
-  ASSERT_GT(info.partition_banks, 0u);
-
-  // Rewrite the same records + oracle without the partition index.
-  TempFile without_lanes("fallback_flat");
-  {
-    const auto records = read_corpus(with_lanes.path());
-    CorpusWriter writer(without_lanes.path());
-    writer.append(records.data(), records.size());
-    writer.set_aggressors(info.aggressors);
-    writer.set_victims(info.victims);
-    writer.close();
-  }
-  ASSERT_EQ(read_corpus_info(without_lanes.path()).partition_banks, 0u);
-
-  const auto replay_cfg = [&](const std::string& path) {
-    exp::SimConfig c = cfg;
-    c.workload.model = exp::BenignModel::kReplay;
-    c.workload.trace_path = path;
-    c.workload.attacks.clear();
-    c.finalize();
-    return c;
-  };
-  const exp::SimConfig lanes_cfg = replay_cfg(with_lanes.path());
-  const exp::SimConfig flat_cfg = replay_cfg(without_lanes.path());
-  for (const auto technique :
-       {hw::Technique::kPara, hw::Technique::kTwice, hw::Technique::kCaPRoMi}) {
-    SCOPED_TRACE(std::string(hw::to_string(technique)));
-    expect_identical_runs(exp::run_simulation(technique, lanes_cfg),
-                          exp::run_simulation(technique, flat_cfg));
-  }
-}
-
 TEST(CorpusReplay, RewritingARecordedCorpusReproducesItsBlocks) {
-  // A recorded corpus read back and written again with the same options
-  // must lay out the same blocks and partition regions: the layout is a
-  // function of the record stream and the options alone.
+  // A recorded corpus read back and written again with the same bank
+  // count and block size must lay out the same blocks: the layout is a
+  // function of the record stream, the bank count and the block size.
   exp::SimConfig cfg = small_attacked_config();
   cfg.geometry.banks_per_rank = 2;
   cfg.finalize();
-  CorpusWriter::Options options;
-  options.records_per_block = 512;
-  options.partition_banks = cfg.geometry.total_banks();
 
   TempFile recorded("rewrite_recorded");
-  exp::record_corpus(cfg, recorded.path(), options);
+  exp::record_corpus(cfg, recorded.path(), 512);
   TempFile rewritten("rewrite_again");
-  write_corpus(rewritten.path(), read_corpus(recorded.path()), options);
+  write_corpus(rewritten.path(), read_corpus(recorded.path()),
+               cfg.geometry.total_banks(), 512);
 
   const CorpusInfo a = read_corpus_info(recorded.path());
   const CorpusInfo b = read_corpus_info(rewritten.path());
-  ASSERT_EQ(a.partition_banks, 2u);
+  ASSERT_EQ(a.banks, 2u);
   ASSERT_GT(a.blocks.size(), 1u);
-  EXPECT_EQ(b.partition_banks, a.partition_banks);
+  EXPECT_EQ(b.banks, a.banks);
   EXPECT_EQ(b.total_records, a.total_records);
   ASSERT_EQ(b.blocks.size(), a.blocks.size());
   for (std::size_t i = 0; i < a.blocks.size(); ++i) {
@@ -793,36 +768,23 @@ TEST(CorpusReplay, RewritingARecordedCorpusReproducesItsBlocks) {
     EXPECT_EQ(b.blocks[i].min_time_ps, a.blocks[i].min_time_ps);
     EXPECT_EQ(b.blocks[i].max_time_ps, a.blocks[i].max_time_ps);
   }
-  ASSERT_EQ(b.partitions.size(), a.partitions.size());
-  for (std::size_t i = 0; i < a.partitions.size(); ++i) {
-    SCOPED_TRACE("partition " + std::to_string(i));
-    EXPECT_EQ(b.partitions[i].offset, a.partitions[i].offset);
-    EXPECT_EQ(b.partitions[i].crc, a.partitions[i].crc);
-  }
+  // The blocks, lanes included, are the same bytes.
+  const auto a_bytes = slurp(recorded.path());
+  const auto b_bytes = slurp(rewritten.path());
+  ASSERT_EQ(footer_at(a_bytes), footer_at(b_bytes));
+  EXPECT_TRUE(std::equal(a_bytes.begin() + 32, a_bytes.begin() + footer_at(a_bytes),
+                         b_bytes.begin() + 32));
 }
 
 // ------------------------------------------- the order proof on first touch
 
-std::uint64_t get_le(const std::vector<char>& bytes, std::size_t at, int width) {
-  std::uint64_t v = 0;
-  for (int k = width - 1; k >= 0; --k)
-    v = (v << 8) | static_cast<unsigned char>(bytes[at + k]);
-  return v;
-}
-
-void put_le(std::vector<char>& bytes, std::size_t at, std::uint64_t v, int width) {
-  for (int k = 0; k < width; ++k)
-    bytes[at + k] = static_cast<char>((v >> (8 * k)) & 0xFF);
-}
-
 /// Rewrites block @p k of the corpus image @p bytes (described by
 /// @p info) to hold @p records (the block's count) under the footer
-/// time range [@p min_ps, @p max_ps], re-encodes its partition lanes
-/// when the corpus has them (from @p lane_records if given, else from
-/// @p records), and re-stamps every CRC over what changed (block header
-/// and index entry, partition frame, footer). Every frame then checks
-/// out; only the records' order, the index's time range or the lanes'
-/// agreement with the records can be wrong.
+/// time range [@p min_ps, @p max_ps], re-encodes its lanes (from
+/// @p lane_records if given, else from @p records), and re-stamps the
+/// CRCs over what changed (the block's index entry, the footer). Every
+/// checksum then checks out; only the records' order, the index's time
+/// range or the lanes' agreement with the records can be wrong.
 void restamp_block(std::vector<char>& bytes, const CorpusInfo& info,
                    std::size_t k, const std::vector<AccessRecord>& records,
                    std::uint64_t min_ps, std::uint64_t max_ps,
@@ -830,65 +792,48 @@ void restamp_block(std::vector<char>& bytes, const CorpusInfo& info,
   const CorpusBlockInfo& block = info.blocks[k];
   ASSERT_EQ(records.size(), block.records);
   const std::size_t n = records.size();
-  const std::size_t payload = static_cast<std::size_t>(block.offset) + 40;
+  const std::size_t payload = static_cast<std::size_t>(block.offset);
   for (std::size_t i = 0; i < n; ++i) {
     char* slot = bytes.data() + payload + i * 24;
     std::memcpy(slot, &records[i], 19);
     std::memset(slot + 19, 0, 5);
   }
-  const std::uint32_t crc = util::crc32(bytes.data() + payload, n * 24);
-  put_le(bytes, static_cast<std::size_t>(block.offset) + 16, min_ps, 8);
-  put_le(bytes, static_cast<std::size_t>(block.offset) + 24, max_ps, 8);
-  put_le(bytes, static_cast<std::size_t>(block.offset) + 32, crc, 4);
+  const std::size_t entry = footer_at(bytes) + 24 + k * 24;
+  put_le(bytes, entry + 4, util::crc32(bytes.data() + payload, n * 24), 4);
+  put_le(bytes, entry + 8, min_ps, 8);
+  put_le(bytes, entry + 16, max_ps, 8);
 
-  const std::size_t trailer = bytes.size() - 24;
-  const std::size_t footer = static_cast<std::size_t>(get_le(bytes, trailer, 8));
-  const std::size_t footer_bytes =
-      static_cast<std::size_t>(get_le(bytes, trailer + 8, 4));
-  const std::size_t entry = footer + 32 + k * 48;
-  put_le(bytes, entry + 24, crc, 4);
-  put_le(bytes, entry + 32, min_ps, 8);
-  put_le(bytes, entry + 40, max_ps, 8);
-
-  if (info.partition_banks != 0) {
-    // The writer's lane layout: per-bank counts (padded to 8 bytes),
-    // then the time, row, serial and write columns, bank after bank.
-    const std::vector<AccessRecord>& lane =
-        lane_records != nullptr ? *lane_records : records;
-    const std::uint32_t banks = info.partition_banks;
-    const CorpusPartitionInfo& frame = info.partitions[k];
-    const std::size_t counts = static_cast<std::size_t>(frame.offset);
-    const std::size_t times = counts + (banks * 4 + 7) / 8 * 8;
-    const std::size_t rows = times + n * 8;
-    const std::size_t serials = rows + n * 4;
-    const std::size_t writes = serials + n * 4;
-    std::size_t at = 0;
-    for (std::uint32_t b = 0; b < banks; ++b) {
-      std::uint32_t count = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (lane[i].bank != b) continue;
-        put_le(bytes, times + at * 8, lane[i].time_ps, 8);
-        put_le(bytes, rows + at * 4, lane[i].row, 4);
-        put_le(bytes, serials + at * 4, i, 4);
-        bytes[writes + at] = lane[i].write ? 1 : 0;
-        ++at;
-        ++count;
-      }
-      put_le(bytes, counts + b * 4, count, 4);
+  // The writer's lane layout: per-bank counts (padded to 8 bytes), then
+  // the time, row, serial and write columns, bank after bank.
+  const std::vector<AccessRecord>& lane =
+      lane_records != nullptr ? *lane_records : records;
+  const std::uint32_t banks = info.banks;
+  const std::size_t counts = payload + n * 24;
+  const std::size_t times = counts + static_cast<std::size_t>(pad8(banks * 4));
+  const std::size_t rows = times + n * 8;
+  const std::size_t serials = rows + n * 4;
+  const std::size_t writes = serials + n * 4;
+  std::size_t at = 0;
+  for (std::uint32_t b = 0; b < banks; ++b) {
+    std::uint32_t count = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (lane[i].bank != b) continue;
+      put_le(bytes, times + at * 8, lane[i].time_ps, 8);
+      put_le(bytes, rows + at * 4, lane[i].row, 4);
+      put_le(bytes, serials + at * 4, i, 4);
+      bytes[writes + at] = lane[i].write ? 1 : 0;
+      ++at;
+      ++count;
     }
-    const std::size_t frame_at = footer + 32 + info.blocks.size() * 48 +
-                                 (info.aggressors.size() + info.victims.size()) * 8 +
-                                 8 + k * 16;
-    put_le(bytes, frame_at + 12,
-           util::crc32(bytes.data() + counts, std::size_t{frame.bytes}), 4);
+    put_le(bytes, counts + b * 4, count, 4);
   }
-  put_le(bytes, trailer + 12, util::crc32(bytes.data() + footer, footer_bytes), 4);
+  restamp_footer_crc(bytes);
 }
 
 /// Both read paths must reject @p path on the first touch of its bad
 /// block with an error that contains @p what (which names the block):
-/// span_lanes (with the lanes when the corpus has them) and next_batch
-/// (which never reads the lanes). The blocks before it replay.
+/// span_lanes (with the lanes) and next_batch (which never reads the
+/// lanes). The blocks before it replay.
 void expect_rejected_on_first_touch(const std::string& path,
                                     const std::string& what,
                                     std::size_t records_before) {
@@ -923,17 +868,13 @@ void expect_rejected_on_first_touch(const std::string& path,
   EXPECT_THROW(verify_corpus(path), std::runtime_error);
 }
 
-/// Writes four blocks of @p per_block records (with or without a
-/// partition index), then lets @p corrupt rewrite block 2 through
-/// restamp_block.
+/// Writes four blocks of @p per_block records over @p banks banks, then
+/// lets @p corrupt rewrite block 2 through restamp_block.
 template <typename Corrupt>
-void write_and_corrupt(const std::string& path, std::uint32_t partition_banks,
+void write_and_corrupt(const std::string& path, std::uint32_t banks,
                        Corrupt&& corrupt, std::size_t per_block = 100) {
   const auto records = make_records(4 * per_block);
-  CorpusWriter::Options options;
-  options.records_per_block = per_block;
-  options.partition_banks = partition_banks;
-  write_corpus(path, records, options);
+  write_corpus(path, records, banks, per_block);
   const CorpusInfo info = read_corpus_info(path);
   ASSERT_EQ(info.blocks.size(), 4u);
   std::vector<AccessRecord> block(records.begin() + 2 * per_block,
@@ -949,8 +890,8 @@ TEST(Corpus, SwappedRecordsAreRejectedOnFirstTouch) {
   // At 4096 records per block the swapped pair straddles the 2048-record
   // chunks the reader CRCs and sweeps a block in.
   for (const std::size_t per_block : {std::size_t{100}, std::size_t{4096}})
-    for (const std::uint32_t banks : {0u, 4u}) {
-      SCOPED_TRACE("partition banks " + std::to_string(banks) + ", " +
+    for (const std::uint32_t banks : {4u, 5u}) {
+      SCOPED_TRACE(std::to_string(banks) + " banks, " +
                    std::to_string(per_block) + " records per block");
       TempFile file("order_swap_" + std::to_string(banks) + "_" +
                     std::to_string(per_block));
@@ -972,8 +913,8 @@ TEST(Corpus, SwappedRecordsAreRejectedOnFirstTouch) {
 }
 
 TEST(Corpus, BlockStartingBeforeThePreviousBlockEndsIsRejectedOnFirstTouch) {
-  for (const std::uint32_t banks : {0u, 4u}) {
-    SCOPED_TRACE("partition banks " + std::to_string(banks));
+  for (const std::uint32_t banks : {4u, 5u}) {
+    SCOPED_TRACE(std::to_string(banks) + " banks");
     TempFile file("order_overlap_" + std::to_string(banks));
     write_and_corrupt(file.path(), banks,
                       [](std::vector<char>& bytes, const CorpusInfo& info,
@@ -991,10 +932,9 @@ TEST(Corpus, BlockStartingBeforeThePreviousBlockEndsIsRejectedOnFirstTouch) {
 }
 
 TEST(Corpus, FooterTimeRangeDisagreeingWithTheRecordsIsRejectedOnFirstTouch) {
-  for (const std::uint32_t banks : {0u, 4u})
+  for (const std::uint32_t banks : {4u, 5u})
     for (const bool at_min : {true, false}) {
-      SCOPED_TRACE("partition banks " + std::to_string(banks) +
-                   (at_min ? ", min" : ", max"));
+      SCOPED_TRACE(std::to_string(banks) + " banks" + (at_min ? ", min" : ", max"));
       TempFile file("order_range_" + std::to_string(banks) +
                     (at_min ? "_min" : "_max"));
       write_and_corrupt(file.path(), banks,
@@ -1013,10 +953,9 @@ TEST(Corpus, FooterTimeRangeDisagreeingWithTheRecordsIsRejectedOnFirstTouch) {
 }
 
 TEST(Corpus, LaneDisagreeingWithItsRecordIsRejectedOnFirstTouch) {
-  // The lane path's cross-check: a partition element that restates its
-  // record wrongly, under a valid region CRC, fails span_lanes and
-  // verify_corpus, while next_batch and read_corpus (which never read
-  // the lanes) return every record.
+  // The lane path's cross-check: a lane element that restates its
+  // record wrongly fails span_lanes and verify_corpus, while next_batch
+  // and read_corpus (which never read the lanes) return every record.
   for (const int field : {0, 1, 2}) {
     SCOPED_TRACE("field " + std::to_string(field));
     TempFile file("lane_field_" + std::to_string(field));
@@ -1040,8 +979,7 @@ TEST(Corpus, LaneDisagreeingWithItsRecordIsRejectedOnFirstTouch) {
       }
       ADD_FAILURE() << "span_lanes accepted the lanes";
     } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find(
-                    "block 2 partition lane disagrees with its records"),
+      EXPECT_NE(std::string(e.what()).find("block 2 lane disagrees with its records"),
                 std::string::npos)
           << e.what();
     }
@@ -1130,13 +1068,10 @@ TEST(CorpusReplay, PartitionedReplayEqualsOnRecordsAtRefreshBoundaries) {
 
   for (const std::size_t per_block :
        {std::size_t{1}, std::size_t{7}, std::size_t{128},
-        CorpusWriter::Options{}.records_per_block}) {
+        CorpusWriter::kDefaultBlockRecords}) {
     SCOPED_TRACE("records_per_block " + std::to_string(per_block));
     TempFile file("boundaries_" + std::to_string(per_block));
-    CorpusWriter::Options options;
-    options.records_per_block = per_block;
-    options.partition_banks = 4;
-    write_corpus(file.path(), records, options);
+    write_corpus(file.path(), records, 4, per_block);
 
     const Run lanes = replay(file.path(), true);
     const Run scatter = replay(file.path(), false);
@@ -1174,6 +1109,198 @@ TEST(CorpusReplay, PartitionedReplayEqualsOnRecordsAtRefreshBoundaries) {
       EXPECT_EQ(lanes.flips[i].at_activation, scatter.flips[i].at_activation)
           << "flip " << i;
       EXPECT_EQ(lanes.flips[i].interval, scatter.flips[i].interval) << "flip " << i;
+    }
+  }
+}
+
+TEST(CorpusReplay, ImportedTraceSweepReportsNoFalsePositiveRate) {
+  // An imported address trace carries no oracle, so a sweep over it
+  // cannot tell a false positive from a true one: every cell says so,
+  // and its CSV reads n/a where an oracle's FPR would stand.
+  std::ifstream is(std::string(TVP_SOURCE_DIR) + "/configs/dramsim_sample.trace");
+  ASSERT_TRUE(is);
+  const exp::SimConfig cfg;  // DDR4, 4 banks: tvp_trace import's default
+  AddressTraceSource source(
+      is, dram::AddressMapper(cfg.geometry, dram::AddressMapPolicy::kRowColBank),
+      cfg.timing.t_ck_ps());
+  TempFile file("imported");
+  write_corpus(file.path(), drain(source), cfg.geometry.total_banks());
+
+  util::KeyValueFile base = util::KeyValueFile::parse(exp::to_config_text(cfg));
+  base.set("workload.model", "replay");
+  base.set("workload.trace", file.path());
+  const exp::SweepResult sweep =
+      exp::run_param_sweep(base, "technique.pbase_exp", {"14", "15"},
+                           {hw::Technique::kPara, hw::Technique::kLoLiPRoMi});
+  ASSERT_EQ(sweep.cells.size(), 4u);
+  for (const exp::SweepCell& cell : sweep.cells) {
+    EXPECT_FALSE(cell.result.oracle) << cell.technique << " @ " << cell.value;
+    EXPECT_GT(cell.result.stats.extra_acts, 0u) << cell.technique << " @ " << cell.value;
+  }
+  const std::string csv = exp::sweep_to_csv(sweep);
+  std::size_t rows = 0;
+  for (std::size_t at = csv.find('\n'); at + 1 < csv.size(); at = csv.find('\n', at + 1)) {
+    const std::size_t next = csv.find('\n', at + 1);
+    const std::string row = csv.substr(at + 1, next - at - 1);
+    // param,value,technique,overhead_pct,fpr_pct,...
+    std::size_t field = 0;
+    for (int comma = 0; comma < 4; ++comma) field = row.find(',', field) + 1;
+    EXPECT_EQ(row.substr(field, 4), "n/a,") << row;
+    ++rows;
+  }
+  EXPECT_EQ(rows, sweep.cells.size());
+}
+
+// ------------------------------------------------- deterministic mutation
+
+/// A directory of mutants, removed when the test ends. Every mutant is a
+/// file of its own, kept until then: the process-wide mapping cache keys
+/// on (device, inode, size, mtime, identity), and a payload flip leaves
+/// the identity alone, so a file rewritten in place (or a recycled
+/// inode) could be served a clean mapping's verified bits.
+class MutantDir {
+ public:
+  explicit MutantDir(const std::string& name)
+      : dir_(fs::temp_directory_path() /
+             ("tvp_corpus_" + name + "_" + std::to_string(::getpid()))) {
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+  }
+  ~MutantDir() { fs::remove_all(dir_); }
+  std::string path(const std::string& name) const {
+    return (dir_ / (name + ".tvpc")).string();
+  }
+  std::string write(const std::string& name, const std::vector<char>& bytes) const {
+    spit(path(name), bytes);
+    return path(name);
+  }
+
+ private:
+  fs::path dir_;
+};
+
+/// The mutation corpus: four blocks of 12 records and a tail block of 5
+/// over an odd bank count, so both lane padding areas hold bytes (the
+/// counts' and the write flags'), with aggressor and victim keys.
+std::vector<AccessRecord> write_mutation_corpus(const std::string& path) {
+  const auto records = make_records(4 * 12 + 5);
+  CorpusWriter writer(path, 5, 12);
+  writer.append(records.data(), records.size());
+  writer.set_aggressors({3, (std::uint64_t{1} << 32) | 7, (std::uint64_t{2} << 32) | 9});
+  writer.set_victims({4, (std::uint64_t{1} << 32) | 8});
+  writer.close();
+  return records;
+}
+
+/// verify_corpus must reject @p path with a runtime_error naming it.
+void expect_verify_rejects(const std::string& path) {
+  try {
+    verify_corpus(path);
+    ADD_FAILURE() << "verify_corpus accepted the mutant";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+  }
+}
+
+TEST(CorpusMutation, EverySingleBitFlipIsRejected) {
+  // One seeded bit flipped at every byte offset — records, lane counts,
+  // columns and padding, footer and trailer — and every bit of the file
+  // header, whose flag word gives single bits their own meaning. Each
+  // byte is proven by the footer CRC, a payload CRC, the lane
+  // cross-check or a zero check, so full verification rejects every
+  // mutant. next_batch, which never reads the lanes, may only throw or
+  // return the original records.
+  const MutantDir dir("bitflip");
+  const std::string clean = dir.path("clean");
+  const auto records = write_mutation_corpus(clean);
+  const auto bytes = slurp(clean);
+  ASSERT_GT(bytes.size(), 2000u);
+  util::Rng rng(23);
+  for (std::size_t at = 0; at < bytes.size(); ++at) {
+    const unsigned seeded = static_cast<unsigned>(rng.below(8));
+    for (unsigned bit = 0; bit < 8; ++bit) {
+      if (at >= 32 && bit != seeded) continue;
+      auto mutant = bytes;
+      mutant[at] = static_cast<char>(mutant[at] ^ (1u << bit));
+      const std::string name = std::to_string(at) + "_" + std::to_string(bit);
+      SCOPED_TRACE("byte " + std::to_string(at) + " bit " + std::to_string(bit));
+      const std::string path = dir.write("flip_" + name, mutant);
+      expect_verify_rejects(path);
+      try {
+        MmapSource source(path);
+        EXPECT_EQ(drain(source), records) << "next_batch returned other records";
+      } catch (const std::runtime_error&) {
+      }
+    }
+  }
+}
+
+TEST(CorpusMutation, SeededTruncationsAreRejected) {
+  const MutantDir dir("truncation");
+  const std::string clean = dir.path("clean");
+  write_mutation_corpus(clean);
+  const auto bytes = slurp(clean);
+  std::vector<std::size_t> lengths = {0, 31, 32, bytes.size() - 16, bytes.size() - 1};
+  util::Rng rng(29);
+  for (int i = 0; i < 64; ++i) lengths.push_back(rng.below(bytes.size()));
+  for (const std::size_t length : lengths) {
+    SCOPED_TRACE("truncated to " + std::to_string(length) + " bytes");
+    expect_verify_rejects(dir.write("cut_" + std::to_string(length),
+                                    {bytes.begin(), bytes.begin() + length}));
+  }
+}
+
+TEST(CorpusMutation, LyingCountsAreRejected) {
+  // Each count lies under a re-stamped footer CRC, so only the structure
+  // can give it away: the blocks no longer tile the file, the footer is
+  // not as long as its counts say, or the trailer frames no footer.
+  const MutantDir dir("lies");
+  const std::string clean = dir.path("clean");
+  write_mutation_corpus(clean);
+  const auto bytes = slurp(clean);
+  const std::size_t footer = footer_at(bytes);
+  const std::size_t trailer = bytes.size() - 16;
+  struct Lie {
+    std::string name;
+    std::size_t at;
+    int width;
+    std::uint64_t value;
+    const char* expect;
+  };
+  const std::uint64_t total = get_le(bytes, footer + 24 + 4 * 24, 4);
+  const std::vector<Lie> lies = {
+      {"first block's records + 1", footer + 24, 4, 13, "runs into the footer"},
+      {"first block's records - 1", footer + 24, 4, 11, "not at the footer"},
+      {"tail block's records + 1", footer + 24 + 4 * 24, 4, total + 1, "runs into the footer"},
+      {"tail block's records 0", footer + 24 + 4 * 24, 4, 0, "block 4 is empty"},
+      // 5 banks pad their counts to 24 bytes, as 6 would: 4 and 7 do not.
+      {"banks 4", 16, 4, 4, "footer"},
+      {"banks 7", 16, 4, 7, "runs into the footer"},
+      {"banks 0", 16, 4, 0, "header declares zero banks"},
+      {"banks 2^32 - 1", 16, 4, 0xFFFFFFFFu, "runs into the footer"},
+      {"aggressors + 1", footer + 8, 8, 4, "footer size does not match its counts"},
+      {"victims - 1", footer + 16, 8, 1, "footer size does not match its counts"},
+      {"aggressors 2^61", footer + 8, 8, std::uint64_t{1} << 61,
+       "footer size does not match its counts"},
+      {"footer size + 8", trailer, 4, bytes.size() - 16 - footer + 8, "footer"},
+      {"footer size - 8", trailer, 4, bytes.size() - 16 - footer - 8, "footer"},
+      {"footer size 0", trailer, 4, 0, "trailer does not frame a footer"},
+      {"footer size 2^32 - 1", trailer, 4, 0xFFFFFFFFu, "trailer does not frame a footer"},
+  };
+  for (std::size_t i = 0; i < lies.size(); ++i) {
+    const Lie& lie = lies[i];
+    SCOPED_TRACE(lie.name);
+    auto mutant = bytes;
+    put_le(mutant, lie.at, lie.value, lie.width);
+    const std::uint64_t framed = get_le(mutant, trailer, 4);
+    if (framed >= 24 && framed <= mutant.size() - 48) restamp_footer_crc(mutant);
+    const std::string path = dir.write("lie_" + std::to_string(i), mutant);
+    try {
+      read_corpus_info(path);
+      ADD_FAILURE() << "the lie was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(lie.expect), std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
     }
   }
 }

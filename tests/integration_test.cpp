@@ -175,7 +175,7 @@ TEST(Integration, TraceRoundTripReplaysIdentically) {
   auto source = build_workload(cfg, streams.workload);
   const auto records = trace::drain(*source, 100000);
   const std::string path = ::testing::TempDir() + "/integration.tvpc";
-  trace::write_corpus(path, records);
+  trace::write_corpus(path, records, cfg.geometry.total_banks());
   const auto reloaded = trace::read_corpus(path);
   EXPECT_EQ(records, reloaded);
 }

@@ -139,8 +139,21 @@ TEST(Controller, RejectsOutOfOrderAndOutOfRange) {
   Rig rig;
   feed(rig.controller, rec(1000, 0, 1));
   EXPECT_THROW(feed(rig.controller, rec(500, 0, 1)), std::invalid_argument);
-  EXPECT_THROW(feed(rig.controller, rec(2000, 9, 1)), std::out_of_range);
-  EXPECT_THROW(feed(rig.controller, rec(2000, 0, 1 << 20)), std::out_of_range);
+  // The error names the offending bank or row and the configured count.
+  const auto message = [&](const trace::AccessRecord& r) {
+    try {
+      feed(rig.controller, r);
+    } catch (const std::out_of_range& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(message(rec(2000, 9, 1)), "MemoryController: bank 9 out of range (" +
+                                          std::to_string(small_config().geometry.total_banks()) +
+                                          " banks)");
+  EXPECT_EQ(message(rec(2000, 0, 1 << 20)),
+            "MemoryController: row 1048576 out of range (" +
+                std::to_string(small_config().geometry.rows_per_bank) + " rows per bank)");
 }
 
 TEST(Controller, RefreshTicksPerInterval) {

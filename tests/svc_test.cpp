@@ -257,7 +257,30 @@ TEST(ResultIo, RunResultRoundTripIsExact) {
     EXPECT_EQ(back.state_bytes_per_bank, ref.state_bytes_per_bank);
     EXPECT_EQ(back.records, ref.records);
     EXPECT_EQ(back.wall_seconds, ref.wall_seconds);
+    EXPECT_EQ(back.oracle, ref.oracle);
   }
+}
+
+TEST(ResultIo, OracleFlagRoundTripsAndDefaultsToTrue) {
+  // A run without an oracle keeps saying so through a journal or the
+  // wire; a record written before the field existed held an oracle run.
+  exp::RunResult none;
+  none.technique = "PARA";
+  none.oracle = false;
+  util::JsonWriter json;
+  write_run_result(json, none);
+  EXPECT_FALSE(read_run_result(util::JsonValue::parse(json.str())).oracle);
+
+  exp::RunResult with;
+  with.technique = "PARA";
+  util::JsonWriter legacy;
+  write_run_result(legacy, with);
+  std::string text = legacy.str();
+  const std::string field = ",\"oracle\":true";
+  const std::size_t at = text.find(field);
+  ASSERT_NE(at, std::string::npos) << text;
+  text.erase(at, field.size());
+  EXPECT_TRUE(read_run_result(util::JsonValue::parse(text)).oracle);
 }
 
 // ---------------------------------------------------------------------------
@@ -671,7 +694,7 @@ TEST_F(SvcTest, TraceJobRejectsMissingCorpusBadHashAndDanglingHash) {
   EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
 
   const std::string corpus = path("tiny.tvpc");
-  trace::write_corpus(corpus, {});
+  trace::write_corpus(corpus, {}, 4);
   JobSpec mismatched = tiny_spec("stale_hash", 1);
   mismatched.trace = corpus;
   mismatched.trace_hash = "deadbeef";  // not this corpus's identity

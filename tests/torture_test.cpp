@@ -594,11 +594,7 @@ exp::SimConfig corpus_sim_config() {
 /// the block sites fire on a first, an interior and a tail block, yet
 /// few enough that re-recording the corpus for every (site, Nth hit)
 /// case stays cheap.
-trace::CorpusWriter::Options corpus_options() {
-  trace::CorpusWriter::Options options;
-  options.records_per_block = 10'000;
-  return options;
-}
+constexpr std::size_t kCorpusBlockRecords = 10'000;
 
 /// EIO at every (writer site, Nth occurrence): the record must fail with
 /// an exception, whatever lingers on disk must be either rejected or the
@@ -613,7 +609,7 @@ TEST_F(TortureTest, ErrnoAtEveryCorpusWriteSiteNeverLeavesAHalfCorpus) {
   const std::string count_file = path("count.tvpc");
   failpoint::reset();
   const std::uint32_t identity =
-      exp::record_corpus(sim, count_file, corpus_options());
+      exp::record_corpus(sim, count_file, kCorpusBlockRecords);
   std::vector<TortureCase> cases;
   for (const auto& site : trace::corpus_failpoint_sites()) {
     if (site.rfind("corpus.read.", 0) == 0) continue;
@@ -642,7 +638,7 @@ TEST_F(TortureTest, ErrnoAtEveryCorpusWriteSiteNeverLeavesAHalfCorpus) {
     policy.error = EIO;
     policy.nth = torture.nth;
     failpoint::set(torture.site, policy);
-    EXPECT_THROW(exp::record_corpus(sim, file, corpus_options()),
+    EXPECT_THROW(exp::record_corpus(sim, file, kCorpusBlockRecords),
                  std::runtime_error);
     failpoint::reset();
 
@@ -658,7 +654,7 @@ TEST_F(TortureTest, ErrnoAtEveryCorpusWriteSiteNeverLeavesAHalfCorpus) {
 
     // Recovery: re-recording over the debris must restore the exact
     // reference identity.
-    EXPECT_EQ(exp::record_corpus(sim, file, corpus_options()),
+    EXPECT_EQ(exp::record_corpus(sim, file, kCorpusBlockRecords),
               reference.footer_crc);
     EXPECT_EQ(trace::verify_corpus(file).total_records,
               reference.total_records);
@@ -686,7 +682,7 @@ TEST_F(TortureTest, KillDuringCorpusWriteLeavesARejectedFile) {
       policy.nth = 1;
       failpoint::set(site, policy);
       try {
-        exp::record_corpus(sim, file, corpus_options());
+        exp::record_corpus(sim, file, kCorpusBlockRecords);
       } catch (...) {
       }
       ::_exit(7);  // unreachable unless the failpoint never fired
@@ -716,7 +712,7 @@ TEST_F(TortureTest, KillDuringCorpusWriteLeavesARejectedFile) {
 TEST_F(TortureTest, MmapFailureIsAPreciseError) {
   const exp::SimConfig sim = corpus_sim_config();
   const std::string file = path("mmap_eio.tvpc");
-  exp::record_corpus(sim, file, corpus_options());
+  exp::record_corpus(sim, file, kCorpusBlockRecords);
 
   // No source has opened this file yet, so the process-wide mapping
   // cache is cold and the constructor must call mmap.
@@ -746,7 +742,7 @@ TEST_F(TortureTest, MmapFailureIsAPreciseError) {
 TEST_F(TortureTest, PreadFaultWhileParsingIsAPreciseError) {
   const exp::SimConfig sim = corpus_sim_config();
   const std::string file = path("pread_eio.tvpc");
-  exp::record_corpus(sim, file, corpus_options());
+  exp::record_corpus(sim, file, kCorpusBlockRecords);
 
   failpoint::reset();
   trace::read_corpus_info(file);
@@ -779,7 +775,7 @@ TEST_F(TortureTest, PreadFaultWhileParsingIsAPreciseError) {
 TEST_F(TortureTest, CorpusReadRetriesInterruptedPread) {
   const exp::SimConfig sim = corpus_sim_config();
   const std::string file = path("pread_eintr.tvpc");
-  exp::record_corpus(sim, file, corpus_options());
+  exp::record_corpus(sim, file, kCorpusBlockRecords);
 
   failpoint::reset();
   failpoint::Policy policy;
@@ -814,7 +810,7 @@ TEST_F(TortureTest, ErrnoInTheCorpusWriterOfAFuzzedRecord) {
   const std::string count_file = path("fuzz_count.tvpc");
   failpoint::reset();
   const std::uint32_t identity =
-      exp::record_corpus(sim, count_file, corpus_options());
+      exp::record_corpus(sim, count_file, kCorpusBlockRecords);
   std::vector<std::string> sites;
   for (const auto& site : trace::corpus_failpoint_sites())
     if (site.rfind("corpus.read.", 0) != 0 && failpoint::hits(site) > 0)
@@ -837,7 +833,7 @@ TEST_F(TortureTest, ErrnoInTheCorpusWriterOfAFuzzedRecord) {
     policy.error = EIO;
     policy.nth = 1;
     failpoint::set(site, policy);
-    EXPECT_THROW(exp::record_corpus(sim, file, corpus_options()),
+    EXPECT_THROW(exp::record_corpus(sim, file, kCorpusBlockRecords),
                  std::runtime_error);
     failpoint::reset();
 
@@ -848,7 +844,7 @@ TEST_F(TortureTest, ErrnoInTheCorpusWriterOfAFuzzedRecord) {
       // Rejected — equally fine.
     }
 
-    EXPECT_EQ(exp::record_corpus(sim, file, corpus_options()),
+    EXPECT_EQ(exp::record_corpus(sim, file, kCorpusBlockRecords),
               reference.footer_crc);
   }
 }
@@ -860,7 +856,7 @@ TEST_F(TortureTest, ScenariosCoverEveryCorpusSite) {
   const exp::SimConfig sim = corpus_sim_config();
   const std::string file = path("coverage.tvpc");
   failpoint::reset();
-  exp::record_corpus(sim, file, corpus_options());
+  exp::record_corpus(sim, file, kCorpusBlockRecords);
   trace::verify_corpus(file);
   for (const auto& site : trace::corpus_failpoint_sites())
     EXPECT_GT(failpoint::hits(site), 0u) << site << " is never exercised";

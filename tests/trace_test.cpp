@@ -762,6 +762,14 @@ TEST(Attack, MakeMultiAggressorSeparatesVictims) {
 
 // ----------------------------------------------------------------------- io
 
+// The streaming importer drained into a vector, as these tests read it.
+std::vector<AccessRecord> import_address_trace(std::istream& is,
+                                               const dram::AddressMapper& mapper,
+                                               double t_ck_ps) {
+  AddressTraceSource source(is, mapper, t_ck_ps);
+  return drain(source);
+}
+
 TEST(TraceIo, ImportAddressTrace) {
   dram::Geometry g;
   g.banks_per_rank = 4;

@@ -3,6 +3,7 @@
 // or a config's workload.trace). The commands are listed in usage().
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -29,14 +30,10 @@ int usage(bool ok) {
       "  import   --dramsim=IN --out=F.tvpc [--config=F] [--block-records=N]\n"
       "           map an address trace (\"ADDR R|W [cycle]\") onto the config's\n"
       "           geometry and clock (default: DDR4, 4 banks); no oracle\n"
-      "  inspect  --in=F.tvpc   print footer index, identity and oracle\n"
+      "  inspect  --in=F.tvpc   print the identity, banks, oracle and block index\n"
       "  verify   --in=F.tvpc   CRC-check and replay every block\n"
       "  stats    --in=F.tvpc [--config=F]   Table I statistics, histogram\n");
   return ok ? 0 : 2;
-}
-
-const char* codec_name(trace::CorpusCodec codec) {
-  return codec == trace::CorpusCodec::kZstd ? "zstd" : "raw";
 }
 
 void print_info(const trace::CorpusInfo& info, bool blocks) {
@@ -44,6 +41,7 @@ void print_info(const trace::CorpusInfo& info, bool blocks) {
   std::printf("records    %llu\n",
               static_cast<unsigned long long>(info.total_records));
   std::printf("blocks     %zu\n", info.blocks.size());
+  std::printf("banks      %u\n", info.banks);
   std::printf("oracle     %s\n", info.oracle ? "yes" : "no");
   std::printf("aggressors %zu\n", info.aggressors.size());
   std::printf("victims    %zu\n", info.victims.size());
@@ -52,14 +50,14 @@ void print_info(const trace::CorpusInfo& info, bool blocks) {
                 static_cast<unsigned long long>(info.blocks.front().min_time_ps),
                 static_cast<unsigned long long>(info.blocks.back().max_time_ps));
   if (!blocks) return;
-  std::printf("%5s %12s %12s %8s %5s %10s\n", "block", "offset", "first_rec",
-              "records", "codec", "crc");
+  std::printf("%5s %12s %12s %8s %10s\n", "block", "offset", "first_rec",
+              "records", "crc");
   for (std::size_t b = 0; b < info.blocks.size(); ++b) {
     const auto& blk = info.blocks[b];
-    std::printf("%5zu %12llu %12llu %8u %5s %10x\n", b,
+    std::printf("%5zu %12llu %12llu %8u %10x\n", b,
                 static_cast<unsigned long long>(blk.offset),
                 static_cast<unsigned long long>(blk.first_record), blk.records,
-                codec_name(blk.codec), blk.crc);
+                blk.crc);
   }
 }
 
@@ -76,12 +74,12 @@ int main(int argc, char** argv) {
     // import and stats default to the plain system: DDR4, 4 banks.
     const exp::SimConfig system = flags.has("config")
         ? exp::load_sim_config(flags.get("config", "")) : exp::SimConfig{};
-    trace::CorpusWriter::Options options;
+    std::size_t block_records = trace::CorpusWriter::kDefaultBlockRecords;
     if (flags.has("block-records")) {
       const std::int64_t n = flags.get_int("block-records", 0);
       if (n < 1 || n > UINT32_MAX)  // a block's record count is a u32
         throw std::invalid_argument("--block-records must be in [1, 2^32)");
-      options.records_per_block = static_cast<std::size_t>(n);
+      block_records = static_cast<std::size_t>(n);
     }
 
     if (command == "record") {
@@ -93,7 +91,7 @@ int main(int argc, char** argv) {
         config.finalize();
       }
       const std::string out = flags.get("out", "");
-      const std::uint32_t identity = exp::record_corpus(config, out, options);
+      const std::uint32_t identity = exp::record_corpus(config, out, block_records);
       const trace::CorpusInfo info = trace::read_corpus_info(out);
       std::printf("recorded %llu records to %s (identity %08x)\n",
                   static_cast<unsigned long long>(info.total_records),
@@ -105,16 +103,28 @@ int main(int argc, char** argv) {
       const std::string in = flags.get("dramsim", "");
       std::ifstream is(in);
       if (!is) throw std::runtime_error("cannot open " + in);
-      const dram::AddressMapper mapper(system.geometry,
-                                       dram::AddressMapPolicy::kRowColBank);
-      const auto records =
-          trace::import_address_trace(is, mapper, system.timing.t_ck_ps());
-      // Lanes, as a recording has; no oracle, so the header says so.
-      options.partition_banks = system.geometry.total_banks();
+      trace::AddressTraceSource source(
+          is, dram::AddressMapper(system.geometry, dram::AddressMapPolicy::kRowColBank),
+          system.timing.t_ck_ps());
+      // Streamed a batch at a time, so memory holds one block, not the
+      // trace. No oracle, so the header says so.
       const std::string out = flags.get("out", "");
-      const std::uint32_t identity = trace::write_corpus(out, records, options);
-      std::printf("imported %zu records to %s (identity %08x)\n",
-                  records.size(), out.c_str(), identity);
+      trace::CorpusWriter writer(out, system.geometry.total_banks(),
+                                 block_records);
+      try {
+        std::vector<trace::AccessRecord> batch(exp::Simulation::kBatchRecords);
+        while (const std::size_t n = source.next_batch(batch.data(), batch.size()))
+          writer.append(batch.data(), n);
+        const std::uint32_t identity = writer.close();
+        std::printf("imported %llu records to %s (identity %08x)\n",
+                    static_cast<unsigned long long>(writer.records_written()),
+                    out.c_str(), identity);
+      } catch (...) {
+        // A trace rejected part-way leaves no half-written corpus behind.
+        std::error_code ignored;
+        std::filesystem::remove(out, ignored);
+        throw;
+      }
       return 0;
     }
     if (command == "inspect") {
@@ -134,7 +144,7 @@ int main(int argc, char** argv) {
       if (!flags.has("in")) return usage(false);
       trace::TraceStats stats(system.timing.t_refi_ps(),
                               system.geometry.total_banks());
-      // next_batch checks the records and never reads partition lanes.
+      // next_batch checks the records and never reads the lanes.
       trace::MmapSource source(flags.get("in", ""));
       std::vector<trace::AccessRecord> batch(exp::Simulation::kBatchRecords);
       while (const std::size_t n = source.next_batch(batch.data(), batch.size()))
