@@ -94,7 +94,7 @@ Result run_variant(const std::string& name,
 
   util::Timer timer;
   if (!replay_corpus.empty()) {
-    while (!sim.step().empty()) {
+    while (sim.step() != 0) {
     }
   } else {
     for (std::size_t i = 0; i < trace.size(); i += batch)

@@ -3,8 +3,8 @@
 // The whole point of recording a corpus is that replaying it is much
 // cheaper than regenerating the workload: generation walks the RNG,
 // the per-attack phase machines and the k-way benign/attack merge for
-// every record, while replay is an mmap'd, CRC-checked memcpy. This
-// bench puts a number on that claim and gates on it.
+// every record, while replay hands out an mmap'd block's proven lanes
+// as they lie. This bench puts a number on that claim and gates on it.
 //
 // Phases, all over the identical record stream:
 //   generate       build_workload + drain (what every non-replay run pays)
@@ -12,17 +12,17 @@
 //                  per AccessRecord::source and merged again: the k-way
 //                  merge alone, over pre-generated children
 //   record         CorpusWriter append + durable close
-//   replay_cold    first MmapSource, first pass — every block CRC-verified
-//                  and its lanes cross-checked
+//   replay_cold    first MmapSource, first pass through span_lanes —
+//                  every block CRC-checked and proven on first touch
 //   replay_shared  a second, fresh MmapSource — what every sweep cell
 //                  after the first pays: the process-wide mapping cache
 //                  hands it the already-verified mapping
 //   replay_warm    rewind + another pass on one source (zero work)
 //
-// An untimed pass also checks every replayed record equals the
-// generated one, so the speedups are only reported for an identical
-// stream; likewise the merged stream must equal the generated one
-// (exit 1 otherwise). Gates (exit 1) on replay_shared — the
+// An untimed pass also checks that every record next_batch rebuilds from
+// the lanes equals the generated one, so the speedups are only reported
+// for an identical stream; likewise the merged stream must equal the
+// generated one (exit 1 otherwise). Gates (exit 1) on replay_shared — the
 // steady-state per-cell replay cost — being at least --min-speedup
 // (default 5x) faster than generation; writes BENCH_replay.json either
 // way so CI can chart the trajectory.
@@ -171,12 +171,20 @@ int main(int argc, char** argv) try {
   const std::uint64_t corpus_bytes = std::filesystem::file_size(corpus_path);
 
   // --- replay, cold then warm, on one source so the warm pass gets the
-  // trust-after-verify fast path.
+  // trust-after-verify fast path. A pass hands out every block's lanes,
+  // as a replay run steps them.
+  const auto replay = [](trace::MmapSource& source) {
+    const trace::AccessRecord* span = nullptr;
+    const trace::BankLaneView* lanes = nullptr;
+    std::size_t lane_banks = 0;
+    std::uint64_t replayed = 0;
+    while (const std::size_t n = source.span_lanes(&span, &lanes, &lane_banks))
+      replayed += n;
+    return replayed;
+  };
   trace::MmapSource source(corpus_path);
   util::Timer cold_timer;
-  const trace::AccessRecord* span = nullptr;
-  std::uint64_t replayed = 0;
-  while (const std::size_t n = source.next_span(&span)) replayed += n;
+  const std::uint64_t replayed = replay(source);
   const Phase cold{"replay_cold", util::throughput(replayed, cold_timer)};
   print_phase(cold);
   if (replayed != records.size()) {
@@ -185,28 +193,31 @@ int main(int argc, char** argv) try {
     return 1;
   }
 
-  // Untimed identity pass: every replayed record must equal the
-  // generated one field by field (memcmp would trip over the struct's
-  // indeterminate in-memory tail padding, which the file zeroes).
+  // Untimed identity pass: every record rebuilt from the lanes must
+  // equal the generated one field by field.
   source.rewind();
+  std::vector<trace::AccessRecord> batch(exp::Simulation::kBatchRecords);
   std::uint64_t checked = 0;
-  while (const std::size_t n = source.next_span(&span)) {
+  while (const std::size_t n = source.next_batch(batch.data(), batch.size())) {
     for (std::size_t i = 0; i < n; ++i, ++checked)
-      if (!(span[i] == records[checked])) {
+      if (checked >= records.size() || !(batch[i] == records[checked])) {
         std::fprintf(stderr,
                      "replay_bench: record %llu diverged from generation\n",
                      static_cast<unsigned long long>(checked));
         return 1;
       }
   }
+  if (checked != records.size()) {
+    std::fprintf(stderr, "replay_bench: next_batch lost records\n");
+    return 1;
+  }
 
   // A fresh source over the same file: open + parse + stream, exactly
   // what every sweep cell after the first pays. The shared mapping
-  // cache means no page faults and no CRC re-sweep.
+  // cache means no page faults and no second proof.
   util::Timer shared_timer;
   trace::MmapSource second(corpus_path);
-  std::uint64_t shared_replayed = 0;
-  while (const std::size_t n = second.next_span(&span)) shared_replayed += n;
+  const std::uint64_t shared_replayed = replay(second);
   const Phase shared{"replay_shared",
                      util::throughput(shared_replayed, shared_timer)};
   print_phase(shared);
@@ -217,8 +228,7 @@ int main(int argc, char** argv) try {
 
   source.rewind();
   util::Timer warm_timer;
-  std::uint64_t warm_replayed = 0;
-  while (const std::size_t n = source.next_span(&span)) warm_replayed += n;
+  const std::uint64_t warm_replayed = replay(source);
   const Phase warm{"replay_warm", util::throughput(warm_replayed, warm_timer)};
   print_phase(warm);
   if (warm_replayed != records.size()) {

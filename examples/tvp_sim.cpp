@@ -29,7 +29,8 @@
 //
 // Exit status: 0 when no bit flips occurred, 1 otherwise or when the
 // trace cannot be read or is empty, 2 on a bad flag, an unknown name, an
-// invalid configuration or a bank count that disagrees with the trace's.
+// invalid configuration, a bank count that disagrees with the trace's or
+// a trace whose bank count is not a power of two.
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -40,6 +41,7 @@
 #include "tvp/exp/report.hpp"
 #include "tvp/exp/runner.hpp"
 #include "tvp/exp/verdict.hpp"
+#include "tvp/util/bitutil.hpp"
 #include "tvp/util/cli.hpp"
 #include "tvp/util/json.hpp"
 #include "tvp/util/table.hpp"
@@ -128,6 +130,13 @@ int run(const util::Flags& flags) {
       if (flags.has("trace") && info.total_records == 0)
         throw std::runtime_error("trace " + path + " holds no records");
       if (!flags.has("banks") && !flags.has("config")) {
+        if (!util::is_pow2(info.banks)) {
+          std::fprintf(stderr,
+                       "tvp_sim: trace %s holds %u banks, which is not a power "
+                       "of two: the simulated geometry cannot take it\n",
+                       path.c_str(), info.banks);
+          return 2;
+        }
         config.geometry.banks_per_rank = info.banks;
         config.finalize();
       } else if (config.geometry.total_banks() != info.banks) {

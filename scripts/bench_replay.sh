@@ -4,12 +4,14 @@
 #
 #   scripts/bench_replay.sh [--smoke] [extra replay_bench flags...]
 #
-# --smoke   CI-sized run (50k records instead of 2M) — same shape,
+# --smoke   CI-sized run (500k records instead of 2M) — same shape,
 #           seconds not minutes. All other flags are forwarded to
 #           replay_bench (--acts=N, --seed=S, --min-speedup=X, ...).
 #
 # Writes BENCH_replay.json into the repo root and exits non-zero when
-# cold replay is not at least 5x faster than workload generation. Uses
+# shared (steady-state) replay through span_lanes is not at least 5x
+# faster than workload generation, or when a record that next_batch
+# rebuilds differs from the generated one. Uses
 # the dedicated build-release/ tree so a default RelWithDebInfo build/
 # is untouched.
 set -euo pipefail

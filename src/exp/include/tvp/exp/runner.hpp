@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -136,7 +135,7 @@ struct Streams {
 /// The rig of one run, and the one place a run is wired: it owns the
 /// run's Streams, engine, disturbance model, controller, workload and
 /// the workload's aggressor and victim oracles. A run is construct,
-/// workload(), step() until the batch is empty, advance(), result();
+/// workload(), step() until it feeds nothing, advance(), result();
 /// each is its own call so that a caller can time it, or feed() records
 /// of its own instead of the workload.
 class Simulation {
@@ -157,10 +156,10 @@ class Simulation {
   /// call, which also installs its aggressor oracle.
   trace::TraceSource& workload();
 
-  /// Feeds the workload's next batch (a borrowed span, with a corpus's
-  /// bank lanes, or up to kBatchRecords copied records) and returns it,
-  /// valid until the next call; empty once the workload is exhausted.
-  std::span<const trace::AccessRecord> step();
+  /// Feeds the workload's next batch (a borrowed span, a corpus block's
+  /// bank lanes, or up to kBatchRecords copied records) and returns its
+  /// record count; 0 once the workload is exhausted.
+  std::size_t step();
 
   /// Feeds @p count records of the caller's.
   void feed(const trace::AccessRecord* records, std::size_t count);

@@ -223,7 +223,7 @@ trace::TraceSource& Simulation::workload() {
   return *workload_;
 }
 
-std::span<const trace::AccessRecord> Simulation::step() {
+std::size_t Simulation::step() {
   trace::TraceSource& source = workload();
   if (source.supports_spans()) {
     // Zero-copy; a corpus block's lanes spare the scatter pass.
@@ -231,18 +231,14 @@ std::span<const trace::AccessRecord> Simulation::step() {
     const trace::BankLaneView* lanes = nullptr;
     std::size_t lane_banks = 0;
     const std::size_t n = source.span_lanes(&span, &lanes, &lane_banks);
-    if (n == 0) return {};
-    if (lanes != nullptr)
-      controller_.on_records_partitioned(span, n, lanes, lane_banks);
-    else
-      controller_.on_records(span, n);
+    controller_.on_records_partitioned(span, n, lanes, lane_banks);
     records_ += n;
-    return {span, n};
+    return n;
   }
   batch_.resize(kBatchRecords);
   const std::size_t n = source.next_batch(batch_.data(), batch_.size());
   feed(batch_.data(), n);
-  return {batch_.data(), n};
+  return n;
 }
 
 void Simulation::feed(const trace::AccessRecord* records, std::size_t count) {
@@ -284,7 +280,7 @@ RunResult run_custom_simulation(const mem::BankMitigationFactory& factory,
                                 const std::string& display_name,
                                 const SimConfig& config) {
   Simulation sim(factory, config);
-  while (!sim.step().empty()) {
+  while (sim.step() != 0) {
   }
   sim.advance();
   return sim.result(display_name);

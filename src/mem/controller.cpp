@@ -156,20 +156,34 @@ void MemoryController::on_records(const trace::AccessRecord* records,
 void MemoryController::on_records_partitioned(
     const trace::AccessRecord* records, std::size_t count,
     const trace::BankLaneView* lanes, std::size_t lane_banks) {
-  bool usable = lanes != nullptr && lane_banks == engine_.banks();
-  if (usable) {
-    // A whole-span range check per lane (O(banks), not O(records)): a
-    // lane row out of range means the scatter path's throw-with-valid-
-    // prefix semantics must apply, so fall back entirely.
-    for (std::size_t b = 0; b < lane_banks; ++b)
-      if (lanes[b].count != 0 &&
-          lanes[b].max_row >= cfg_.geometry.rows_per_bank) {
-        usable = false;
-        break;
-      }
+  if (lanes == nullptr) {
+    feed(records, count, nullptr);
+    return;
   }
-  if (usable) std::fill(lane_cursor_.begin(), lane_cursor_.end(), 0);
-  feed(records, count, usable ? lanes : nullptr);
+  // A whole-span check per lane (O(banks), not O(records)).
+  std::size_t held = 0;
+  bool usable = lane_banks == engine_.banks();
+  for (std::size_t b = 0; b < lane_banks; ++b) {
+    held += lanes[b].count;
+    usable = usable && (lanes[b].count == 0 ||
+                        lanes[b].max_row < cfg_.geometry.rows_per_bank);
+  }
+  if (held != count)
+    throw std::invalid_argument(
+        "MemoryController: partition lanes disagree with their records");
+  if (!usable) {
+    // Another bank count, or a lane row out of range: the scatter path's
+    // throw-with-valid-prefix semantics must apply, so rebuild the span's
+    // records and feed those.
+    rebuilt_.resize(count);
+    std::vector<std::size_t> cursors(lane_banks, 0);
+    trace::gather_lanes(lanes, lane_banks, cursors.data(), 0, count,
+                        rebuilt_.data());
+    feed(rebuilt_.data(), count, nullptr);
+    return;
+  }
+  std::fill(lane_cursor_.begin(), lane_cursor_.end(), 0);
+  feed(nullptr, count, lanes);
 }
 
 void MemoryController::feed(const trace::AccessRecord* records,
@@ -177,10 +191,12 @@ void MemoryController::feed(const trace::AccessRecord* records,
                             const trace::BankLaneView* lanes) {
   std::size_t i = 0;
   while (i < count) {
-    if (records[i].time_ps < now_ps_)
+    const std::uint64_t first =
+        lanes != nullptr ? lane_head(lanes) : records[i].time_ps;
+    if (first < now_ps_)
       throw std::invalid_argument(
           "MemoryController: records must be time-ordered");
-    process_refresh_boundaries(records[i].time_ps);
+    process_refresh_boundaries(first);
     // A refresh segment: the maximal time-ordered run strictly before
     // the next refresh boundary (the mitigation context is constant
     // inside it). On the scatter path an out-of-order record ends the
@@ -190,9 +206,10 @@ void MemoryController::feed(const trace::AccessRecord* records,
     // record in between.
     std::size_t end;
     std::size_t valid;
+    std::uint64_t last = 0;
     if (lanes != nullptr) {
-      end = i + slice_lanes(lanes, i);
-      if (end == i || end > count)
+      end = i + slice_lanes(lanes, i, last);
+      if (end == i)
         throw std::invalid_argument(
             "MemoryController: partition lanes disagree with their records");
       valid = end - i;
@@ -202,9 +219,10 @@ void MemoryController::feed(const trace::AccessRecord* records,
              records[end].time_ps < next_refresh_ps_)
         ++end;
       valid = scatter(records + i, end - i);
+      if (valid > 0) last = records[i + valid - 1].time_ps;
     }
     if (valid > 0) {
-      now_ps_ = records[i + valid - 1].time_ps;
+      now_ps_ = last;
       run_segment(valid);
     }
     if (valid < end - i) {
@@ -226,15 +244,29 @@ void MemoryController::feed(const trace::AccessRecord* records,
   }
 }
 
+std::uint64_t MemoryController::lane_head(
+    const trace::BankLaneView* lanes) const {
+  // on_records_partitioned checked that the lanes hold the span, so
+  // while records remain some lane has an element left.
+  std::uint64_t head = std::numeric_limits<std::uint64_t>::max();
+  for (std::uint32_t b = 0; b < engine_.banks(); ++b)
+    if (lane_cursor_[b] < lanes[b].count)
+      head = std::min(head, lanes[b].times[lane_cursor_[b]]);
+  return head;
+}
+
 std::size_t MemoryController::slice_lanes(const trace::BankLaneView* lanes,
-                                          std::size_t begin) {
+                                          std::size_t begin,
+                                          std::uint64_t& last) {
   // Cut each bank's lane at its first time at or past the next refresh
   // boundary (a lane of a time-ordered span ascends in time, so a binary
   // search from the lane's cursor finds it): the per-bank stops are the
-  // segment, zero-copy, with no per-record scan or scatter.
+  // segment, zero-copy, with no per-record scan or scatter. The latest
+  // time before a stop is the segment's last.
   const std::uint32_t banks = engine_.banks();
   const std::uint64_t boundary = next_refresh_ps_;
   std::size_t taken = 0;
+  last = 0;
   for (std::uint32_t b = 0; b < banks; ++b) {
     const trace::BankLaneView& lv = lanes[b];
     const std::size_t cur = lane_cursor_[b];
@@ -245,8 +277,9 @@ std::size_t MemoryController::slice_lanes(const trace::BankLaneView* lanes,
     s.lane_rows = lv.rows + cur;
     s.lane_times = lv.times + cur;
     s.lane_serials = lv.serials + cur;
-    s.lane_writes = lv.writes + cur;
+    s.lane_flags = lv.flags + cur;
     s.lane_count = stop - cur;
+    if (stop > cur) last = std::max(last, lv.times[stop - 1]);
     s.serial_base = static_cast<std::uint32_t>(begin);
     lane_cursor_[b] = stop;
     taken += stop - cur;
@@ -260,7 +293,7 @@ void MemoryController::BankShard::grow_columns() {
   serials.resize(capacity);
   rows.resize(capacity);
   times.resize(capacity);
-  write_col.resize(capacity);
+  flag_col.resize(capacity);
 }
 
 std::size_t MemoryController::scatter(const trace::AccessRecord* records,
@@ -285,14 +318,14 @@ std::size_t MemoryController::scatter(const trace::AccessRecord* records,
     s.serials[k] = static_cast<std::uint32_t>(valid);
     s.rows[k] = r.row;
     s.times[k] = r.time_ps;
-    s.write_col[k] = r.write ? 1 : 0;
+    s.flag_col[k] = r.write ? trace::kLaneWrite : 0;
   }
   for (std::uint32_t b = 0; b < banks; ++b) {
     BankShard& s = shards_[b];
     s.lane_rows = s.rows.data();
     s.lane_times = s.times.data();
     s.lane_serials = s.serials.data();
-    s.lane_writes = s.write_col.data();
+    s.lane_flags = s.flag_col.data();
     s.serial_base = 0;
   }
   profile_.scattered_acts += valid;
@@ -392,7 +425,7 @@ void MemoryController::run_bank_shard(dram::BankId bank,
   const dram::RowId* const lane_rows = s.lane_rows;
   const std::uint64_t* const lane_times = s.lane_times;
   const std::uint32_t* const lane_serials = s.lane_serials;
-  const std::uint8_t* const lane_writes = s.lane_writes;
+  const std::uint8_t* const lane_flags = s.lane_flags;
   const std::uint32_t serial_base = s.serial_base;
   const std::uint32_t interval = ctx.interval_in_window;
   const bool remapped = !remapper_.is_identity();
@@ -417,7 +450,7 @@ void MemoryController::run_bank_shard(dram::BankId bank,
     const std::uint64_t t = lane_times[k];
     delayed += ready > t;
     ready = std::max(ready, t) + t_rc;
-    writes += lane_writes[k];
+    writes += lane_flags[k] & trace::kLaneWrite;
     lane.on_activate(physical(lane_rows[k]), interval,
                      lane_serials[k] - serial_base, 0);
   };

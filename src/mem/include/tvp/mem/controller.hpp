@@ -127,24 +127,28 @@ class MemoryController {
   /// argument.
   void on_records(const trace::AccessRecord* records, std::size_t count);
 
-  /// Like on_records, but with the per-bank partition pre-computed (a
-  /// corpus block's lanes): @p lanes holds @p lane_banks
-  /// column views whose serials are indices into @p records. When the
-  /// lanes are usable (bank count matches the geometry, every lane row
-  /// is in range) the controller feeds them zero-copy and skips the
-  /// scatter pass; otherwise it falls back to on_records — same
-  /// observable results either way, including the out-of-range throw
-  /// semantics.
+  /// Like on_records, but for a span of @p count records given as its
+  /// per-bank lanes (a corpus block): @p lanes holds @p lane_banks
+  /// column views (lane b holds bank b) whose serials index the span,
+  /// and @p records may be null and is not read. When the lanes are
+  /// usable (bank count matches the geometry, every lane row is in
+  /// range) the controller feeds them zero-copy and skips the scatter
+  /// pass; otherwise it rebuilds the span's records from the lanes and
+  /// takes on_records — same observable results either way, including
+  /// the throw after the valid prefix and its message. With @p lanes
+  /// null this is on_records(@p records, @p count).
   ///
-  /// Precondition: @p records ascend in time and the lanes hold exactly
-  /// them (record i is the next element of its bank's lane, with serial
-  /// i and the record's time, row and write flag). trace::MmapSource,
-  /// the only producer of lanes, proves both on a block's first touch
-  /// before it hands the block out. The controller relies on it: it
-  /// cuts each refresh segment with one binary search per lane over
-  /// the lane times and reads only a segment's first record (checked
-  /// against the controller clock, as on_records checks every record)
-  /// and last record (the new clock).
+  /// Precondition: the lanes hold a time-ordered span of @p count
+  /// records (each lane's serials ascend, together they are a
+  /// permutation of [0, count), and the times ascend in serial order).
+  /// trace::MmapSource, the only producer of lanes, proves that on a
+  /// block's first touch before it hands the block out; a lane count
+  /// sum other than @p count throws std::invalid_argument. The
+  /// controller relies on it: it cuts each refresh segment with one
+  /// binary search per lane over the lane times, takes the segment's
+  /// first time (checked against the controller clock, as on_records
+  /// checks every record) from the lane heads and its last time (the
+  /// new clock) from the cut ends.
   void on_records_partitioned(const trace::AccessRecord* records,
                               std::size_t count,
                               const trace::BankLaneView* lanes,
@@ -192,16 +196,16 @@ class MemoryController {
 
     // Scatter-built columns (SoA; filled by the partition pass through
     // lane_count; their size is the capacity).
-    std::vector<std::uint32_t> serials;   ///< segment-serial per record
-    std::vector<dram::RowId> rows;        ///< logical row per record
-    std::vector<std::uint64_t> times;     ///< time_ps per record
-    std::vector<std::uint8_t> write_col;  ///< write flag per record
+    std::vector<std::uint32_t> serials;  ///< segment-serial per record
+    std::vector<dram::RowId> rows;       ///< logical row per record
+    std::vector<std::uint64_t> times;    ///< time_ps per record
+    std::vector<std::uint8_t> flag_col;  ///< trace::kLaneWrite per record
     // The lane view actually consumed (owned columns or borrowed corpus
-    // partition columns).
+    // lane columns).
     const dram::RowId* lane_rows = nullptr;
     const std::uint64_t* lane_times = nullptr;
     const std::uint32_t* lane_serials = nullptr;
-    const std::uint8_t* lane_writes = nullptr;
+    const std::uint8_t* lane_flags = nullptr;
     std::size_t lane_count = 0;
     std::uint32_t serial_base = 0;
     dram::DisturbanceModel::Lane lane;
@@ -224,18 +228,24 @@ class MemoryController {
                      std::uint32_t interval);
   /// The feed loop behind on_records and on_records_partitioned: cuts
   /// the batch into refresh segments and, per segment, slices @p lanes
-  /// by time (when non-null; see on_records_partitioned's precondition)
-  /// or scans and scatters the records, then runs the segment.
+  /// by time (when non-null, and then @p records is not read; see
+  /// on_records_partitioned's precondition) or scans and scatters the
+  /// records, then runs the segment.
   void feed(const trace::AccessRecord* records, std::size_t count,
             const trace::BankLaneView* lanes);
+  /// The time of the earliest lane element not yet fed: the first time
+  /// of the next segment.
+  std::uint64_t lane_head(const trace::BankLaneView* lanes) const;
   /// The partition pass of one segment: validates the records and
   /// scatters them into the shards' owned columns; returns the length
   /// of the valid prefix (the first bad address ends it).
   std::size_t scatter(const trace::AccessRecord* records, std::size_t count);
   /// Points the shards at the corpus lanes' slice for the segment that
   /// starts at span record @p begin and ends before the next refresh
-  /// boundary (advancing lane_cursor_); returns the segment's length.
-  std::size_t slice_lanes(const trace::BankLaneView* lanes, std::size_t begin);
+  /// boundary (advancing lane_cursor_); returns the segment's length and
+  /// sets @p last to its last time.
+  std::size_t slice_lanes(const trace::BankLaneView* lanes, std::size_t begin,
+                          std::uint64_t& last);
   /// Runs a refresh segment of @p valid records whose lanes are set:
   /// every bank shard (pool or serial), then the serial reduce + flip
   /// commit.
@@ -268,6 +278,7 @@ class MemoryController {
   std::vector<std::uint64_t> act_prefix_;  // per-serial activation prefix sums
                                            // (built only when a flip is pending)
   std::vector<std::size_t> lane_cursor_;   // per-bank position in corpus lanes
+  std::vector<trace::AccessRecord> rebuilt_;  // unusable lanes' records
   std::unique_ptr<util::WorkerPool> pool_;  // only when bank_jobs > 1
   StageProfile profile_;
 };

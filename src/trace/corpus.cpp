@@ -17,7 +17,6 @@
 #include <mutex>
 #include <stdexcept>
 #include <tuple>
-#include <type_traits>
 #include <utility>
 
 #include "tvp/util/crc32.hpp"
@@ -33,14 +32,11 @@ namespace fp = util::fp;
 struct CorpusMapping {
   const unsigned char* base = nullptr;
   std::uint64_t size = 0;
-  /// Per-block trust-after-verify bits (set with fetch_or): bit 0 =
-  /// the records are proven (payload CRC, flag bytes, time order
-  /// against the footer index), bit 1 = the lanes are proven too
-  /// (counts, zero padding, every element against its record). The
-  /// lane path sets both in one sweep; next_batch only ever needs bit 0.
+  /// Per-block trust-after-verify bits: 1 once the block's first-touch
+  /// proof passed (see corpus.hpp).
   std::unique_ptr<std::atomic<std::uint8_t>[]> verified;
-  /// Per-(block, bank) lane row maxima, filled by the lane path's proof
-  /// (published by the bit-1 release store); lets every source range-
+  /// Per-(block, bank) lane row maxima, filled by the proof (published
+  /// by the verified bit's release store); lets every source range-
   /// check a whole lane in O(1). Atomics because racing sources may
   /// write the same values.
   std::unique_ptr<std::atomic<std::uint32_t>[]> lane_max_rows;
@@ -51,33 +47,21 @@ struct CorpusMapping {
   }
 };
 
-// The zero-copy contract: bytes on disk ARE AccessRecords in memory.
-// Any change to AccessRecord that moves these offsets is a format
-// break and must bump the corpus version.
-static_assert(std::is_standard_layout_v<AccessRecord> &&
-              std::is_trivially_copyable_v<AccessRecord>);
-static_assert(sizeof(AccessRecord) == 24);
-static_assert(offsetof(AccessRecord, time_ps) == 0);
-static_assert(offsetof(AccessRecord, bank) == 8);
-static_assert(offsetof(AccessRecord, row) == 12);
-static_assert(offsetof(AccessRecord, write) == 16);
-static_assert(offsetof(AccessRecord, is_attack) == 17);
-static_assert(offsetof(AccessRecord, source) == 18);
+// The lanes go to the controller as typed pointers into the mapping.
 static_assert(std::endian::native == std::endian::little,
               "the corpus format stores little-endian integers in place");
+static_assert(sizeof(dram::RowId) == 4 && sizeof(SourceId) == 1);
 
 namespace {
 
-constexpr std::size_t kRecordBytes = sizeof(AccessRecord);
 constexpr std::size_t kFileHeaderBytes = 32;
 constexpr std::size_t kFooterHeadBytes = 24;
 constexpr std::size_t kIndexEntryBytes = 24;
 constexpr std::size_t kTrailerBytes = 16;
-constexpr std::uint32_t kVersion = 3;
-// File-header words after the magic, version and record size; bytes
-// 20-31 stay zero.
-constexpr std::size_t kFlagsOffset = 12;
-constexpr std::size_t kBanksOffset = 16;
+constexpr std::uint32_t kVersion = 4;
+// File-header words after the magic and version; bytes 16-31 stay zero.
+constexpr std::size_t kFlagsOffset = 8;
+constexpr std::size_t kBanksOffset = 12;
 constexpr std::uint32_t kFlagNoOracle = 1u;  // the writer was given no oracle
 constexpr char kFileMagic[4] = {'T', 'V', 'P', 'C'};
 constexpr char kFooterMagic[4] = {'T', 'V', 'P', 'F'};
@@ -85,24 +69,21 @@ constexpr char kTrailerMagic[8] = {'T', 'V', 'P', 'C', 'E', 'N', 'D', '\0'};
 
 constexpr std::uint64_t pad8(std::uint64_t n) { return (n + 7u) & ~std::uint64_t{7}; }
 
-// Where a block's lane columns start, relative to its lane region, for
-// @p banks banks and @p n records (see corpus.hpp): the per-bank counts,
-// padded to 8 bytes, then the time (u64), row (u32), serial (u32) and
-// write-flag (u8) columns, the last padded to 8 bytes.
+// Where a block's columns start, relative to the block, for @p banks
+// banks and @p n records (see corpus.hpp): the per-bank counts, padded
+// to 8 bytes, then the time (u64), row (u32), serial (u32), flag (u8)
+// and source (u8) columns, the last padded to 8 bytes; `end` is the
+// block's size.
 struct LaneLayout {
   constexpr LaneLayout(std::uint64_t banks, std::uint64_t n)
       : times(pad8(banks * 4)),
         rows(times + n * 8),
         serials(rows + n * 4),
-        writes(serials + n * 4),
-        end(writes + pad8(n)) {}
-  std::uint64_t times, rows, serials, writes, end;
+        flags(serials + n * 4),
+        sources(flags + n),
+        end(flags + pad8(2 * n)) {}
+  std::uint64_t times, rows, serials, flags, sources, end;
 };
-
-// Bytes of a block of @p n records: the records, then the lane region.
-constexpr std::uint64_t block_bytes(std::uint64_t banks, std::uint64_t n) {
-  return n * kRecordBytes + LaneLayout(banks, n).end;
-}
 
 // Failpoint sites, one per syscall location (see util/failpoint.hpp).
 constexpr const char* kSiteCreateOpen = "corpus.create.open";
@@ -164,7 +145,6 @@ std::array<unsigned char, kFileHeaderBytes> encode_header(std::uint32_t banks,
   std::array<unsigned char, kFileHeaderBytes> header{};
   std::memcpy(header.data(), kFileMagic, 4);
   store_u32(header.data() + 4, kVersion);
-  store_u32(header.data() + 8, static_cast<std::uint32_t>(kRecordBytes));
   store_u32(header.data() + kFlagsOffset, oracle ? 0 : kFlagNoOracle);
   store_u32(header.data() + kBanksOffset, banks);
   return header;
@@ -196,11 +176,6 @@ ParsedCorpus parse_corpus(int fd, const std::string& path) {
     corrupt(path, "unsupported corpus version " + std::to_string(version) +
                       " (this reader reads version " + std::to_string(kVersion) +
                       ")");
-  const std::uint32_t record_bytes = load_u32(header + 8);
-  if (record_bytes != kRecordBytes)
-    corrupt(path, "record size " + std::to_string(record_bytes) +
-                      " does not match this build's " +
-                      std::to_string(kRecordBytes));
   const std::uint32_t flags = load_u32(header + kFlagsOffset);
   if ((flags & ~kFlagNoOracle) != 0)
     corrupt(path, "unknown header flags " + std::to_string(flags));
@@ -260,7 +235,7 @@ ParsedCorpus parse_corpus(int fd, const std::string& path) {
     // a first and a last record to hold against the index's time range.
     if (block.records == 0)
       corrupt(path, "block " + std::to_string(b) + " is empty");
-    offset += block_bytes(info.banks, block.records);
+    offset += LaneLayout(info.banks, block.records).end;
     if (offset > footer_offset)
       corrupt(path, "block " + std::to_string(b) + " runs into the footer");
     info.total_records += block.records;
@@ -312,70 +287,45 @@ class ReadFd {
   int fd_;
 };
 
-// Where a block's first-touch sweep stopped: the first record it
-// rejects and why (kNone: every record swept so far passed).
-struct SweepStop {
-  enum Why { kNone, kFlags, kOrder, kLane } why = kNone;
-  std::size_t at = 0;
-};
+// What the serial and time half of a block's first-touch proof rejects
+// first (kNone: nothing).
+enum class LaneDefect { kNone, kSerialOrder, kPermutation, kTimeOrder };
 
-// What a block's first-touch sweep carries from one chunk to the next:
-// the last record's time and, with lanes, each bank's next unclaimed
-// lane element and the lane's end. The lanes' columns are concatenated
-// bank after bank, so an element is one index into shared column
-// bases (bank 0's views).
-struct SweepState {
-  SweepState(const AccessRecord* records, const BankLaneView* lanes,
-             std::uint32_t banks)
-      : prev(records[0].time_ps), lanes(lanes), next(banks), end(banks) {
-    for (std::uint32_t b = 0; b < banks; ++b) {
-      next[b] = static_cast<std::size_t>(lanes[b].serials - lanes[0].serials);
-      end[b] = next[b] + lanes[b].count;
+// The serial and time proof of a block of @p n records over its @p banks
+// @p lanes (whose counts sum to n): each lane's serials ascend strictly
+// and stay below n, and no serial is claimed twice, so the serials are a
+// permutation of [0, n); then the times ascend in serial order. Fills
+// each lane's max_row and, on success, @p first and @p last with the
+// block's first and last times. Kept free of strings and exceptions so
+// the loops stay in registers.
+LaneDefect prove_lanes(BankLaneView* lanes, std::uint32_t banks, std::size_t n,
+                       std::uint64_t& first, std::uint64_t& last) {
+  // Every slot of by_serial is written before it is read, once the
+  // serials are proven a permutation.
+  const auto by_serial = std::make_unique_for_overwrite<std::uint64_t[]>(n);
+  std::vector<std::uint64_t> seen((n + 63) / 64, 0);
+  for (std::uint32_t b = 0; b < banks; ++b) {
+    BankLaneView& lane = lanes[b];
+    const std::uint32_t* const serials = lane.serials;
+    const std::uint64_t* const times = lane.times;
+    dram::RowId max_row = 0;
+    for (std::size_t k = 0; k < lane.count; ++k) {
+      const std::uint32_t s = serials[k];
+      if (k > 0 && s <= serials[k - 1]) return LaneDefect::kSerialOrder;
+      if (s >= n) return LaneDefect::kPermutation;
+      const std::uint64_t bit = std::uint64_t{1} << (s & 63);
+      if ((seen[s >> 6] & bit) != 0) return LaneDefect::kPermutation;
+      seen[s >> 6] |= bit;
+      by_serial[s] = times[k];
+      max_row = std::max(max_row, lane.rows[k]);
     }
+    lane.max_row = max_row;
   }
-  std::uint64_t prev;
-  const BankLaneView* lanes;  // null: the records alone
-  std::vector<std::size_t> next;
-  std::vector<std::size_t> end;
-};
-
-// The record-order sweep of MmapSource::prove_block over records
-// [@p from, @p to): flag bytes, ascending times and, with lanes, each
-// record against the next element of its bank's lane. Kept free of
-// strings and exceptions so the loop stays in registers.
-SweepStop sweep_records(const AccessRecord* records, std::size_t from,
-                        std::size_t to, SweepState& state) {
-  const auto* bytes = reinterpret_cast<const unsigned char*>(records);
-  const bool with_lanes = state.lanes != nullptr;
-  const std::uint64_t* const times = with_lanes ? state.lanes[0].times : nullptr;
-  const dram::RowId* const rows = with_lanes ? state.lanes[0].rows : nullptr;
-  const std::uint32_t* const serials =
-      with_lanes ? state.lanes[0].serials : nullptr;
-  const std::uint8_t* const writes = with_lanes ? state.lanes[0].writes : nullptr;
-  const std::size_t banks = state.next.size();
-  std::size_t* const next = state.next.data();
-  const std::size_t* const end = state.end.data();
-  std::uint64_t prev = state.prev;
-  for (std::size_t i = from; i < to; ++i) {
-    const unsigned char* at = bytes + i * kRecordBytes;
-    std::uint16_t flags;
-    std::memcpy(&flags, at + 16, 2);
-    const std::uint64_t time = load_u64(at);
-    // Both flag bytes at once: any bit above the LSB in either byte
-    // means a value other than 0/1.
-    if ((flags & 0xFEFEu) != 0) return {SweepStop::kFlags, i};
-    if (time < prev) return {SweepStop::kOrder, i};
-    prev = time;
-    if (!with_lanes) continue;
-    const std::uint32_t bank = load_u32(at + 8);
-    if (bank >= banks || next[bank] == end[bank]) return {SweepStop::kLane, i};
-    const std::size_t k = next[bank]++;
-    if ((serials[k] != i) | (times[k] != time) | (rows[k] != load_u32(at + 12)) |
-        (writes[k] != (flags & 0xFFu)))
-      return {SweepStop::kLane, i};
-  }
-  state.prev = prev;
-  return {};
+  for (std::size_t s = 1; s < n; ++s)
+    if (by_serial[s] < by_serial[s - 1]) return LaneDefect::kTimeOrder;
+  first = by_serial[0];
+  last = by_serial[n - 1];
+  return LaneDefect::kNone;
 }
 
 }  // namespace
@@ -456,33 +406,27 @@ void CorpusWriter::set_victims(std::vector<std::uint64_t> keys) {
 void CorpusWriter::flush_block() {
   if (block_.empty()) return;
   const std::size_t n = block_.size();
-  const std::size_t payload = n * kRecordBytes;
   const LaneLayout layout(banks_, n);
   // Every byte below is written, padding as zeros: the file must be
-  // deterministic (its bytes are CRC'd, cross-checked and identity-hashed).
-  staging_.resize(payload + static_cast<std::size_t>(layout.end));
-  for (std::size_t i = 0; i < n; ++i) {
-    unsigned char* slot = staging_.data() + i * kRecordBytes;
-    std::memcpy(slot, &block_[i], kRecordBytes);
-    // The struct's tail padding is indeterminate in memory.
-    std::memset(slot + 19, 0, kRecordBytes - 19);
-  }
+  // deterministic (its bytes are CRC'd and identity-hashed).
+  staging_.resize(static_cast<std::size_t>(layout.end));
 
   // The block's scatter pass, done once at write time: per-bank lane
-  // columns (time, row, span-relative serial, write flag), laid out
+  // columns (time, row, block-relative serial, flags, source), laid out
   // bank after bank so replay hands the mapped bytes straight to the
   // controller.
-  unsigned char* counts = staging_.data() + payload;
-  unsigned char* times = counts + layout.times;
-  unsigned char* rows = counts + layout.rows;
-  unsigned char* serials = counts + layout.serials;
-  unsigned char* writes = counts + layout.writes;
+  unsigned char* const block = staging_.data();
+  unsigned char* const times = block + layout.times;
+  unsigned char* const rows = block + layout.rows;
+  unsigned char* const serials = block + layout.serials;
+  unsigned char* const flags = block + layout.flags;
+  unsigned char* const sources = block + layout.sources;
   // Each lane's length, then its next slot in the columns.
   std::vector<std::uint32_t> next(banks_, 0);
   for (const AccessRecord& r : block_) ++next[r.bank];
-  std::memset(counts, 0, static_cast<std::size_t>(layout.times));  // + padding
+  std::memset(block, 0, static_cast<std::size_t>(layout.times));  // + padding
   for (std::uint32_t b = 0, at = 0; b < banks_; ++b) {
-    store_u32(counts + std::size_t{b} * 4, next[b]);
+    store_u32(block + std::size_t{b} * 4, next[b]);
     at += std::exchange(next[b], at);
   }
   for (std::size_t i = 0; i < n; ++i) {
@@ -491,19 +435,18 @@ void CorpusWriter::flush_block() {
     store_u64(times + std::size_t{k} * 8, r.time_ps);
     store_u32(rows + std::size_t{k} * 4, r.row);
     store_u32(serials + std::size_t{k} * 4, static_cast<std::uint32_t>(i));
-    writes[k] = r.write ? 1 : 0;
+    flags[k] = static_cast<unsigned char>((r.write ? kLaneWrite : 0) |
+                                          (r.is_attack ? kLaneAttack : 0));
+    sources[k] = r.source;
   }
-  std::memset(writes + n, 0, static_cast<std::size_t>(layout.end - layout.writes) - n);
+  std::memset(sources + n, 0, static_cast<std::size_t>(layout.end - layout.sources) - n);
 
   CorpusBlockInfo info;
   info.offset = write_offset_;
   info.records = static_cast<std::uint32_t>(n);
-  info.crc = util::crc32(staging_.data(), payload);
+  info.crc = util::crc32(staging_.data(), staging_.size());
   info.min_time_ps = block_.front().time_ps;
   info.max_time_ps = block_.back().time_ps;
-  // Whole 24-byte records and an 8-byte padded lane region: every block
-  // ends 8-byte aligned.
-  static_assert(kRecordBytes % 8 == 0);
   if (!fp::write_full(kSiteBlockWrite, fd_, staging_.data(), staging_.size()))
     fail("cannot write block");
   write_offset_ += staging_.size();
@@ -674,143 +617,105 @@ MmapSource::MmapSource(const std::string& path) : path_(path) {
   // Blocks bound the bank count by the file size; an empty corpus's
   // count bounds nothing, and it has no lanes to view.
   lanes_.resize(info_.blocks.empty() ? 0 : info_.banks);
+  cursors_.resize(lanes_.size());
 }
 
 void MmapSource::fail(const std::string& what) const { corrupt(path_, what); }
 
-// Loads block @p index and points span_ at its records: the mapped
-// bytes themselves (zero-copy). With @p with_lanes it also points
-// lanes_ at the block's lane columns. The block's first touch verifies
-// what it needs (point_lanes, then prove_block) and records that in the
-// shared verified bits.
-void MmapSource::load_block(std::size_t index, bool with_lanes) {
-  const CorpusBlockInfo& b = info_.blocks[index];
-  span_ = reinterpret_cast<const AccessRecord*>(base_ + b.offset);
-  span_len_ = b.records;
+// Loads block @p index: points lanes_ at its lane columns, which its
+// first touch proves first (prove_block), recording that in the shared
+// verified bits.
+void MmapSource::load_block(std::size_t index) {
+  span_len_ = info_.blocks[index].records;
   span_pos_ = 0;
-
+  std::fill(cursors_.begin(), cursors_.end(), 0);
   // Trust-after-verify, shared process-wide: if a concurrent source
   // races us here both verify — harmless, the bytes are immutable.
-  // Bit 0 covers the records, bit 1 the lanes.
-  const std::uint8_t need = with_lanes ? 3 : 1;
-  const std::uint8_t have =
-      mapping_->verified[index].load(std::memory_order_acquire);
-  const bool proven = (have & need) == need;
-  if (with_lanes) point_lanes(index, !proven);
-  if (!proven) {
-    prove_block(index, with_lanes, !(have & 1));
-    mapping_->verified[index].fetch_or(need, std::memory_order_release);
+  if (mapping_->verified[index].load(std::memory_order_acquire) == 0) {
+    prove_block(index);
+    mapping_->verified[index].store(1, std::memory_order_release);
+  } else {
+    point_lanes(index);
   }
-  if (with_lanes)
-    for (std::uint32_t k = 0; k < info_.banks; ++k)
-      lanes_[k].max_row = mapping_->lane_max_rows[index * info_.banks + k].load(
-          std::memory_order_relaxed);
+  for (std::uint32_t k = 0; k < info_.banks; ++k)
+    lanes_[k].max_row = mapping_->lane_max_rows[index * info_.banks + k].load(
+        std::memory_order_relaxed);
 }
 
 // Points lanes_ at block @p index's lane columns (zero-copy: the lane
-// pointers are the page cache). With @p check (the first touch) the
-// lane counts must sum to the block and the padding must be zero before
-// any pointer is formed; prove_block cross-checks the elements.
-void MmapSource::point_lanes(std::size_t index, bool check) {
-  const std::uint32_t banks = info_.banks;
-  const std::size_t n = span_len_;
-  const LaneLayout layout(banks, n);
-  const unsigned char* counts =
-      reinterpret_cast<const unsigned char*>(span_ + n);
-  if (check) {
-    std::uint64_t covered = 0;
-    for (std::uint32_t b = 0; b < banks; ++b)
-      covered += load_u32(counts + std::size_t{b} * 4);
-    if (covered != n)
-      fail("block " + std::to_string(index) + " lanes do not cover the block");
-    const auto zero = [](const unsigned char* from, const unsigned char* to) {
-      return std::all_of(from, to, [](unsigned char c) { return c == 0; });
-    };
-    if (!zero(counts + std::size_t{banks} * 4, counts + layout.times) ||
-        !zero(counts + layout.writes + n, counts + layout.end))
-      fail("block " + std::to_string(index) + " lane padding is not zero");
-  }
+// pointers are the page cache). The counts must already be known to sum
+// to the block, so that every pointer stays inside it.
+void MmapSource::point_lanes(std::size_t index) {
+  const CorpusBlockInfo& b = info_.blocks[index];
+  const unsigned char* const block = base_ + b.offset;
+  const LaneLayout layout(info_.banks, b.records);
   std::size_t at = 0;
-  for (std::uint32_t b = 0; b < banks; ++b) {
-    const std::uint32_t count = load_u32(counts + std::size_t{b} * 4);
-    BankLaneView& lv = lanes_[b];
-    lv.rows = reinterpret_cast<const dram::RowId*>(counts + layout.rows + at * 4);
-    lv.times = reinterpret_cast<const std::uint64_t*>(counts + layout.times + at * 8);
+  for (std::uint32_t k = 0; k < info_.banks; ++k) {
+    BankLaneView& lv = lanes_[k];
+    lv.times = reinterpret_cast<const std::uint64_t*>(block + layout.times + at * 8);
+    lv.rows = reinterpret_cast<const dram::RowId*>(block + layout.rows + at * 4);
     lv.serials =
-        reinterpret_cast<const std::uint32_t*>(counts + layout.serials + at * 4);
-    lv.writes = counts + layout.writes + at;
-    lv.count = count;
-    at += count;
+        reinterpret_cast<const std::uint32_t*>(block + layout.serials + at * 4);
+    lv.flags = block + layout.flags + at;
+    lv.sources = block + layout.sources + at;
+    lv.count = load_u32(block + std::size_t{k} * 4);
+    at += lv.count;
   }
 }
 
-// The first-touch proof of the loaded block @p index: with
-// @p check_crc its payload CRC, then, in one record-order sweep, every
-// flag byte is 0 or 1 (anything else was not written by our writer, and
-// reading it as bool would be undefined), the records ascend in time,
-// the first and last equal the footer's min and max, and the first is
-// no earlier than the previous block's footer max — so once every
-// block is touched the whole corpus is proven time-ordered. With
-// @p with_lanes the same sweep cross-checks the lanes: record
-// i must be the next element of its bank's lane, with serial i and
-// equal time, row and write flag (the counts already sum to the block,
-// so the lanes then hold exactly its records), and the lanes' row
-// maxima are filled. Any disagreement is a precise error naming the
-// block, corruption (a CRC mismatch) reported first.
-void MmapSource::prove_block(std::size_t index, bool with_lanes,
-                             bool check_crc) {
+// The first-touch proof of block @p index (see corpus.hpp): its CRC
+// first, so that corruption is reported as such, then the lane counts,
+// the zero padding and the flag bytes (anything above bit 1 was not
+// written by our writer, and reading it as bool would be undefined),
+// then the lanes (prove_lanes) and the block's time range against the
+// footer index and the previous block — so once every block is touched
+// the whole corpus is proven time-ordered. Fills the lanes' row maxima.
+// Any defect is a precise error naming the block.
+void MmapSource::prove_block(std::size_t index) {
   const CorpusBlockInfo& info = info_.blocks[index];
   const std::string block = "block " + std::to_string(index);
-  const AccessRecord* const records = span_;
-  const std::size_t n = span_len_;
-  const auto* bytes = reinterpret_cast<const unsigned char*>(records);
-
-  // Each chunk is CRC'd just before it is swept, so the sweep reads it
-  // from cache (a whole block and its lanes overflow a 2 MB L2).
-  constexpr std::size_t kChunkRecords = 2048;
-  std::uint32_t crc = 0;
-  std::size_t crc_end = 0;
-  const auto crc_to = [&](std::size_t to) {
-    if (!check_crc || to <= crc_end) return;
-    crc = util::crc32(bytes + crc_end * kRecordBytes,
-                      (to - crc_end) * kRecordBytes, crc);
-    crc_end = to;
-  };
-  SweepState state(records, with_lanes ? lanes_.data() : nullptr,
-                   with_lanes ? info_.banks : 0);
-  SweepStop stop;
-  for (std::size_t at = 0; at < n && stop.why == SweepStop::kNone;
-       at += kChunkRecords) {
-    const std::size_t to = std::min(n, at + kChunkRecords);
-    crc_to(to);
-    stop = sweep_records(records, at, to, state);
-  }
-  crc_to(n);
-  if (check_crc && crc != info.crc) fail(block + " CRC mismatch (corrupt)");
-
-  if (records[0].time_ps != info.min_time_ps ||
-      records[n - 1].time_ps != info.max_time_ps)
-    fail(block + " time range disagrees with the footer index");
-  if (index > 0 && records[0].time_ps < info_.blocks[index - 1].max_time_ps)
-    fail(block + " records are not time-ordered across blocks");
-  if (stop.why == SweepStop::kFlags)
-    fail(block + " record " + std::to_string(stop.at) +
-         " has an invalid flag byte");
-  if (stop.why == SweepStop::kOrder)
-    fail(block + " records are not time-ordered");
-  if (stop.why == SweepStop::kLane)
-    fail(block + " lane disagrees with its records");
-  if (!with_lanes) return;
-  // The lanes now hold exactly the block's records, so each lane's row
-  // maximum is a plain scan of its row column.
+  const unsigned char* const bytes = base_ + info.offset;
+  const std::size_t n = info.records;
   const std::uint32_t banks = info_.banks;
-  for (std::uint32_t b = 0; b < banks; ++b) {
-    const BankLaneView& lane = lanes_[b];
-    const dram::RowId max_row =
-        lane.count == 0 ? 0 : *std::max_element(lane.rows, lane.rows + lane.count);
-    mapping_->lane_max_rows[index * banks + b].store(max_row,
-                                                     std::memory_order_relaxed);
+  const LaneLayout layout(banks, n);
+  if (util::crc32(bytes, static_cast<std::size_t>(layout.end)) != info.crc)
+    fail(block + " CRC mismatch (corrupt)");
+
+  std::uint64_t covered = 0;
+  for (std::uint32_t b = 0; b < banks; ++b)
+    covered += load_u32(bytes + std::size_t{b} * 4);
+  if (covered != n)
+    fail(block + " lanes do not cover the block");
+  const auto zero = [](const unsigned char* from, const unsigned char* to) {
+    return std::all_of(from, to, [](unsigned char c) { return c == 0; });
+  };
+  if (!zero(bytes + std::size_t{banks} * 4, bytes + layout.times) ||
+      !zero(bytes + layout.sources + n, bytes + layout.end))
+    fail(block + " lane padding is not zero");
+  if (!std::all_of(bytes + layout.flags, bytes + layout.flags + n,
+                   [](unsigned char f) { return (f & ~(kLaneWrite | kLaneAttack)) == 0; }))
+    fail(block + " has a flag byte with bits above bit 1");
+
+  point_lanes(index);
+  std::uint64_t first = 0;
+  std::uint64_t last = 0;
+  switch (prove_lanes(lanes_.data(), banks, n, first, last)) {
+    case LaneDefect::kNone:
+      break;
+    case LaneDefect::kSerialOrder:
+      fail(block + " lane serials do not ascend");
+    case LaneDefect::kPermutation:
+      fail(block + " lane serials are not a permutation of the block");
+    case LaneDefect::kTimeOrder:
+      fail(block + " records are not time-ordered");
   }
+  if (first != info.min_time_ps || last != info.max_time_ps)
+    fail(block + " time range disagrees with the footer index");
+  if (index > 0 && first < info_.blocks[index - 1].max_time_ps)
+    fail(block + " records are not time-ordered across blocks");
+  for (std::uint32_t b = 0; b < banks; ++b)
+    mapping_->lane_max_rows[index * banks + b].store(lanes_[b].max_row,
+                                                     std::memory_order_relaxed);
 }
 
 std::size_t MmapSource::next_batch(AccessRecord* out, std::size_t max) {
@@ -818,11 +723,12 @@ std::size_t MmapSource::next_batch(AccessRecord* out, std::size_t max) {
   while (n < max) {
     if (span_pos_ >= span_len_) {
       if (block_ >= info_.blocks.size()) break;
-      load_block(block_++, false);
+      load_block(block_++);
       continue;
     }
     const std::size_t take = std::min(max - n, span_len_ - span_pos_);
-    std::memcpy(out + n, span_ + span_pos_, take * kRecordBytes);
+    gather_lanes(lanes_.data(), lanes_.size(), cursors_.data(), span_pos_,
+                 span_pos_ + take, out + n);
     span_pos_ += take;
     n += take;
   }
@@ -832,30 +738,32 @@ std::size_t MmapSource::next_batch(AccessRecord* out, std::size_t max) {
 std::size_t MmapSource::span_lanes(const AccessRecord** data,
                                    const BankLaneView** lanes,
                                    std::size_t* lane_banks) {
+  *data = nullptr;
   *lanes = nullptr;
   *lane_banks = 0;
-  // Lanes describe whole blocks: only a span starting at a block
-  // boundary gets them (a tail left by next_batch() does not — its
-  // serials would be off by the consumed prefix). Blocks are never
-  // empty (parse_corpus), so a loaded block always has a record.
-  if (span_pos_ >= span_len_) {
-    if (block_ >= info_.blocks.size()) {
-      *data = nullptr;
-      return 0;
-    }
-    load_block(block_++, true);
-    *lanes = lanes_.data();
-    *lane_banks = info_.banks;
+  if (span_pos_ < span_len_) {
+    // next_batch() stopped inside this block: its lanes' serials count
+    // from the block's start, so the rest goes out as records.
+    const std::size_t n = span_len_ - span_pos_;
+    tail_.resize(n);
+    gather_lanes(lanes_.data(), lanes_.size(), cursors_.data(), span_pos_,
+                 span_len_, tail_.data());
+    span_pos_ = span_len_;
+    *data = tail_.data();
+    return n;
   }
-  *data = span_ + span_pos_;
-  const std::size_t n = span_len_ - span_pos_;
+  // Blocks are never empty (parse_corpus), so a loaded block always has
+  // a record.
+  if (block_ >= info_.blocks.size()) return 0;
+  load_block(block_++);
   span_pos_ = span_len_;
-  return n;
+  *lanes = lanes_.data();
+  *lane_banks = info_.banks;
+  return span_len_;
 }
 
 void MmapSource::rewind() {
   block_ = 0;
-  span_ = nullptr;
   span_len_ = 0;
   span_pos_ = 0;
 }
@@ -869,9 +777,7 @@ CorpusInfo read_corpus_info(const std::string& path) {
 }
 
 CorpusInfo verify_corpus(const std::string& path) {
-  // Touching every block through the lane path runs the whole proof:
-  // block CRCs, time order against the footer index, and the lanes'
-  // counts, padding and element cross-check.
+  // Touching every block runs its whole first-touch proof.
   MmapSource source(path);
   const AccessRecord* span = nullptr;
   const BankLaneView* lanes = nullptr;
@@ -890,7 +796,6 @@ std::uint32_t write_corpus(const std::string& path,
 }
 
 std::vector<AccessRecord> read_corpus(const std::string& path) {
-  // next_batch proves each block's records and never reads its lanes.
   MmapSource source(path);
   std::vector<AccessRecord> out;
   std::vector<AccessRecord> batch(std::size_t{1} << 12);

@@ -32,18 +32,39 @@ struct AccessRecord {
 /// span's records with this bank id, in arrival order, as separate
 /// contiguous arrays. `serials[k]` is the span-relative index of the
 /// k-th element (strictly ascending), so a consumer can rebase a lane
-/// onto any sub-range of the span. Produced by a corpus block's lanes
-/// (zero-copy out of the mapped file) so the controller skips its own
-/// scatter pass; `max_row` is the lane's row maximum, computed when the
-/// lanes are verified, letting the controller range-check a whole lane
-/// in O(1).
+/// onto any sub-range of the span; the lanes of a span together hold
+/// every serial of [0, span length) once. A corpus block is nothing but
+/// its lanes (zero-copy out of the mapped file), so the controller skips
+/// its own scatter pass and the records themselves never exist unless a
+/// consumer rebuilds them (gather_lanes). `max_row` bounds the lane's
+/// rows from above, computed when a block's lanes are verified (a lane
+/// cut short keeps its block lane's maximum), letting the controller
+/// range-check a whole lane in O(1).
 struct BankLaneView {
   const dram::RowId* rows = nullptr;
   const std::uint64_t* times = nullptr;
   const std::uint32_t* serials = nullptr;
-  const std::uint8_t* writes = nullptr;
+  /// Bit 0: write; bit 1: is_attack.
+  const std::uint8_t* flags = nullptr;
+  const SourceId* sources = nullptr;
   std::size_t count = 0;
   dram::RowId max_row = 0;  ///< 0 when the lane is empty
 };
+
+/// Lane flag bits (BankLaneView::flags).
+inline constexpr std::uint8_t kLaneWrite = 1;
+inline constexpr std::uint8_t kLaneAttack = 2;
+
+/// Rebuilds the records whose serials fall in [@p from, @p to) of the
+/// span that @p lanes (@p banks of them; lane b holds bank b) describe,
+/// into out[0, to - from). @p cursors holds, per lane, the first element
+/// not yet rebuilt (all zero for a fresh span) and is advanced past the
+/// elements written. Requires what a corpus block's first touch proves:
+/// each lane's serials ascend, the lanes' serials together are a
+/// permutation of the span, and every element below a cursor has a
+/// serial below @p from.
+void gather_lanes(const BankLaneView* lanes, std::size_t banks,
+                  std::size_t* cursors, std::size_t from, std::size_t to,
+                  AccessRecord* out);
 
 }  // namespace tvp::trace

@@ -5,7 +5,8 @@
 // TraceSource; MergedSource interleaves any number of them into one
 // time-ordered stream, which is what the memory controller consumes.
 // A source is pulled by copy (next_batch) or, when its records already
-// live in memory, by borrowed span (span_lanes).
+// live in memory, by borrowed span (span_lanes): a record span, or a
+// corpus block's per-bank lanes.
 #pragma once
 
 #include <cstdint>
@@ -21,8 +22,7 @@ namespace tvp::trace {
 /// records with non-decreasing time_ps.
 ///
 /// Two virtual pulls: next_batch() copies records out, span_lanes()
-/// lends them in place. next() and next_span() are conveniences over
-/// them and behave identically for every source.
+/// lends them in place. next() is a convenience over next_batch().
 class TraceSource {
  public:
   virtual ~TraceSource() = default;
@@ -36,21 +36,20 @@ class TraceSource {
   /// can hand out a borrowed view instead of copying.
   virtual bool supports_spans() const noexcept { return false; }
 
-  /// Zero-copy variant of next_batch(): points @p data at a contiguous
-  /// run of records owned by the source and returns its length
-  /// (0 = exhausted). The span stays valid until the next call on this
-  /// source. Span lengths are an implementation detail (block-sized for
-  /// mmap'd corpora, the whole tail for vectors); the concatenation of
-  /// all spans is exactly the next_batch() sequence.
+  /// Zero-copy variant of next_batch(): lends the next run of records
+  /// owned by the source and returns its length (0 = exhausted), valid
+  /// until the next call on this source. Span lengths are an
+  /// implementation detail (block-sized for mmap'd corpora, the whole
+  /// tail for vectors); the concatenation of all spans is exactly the
+  /// next_batch() sequence.
   ///
-  /// When the source has the span's per-bank column lanes precomputed
-  /// (a whole corpus block), *lanes points at @p lane_banks
-  /// BankLaneView entries — one per bank, serials relative to the
-  /// returned span, valid until the next call. Otherwise *lanes is null
-  /// and the consumer partitions the span itself. Lanes are an
-  /// optimization, never a semantic: the record span is identical
-  /// either way. Only meaningful when supports_spans() is true; the
-  /// base implementation returns 0.
+  /// A span comes in one of two shapes. Either *lanes is null and
+  /// @p data points at the records, or *lanes points at @p lane_banks
+  /// BankLaneView entries that hold the span (one per bank, serials
+  /// relative to the span; a corpus block) and *data may be null: a
+  /// lane-only span has no records to point at, and gather_lanes
+  /// rebuilds them for a consumer that needs them. Only meaningful when
+  /// supports_spans() is true; the base implementation returns 0.
   virtual std::size_t span_lanes(const AccessRecord** data,
                                  const BankLaneView** lanes,
                                  std::size_t* lane_banks);
@@ -58,9 +57,6 @@ class TraceSource {
   /// Next record, or nullopt when the stream is exhausted
   /// (next_batch() of one).
   std::optional<AccessRecord> next();
-
-  /// span_lanes() without the lanes.
-  std::size_t next_span(const AccessRecord** data);
 };
 
 /// Replays a pre-built vector of records (must be time-sorted; verified
@@ -144,19 +140,22 @@ class LimitSource final : public TraceSource {
   bool supports_spans() const noexcept override {
     return inner_->supports_spans();
   }
-  /// Borrows the inner span and trims it to the limits (a
-  /// partition_point on the time-sorted span, not a copy). The inner
-  /// lanes pass through for untrimmed spans; a trimmed span drops them
-  /// (its lanes would reference records past the cut).
+  /// Borrows the inner span and trims it to the limits, never copying
+  /// a record: a record span by a partition_point on its times, a
+  /// lane-only span lane by lane (a lower_bound on each lane's times for
+  /// the horizon, then on its serials for the record budget), so a cut
+  /// block keeps its lanes.
   std::size_t span_lanes(const AccessRecord** data, const BankLaneView** lanes,
                          std::size_t* lane_banks) override;
 
  private:
   std::size_t cut(const AccessRecord* records, std::size_t got);
+  std::size_t take(std::size_t got, bool time_cut);
 
   std::unique_ptr<TraceSource> inner_;
   std::uint64_t remaining_;
   std::uint64_t end_ps_;
+  std::vector<BankLaneView> lanes_;  // the inner lanes, cut
 };
 
 /// Drains a source into a vector (testing / trace capture helper).

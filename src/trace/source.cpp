@@ -21,10 +21,24 @@ std::optional<AccessRecord> TraceSource::next() {
   return rec;
 }
 
-std::size_t TraceSource::next_span(const AccessRecord** data) {
-  const BankLaneView* lanes = nullptr;
-  std::size_t lane_banks = 0;
-  return span_lanes(data, &lanes, &lane_banks);
+void gather_lanes(const BankLaneView* lanes, std::size_t banks,
+                  std::size_t* cursors, std::size_t from, std::size_t to,
+                  AccessRecord* out) {
+  for (std::size_t b = 0; b < banks; ++b) {
+    const BankLaneView& lane = lanes[b];
+    std::size_t k = cursors[b];
+    for (; k < lane.count && lane.serials[k] < to; ++k) {
+      AccessRecord& r = out[lane.serials[k] - from];
+      const std::uint8_t flags = lane.flags[k];
+      r.time_ps = lane.times[k];
+      r.bank = static_cast<dram::BankId>(b);
+      r.row = lane.rows[k];
+      r.write = (flags & kLaneWrite) != 0;
+      r.is_attack = (flags & kLaneAttack) != 0;
+      r.source = lane.sources[k];
+    }
+    cursors[b] = k;
+  }
 }
 
 VectorSource::VectorSource(std::vector<AccessRecord> records)
@@ -155,15 +169,19 @@ LimitSource::LimitSource(std::unique_ptr<TraceSource> inner,
 }
 
 // Cuts the @p got records the inner source just produced: the time
-// horizon first (records are time-sorted, so it is a partition point,
-// and it ends the stream), then the record budget. An empty pull ends
-// the stream too. Returns how many records survive.
+// horizon first (records are time-sorted, so it is a partition point),
+// then the record budget. Returns how many records survive.
 std::size_t LimitSource::cut(const AccessRecord* records, std::size_t got) {
   const AccessRecord* end = std::partition_point(
       records, records + got,
       [this](const AccessRecord& r) { return r.time_ps < end_ps_; });
-  const bool time_cut = end != records + got;
-  got = static_cast<std::size_t>(end - records);
+  return take(static_cast<std::size_t>(end - records), end != records + got);
+}
+
+// The record budget over @p got records that are before the horizon;
+// @p time_cut says the horizon fell inside the pull, which ends the
+// stream, as does an empty pull. Returns how many records survive.
+std::size_t LimitSource::take(std::size_t got, bool time_cut) {
   if (got == 0 || time_cut || got >= remaining_) {
     got = static_cast<std::size_t>(std::min<std::uint64_t>(got, remaining_));
     remaining_ = 0;
@@ -191,16 +209,31 @@ std::size_t LimitSource::span_lanes(const AccessRecord** data,
   const BankLaneView* inner_lanes = nullptr;
   std::size_t inner_banks = 0;
   const std::size_t full = inner_->span_lanes(&span, &inner_lanes, &inner_banks);
-  const std::size_t got = cut(span, full);
+  if (inner_lanes == nullptr) {
+    const std::size_t got = cut(span, full);
+    if (got != 0) *data = span;
+    return got;
+  }
+  // A time-ordered span's records before the horizon, and those within
+  // the record budget, are a prefix of it and of each of its lanes: cut
+  // every lane at its own bound and the lanes still hold the cut span.
+  lanes_.assign(inner_lanes, inner_lanes + inner_banks);
+  std::size_t before = 0;
+  for (BankLaneView& lane : lanes_) {
+    lane.count = static_cast<std::size_t>(
+        std::lower_bound(lane.times, lane.times + lane.count, end_ps_) - lane.times);
+    before += lane.count;
+  }
+  const std::size_t got = take(before, before != full);
+  if (got < before)
+    for (BankLaneView& lane : lanes_)
+      lane.count = static_cast<std::size_t>(
+          std::lower_bound(lane.serials, lane.serials + lane.count, got) -
+          lane.serials);
   if (got == 0) return 0;
   *data = span;
-  // Lanes describe the inner span in full; a trimmed span would leave
-  // them claiming records past the cut, so only an untrimmed span
-  // passes them through (the consumer re-partitions otherwise).
-  if (got == full) {
-    *lanes = inner_lanes;
-    *lane_banks = inner_banks;
-  }
+  *lanes = lanes_.data();
+  *lane_banks = inner_banks;
   return got;
 }
 

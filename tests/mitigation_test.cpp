@@ -1,9 +1,12 @@
 // Unit tests for tvp::mitigation — the five state-of-the-art baselines
-// (PARA, ProHit, MRLoc, TWiCe, CRA) and a differential reference for
-// TRR's sampler.
+// (PARA, ProHit, MRLoc, TWiCe, CRA), and differential references for
+// PARA, MRLoc and TRR's sampler.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tvp/mitigation/cra.hpp"
@@ -509,6 +512,177 @@ TEST(TrrKernel, MatchesNaiveReferenceOnLanes) {
           EXPECT_GT(trr.rfm_commands(), 0u);
         }
       }
+}
+
+// --------------------------------------------------- PARA and MRLoc references
+
+/// PARA written naively from its description (Kim et al.): on every ACT,
+/// with probability p, refresh one neighbour, the upper or the lower one
+/// at random, and the only one at an array edge. PARA keeps no table,
+/// so the reference's only state is its own util::Rng twin. Returns the
+/// refreshed row, if any.
+class ParaReference {
+ public:
+  ParaReference(ParaConfig cfg, util::Rng rng) : cfg_(cfg), rng_(rng) {}
+
+  std::optional<dram::RowId> activate(dram::RowId row) {
+    if (!rng_.bernoulli_q32(cfg_.p.raw())) return std::nullopt;
+    const bool up = (rng_.next() & 1) != 0;
+    const bool has_upper = row + 1 < cfg_.rows_per_bank;
+    const bool has_lower = row > 0;
+    if (up) return has_upper ? row + 1 : row - 1;
+    return has_lower ? row - 1 : row + 1;
+  }
+
+ private:
+  ParaConfig cfg_;
+  util::Rng rng_;
+};
+
+/// MRLoc written naively from its description (You & Yang): a recency
+/// queue of victim rows, kept as a map from row to the stamp of its last
+/// insertion, one ACT at a time, with its own util::Rng twin. A victim
+/// found queued is refreshed with the probability its recency rank
+/// earns on a linear ramp from p_min (oldest) to p_max (newest; a lone
+/// entry earns the midpoint) and re-queued as the newest; a missing
+/// victim is queued, evicting the oldest of a full queue. Returns the
+/// refreshed (victim, aggressor) pairs in issue order.
+class MrLocReference {
+ public:
+  MrLocReference(MrLocConfig cfg, util::Rng rng) : cfg_(cfg), rng_(rng) {}
+
+  std::vector<std::pair<dram::RowId, dram::RowId>> activate(dram::RowId row) {
+    std::vector<std::pair<dram::RowId, dram::RowId>> refreshed;
+    if (row > 0) victim(row - 1, row, refreshed);
+    if (row + 1 < cfg_.rows_per_bank) victim(row + 1, row, refreshed);
+    return refreshed;
+  }
+
+  std::size_t queued() const { return stamps_.size(); }
+
+ private:
+  void victim(dram::RowId v, dram::RowId aggressor,
+              std::vector<std::pair<dram::RowId, dram::RowId>>& refreshed) {
+    const auto found = stamps_.find(v);
+    if (found != stamps_.end()) {
+      std::uint64_t rank = 0;  // queued rows inserted before v
+      for (const auto& [row, stamp] : stamps_) rank += stamp < found->second;
+      const std::uint64_t size = stamps_.size();
+      const std::uint64_t span = cfg_.p_max.raw() - cfg_.p_min.raw();
+      const std::uint64_t p =
+          cfg_.p_min.raw() + (size == 1 ? span / 2 : span * rank / (size - 1));
+      if (rng_.bernoulli_q32(p)) refreshed.emplace_back(v, aggressor);
+    } else if (stamps_.size() == cfg_.queue_entries) {
+      auto oldest = stamps_.begin();
+      for (auto it = stamps_.begin(); it != stamps_.end(); ++it)
+        if (it->second < oldest->second) oldest = it;
+      stamps_.erase(oldest);
+    }
+    stamps_[v] = ++clock_;
+  }
+
+  MrLocConfig cfg_;
+  util::Rng rng_;
+  std::map<dram::RowId, std::uint64_t> stamps_;
+  std::uint64_t clock_ = 0;
+};
+
+/// Seeded lanes of 1 to 48 ACTs over @p rows rows: mostly a hot set of
+/// six rows at the bottom edge, the rest one-off rows anywhere,
+/// including the top edge.
+std::vector<dram::RowId> seeded_lane(util::Rng& rng, dram::RowId rows) {
+  std::vector<dram::RowId> lane(1 + rng.below(48));
+  for (auto& row : lane) {
+    const std::uint64_t pick = rng.below(8);
+    row = pick < 5   ? static_cast<dram::RowId>(rng.below(6))
+          : pick < 6 ? rows - 1
+                     : static_cast<dram::RowId>(rng.below(rows));
+  }
+  return lane;
+}
+
+// Para against the reference over seeded lanes, at several
+// probabilities (one so high that most ACTs refresh), including both
+// array edges: every action's row, suspect, kind and origin must match.
+TEST(ParaKernel, MatchesNaiveReferenceOnLanes) {
+  for (const double p : {0.001, 0.25, 0.9}) {
+    SCOPED_TRACE("p " + std::to_string(p));
+    ParaConfig cfg;
+    cfg.p = util::FixedProb::from_double(p);
+    cfg.rows_per_bank = 1024;
+    const auto seed = static_cast<std::uint64_t>(p * 1000) + 7;
+    Para para(cfg, util::Rng(seed));
+    ParaReference reference(cfg, util::Rng(seed));
+    util::Rng lanes(seed ^ 0x5eed);
+    mem::ActionBuffer out;
+    std::size_t actions = 0;
+    for (int round = 0; round < 400; ++round) {
+      const std::vector<dram::RowId> lane = seeded_lane(lanes, cfg.rows_per_bank);
+      out.clear();
+      para.on_activates(lane.data(), lane.size(), ctx_at(0), out);
+      std::size_t at = 0;
+      for (std::size_t k = 0; k < lane.size(); ++k)
+        if (const auto row = reference.activate(lane[k])) {
+          ASSERT_LT(at, out.size()) << "round " << round << " ACT " << k;
+          EXPECT_EQ(out[at].row, *row) << "round " << round << " ACT " << k;
+          EXPECT_EQ(out[at].suspect, lane[k]);
+          EXPECT_EQ(out[at].kind, mem::MitigationAction::Kind::kActRow);
+          EXPECT_EQ(out[at].origin, k);
+          ++at;
+        }
+      ASSERT_EQ(at, out.size()) << "round " << round;
+      actions += at;
+    }
+    EXPECT_GT(actions, 0u);
+  }
+}
+
+// MrLoc against the reference over seeded lanes, for queues of one
+// entry (the midpoint rule), a few entries (constant eviction) and the
+// default 16, from empty through filling to refilling after evictions,
+// at ramps high enough that most queue hits refresh: every action's
+// row, suspect, kind and origin must match, and so must the queue size.
+TEST(MrLocKernel, MatchesNaiveReferenceOnLanes) {
+  for (const std::size_t entries : {std::size_t{1}, std::size_t{3}, std::size_t{16}})
+    for (const double p_max : {0.0012, 0.6}) {
+      SCOPED_TRACE("entries " + std::to_string(entries) + " p_max " +
+                   std::to_string(p_max));
+      MrLocConfig cfg;
+      cfg.queue_entries = entries;
+      cfg.p_min = util::FixedProb::from_double(p_max / 6);
+      cfg.p_max = util::FixedProb::from_double(p_max);
+      cfg.rows_per_bank = 1024;
+      const std::uint64_t seed = 300 + entries + static_cast<std::uint64_t>(p_max * 10);
+      MrLoc mrloc(cfg, util::Rng(seed));
+      MrLocReference reference(cfg, util::Rng(seed));
+      util::Rng lanes(seed ^ 0x5eed);
+      mem::ActionBuffer out;
+      std::size_t actions = 0;
+      bool filled = false;
+      for (int round = 0; round < 400; ++round) {
+        const std::vector<dram::RowId> lane = seeded_lane(lanes, cfg.rows_per_bank);
+        out.clear();
+        mrloc.on_activates(lane.data(), lane.size(), ctx_at(0), out);
+        std::size_t at = 0;
+        for (std::size_t k = 0; k < lane.size(); ++k)
+          for (const auto& [victim, aggressor] : reference.activate(lane[k])) {
+            ASSERT_LT(at, out.size()) << "round " << round << " ACT " << k;
+            EXPECT_EQ(out[at].row, victim) << "round " << round << " ACT " << k;
+            EXPECT_EQ(out[at].suspect, aggressor);
+            EXPECT_EQ(out[at].kind, mem::MitigationAction::Kind::kActRow);
+            EXPECT_EQ(out[at].origin, k);
+            ++at;
+          }
+        ASSERT_EQ(at, out.size()) << "round " << round;
+        ASSERT_EQ(mrloc.queue_size(), reference.queued()) << "round " << round;
+        filled = filled || mrloc.queue_size() == entries;
+        actions += at;
+      }
+      EXPECT_TRUE(filled);
+      if (p_max > 0.5) {
+        EXPECT_GT(actions, 0u);
+      }
+    }
 }
 
 }  // namespace

@@ -510,7 +510,16 @@ TEST(Batched, GeneratedMixMergeEqualsOfflineSortUpToHorizon) {
 
 // --------------------------------------------------------------- next_span
 
-// Drains @p a via next() and @p b via next_span() and requires the two
+// span_lanes() for a source that lends record spans (no lanes).
+std::size_t next_span(TraceSource& source, const AccessRecord** data) {
+  const BankLaneView* lanes = nullptr;
+  std::size_t lane_banks = 0;
+  const std::size_t n = source.span_lanes(data, &lanes, &lane_banks);
+  EXPECT_EQ(lanes, nullptr);
+  return n;
+}
+
+// Drains @p a via next() and @p b via span_lanes() and requires the two
 // record sequences to be identical.
 void expect_span_equals_next(TraceSource& a, TraceSource& b) {
   std::vector<AccessRecord> via_next;
@@ -518,7 +527,7 @@ void expect_span_equals_next(TraceSource& a, TraceSource& b) {
 
   std::vector<AccessRecord> via_span;
   const AccessRecord* span = nullptr;
-  while (const std::size_t n = b.next_span(&span))
+  while (const std::size_t n = next_span(b, &span))
     via_span.insert(via_span.end(), span, span + n);
 
   ASSERT_EQ(via_next.size(), via_span.size());
@@ -535,10 +544,10 @@ TEST(NextSpan, VectorSourceHandsOutItsUnconsumedTail) {
   VectorSource mixed(data);
   EXPECT_EQ(mixed.next()->time_ps, 1u);  // consume one via next()...
   const AccessRecord* span = nullptr;
-  ASSERT_EQ(mixed.next_span(&span), 2u);  // ...the span is the tail
+  ASSERT_EQ(next_span(mixed, &span), 2u);  // ...the span is the tail
   EXPECT_EQ(span[0].time_ps, 2u);
   EXPECT_EQ(span[1].time_ps, 5u);
-  EXPECT_EQ(mixed.next_span(&span), 0u);
+  EXPECT_EQ(next_span(mixed, &span), 0u);
   EXPECT_EQ(span, nullptr);
 }
 
@@ -567,12 +576,12 @@ TEST(NextSpan, LimitSourceTrimsSpansByCountAndTime) {
 
 TEST(NextSpan, MergedSourceDeclinesSpansButStreamsNormally) {
   // A k-way merge interleaves records and cannot hand out borrowed
-  // contiguous spans; the base contract is "unsupported": next_span
+  // contiguous spans; the base contract is "unsupported": span_lanes
   // returns 0 without consuming anything.
   auto merged = make_merged();
   EXPECT_FALSE(merged->supports_spans());
   const AccessRecord* span = nullptr;
-  EXPECT_EQ(merged->next_span(&span), 0u);
+  EXPECT_EQ(next_span(*merged, &span), 0u);
   EXPECT_EQ(span, nullptr);
   EXPECT_EQ(merged->next()->time_ps, 1u);  // the stream itself is intact
 }

@@ -31,7 +31,7 @@ int usage(bool ok) {
       "           map an address trace (\"ADDR R|W [cycle]\") onto the config's\n"
       "           geometry and clock (default: DDR4, 4 banks); no oracle\n"
       "  inspect  --in=F.tvpc   print the identity, banks, oracle and block index\n"
-      "  verify   --in=F.tvpc   CRC-check and replay every block\n"
+      "  verify   --in=F.tvpc   CRC-check and prove every block\n"
       "  stats    --in=F.tvpc [--config=F]   Table I statistics, histogram\n");
   return ok ? 0 : 2;
 }
@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
       if (!flags.has("in")) return usage(false);
       trace::TraceStats stats(system.timing.t_refi_ps(),
                               system.geometry.total_banks());
-      // next_batch checks the records and never reads the lanes.
+      // next_batch rebuilds the records from the lanes, 4,096 at a time.
       trace::MmapSource source(flags.get("in", ""));
       std::vector<trace::AccessRecord> batch(exp::Simulation::kBatchRecords);
       while (const std::size_t n = source.next_batch(batch.data(), batch.size()))
