@@ -7,11 +7,15 @@
 //       [--trace-dir=dir]
 //
 // The config must set workload.model = fuzz (fuzz.* keys: see
-// configs/README.md). With --trace-dir the campaign records one .tvpc
-// corpus per seed and replays it for every defence — the report is
-// byte-identical to the generated run.
+// configs/README.md). A seed's defences run as one cohort over its
+// stream. With --trace-dir the campaign records one .tvpc corpus per
+// seed and replays it for the cohort — the report is byte-identical to
+// the generated run. --seeds takes a count in [1, 2^32 - 1] and --pbase
+// exponents in [1, 32]; any other value exits 2.
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,18 +25,37 @@
 
 namespace {
 
-std::vector<unsigned> split_unsigned(const std::string& text) {
+/// @p text as a decimal number in [lo, hi]; nothing when it is empty,
+/// holds anything but digits or lies outside the range.
+std::optional<std::uint32_t> parse_in_range(const std::string& text,
+                                            std::uint32_t lo, std::uint32_t hi) {
+  if (text.empty()) return std::nullopt;
+  std::uint64_t value = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return std::nullopt;
+    value = value * 10 + static_cast<std::uint64_t>(c - '0');
+    if (value > hi) return std::nullopt;
+  }
+  if (value < lo) return std::nullopt;
+  return static_cast<std::uint32_t>(value);
+}
+
+/// The --pbase list: comma-separated exponents in [1, 32]; nothing when
+/// an entry is not one.
+std::optional<std::vector<unsigned>> parse_pbase(const std::string& text) {
   std::vector<unsigned> out;
   std::size_t pos = 0;
-  while (pos < text.size()) {
+  for (;;) {
     const auto comma = text.find(',', pos);
-    const std::string token = text.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    out.push_back(static_cast<unsigned>(std::stoul(token)));
-    if (comma == std::string::npos) break;
+    const auto exp = parse_in_range(
+        text.substr(pos, comma == std::string::npos ? std::string::npos
+                                                    : comma - pos),
+        1, 32);
+    if (!exp) return std::nullopt;
+    out.push_back(*exp);
+    if (comma == std::string::npos) return out;
     pos = comma + 1;
   }
-  return out;
 }
 
 }  // namespace
@@ -49,7 +72,30 @@ int main(int argc, char** argv) {
       return 0;
     }
 
+    // Usage errors exit 2 and name the flag and its value.
     exp::FuzzCampaignOptions options;
+    if (flags.has("seeds")) {
+      const auto seeds = parse_in_range(flags.get("seeds", ""), 1, UINT32_MAX);
+      if (!seeds) {
+        std::fprintf(stderr,
+                     "fuzz_campaign: --seeds must be a count in [1, %u], got "
+                     "'%s'\n",
+                     UINT32_MAX, flags.get("seeds", "").c_str());
+        return 2;
+      }
+      options.fuzz_seeds = *seeds;
+    }
+    if (flags.has("pbase")) {
+      const auto pbase = parse_pbase(flags.get("pbase", ""));
+      if (!pbase) {
+        std::fprintf(stderr,
+                     "fuzz_campaign: --pbase must list exponents in [1, 32], "
+                     "got '%s'\n",
+                     flags.get("pbase", "").c_str());
+        return 2;
+      }
+      options.pbase_exps = *pbase;
+    }
     if (flags.has("config")) {
       options.base = exp::load_sim_config(flags.get("config", ""));
     } else {
@@ -57,10 +103,6 @@ int main(int argc, char** argv) {
       options.base.workload.fuzz.patterns = 2;
       options.base.finalize();
     }
-    options.fuzz_seeds =
-        static_cast<std::uint32_t>(flags.get_int("seeds", 8));
-    if (flags.has("pbase"))
-      options.pbase_exps = split_unsigned(flags.get("pbase", ""));
     options.trace_dir = flags.get("trace-dir", "");
 
     const auto result = exp::run_fuzz_campaign(options);

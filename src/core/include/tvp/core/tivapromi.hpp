@@ -89,17 +89,6 @@ class TiVaPRoMiBase : public mem::IBankMitigation {
   /// Triggers the extra activation: emits act_n and updates the table.
   void trigger(dram::RowId row, std::uint32_t interval,
                mem::ActionBuffer& out);
-  /// Precomputes the Q0.32 Bernoulli thresholds for every linear weight
-  /// w in [0, RefInt): lut[w] = (Pbase * weight_fn(w)).raw(). The ACT
-  /// kernels replace the per-ACT weight-shaping + scaled-multiply with
-  /// one table load; bit-identical to weight_for by construction.
-  template <typename WeightFn>
-  std::vector<std::uint64_t> make_threshold_lut(WeightFn&& weight_fn) const {
-    std::vector<std::uint64_t> lut(cfg_.refresh_intervals);
-    for (std::uint32_t w = 0; w < cfg_.refresh_intervals; ++w)
-      lut[w] = pbase_.scaled(weight_fn(w)).raw();
-    return lut;
-  }
 
   TiVaPRoMiConfig cfg_;
   util::Rng rng_;
@@ -132,27 +121,28 @@ class ProbabilisticTiVaPRoMi final : public TiVaPRoMiBase {
   std::uint64_t state_bits() const noexcept override;
 
   /// The weight this technique would use right now: Eq. 1 / Eq. 2 (or
-  /// the exploration shape) computed directly, the reference the
-  /// threshold LUTs are tested against (also used by the flood-analysis
-  /// bench).
+  /// the exploration shape) computed directly, the reference the ACT
+  /// kernel is tested against (also used by the flood-analysis bench).
   std::uint32_t weight_for(dram::RowId row, std::uint32_t interval) const noexcept;
 
  private:
   ProbabilisticTiVaPRoMi(WeightShape hit, WeightShape miss, const char* name,
                          TiVaPRoMiConfig config, util::Rng rng);
 
+  /// The Q0.32 Bernoulli threshold Pbase * shape(w) of a decision at
+  /// linear weight @p w: weight_for's formula.
+  std::uint64_t threshold(WeightShape shape, std::uint32_t w) const noexcept {
+    return pbase_.scaled(shaped_weight(shape, w, cfg_.refresh_intervals)).raw();
+  }
+
   WeightShape hit_;
   WeightShape miss_;
   const char* name_;
-  // Per-linear-weight Bernoulli thresholds, split by history-table
-  // outcome (the two tables coincide when hit_ == miss_).
-  std::vector<std::uint64_t> lut_hit_;
-  std::vector<std::uint64_t> lut_miss_;
-  // The draw-first screen, read off the LUTs by the constructor: no
-  // threshold in either LUT reaches draw_ceiling_, so a draw at or above
-  // it cannot trigger. screen_ is false when a LUT reaches 2^32 (an
-  // auto-trigger, which draws nothing); zero_hit_ / zero_miss_ mark a
-  // LUT whose w = 0 threshold is 0 (a decision that draws nothing).
+  // The draw-first screen, read off every threshold by the constructor:
+  // none reaches draw_ceiling_, so a draw at or above it cannot trigger.
+  // screen_ is false when a threshold reaches 2^32 (an auto-trigger,
+  // which draws nothing); zero_hit_ / zero_miss_ mark a shape whose w = 0
+  // threshold is 0 (a decision that draws nothing).
   std::uint64_t draw_ceiling_ = 0;
   bool screen_ = false;
   bool zero_hit_ = false;

@@ -107,22 +107,14 @@ ProbabilisticTiVaPRoMi::ProbabilisticTiVaPRoMi(WeightShape hit,
                                                TiVaPRoMiConfig config,
                                                util::Rng rng)
     : TiVaPRoMiBase(config, rng), hit_(hit), miss_(miss), name_(name) {
-  const auto lut = [this](WeightShape shape) {
-    return make_threshold_lut([this, shape](std::uint32_t w) {
-      return shaped_weight(shape, w, cfg_.refresh_intervals);
-    });
-  };
-  lut_hit_ = lut(hit_);
-  lut_miss_ = miss_ == hit_ ? lut_hit_ : lut(miss_);
+  for (std::uint32_t w = 0; w < cfg_.refresh_intervals; ++w)
+    draw_ceiling_ =
+        std::max({draw_ceiling_, threshold(hit_, w), threshold(miss_, w)});
+  screen_ = draw_ceiling_ < util::FixedProb::kOne;
   // A threshold is 0 only at w = 0: Pbase is at least 2^-32 and every
   // shape maps w >= 1 to at least 1.
-  std::uint64_t top = 0;
-  for (std::uint32_t w = 0; w < cfg_.refresh_intervals; ++w)
-    top = std::max({top, lut_hit_[w], lut_miss_[w]});
-  draw_ceiling_ = top;
-  screen_ = top < util::FixedProb::kOne;
-  zero_hit_ = lut_hit_[0] == 0;
-  zero_miss_ = lut_miss_[0] == 0;
+  zero_hit_ = threshold(hit_, 0) == 0;
+  zero_miss_ = threshold(miss_, 0) == 0;
 }
 
 std::uint32_t ProbabilisticTiVaPRoMi::weight_for(dram::RowId row,
@@ -138,24 +130,20 @@ void ProbabilisticTiVaPRoMi::on_activates(const dram::RowId* rows,
                                           std::size_t n,
                                           const mem::MitigationContext& ctx,
                                           mem::ActionBuffer& out) {
-  // The decision kernel: weight shaping and the Pbase multiply folded
-  // into the threshold LUTs, so each decision is
-  // bernoulli(Pbase * weight_for(row, i)) — one table load instead of
-  // the Eq. 1 / Eq. 2 arithmetic (bernoulli_q32 draws nothing at
+  // The decision kernel: each decision is
+  // bernoulli(Pbase * weight_for(row, i)) (bernoulli_q32 draws nothing at
   // threshold 0 or 2^32).
   //
   // Draw first: a decision whose threshold lies in (0, 2^32) draws one
   // number whatever the threshold, so drawing it before the history
   // search changes no draw, and a draw at or above every threshold (all
   // but a share of about RefInt * Pbase) needs no search, no Eq. 1 and
-  // no LUT load. A decision that may draw nothing takes the exact branch:
-  // every ACT when a LUT reaches 2^32; a row in its own refresh slot
-  // (a miss at w = 0) when the miss LUT is 0 there; and a row the history
-  // table may hold with this interval (a hit at w = 0) when the hit LUT
-  // is 0 there.
+  // no threshold. A decision that may draw nothing takes the exact
+  // branch: every ACT when a threshold reaches 2^32; a row in its own
+  // refresh slot (a miss at w = 0) when the miss threshold is 0 there;
+  // and a row the history table may hold with this interval (a hit at
+  // w = 0) when the hit threshold is 0 there.
   const std::uint32_t ref_int = cfg_.refresh_intervals;
-  const std::uint64_t* const hit_lut = lut_hit_.data();
-  const std::uint64_t* const miss_lut = lut_miss_.data();
   const std::uint64_t ceiling = draw_ceiling_;
   const std::uint32_t interval = ctx.interval_in_window;
   // Bit (row % 64) set: the row takes the exact branch.
@@ -176,8 +164,8 @@ void ProbabilisticTiVaPRoMi::on_activates(const dram::RowId* rows,
     const auto stored = history_.lookup(row);
     const std::uint32_t reference = stored ? *stored : assumed_slot(row);
     const std::uint32_t w = linear_weight(interval, reference, ref_int);
-    const std::uint64_t threshold = stored ? hit_lut[w] : miss_lut[w];
-    if (screened ? draw < threshold : rng.bernoulli_q32(threshold)) {
+    const std::uint64_t p = threshold(stored ? hit_ : miss_, w);
+    if (screened ? draw < p : rng.bernoulli_q32(p)) {
       const std::size_t before = out.size();
       trigger(row, interval, out);
       out.stamp_origin(before, static_cast<std::uint32_t>(i));

@@ -37,36 +37,45 @@ std::vector<Defence> defence_panel(const FuzzCampaignOptions& options) {
   return panel;
 }
 
-RunResult run_cell(const FuzzCampaignOptions& options, const Defence& defence,
-                   std::uint64_t fuzz_seed, const std::string& replay_path) {
+/// The config of seed @p fuzz_seed's cohort: generated, or replayed from
+/// @p replay_path when it is set.
+SimConfig seed_config(const FuzzCampaignOptions& options, std::uint64_t fuzz_seed,
+                      const std::string& replay_path) {
   SimConfig cfg = options.base;
   cfg.workload.fuzz.seed = fuzz_seed;
   if (!replay_path.empty()) {
     // The corpus carries the whole recorded stream plus the oracles;
-    // replaying it reproduces the generated cell bit-identically
+    // replaying it reproduces the generated cohort bit-identically
     // (same cfg.seed, so the engine/controller forks are unchanged).
     cfg.workload.model = BenignModel::kReplay;
     cfg.workload.trace_path = replay_path;
     cfg.workload.attacks.clear();
   }
+  cfg.finalize();
+  return cfg;
+}
+
+/// @p defence as a member of a cohort over @p cfg: the factory its solo
+/// run (run_custom_simulation, or run_simulation at its P_base) wires.
+CohortMember member_of(const Defence& defence, const SimConfig& cfg) {
   switch (defence.kind) {
     case DefenceKind::kNone:
-      return run_custom_simulation(
-          [](dram::BankId, util::Rng) {
-            return std::make_unique<mem::NoMitigation>();
-          },
-          defence.name, cfg);
+      return {defence.name, [](dram::BankId, util::Rng) {
+                return std::make_unique<mem::NoMitigation>();
+              }};
     case DefenceKind::kTrr: {
       mitigation::TrrConfig trr;
       trr.rows_per_bank = cfg.geometry.rows_per_bank;
-      return run_custom_simulation(mitigation::make_trr_factory(trr),
-                                   defence.name, cfg);
+      return {defence.name, mitigation::make_trr_factory(trr)};
     }
-    case DefenceKind::kTechnique:
-      cfg.technique.pbase_exp = defence.pbase_exp;
-      return run_simulation(defence.technique, cfg);
+    case DefenceKind::kTechnique: {
+      SimConfig at_pbase = cfg;
+      at_pbase.technique.pbase_exp = defence.pbase_exp;
+      at_pbase.finalize();
+      return {defence.name, make_factory(defence.technique, at_pbase.technique)};
+    }
   }
-  throw std::logic_error("run_cell: unreachable");
+  throw std::logic_error("member_of: unreachable");
 }
 
 }  // namespace
@@ -97,16 +106,42 @@ FuzzCampaignResult run_fuzz_campaign(const FuzzCampaignOptions& options) {
     }
   }
 
-  // The grid runs into pre-sized slots and is reduced in cell order, so
-  // the result is bit-identical for every TVP_JOBS value.
+  // Each seed's panel runs as one cohort: its defences share the seed's
+  // stream, its partition pass and its demand walk. A panel splits into
+  // contiguous sub-cohorts only when there are more jobs than seeds, so
+  // that the extra workers have work. Either way every cell equals its
+  // solo run, lands in its pre-sized slot and is reduced in cell order,
+  // so the result is bit-identical for every TVP_JOBS value.
   FuzzCampaignResult result;
   const std::size_t cells = options.fuzz_seeds * panel.size();
+  const std::size_t jobs = util::job_count();
+  const std::size_t parts =
+      jobs > options.fuzz_seeds
+          ? std::min(panel.size(),
+                     (jobs + options.fuzz_seeds - 1) / options.fuzz_seeds)
+          : 1;
   std::vector<RunResult> runs(cells);
-  util::parallel_for_indexed(cells, util::job_count(), [&](std::size_t i) {
-    const std::uint32_t s = static_cast<std::uint32_t>(i / panel.size());
-    const auto& defence = panel[i % panel.size()];
-    runs[i] = run_cell(options, defence, base_seed + s, replay_paths[s]);
+  std::vector<mem::StageProfile> stages(options.fuzz_seeds * parts);
+  util::parallel_for_indexed(stages.size(), jobs, [&](std::size_t unit) {
+    const std::size_t s = unit / parts;
+    const std::size_t first = unit % parts * panel.size() / parts;
+    const std::size_t last = (unit % parts + 1) * panel.size() / parts;
+    const SimConfig cfg = seed_config(options, base_seed + s, replay_paths[s]);
+    std::vector<CohortMember> members;
+    for (std::size_t d = first; d < last; ++d)
+      members.push_back(member_of(panel[d], cfg));
+    Simulation sim(std::move(members), cfg);
+    while (sim.step() != 0) {
+    }
+    sim.advance();
+    for (std::size_t d = first; d < last; ++d)
+      runs[s * panel.size() + d] = sim.result(d - first);
+    stages[unit] = sim.controller().stage_profile();
   });
+  for (const mem::StageProfile& p : stages) {
+    result.stages.scattered_acts += p.scattered_acts;
+    result.stages.partitioned_acts += p.partitioned_acts;
+  }
 
   result.cells.resize(cells);
   std::unordered_map<std::uint64_t, bool> potent;  // seed -> baseline flipped

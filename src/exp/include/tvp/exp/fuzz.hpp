@@ -3,8 +3,9 @@
 // and every TiVaPRoMi variant at several P_base points — and report the
 // evasion rate of the fuzzed pattern space per defence.
 //
-// Everything here is deterministic in (options, base.seed): the cell
-// grid runs into pre-sized slots (bit-identical for every TVP_JOBS
+// Everything here is deterministic in (options, base.seed): a seed's
+// defences run as one cohort over its stream (exp::Simulation), the cell
+// grid lands in pre-sized slots (bit-identical for every TVP_JOBS
 // value), the report carries no wall-clock fields, and recording the
 // per-seed corpora and replaying them yields byte-identical verdicts
 // and reports (the fuzz corpus round-trip test holds this).
@@ -31,9 +32,9 @@ struct FuzzCampaignOptions {
   bool include_none = true;  ///< unprotected potency baseline
   bool include_trr = true;   ///< in-DRAM sampler baseline
   /// When non-empty: record each seed's workload to
-  /// `<trace_dir>/fuzz_<seed>.tvpc` (with its lanes) and run
-  /// every defence cell as a replay of that corpus instead of
-  /// regenerating — verdicts are bit-identical either way.
+  /// `<trace_dir>/fuzz_<seed>.tvpc` (with its lanes) and run the
+  /// seed's cohort as a replay of that corpus instead of regenerating —
+  /// verdicts are bit-identical either way.
   std::string trace_dir;
 };
 
@@ -75,6 +76,10 @@ struct FuzzCampaignResult {
   /// Seeds whose pattern flips a victim with no defence installed
   /// (0 when include_none is false — evasion rates then cover all seeds).
   std::uint32_t potent_seeds = 0;
+  /// The act counters of the campaign's controllers, summed (no timers):
+  /// a seed's cohort partitions each of its records once, into
+  /// scattered_acts when generated and partitioned_acts when replayed.
+  mem::StageProfile stages;
 };
 
 /// Runs the full grid (TVP_JOBS-parallel, bit-identical for any job

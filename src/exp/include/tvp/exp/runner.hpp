@@ -132,33 +132,54 @@ struct Streams {
   util::Rng controller;  ///< refresh order and row remapping
 };
 
+/// One member of a cohort: the defence its memory system runs, and the
+/// name its RunResult carries.
+struct CohortMember {
+  std::string name;
+  mem::BankMitigationFactory factory;
+};
+
 /// The rig of one run, and the one place a run is wired: it owns the
-/// run's Streams, engine, disturbance model, controller, workload and
-/// the workload's aggressor and victim oracles. A run is construct,
-/// workload(), step() until it feeds nothing, advance(), result();
-/// each is its own call so that a caller can time it, or feed() records
-/// of its own instead of the workload.
+/// run's Streams, the engines, disturbance model, controller, workload
+/// and the workload's aggressor and victim oracles. A run is construct,
+/// workload(), step() until it feeds nothing, advance(), result(); each
+/// is its own call so that a caller can time it, or feed() records of
+/// its own instead of the workload.
+///
+/// A Simulation is a *cohort*: its members (defences) run over one
+/// SimConfig and share the workload, the oracles, the partition pass,
+/// the refresh schedule and the demand walk over one disturbance model,
+/// while each has its own mitigation engine, bank timing and extra
+/// ACTs. Every member's result equals its solo run's. A one-factory
+/// Simulation is the cohort of one.
 class Simulation {
  public:
   /// Records per batch when the workload lends no spans: enough to keep
   /// refresh segments long for the per-bank kernels.
   static constexpr std::size_t kBatchRecords = 4096;
 
-  /// Wires @p factory into the system @p config describes (finalized
-  /// here), under controller_config(config) or @p controller_cfg.
+  /// Wires @p members (at least one) into the system @p config
+  /// describes (finalized here), under controller_config(config) or
+  /// @p controller_cfg.
+  Simulation(std::vector<CohortMember> members, const SimConfig& config);
+  Simulation(std::vector<CohortMember> members, const SimConfig& config,
+             const mem::ControllerConfig& controller_cfg);
+  /// The cohort of one, whose member is named "".
   Simulation(const mem::BankMitigationFactory& factory, const SimConfig& config);
   Simulation(const mem::BankMitigationFactory& factory, const SimConfig& config,
              const mem::ControllerConfig& controller_cfg);
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
+  std::size_t members() const noexcept { return names_.size(); }
+
   /// The config's workload, built on the workload stream at the first
   /// call, which also installs its aggressor oracle.
   trace::TraceSource& workload();
 
   /// Feeds the workload's next batch (a borrowed span, a corpus block's
-  /// bank lanes, or up to kBatchRecords copied records) and returns its
-  /// record count; 0 once the workload is exhausted.
+  /// bank lanes, or up to kBatchRecords copied records) to every member
+  /// and returns its record count; 0 once the workload is exhausted.
   std::size_t step();
 
   /// Feeds @p count records of the caller's.
@@ -167,9 +188,12 @@ class Simulation {
   /// Completes refresh processing to the end of the configured run.
   void advance();
 
-  RunResult result(const std::string& technique) const;
+  /// Member @p member's result, under the member's name.
+  RunResult result(std::size_t member = 0) const;
 
-  const mem::MitigationEngine& engine() const noexcept { return engine_; }
+  const mem::MitigationEngine& engine(std::size_t member = 0) const {
+    return *engines_.at(member);
+  }
   const dram::DisturbanceModel& disturbance() const noexcept { return disturbance_; }
   const mem::MemoryController& controller() const noexcept { return controller_; }
 
@@ -177,7 +201,8 @@ class Simulation {
   std::chrono::steady_clock::time_point start_;
   SimConfig config_;
   Streams streams_;
-  mem::MitigationEngine engine_;
+  std::vector<std::string> names_;
+  std::vector<std::unique_ptr<mem::MitigationEngine>> engines_;
   dram::DisturbanceModel disturbance_;
   mem::MemoryController controller_;
   std::unique_ptr<trace::TraceSource> workload_;

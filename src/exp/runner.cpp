@@ -196,20 +196,67 @@ Streams::Streams(std::uint64_t seed) {
   controller = root.fork();
 }
 
+namespace {
+SimConfig finalized(const SimConfig& config) {
+  SimConfig c = config;
+  c.finalize();
+  return c;
+}
+
+std::vector<std::string> member_names(const std::vector<CohortMember>& members) {
+  if (members.empty())
+    throw std::invalid_argument("Simulation: a cohort needs a member");
+  std::vector<std::string> names;
+  for (const CohortMember& m : members) names.push_back(m.name);
+  return names;
+}
+
+/// Each member's engine draws on its own copy of the engine stream, as
+/// the member's solo run would.
+std::vector<std::unique_ptr<mem::MitigationEngine>> member_engines(
+    const std::vector<CohortMember>& members, const SimConfig& config,
+    const util::Rng& engine_stream) {
+  std::vector<std::unique_ptr<mem::MitigationEngine>> engines;
+  for (const CohortMember& m : members) {
+    util::Rng rng = engine_stream;
+    engines.push_back(std::make_unique<mem::MitigationEngine>(
+        config.geometry.total_banks(), m.factory, rng));
+  }
+  return engines;
+}
+
+std::vector<mem::MitigationEngine*> engine_ptrs(
+    const std::vector<std::unique_ptr<mem::MitigationEngine>>& engines) {
+  std::vector<mem::MitigationEngine*> ptrs;
+  for (const auto& e : engines) ptrs.push_back(e.get());
+  return ptrs;
+}
+}  // namespace
+
+Simulation::Simulation(std::vector<CohortMember> members, const SimConfig& config)
+    : Simulation(std::move(members), config, controller_config(config)) {}
+
+Simulation::Simulation(std::vector<CohortMember> members, const SimConfig& config,
+                       const mem::ControllerConfig& controller_cfg)
+    : start_(std::chrono::steady_clock::now()),
+      config_(finalized(config)),
+      streams_(config_.seed),
+      names_(member_names(members)),
+      engines_(member_engines(members, config_, streams_.engine)),
+      disturbance_(config_.geometry.total_banks(),
+                   config_.geometry.rows_per_bank, config_.disturbance,
+                   static_cast<std::uint32_t>(engines_.size())),
+      controller_(controller_cfg, engine_ptrs(engines_), disturbance_,
+                  streams_.controller) {}
+
 Simulation::Simulation(const mem::BankMitigationFactory& factory,
                        const SimConfig& config)
-    : Simulation(factory, config, controller_config(config)) {}
+    : Simulation({CohortMember{"", factory}}, config) {}
 
 Simulation::Simulation(const mem::BankMitigationFactory& factory,
                        const SimConfig& config,
                        const mem::ControllerConfig& controller_cfg)
-    : start_(std::chrono::steady_clock::now()),
-      config_([&] { SimConfig c = config; c.finalize(); return c; }()),
-      streams_(config_.seed),
-      engine_(config_.geometry.total_banks(), factory, streams_.engine),
-      disturbance_(config_.geometry.total_banks(),
-                   config_.geometry.rows_per_bank, config_.disturbance),
-      controller_(controller_cfg, engine_, disturbance_, streams_.controller) {}
+    : Simulation({CohortMember{"", factory}}, config, controller_cfg) {}
 
 trace::TraceSource& Simulation::workload() {
   if (!workload_) {
@@ -248,14 +295,15 @@ void Simulation::feed(const trace::AccessRecord* records, std::size_t count) {
 
 void Simulation::advance() { controller_.advance_to(config_.duration_ps()); }
 
-RunResult Simulation::result(const std::string& technique) const {
+RunResult Simulation::result(std::size_t member) const {
+  const auto m = static_cast<std::uint32_t>(member);
   RunResult result;
-  result.technique = technique;
-  result.stats = controller_.stats();
-  result.flips = disturbance_.flips().size();
-  result.flip_events = disturbance_.flips();
-  result.peak_disturbance = disturbance_.peak_disturbance_q8() >> 8;
-  result.state_bytes_per_bank = engine_.state_bytes_per_bank();
+  result.technique = names_.at(member);
+  result.stats = controller_.stats(member);
+  result.flip_events = disturbance_.flips(m);
+  result.flips = result.flip_events.size();
+  result.peak_disturbance = disturbance_.peak_disturbance_q8(m) >> 8;
+  result.state_bytes_per_bank = engines_[member]->state_bytes_per_bank();
   result.records = records_;
   result.oracle = oracle_;
 
@@ -267,7 +315,7 @@ RunResult Simulation::result(const std::string& technique) const {
     victim_keys.insert(
         key_of(static_cast<dram::BankId>(key >> 32),
                controller_.remapper().to_physical(static_cast<dram::RowId>(key))));
-  for (const auto& flip : disturbance_.flips())
+  for (const auto& flip : result.flip_events)
     if (victim_keys.count(key_of(flip.bank, flip.row))) ++result.victim_flips;
 
   result.wall_seconds = std::chrono::duration<double>(
@@ -279,11 +327,11 @@ RunResult Simulation::result(const std::string& technique) const {
 RunResult run_custom_simulation(const mem::BankMitigationFactory& factory,
                                 const std::string& display_name,
                                 const SimConfig& config) {
-  Simulation sim(factory, config);
+  Simulation sim({CohortMember{display_name, factory}}, config);
   while (sim.step() != 0) {
   }
   sim.advance();
-  return sim.result(display_name);
+  return sim.result();
 }
 
 SeedSweepResult run_seed_sweep(hw::Technique technique, SimConfig config,

@@ -54,9 +54,17 @@ inline std::uint32_t for_each_activation(MitigationAction::Kind kind,
 MemoryController::MemoryController(ControllerConfig config, MitigationEngine& engine,
                                    dram::DisturbanceModel& disturbance,
                                    util::Rng& rng)
+    : MemoryController(config, std::vector<MitigationEngine*>{&engine},
+                       disturbance, rng) {}
+
+MemoryController::MemoryController(ControllerConfig config,
+                                   std::vector<MitigationEngine*> engines,
+                                   dram::DisturbanceModel& disturbance,
+                                   util::Rng& rng)
     : cfg_(config),
       timing_(config.timing),
-      engine_(engine),
+      banks_(config.geometry.total_banks()),
+      engines_(std::move(engines)),
       disturbance_(disturbance),
       remapper_(config.remap_rows
                     ? dram::RowRemapper(config.geometry.rows_per_bank,
@@ -66,28 +74,50 @@ MemoryController::MemoryController(ControllerConfig config, MitigationEngine& en
                  config.refresh_policy, rng, config.remap_swaps) {
   cfg_.geometry.validate();
   timing_.validate();
-  if (engine_.banks() != cfg_.geometry.total_banks())
-    throw std::invalid_argument(
-        "MemoryController: engine bank count does not match geometry");
-  if (disturbance_.banks() != cfg_.geometry.total_banks() ||
+  if (engines_.empty())
+    throw std::invalid_argument("MemoryController: no mitigation engine");
+  for (const MitigationEngine* engine : engines_)
+    if (engine->banks() != banks_)
+      throw std::invalid_argument(
+          "MemoryController: engine bank count does not match geometry");
+  if (disturbance_.banks() != banks_ ||
       disturbance_.rows_per_bank() != cfg_.geometry.rows_per_bank)
     throw std::invalid_argument(
         "MemoryController: disturbance model shape mismatch");
-  bank_ready_ps_.assign(cfg_.geometry.total_banks(), 0);
-  interval_acts_.assign(cfg_.geometry.total_banks(), 0);
+  if (disturbance_.members() != engines_.size())
+    throw std::invalid_argument(
+        "MemoryController: disturbance model member count does not match "
+        "the engines");
+  bank_ready_ps_.assign(banks_, 0);
+  interval_acts_.assign(banks_, 0);
   next_refresh_ps_ = timing_.t_refi_ps();
 
-  const std::uint32_t banks = cfg_.geometry.total_banks();
-  shards_ = std::vector<BankShard>(banks);
-  lane_ptrs_.reserve(banks);
-  for (std::uint32_t b = 0; b < banks; ++b) {
+  const std::size_t members = engines_.size();
+  member_stats_.resize(members);
+  shards_ = std::vector<BankShard>(banks_);
+  lane_ptrs_.reserve(banks_);
+  for (std::uint32_t b = 0; b < banks_; ++b) {
     shards_[b].lane = disturbance_.lane(b);
+    shards_[b].members.resize(members);
+    shards_[b].lag.assign(members, 0);
     lane_ptrs_.push_back(&shards_[b].lane);
   }
-  lane_cursor_.assign(banks, 0);
+  lane_cursor_.assign(banks_, 0);
   std::size_t jobs = cfg_.bank_jobs == 0 ? util::job_count() : cfg_.bank_jobs;
-  jobs = std::min<std::size_t>(jobs, banks);
+  jobs = std::min<std::size_t>(jobs, banks_);
   if (jobs > 1) pool_ = std::make_unique<util::WorkerPool>(jobs);
+}
+
+ControllerStats MemoryController::stats(std::size_t member) const {
+  ControllerStats s = stats_;
+  const ControllerStats& own = member_stats_.at(member);
+  s.extra_acts = own.extra_acts;
+  s.fp_extra_acts = own.fp_extra_acts;
+  s.triggers = own.triggers;
+  s.delayed_acts += own.delayed_acts;
+  s.first_extra_act_at = own.first_extra_act_at;
+  s.extra_acts_by_phase = own.extra_acts_by_phase;
+  return s;
 }
 
 void MemoryController::process_refresh_boundaries(std::uint64_t up_to_ps) {
@@ -111,40 +141,48 @@ void MemoryController::refresh_interval_tick() {
   // All banks refresh the same row slot in lockstep (all-bank REF).
   scheduler_.rows_in_interval(interval, refresh_rows_);
 
-  const std::uint32_t banks = engine_.banks();
-  for (dram::BankId b = 0; b < banks; ++b) {
+  const std::uint64_t floor_ps = boundary_ps + timing_.t_rfc_ps;
+  for (dram::BankId b = 0; b < banks_; ++b) {
     stats_.acts_per_interval.add(static_cast<double>(interval_acts_[b]));
     interval_acts_[b] = 0;
 
-    bank_ready_ps_[b] =
-        std::max(bank_ready_ps_[b], boundary_ps + timing_.t_rfc_ps);
+    if (floor_ps > bank_ready_ps_[b]) {
+      shards_[b].catch_up(bank_ready_ps_[b], floor_ps, false);
+      bank_ready_ps_[b] = floor_ps;
+    }
 
-    for (const auto row : refresh_rows_) disturbance_.on_refresh_row(b, row);
+    disturbance_.on_refresh_rows(b, refresh_rows_.data(), refresh_rows_.size());
     stats_.rows_refreshed += refresh_rows_.size();
 
-    issue_actions(b, engine_.on_refresh(b, ctx), interval);
+    for (std::uint32_t m = 0; m < engines_.size(); ++m)
+      issue_actions(m, b, engines_[m]->on_refresh(b, ctx), interval);
   }
 }
 
-void MemoryController::issue_actions(dram::BankId bank,
+void MemoryController::issue_actions(std::uint32_t member, dram::BankId bank,
                                      const ActionBuffer& actions,
                                      std::uint32_t interval) {
   const auto radius = static_cast<std::int64_t>(cfg_.act_n_radius);
+  const bool solo = engines_.size() == 1;
+  ControllerStats& own = member_stats_[member];
   for (const auto& action : actions) {
-    ++stats_.triggers;
-    if (stats_.first_extra_act_at == 0)
-      stats_.first_extra_act_at = std::max<std::uint64_t>(stats_.demand_acts, 1);
+    ++own.triggers;
+    if (own.first_extra_act_at == 0)
+      own.first_extra_act_at = std::max<std::uint64_t>(stats_.demand_acts, 1);
 
     const std::uint32_t cost = for_each_activation(
         action.kind, remapper_.to_physical(action.row),
         cfg_.geometry.rows_per_bank, radius, [&](dram::RowId row) {
-          bank_ready_ps_[bank] += timing_.t_rc_ps;
-          disturbance_.on_activate(bank, row, interval);
+          if (solo)
+            bank_ready_ps_[bank] += timing_.t_rc_ps;
+          else
+            shards_[bank].delay(member, timing_.t_rc_ps);
+          disturbance_.on_activate(bank, row, interval, member);
         });
-    stats_.extra_acts += cost;
-    if (oracle_ && !oracle_(bank, action.suspect)) stats_.fp_extra_acts += cost;
-    stats_.extra_acts_by_phase[interval * ControllerStats::kPhaseBins /
-                               timing_.refresh_intervals] += cost;
+    own.extra_acts += cost;
+    if (oracle_ && !oracle_(bank, action.suspect)) own.fp_extra_acts += cost;
+    own.extra_acts_by_phase[interval * ControllerStats::kPhaseBins /
+                            timing_.refresh_intervals] += cost;
   }
 }
 
@@ -162,7 +200,7 @@ void MemoryController::on_records_partitioned(
   }
   // A whole-span check per lane (O(banks), not O(records)).
   std::size_t held = 0;
-  bool usable = lane_banks == engine_.banks();
+  bool usable = lane_banks == banks_;
   for (std::size_t b = 0; b < lane_banks; ++b) {
     held += lanes[b].count;
     usable = usable && (lanes[b].count == 0 ||
@@ -231,9 +269,9 @@ void MemoryController::feed(const trace::AccessRecord* records,
       const trace::AccessRecord& bad = records[i + valid];
       now_ps_ = bad.time_ps;
       throw std::out_of_range(
-          bad.bank >= engine_.banks()
+          bad.bank >= banks_
               ? "MemoryController: bank " + std::to_string(bad.bank) +
-                    " out of range (" + std::to_string(engine_.banks()) +
+                    " out of range (" + std::to_string(banks_) +
                     " banks)"
               : "MemoryController: row " + std::to_string(bad.row) +
                     " out of range (" +
@@ -249,7 +287,7 @@ std::uint64_t MemoryController::lane_head(
   // on_records_partitioned checked that the lanes hold the span, so
   // while records remain some lane has an element left.
   std::uint64_t head = std::numeric_limits<std::uint64_t>::max();
-  for (std::uint32_t b = 0; b < engine_.banks(); ++b)
+  for (std::uint32_t b = 0; b < banks_; ++b)
     if (lane_cursor_[b] < lanes[b].count)
       head = std::min(head, lanes[b].times[lane_cursor_[b]]);
   return head;
@@ -263,7 +301,7 @@ std::size_t MemoryController::slice_lanes(const trace::BankLaneView* lanes,
   // search from the lane's cursor finds it): the per-bank stops are the
   // segment, zero-copy, with no per-record scan or scatter. The latest
   // time before a stop is the segment's last.
-  const std::uint32_t banks = engine_.banks();
+  const std::uint32_t banks = banks_;
   const std::uint64_t boundary = next_refresh_ps_;
   std::size_t taken = 0;
   last = 0;
@@ -298,7 +336,7 @@ void MemoryController::BankShard::grow_columns() {
 
 std::size_t MemoryController::scatter(const trace::AccessRecord* records,
                                      std::size_t count) {
-  const std::uint32_t banks = engine_.banks();
+  const std::uint32_t banks = banks_;
   const dram::RowId rows_per_bank = cfg_.geometry.rows_per_bank;
   const bool timed = cfg_.profile;
   const std::uint64_t t0 = timed ? monotonic_ns() : 0;
@@ -338,7 +376,7 @@ void MemoryController::run_segment(std::size_t valid) {
   ctx.interval_in_window = interval_in_window();
   ctx.global_interval = global_interval_;
   ctx.window_start = false;
-  const std::uint32_t banks = engine_.banks();
+  const std::uint32_t banks = banks_;
   const bool timed = cfg_.profile;
   const std::uint64_t t0 = timed ? monotonic_ns() : 0;
 
@@ -352,55 +390,59 @@ void MemoryController::run_segment(std::size_t valid) {
   const std::uint64_t t1 = timed ? monotonic_ns() : 0;
   if (timed) profile_.mitigation_ns += t1 - t0;
 
-  // Serial reduce: fold shard outputs into the shared counters in bank
-  // order. Every sum is independent of which thread produced it, and
-  // the order-dependent aggregates (first_extra_act_at, flip events)
-  // are reconstructed from the segment-serial tags, so the result is
-  // bit-identical to serial execution for any bank_jobs.
+  // Serial reduce: fold shard outputs into the shared and per-member
+  // counters in bank order. Every sum is independent of which thread
+  // produced it, and the order-dependent aggregates (first_extra_act_at,
+  // flip events) are reconstructed from the segment-serial tags, so the
+  // result is bit-identical to serial execution for any bank_jobs.
   const std::uint64_t demand_before = stats_.demand_acts;
   const std::size_t phase_bin = ctx.interval_in_window *
                                 ControllerStats::kPhaseBins /
                                 timing_.refresh_intervals;
-  std::uint64_t first_serial = kNoTrigger;
-  bool any_flips = false;
   for (std::uint32_t b = 0; b < banks; ++b) {
     const BankShard& s = shards_[b];
     stats_.demand_acts += s.lane_count;
     stats_.reads += s.reads;
     stats_.writes += s.writes;
     stats_.delayed_acts += s.delayed;
-    stats_.triggers += s.triggers;
-    stats_.extra_acts += s.extra;
-    stats_.fp_extra_acts += s.fp_extra;
-    stats_.extra_acts_by_phase[phase_bin] += s.extra;
     profile_.kernel_ns += s.kernel_ns;
     interval_acts_[b] += static_cast<std::uint32_t>(s.lane_count);
-    if (!s.triggered.empty())
-      first_serial = std::min<std::uint64_t>(first_serial,
-                                             s.triggered.front().serial);
-    any_flips = any_flips || s.lane.has_pending_flips();
   }
-  if (stats_.first_extra_act_at == 0 && first_serial != kNoTrigger)
-    stats_.first_extra_act_at = demand_before + first_serial + 1;
-
-  const std::uint64_t* prefix = nullptr;
-  if (any_flips) {
-    // Every record performs its demand ACT plus its extras, so
-    // prefix[j] = j + the extras of records < j. Only records that
-    // triggered have extras; scatter those, then prefix-sum.
-    act_prefix_.assign(valid, 0);
-    for (std::uint32_t b = 0; b < banks; ++b)
-      for (const BankShard::Trigger& t : shards_[b].triggered)
-        act_prefix_[t.serial] = t.extra;
-    std::uint64_t extras = 0;
-    for (std::size_t j = 0; j < valid; ++j) {
-      const std::uint64_t e = act_prefix_[j];
-      act_prefix_[j] = j + extras;
-      extras += e;
+  for (std::uint32_t m = 0; m < engines_.size(); ++m) {
+    ControllerStats& own = member_stats_[m];
+    std::uint64_t first_serial = kNoTrigger;
+    for (std::uint32_t b = 0; b < banks; ++b) {
+      const BankShard::Member& o = shards_[b].members[m];
+      own.delayed_acts += o.delayed;
+      own.triggers += o.triggers;
+      own.extra_acts += o.extra;
+      own.fp_extra_acts += o.fp_extra;
+      own.extra_acts_by_phase[phase_bin] += o.extra;
+      if (!o.triggered.empty())
+        first_serial = std::min<std::uint64_t>(first_serial,
+                                               o.triggered.front().serial);
     }
-    prefix = act_prefix_.data();
+    if (own.first_extra_act_at == 0 && first_serial != kNoTrigger)
+      own.first_extra_act_at = demand_before + first_serial + 1;
   }
-  disturbance_.commit_lanes(lane_ptrs_.data(), lane_ptrs_.size(), prefix);
+  // Built only for a member with a pending flip: every record performs
+  // its demand ACT plus the member's extras, so prefix[j] = j + the
+  // extras of records < j. Only records that triggered have extras;
+  // scatter those, then prefix-sum.
+  disturbance_.commit_lanes(
+      lane_ptrs_.data(), lane_ptrs_.size(), [this, valid](std::uint32_t m) {
+        act_prefix_.assign(valid, 0);
+        for (const BankShard& s : shards_)
+          for (const BankShard::Trigger& t : s.members[m].triggered)
+            act_prefix_[t.serial] = t.extra;
+        std::uint64_t extras = 0;
+        for (std::size_t j = 0; j < valid; ++j) {
+          const std::uint64_t e = act_prefix_[j];
+          act_prefix_[j] = j + extras;
+          extras += e;
+        }
+        return act_prefix_.data();
+      });
   if (timed) profile_.disturbance_ns += monotonic_ns() - t1;
 }
 
@@ -408,19 +450,29 @@ void MemoryController::run_bank_shard(dram::BankId bank,
                                       const MitigationContext& ctx) {
   BankShard& s = shards_[bank];
   const std::size_t n = s.lane_count;
-  s.triggered.clear();
-  if (n == 0) {
-    s.reads = s.writes = s.delayed = s.triggers = s.extra = s.fp_extra = 0;
-    s.kernel_ns = 0;
-    return;
+  const auto members = static_cast<std::uint32_t>(engines_.size());
+  s.reads = s.writes = s.delayed = s.kernel_ns = 0;
+  for (BankShard::Member& o : s.members) {
+    o.triggers = o.extra = o.fp_extra = o.delayed = 0;
+    o.triggered.clear();
   }
+  if (n == 0) return;
 
+  // Every member's technique sees the bank's lane; the walk then issues
+  // the demand ACTs once and each member's actions in record order.
   const bool timed = cfg_.profile;
-  const std::uint64_t t0 = timed ? monotonic_ns() : 0;
-  const ActionBuffer& actions = engine_.on_activates(bank, s.lane_rows, n, ctx);
-  s.kernel_ns = timed ? monotonic_ns() - t0 : 0;
-  const MitigationAction* act = actions.begin();
-  const MitigationAction* const act_end = actions.end();
+  std::size_t next = n;  // the next lane index at which some member acts
+  for (std::uint32_t m = 0; m < members; ++m) {
+    const std::uint64_t t0 = timed ? monotonic_ns() : 0;
+    const ActionBuffer& actions =
+        engines_[m]->on_activates(bank, s.lane_rows, n, ctx);
+    if (timed) s.kernel_ns += monotonic_ns() - t0;
+    BankShard::Member& o = s.members[m];
+    o.act = actions.begin();
+    o.act_end = actions.end();
+    o.next = o.act != o.act_end ? o.act->origin : n;
+    next = std::min(next, o.next);
+  }
 
   const dram::RowId* const lane_rows = s.lane_rows;
   const std::uint64_t* const lane_times = s.lane_times;
@@ -429,22 +481,32 @@ void MemoryController::run_bank_shard(dram::BankId bank,
   const std::uint32_t serial_base = s.serial_base;
   const std::uint32_t interval = ctx.interval_in_window;
   const bool remapped = !remapper_.is_identity();
+  const bool solo = members == 1;
   const std::uint64_t t_rc = timing_.t_rc_ps;
   const auto rows = cfg_.geometry.rows_per_bank;
   const auto radius = static_cast<std::int64_t>(cfg_.act_n_radius);
 
   // The walk keeps its per-ACT state in locals whose address never
   // escapes (the lane is a copy, stored back once), so the stores into
-  // the disturbance cells cannot force them through memory.
+  // the disturbance cells cannot force them through memory. The demand
+  // path does no per-member work while no member lags the shared
+  // timeline.
   dram::DisturbanceModel::Lane lane = s.lane;
   std::uint64_t ready = bank_ready_ps_[bank];
+  std::size_t lagging = s.lagging.size();
   std::uint64_t delayed = 0;
   std::uint64_t writes = 0;
-  std::uint64_t triggers = 0;
-  std::uint64_t extra = 0;
-  std::uint64_t fp_extra = 0;
   const auto physical = [&](dram::RowId row) {
     return remapped ? remapper_.to_physical(row) : row;
+  };
+  // A demand ACT while some member lags: the lags catch up first. It
+  // runs in a loop of its own; a lag test inside the plain demand loop
+  // cost that loop about 3 ns/ACT.
+  const auto settle = [&](std::size_t k) {
+    if (lane_times[k] >= ready) {
+      s.catch_up(ready, lane_times[k], true);
+      lagging = s.lagging.size();
+    }
   };
   const auto demand = [&](std::size_t k) {
     const std::uint64_t t = lane_times[k];
@@ -456,29 +518,48 @@ void MemoryController::run_bank_shard(dram::BankId bank,
   };
 
   for (std::size_t k = 0;; ++k) {
-    // The demand-only run up to the next action's origin, then that
-    // record's demand ACT and its actions in issue order. If a
-    // technique breaks the non-decreasing origin contract, nothing from
-    // its first out-of-order action on is issued.
-    const std::size_t next = act != act_end ? act->origin : n;
-    for (const std::size_t stop = std::min(next, n); k < stop; ++k) demand(k);
+    // The demand-only run up to the next record some member acts on,
+    // then that record's demand ACT and each member's actions in issue
+    // order. If a technique breaks the non-decreasing origin contract,
+    // nothing of its member from its first out-of-order action on is
+    // issued.
+    const std::size_t stop = std::min(next, n);
+    for (; lagging != 0 && k < stop; ++k) {
+      settle(k);
+      demand(k);
+    }
+    for (; k < stop; ++k) demand(k);
     if (k >= n) break;
+    if (lagging != 0) settle(k);
     demand(k);
-    if (act == act_end || act->origin != k) continue;
+    if (next != k) continue;
 
     const std::uint32_t serial = lane_serials[k] - serial_base;
-    std::uint32_t offset = 0;  // activations this record has performed - 1
-    for (; act != act_end && act->origin == k; ++act) {
-      ++triggers;
-      const std::uint32_t cost = for_each_activation(
-          act->kind, physical(act->row), rows, radius, [&](dram::RowId row) {
-            ready += t_rc;
-            lane.on_activate(row, interval, serial, ++offset);
-          });
-      extra += cost;
-      if (oracle_ && !oracle_(bank, act->suspect)) fp_extra += cost;
+    next = n;
+    for (std::uint32_t m = 0; m < members; ++m) {
+      BankShard::Member& o = s.members[m];
+      if (o.next == k) {
+        std::uint32_t offset = 0;  // activations this record has performed - 1
+        for (; o.act != o.act_end && o.act->origin == k; ++o.act) {
+          ++o.triggers;
+          const std::uint32_t cost = for_each_activation(
+              o.act->kind, physical(o.act->row), rows, radius,
+              [&](dram::RowId row) {
+                if (solo)
+                  ready += t_rc;
+                else
+                  s.delay(m, t_rc);
+                lane.on_extra(m, row, interval, serial, ++offset);
+              });
+          o.extra += cost;
+          if (oracle_ && !oracle_(bank, o.act->suspect)) o.fp_extra += cost;
+        }
+        o.triggered.push_back(BankShard::Trigger{serial, offset});
+        o.next = o.act != o.act_end && o.act->origin > k ? o.act->origin : n;
+      }
+      next = std::min(next, o.next);
     }
-    s.triggered.push_back(BankShard::Trigger{serial, offset});
+    lagging = s.lagging.size();
   }
 
   s.lane = lane;
@@ -486,9 +567,6 @@ void MemoryController::run_bank_shard(dram::BankId bank,
   s.reads = n - writes;
   s.writes = writes;
   s.delayed = delayed;
-  s.triggers = triggers;
-  s.extra = extra;
-  s.fp_extra = fp_extra;
 }
 
 void MemoryController::advance_to(std::uint64_t time_ps) {

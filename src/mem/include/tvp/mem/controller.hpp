@@ -92,8 +92,9 @@ struct StageProfile {
   std::uint64_t partition_ns = 0;    ///< per-bank lane scatter (+ validation)
   std::uint64_t mitigation_ns = 0;   ///< bank-shard dispatch (techniques + lane bookkeeping)
   /// Time inside MitigationEngine::on_activates, summed over the bank
-  /// shards: the technique-kernel part of mitigation_ns when serial
-  /// (with bank_jobs > 1 it adds up the workers and can exceed it).
+  /// shards and a cohort's members: the technique-kernel part of
+  /// mitigation_ns when serial (with bank_jobs > 1 it adds up the workers
+  /// and can exceed it).
   std::uint64_t kernel_ns = 0;
   std::uint64_t disturbance_ns = 0;  ///< serial reduce + flip re-sequencing/commit
   std::uint64_t scattered_acts = 0;    ///< ACTs partitioned by the controller
@@ -109,6 +110,16 @@ class MemoryController {
  public:
   /// @p engine and @p disturbance must outlive the controller.
   MemoryController(ControllerConfig config, MitigationEngine& engine,
+                   dram::DisturbanceModel& disturbance, util::Rng& rng);
+  /// A cohort: one memory system per engine (its *member*), all fed the
+  /// same requests. They share the partition pass, the refresh schedule
+  /// and the demand walk over @p disturbance (a model of
+  /// engines.size() members); each member has its own engine, bank
+  /// timing and extra activations. Member m's results equal a
+  /// one-engine controller's over the same requests. @p engines and
+  /// @p disturbance must outlive the controller.
+  MemoryController(ControllerConfig config,
+                   std::vector<MitigationEngine*> engines,
                    dram::DisturbanceModel& disturbance, util::Rng& rng);
 
   /// Feeds a batch of requests — the only way a record reaches the
@@ -162,7 +173,10 @@ class MemoryController {
   /// activations count as potential false positives = 0 known aggressors).
   void set_aggressor_oracle(AggressorOracle oracle) { oracle_ = std::move(oracle); }
 
-  const ControllerStats& stats() const noexcept { return stats_; }
+  /// Member @p member's counters: the shared demand, read/write, refresh
+  /// and acts-per-interval counts with the member's own triggers, extra
+  /// ACTs and stalls.
+  ControllerStats stats(std::size_t member = 0) const;
   const StageProfile& stage_profile() const noexcept { return profile_; }
   const dram::RefreshScheduler& refresh_scheduler() const noexcept { return scheduler_; }
   const dram::RowRemapper& remapper() const noexcept { return remapper_; }
@@ -190,9 +204,45 @@ class MemoryController {
       std::uint32_t serial = 0;
       std::uint32_t extra = 0;
     };
+    /// One member's side of the bank: its action cursor during the walk
+    /// and its per-segment outputs.
+    struct Member {
+      const MitigationAction* act = nullptr;
+      const MitigationAction* act_end = nullptr;
+      std::size_t next = 0;  ///< lane index of its next action's origin
+      std::uint64_t triggers = 0;
+      std::uint64_t extra = 0;
+      std::uint64_t fp_extra = 0;
+      std::uint64_t delayed = 0;  ///< stalls beyond the shared timeline's
+      std::vector<Trigger> triggered;  ///< in serial order
+    };
     /// Grows the scatter columns (at least doubling) once a segment
     /// fills them; sized by this bank's own lanes, never by the segment.
     void grow_columns();
+    /// Charges @p member's extra ACT of @p t_rc to its lag.
+    void delay(std::uint32_t member, std::uint64_t t_rc) {
+      if (lag[member] == 0) lagging.push_back(member);
+      lag[member] += t_rc;
+    }
+    /// Moves the lagging members' timelines to time @p t, at or past the
+    /// shared @p ready (a demand ACT, or a REF's tRFC floor): a lag
+    /// shrinks by the shared idle gap, and a demand ACT that the member
+    /// still stalls counts as its own delayed ACT when @p demand.
+    void catch_up(std::uint64_t ready, std::uint64_t t, bool demand) {
+      const std::uint64_t gap = t - ready;
+      for (std::size_t i = 0; i < lagging.size();) {
+        const std::uint32_t m = lagging[i];
+        if (lag[m] > gap) {
+          lag[m] -= gap;
+          members[m].delayed += demand;
+          ++i;
+        } else {
+          lag[m] = 0;
+          lagging[i] = lagging.back();
+          lagging.pop_back();
+        }
+      }
+    }
 
     // Scatter-built columns (SoA; filled by the partition pass through
     // lane_count; their size is the capacity).
@@ -210,22 +260,26 @@ class MemoryController {
     std::uint32_t serial_base = 0;
     dram::DisturbanceModel::Lane lane;
     // Per-segment outputs, written by run_bank_shard and folded into
-    // stats_ by the serial reduce.
+    // the stats by the serial reduce.
     std::uint64_t reads = 0;
     std::uint64_t writes = 0;
     std::uint64_t delayed = 0;
-    std::uint64_t triggers = 0;
-    std::uint64_t extra = 0;
-    std::uint64_t fp_extra = 0;
     std::uint64_t kernel_ns = 0;  ///< on_activates time (profile only)
-    std::vector<Trigger> triggered;  ///< in serial order
+    std::vector<Member> members;
+    // The bank's timing: bank_ready_ps_ is the shared timeline, that of
+    // the demand ACTs alone (of the one member, in a cohort of one); a
+    // member of a larger cohort is lag[m] behind it, which only its own
+    // extra ACTs grow.
+    std::vector<std::uint64_t> lag;
+    std::vector<std::uint32_t> lagging;  ///< members with a lag
   };
 
   void process_refresh_boundaries(std::uint64_t up_to_ps);
   void refresh_interval_tick();
-  /// Issues REF-time actions, committing each activation at once.
-  void issue_actions(dram::BankId bank, const ActionBuffer& actions,
-                     std::uint32_t interval);
+  /// Issues @p member's REF-time actions, committing each activation at
+  /// once.
+  void issue_actions(std::uint32_t member, dram::BankId bank,
+                     const ActionBuffer& actions, std::uint32_t interval);
   /// The feed loop behind on_records and on_records_partitioned: cuts
   /// the batch into refresh segments and, per segment, slices @p lanes
   /// by time (when non-null, and then @p records is not read; see
@@ -257,17 +311,21 @@ class MemoryController {
 
   ControllerConfig cfg_;
   dram::Timing timing_;
-  MitigationEngine& engine_;
+  std::uint32_t banks_;
+  std::vector<MitigationEngine*> engines_;
   dram::DisturbanceModel& disturbance_;
   dram::RowRemapper remapper_;
   dram::RefreshScheduler scheduler_;
   AggressorOracle oracle_;
-  ControllerStats stats_;
+  ControllerStats stats_;  ///< the shared counters
+  /// Per member: triggers, extra and false-positive ACTs, their phase
+  /// bins, first_extra_act_at and the stalls beyond the shared ones.
+  std::vector<ControllerStats> member_stats_;
 
   std::uint64_t now_ps_ = 0;
   std::uint64_t global_interval_ = 0;      // intervals completed so far
   std::uint64_t next_refresh_ps_;          // time of the next REF command
-  std::vector<std::uint64_t> bank_ready_ps_;
+  std::vector<std::uint64_t> bank_ready_ps_;  // the shared timelines
   std::vector<std::uint32_t> interval_acts_;  // per-bank ACTs this interval
   std::vector<dram::RowId> refresh_rows_;     // rows of the current REF
 
@@ -275,8 +333,9 @@ class MemoryController {
   // allocation-free once capacities stabilize).
   std::vector<BankShard> shards_;
   std::vector<dram::DisturbanceModel::Lane*> lane_ptrs_;
-  std::vector<std::uint64_t> act_prefix_;  // per-serial activation prefix sums
-                                           // (built only when a flip is pending)
+  std::vector<std::uint64_t> act_prefix_;  // a member's per-serial activation
+                                           // prefix sums (built only when
+                                           // one of its flips is pending)
   std::vector<std::size_t> lane_cursor_;   // per-bank position in corpus lanes
   std::vector<trace::AccessRecord> rebuilt_;  // unusable lanes' records
   std::unique_ptr<util::WorkerPool> pool_;  // only when bank_jobs > 1

@@ -571,8 +571,8 @@ void expect_kernel_matches_formula(ProbabilisticTiVaPRoMi& technique,
 }
 
 TEST(TiVaPRoMiKernel, MatchesEq1Eq2FormulaForEveryVariantAndShape) {
-  // The ACT kernels fold the weight shaping and the Pbase multiply into
-  // threshold LUTs; weight_for is the formula they must agree with.
+  // The ACT kernels screen draws against a precomputed ceiling before
+  // they shape a weight; weight_for is the formula they must agree with.
   const auto cfg = small_config();
   std::uint64_t seed = 300;
   for (const auto variant : {Variant::kLinear, Variant::kLogarithmic,

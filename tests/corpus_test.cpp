@@ -1240,7 +1240,7 @@ TEST(CorpusReplay, ReplayOverFewerWindowsKeepsItsLanesThroughTheCut) {
     }
     sim.advance();
     if (profile != nullptr) *profile = sim.controller().stage_profile();
-    return sim.result("");
+    return sim.result();
   };
   for (const auto technique : {hw::Technique::kPara, hw::Technique::kTwice,
                                hw::Technique::kLoLiPRoMi}) {

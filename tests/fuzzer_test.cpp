@@ -548,14 +548,20 @@ exp::FuzzCampaignOptions tiny_campaign() {
 TEST(FuzzCampaign, ReportIsBitIdenticalAcrossJobsAndReplay) {
   const exp::FuzzCampaignOptions options = tiny_campaign();
 
+  // One cohort per seed; with 3 jobs for the 2 seeds each seed's panel
+  // splits into two sub-cohorts, and with 8 into four.
   ASSERT_EQ(setenv("TVP_JOBS", "1", 1), 0);
   const auto serial = exp::run_fuzz_campaign(options);
   const std::string serial_report = exp::fuzz_report_json(options, serial);
+  ASSERT_EQ(setenv("TVP_JOBS", "3", 1), 0);
+  const auto split = exp::run_fuzz_campaign(options);
+  EXPECT_EQ(serial_report, exp::fuzz_report_json(options, split));
   ASSERT_EQ(setenv("TVP_JOBS", "8", 1), 0);
   const auto parallel = exp::run_fuzz_campaign(options);
   EXPECT_EQ(serial_report, exp::fuzz_report_json(options, parallel));
 
-  // Record + replay: byte-identical verdicts and report.
+  // Record + replay, at 8 jobs and serially: byte-identical verdicts and
+  // report.
   const std::string dir =
       (fs::temp_directory_path() /
        ("tvp_fuzzer_test_campaign_" + std::to_string(::getpid())))
@@ -565,8 +571,27 @@ TEST(FuzzCampaign, ReportIsBitIdenticalAcrossJobsAndReplay) {
   replayed.trace_dir = dir;
   const auto rep = exp::run_fuzz_campaign(replayed);
   EXPECT_EQ(serial_report, exp::fuzz_report_json(options, rep));
+  ASSERT_EQ(setenv("TVP_JOBS", "1", 1), 0);
+  const auto rep_serial = exp::run_fuzz_campaign(replayed);
+  EXPECT_EQ(serial_report, exp::fuzz_report_json(options, rep_serial));
   unsetenv("TVP_JOBS");
+
+  // A seed's cohort partitions its records once, whatever the size of
+  // its panel: generated, the scatter pass takes each record once;
+  // replayed, the corpus lanes feed each record once.
+  std::uint64_t records = 0;
+  for (std::uint32_t s = 0; s < options.fuzz_seeds; ++s)
+    records += trace::read_corpus_info(
+                   dir + "/fuzz_" +
+                   std::to_string(options.base.workload.fuzz.seed + s) +
+                   ".tvpc")
+                   .total_records;
   fs::remove_all(dir);
+  EXPECT_GT(records, 0u);
+  EXPECT_EQ(serial.stages.scattered_acts, records);
+  EXPECT_EQ(serial.stages.partitioned_acts, 0u);
+  EXPECT_EQ(rep_serial.stages.scattered_acts, 0u);
+  EXPECT_EQ(rep_serial.stages.partitioned_acts, records);
 
   ASSERT_EQ(serial.cells.size(),
             options.fuzz_seeds * serial.defences.size());

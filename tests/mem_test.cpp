@@ -11,6 +11,7 @@
 #include "tvp/mem/controller.hpp"
 #include "tvp/mem/mitigation.hpp"
 #include "lane.hpp"
+#include "naive_system.hpp"
 
 namespace tvp::mem {
 namespace {
@@ -430,204 +431,10 @@ TEST(Controller, RemappedRowsStillProtected) {
 
 // ------------------------------------------------- independent walk oracle
 
-// The actions of the scripted technique below: a fixed function of the
-// row and of how often the bank has seen it (ACT time), or of the bank
-// and the interval (REF time). Both the technique and the naive model
-// evaluate it, so neither reads the other's state.
-template <typename Emit>
-void script_on_act(dram::RowId row, std::uint32_t seen, dram::RowId rows,
-                   Emit&& emit) {
-  if (seen % 7 == 0) emit(MitigationAction::Kind::kActNeighbors, row, row);
-  if (seen % 9 == 0 && row + 2 < rows)
-    emit(MitigationAction::Kind::kActRow, row + 2, row);
-}
-
-template <typename Emit>
-void script_on_ref(dram::BankId bank, std::uint32_t interval,
-                   dram::RowId rows, Emit&& emit) {
-  if ((interval + bank) % 3 == 0) {
-    const dram::RowId row = (interval * 37 + bank * 5) % rows;
-    emit(MitigationAction::Kind::kActNeighbors, row, row);
-  }
-  if (interval % 4 == 1) {
-    const dram::RowId row = (interval * 11 + 1) % rows;
-    emit(MitigationAction::Kind::kActRow, row, row);
-  }
-}
-
-class Scripted final : public IBankMitigation {
- public:
-  Scripted(dram::BankId bank, dram::RowId rows) : bank_(bank), rows_(rows) {}
-  const char* name() const noexcept override { return "scripted"; }
-  void on_activates(const dram::RowId* rows, std::size_t n,
-                    const MitigationContext&, ActionBuffer& out) override {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t before = out.size();
-      script_on_act(rows[i], ++seen_[rows[i]], rows_,
-                    [&](MitigationAction::Kind kind, dram::RowId row,
-                        dram::RowId suspect) {
-                      out.push_back(MitigationAction{kind, row, suspect});
-                    });
-      out.stamp_origin(before, static_cast<std::uint32_t>(i));
-    }
-  }
-  void on_refresh(const MitigationContext& ctx, ActionBuffer& out) override {
-    script_on_ref(bank_, ctx.interval_in_window, rows_,
-                  [&](MitigationAction::Kind kind, dram::RowId row,
-                      dram::RowId suspect) {
-                    out.push_back(MitigationAction{kind, row, suspect});
-                  });
-  }
-  std::uint64_t state_bits() const noexcept override { return 0; }
-
- private:
-  dram::BankId bank_;
-  dram::RowId rows_;
-  std::map<dram::RowId, std::uint32_t> seen_;
-};
-
-// A naive controller + disturbance model: a plain count and a bool
-// latch per row, every activation applied one at a time in arrival
-// order, and each refresh tick applied bank by bank (refresh rows, then
-// that bank's REF-time actions), as MemoryController's tick does. Only
-// the device's per-row threshold draw is taken from the model under
-// test.
-class NaiveSystem {
- public:
-  NaiveSystem(const ControllerConfig& cfg, const dram::DisturbanceModel& device)
-      : cfg_(cfg),
-        banks_(cfg.geometry.total_banks()),
-        rows_(cfg.geometry.rows_per_bank),
-        params_(device.params()),
-        count_(std::size_t{banks_} * rows_, 0),
-        latch_(std::size_t{banks_} * rows_, false),
-        threshold_(std::size_t{banks_} * rows_, 0),
-        seen_(banks_),
-        next_refresh_ps_(cfg.timing.t_refi_ps()) {
-    for (dram::BankId b = 0; b < banks_; ++b)
-      for (dram::RowId r = 0; r < rows_; ++r)
-        threshold_[index(b, r)] = device.threshold_of(b, r);
-  }
-
-  void feed(const trace::AccessRecord& r) {
-    advance_to(r.time_ps);
-    const std::uint32_t interval = interval_in_window();
-    activate(r.bank, r.row, interval);
-    script_on_act(r.row, ++seen_[r.bank][r.row], rows_,
-                  [&](MitigationAction::Kind kind, dram::RowId row,
-                      dram::RowId) { issue(r.bank, kind, row, interval); });
-  }
-
-  void advance_to(std::uint64_t time_ps) {
-    while (next_refresh_ps_ <= time_ps) {
-      ++global_interval_;
-      const std::uint32_t interval = interval_in_window();
-      const dram::RowId per_interval = rows_ / cfg_.timing.refresh_intervals;
-      for (dram::BankId b = 0; b < banks_; ++b) {
-        for (dram::RowId k = 0; k < per_interval; ++k) {
-          const std::size_t i = index(b, interval * per_interval + k);
-          count_[i] = 0;
-          latch_[i] = false;
-        }
-        script_on_ref(b, interval, rows_,
-                      [&](MitigationAction::Kind kind, dram::RowId row,
-                          dram::RowId) { issue(b, kind, row, interval); });
-      }
-      next_refresh_ps_ += cfg_.timing.t_refi_ps();
-    }
-  }
-
-  std::uint64_t activations() const { return activations_; }
-  std::uint64_t peak_q8() const { return peak_q8_; }
-  const std::vector<dram::FlipEvent>& flips() const { return flips_; }
-  std::uint64_t count_q8(dram::BankId bank, dram::RowId row) const {
-    return count_[index(bank, row)];
-  }
-
- private:
-  std::size_t index(dram::BankId bank, dram::RowId row) const {
-    return std::size_t{bank} * rows_ + row;
-  }
-  std::uint32_t interval_in_window() const {
-    return static_cast<std::uint32_t>(global_interval_ %
-                                      cfg_.timing.refresh_intervals);
-  }
-  void disturb(dram::BankId bank, std::int64_t row, std::uint64_t q8,
-               std::uint32_t interval) {
-    if (row < 0 || row >= static_cast<std::int64_t>(rows_)) return;
-    const std::size_t i = index(bank, static_cast<dram::RowId>(row));
-    count_[i] += q8;
-    peak_q8_ = std::max(peak_q8_, count_[i]);
-    if (!latch_[i] && count_[i] >= std::uint64_t{threshold_[i]} * 256) {
-      latch_[i] = true;
-      flips_.push_back(dram::FlipEvent{bank, static_cast<dram::RowId>(row),
-                                       activations_, interval});
-    }
-  }
-  void activate(dram::BankId bank, dram::RowId row, std::uint32_t interval) {
-    ++activations_;
-    count_[index(bank, row)] = 0;
-    latch_[index(bank, row)] = false;
-    const std::int64_t r = row;
-    disturb(bank, r - 1, 256, interval);
-    disturb(bank, r + 1, 256, interval);
-    if (params_.blast_radius >= 2) {
-      disturb(bank, r - 2, params_.distance2_weight_q8, interval);
-      disturb(bank, r + 2, params_.distance2_weight_q8, interval);
-    }
-  }
-  void issue(dram::BankId bank, MitigationAction::Kind kind, dram::RowId row,
-             std::uint32_t interval) {
-    if (kind == MitigationAction::Kind::kActRow) {
-      activate(bank, row, interval);
-      return;
-    }
-    if (row > 0) activate(bank, row - 1, interval);
-    if (row + 1 < rows_) activate(bank, row + 1, interval);
-  }
-
-  ControllerConfig cfg_;
-  std::uint32_t banks_;
-  dram::RowId rows_;
-  dram::DisturbanceParams params_;
-  std::vector<std::uint64_t> count_;
-  std::vector<bool> latch_;
-  std::vector<std::uint32_t> threshold_;
-  std::vector<std::map<dram::RowId, std::uint32_t>> seen_;
-  std::uint64_t activations_ = 0;
-  std::uint64_t peak_q8_ = 0;
-  std::vector<dram::FlipEvent> flips_;
-  std::uint64_t global_interval_ = 0;
-  std::uint64_t next_refresh_ps_;
-};
-
 TEST(Controller, WalkMatchesNaiveOracleAtEveryBatchSize) {
-  ControllerConfig cfg;
-  cfg.geometry.banks_per_rank = 4;
-  cfg.geometry.rows_per_bank = 512;
-  cfg.timing.refresh_intervals = 64;  // RowsPI = 8
-  dram::DisturbanceParams params;
-  params.flip_threshold = 30;
-  params.variation_pct = 30;
-  params.blast_radius = 2;
-  params.distance2_weight_q8 = 64;
-
-  // Three windows of traffic: double-sided hammering of a few rows per
-  // bank mixed with scattered ACTs, so victims flip, stay latched while
-  // the hammering goes on, are restored (by ACT, act_n or refresh) and
-  // flip again.
-  std::vector<trace::AccessRecord> records;
-  util::Rng rng(2024);
-  const std::uint64_t step = cfg.timing.t_refi_ps() / 90;
-  const std::uint64_t end_ps = 3 * cfg.timing.t_refw_ps;
-  for (std::uint64_t t = 1; t < end_ps; t += step) {
-    const auto bank = static_cast<dram::BankId>(rng.below(4));
-    const dram::RowId hot = 40 + 100 * bank + (rng.below(2) == 0 ? 0 : 2);
-    const dram::RowId row = rng.below(4) != 0
-                                ? hot
-                                : static_cast<dram::RowId>(rng.below(512));
-    records.push_back(rec(t, bank, row, rng.below(3) == 0));
-  }
+  const test::HammerScenario scenario;
+  const ControllerConfig& cfg = scenario.cfg;
+  const auto& records = scenario.records;
 
   for (const std::size_t batch : {std::size_t{1}, std::size_t{7},
                                   std::size_t{4096}}) {
@@ -635,22 +442,22 @@ TEST(Controller, WalkMatchesNaiveOracleAtEveryBatchSize) {
     util::Rng engine_rng(5);
     MitigationEngine engine(
         cfg.geometry.total_banks(),
-        [&](dram::BankId bank, util::Rng) {
-          return std::make_unique<Scripted>(bank, cfg.geometry.rows_per_bank);
-        },
-        engine_rng);
+        test::scripted_factory(cfg.geometry.rows_per_bank), engine_rng);
     dram::DisturbanceModel disturbance(cfg.geometry.total_banks(),
-                                       cfg.geometry.rows_per_bank, params);
+                                       cfg.geometry.rows_per_bank,
+                                       scenario.params);
     util::Rng controller_rng(6);
     MemoryController controller(cfg, engine, disturbance, controller_rng);
-    NaiveSystem naive(cfg, disturbance);
+    controller.set_aggressor_oracle(test::HammerScenario::aggressor);
+    test::NaiveSystem naive(cfg, disturbance, {},
+                            test::HammerScenario::aggressor);
 
     for (std::size_t i = 0; i < records.size(); i += batch)
       controller.on_records(records.data() + i,
                             std::min(batch, records.size() - i));
-    controller.advance_to(end_ps);
+    controller.advance_to(scenario.end_ps);
     for (const auto& r : records) naive.feed(r);
-    naive.advance_to(end_ps);
+    naive.advance_to(scenario.end_ps);
 
     ASSERT_GT(naive.flips().size(), 20u);  // the scenario does flip
     ASSERT_EQ(disturbance.flips().size(), naive.flips().size());
@@ -664,8 +471,16 @@ TEST(Controller, WalkMatchesNaiveOracleAtEveryBatchSize) {
     }
     EXPECT_EQ(disturbance.peak_disturbance_q8(), naive.peak_q8());
     EXPECT_EQ(disturbance.activations(), naive.activations());
-    EXPECT_EQ(controller.stats().demand_acts, records.size());
-    EXPECT_GT(controller.stats().extra_acts, 0u);
+    const ControllerStats stats = controller.stats();
+    EXPECT_EQ(stats.demand_acts, records.size());
+    EXPECT_GT(stats.extra_acts, 0u);
+    EXPECT_GT(stats.delayed_acts, 0u);
+    EXPECT_EQ(stats.delayed_acts, naive.delayed_acts());
+    EXPECT_EQ(stats.triggers, naive.triggers());
+    EXPECT_EQ(stats.extra_acts, naive.extra_acts());
+    EXPECT_EQ(stats.fp_extra_acts, naive.fp_extra_acts());
+    EXPECT_EQ(stats.extra_acts_by_phase, naive.extra_acts_by_phase());
+    EXPECT_EQ(stats.first_extra_act_at, naive.first_extra_act_at());
     for (dram::BankId b = 0; b < cfg.geometry.total_banks(); ++b)
       for (dram::RowId r = 0; r < cfg.geometry.rows_per_bank; ++r)
         ASSERT_EQ(disturbance.disturbance_q8(b, r), naive.count_q8(b, r))
