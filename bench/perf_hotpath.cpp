@@ -124,15 +124,14 @@ int main(int argc, char** argv) try {
   }
   const bool smoke = flags.get_bool("smoke");
   const bool profile = flags.get_bool("profile");
-  const std::uint64_t acts = static_cast<std::uint64_t>(
-      flags.get_int("acts", smoke ? 50'000 : 2'000'000));
-  const std::uint64_t seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  const std::uint64_t acts =
+      flags.get_integer<std::uint64_t>("acts", smoke ? 50'000 : 2'000'000, 1);
+  const std::uint64_t seed = flags.get_integer<std::uint64_t>("seed", 1);
   // Default batch matches the production runner's feed loop, so the
   // measured number is the number the experiments actually see.
-  const std::size_t batch =
-      static_cast<std::size_t>(flags.get_int("batch", 4096));
+  const std::size_t batch = flags.get_integer<std::size_t>("batch", 4096, 1);
   const std::size_t bank_jobs_flag =
-      static_cast<std::size_t>(flags.get_int("bank-jobs", 0));
+      flags.get_integer<std::size_t>("bank-jobs", 0);
   const std::string out_path = flags.get("out", "BENCH_hotpath.json");
 
   // Fixed workload: the standard campaign (benign mix + ramped attacks)

@@ -84,12 +84,11 @@ int main(int argc, char** argv) try {
   // Smoke still uses 500k records: the phases run in well under a
   // second, and anything smaller is dominated by page-fault and timer
   // noise rather than the record/replay paths under test.
-  const std::uint64_t acts = static_cast<std::uint64_t>(
-      flags.get_int("acts", smoke ? 500'000 : 2'000'000));
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  const std::uint64_t acts =
+      flags.get_integer<std::uint64_t>("acts", smoke ? 500'000 : 2'000'000, 1);
+  const std::uint64_t seed = flags.get_integer<std::uint64_t>("seed", 1);
   const double min_speedup =
-      static_cast<double>(flags.get_int("min-speedup", 5));
+      static_cast<double>(flags.get_integer<std::uint32_t>("min-speedup", 5));
   const std::string out_path = flags.get("out", "BENCH_replay.json");
   const bool keep_corpus = flags.has("corpus");
   const std::string corpus_path =

@@ -258,16 +258,13 @@ int main(int argc, char** argv) {
     Options opts;
     opts.socket = flags.get("socket", "");
     opts.host = flags.get("host", "127.0.0.1");
-    opts.port = static_cast<int>(flags.get_int("port", -1));
+    opts.port = flags.get_integer<int>("port", -1, -1, 65535);
     if (opts.socket.empty() && opts.port < 0) return usage(false);
-    opts.clients = static_cast<std::size_t>(flags.get_int("clients", 8));
-    opts.jobs_per_client =
-        static_cast<std::size_t>(flags.get_int("jobs-per-client", 2));
-    opts.stream_clients =
-        static_cast<std::size_t>(flags.get_int("stream-clients", 2));
-    opts.idle_conns = static_cast<std::size_t>(flags.get_int("conns", 64));
-    opts.cancel_every =
-        static_cast<std::size_t>(flags.get_int("cancel-every", 0));
+    opts.clients = flags.get_integer<std::size_t>("clients", 8);
+    opts.jobs_per_client = flags.get_integer<std::size_t>("jobs-per-client", 2);
+    opts.stream_clients = flags.get_integer<std::size_t>("stream-clients", 2);
+    opts.idle_conns = flags.get_integer<std::size_t>("conns", 64);
+    opts.cancel_every = flags.get_integer<std::size_t>("cancel-every", 0);
     opts.values = flags.get("values", "1,2");
     opts.prefix = flags.get("prefix", "load");
     opts.no_wait = flags.get_bool("no-wait");
@@ -371,6 +368,9 @@ int main(int argc, char** argv) {
     const std::size_t errors = totals.errors.load(std::memory_order_relaxed);
     if (errors > 0 && !opts.tolerate_errors) return 1;
     return 0;
+  } catch (const util::FlagError& e) {
+    std::fprintf(stderr, "svc_load: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "svc_load: %s\n", e.what());
     return 1;

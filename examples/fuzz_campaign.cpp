@@ -17,6 +17,7 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tvp/exp/config_io.hpp"
@@ -25,21 +26,6 @@
 
 namespace {
 
-/// @p text as a decimal number in [lo, hi]; nothing when it is empty,
-/// holds anything but digits or lies outside the range.
-std::optional<std::uint32_t> parse_in_range(const std::string& text,
-                                            std::uint32_t lo, std::uint32_t hi) {
-  if (text.empty()) return std::nullopt;
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return std::nullopt;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-    if (value > hi) return std::nullopt;
-  }
-  if (value < lo) return std::nullopt;
-  return static_cast<std::uint32_t>(value);
-}
-
 /// The --pbase list: comma-separated exponents in [1, 32]; nothing when
 /// an entry is not one.
 std::optional<std::vector<unsigned>> parse_pbase(const std::string& text) {
@@ -47,9 +33,9 @@ std::optional<std::vector<unsigned>> parse_pbase(const std::string& text) {
   std::size_t pos = 0;
   for (;;) {
     const auto comma = text.find(',', pos);
-    const auto exp = parse_in_range(
-        text.substr(pos, comma == std::string::npos ? std::string::npos
-                                                    : comma - pos),
+    const auto exp = tvp::util::parse_decimal<unsigned>(
+        std::string_view(text).substr(
+            pos, comma == std::string::npos ? std::string::npos : comma - pos),
         1, 32);
     if (!exp) return std::nullopt;
     out.push_back(*exp);
@@ -74,17 +60,8 @@ int main(int argc, char** argv) {
 
     // Usage errors exit 2 and name the flag and its value.
     exp::FuzzCampaignOptions options;
-    if (flags.has("seeds")) {
-      const auto seeds = parse_in_range(flags.get("seeds", ""), 1, UINT32_MAX);
-      if (!seeds) {
-        std::fprintf(stderr,
-                     "fuzz_campaign: --seeds must be a count in [1, %u], got "
-                     "'%s'\n",
-                     UINT32_MAX, flags.get("seeds", "").c_str());
-        return 2;
-      }
-      options.fuzz_seeds = *seeds;
-    }
+    options.fuzz_seeds =
+        flags.get_integer<std::uint32_t>("seeds", options.fuzz_seeds, 1);
     if (flags.has("pbase")) {
       const auto pbase = parse_pbase(flags.get("pbase", ""));
       if (!pbase) {
@@ -133,6 +110,9 @@ int main(int argc, char** argv) {
       return 1;
     }
     return 0;
+  } catch (const util::FlagError& e) {
+    std::fprintf(stderr, "fuzz_campaign: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "fuzz_campaign: %s\n", e.what());
     return 1;

@@ -85,6 +85,9 @@ int main(int argc, char** argv) {
       std::printf("CSV written to %s\n", path.c_str());
     }
     return 0;
+  } catch (const util::FlagError& e) {
+    std::fprintf(stderr, "sweep_tool: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "sweep_tool: %s\n", e.what());
     return 1;

@@ -56,12 +56,10 @@ using namespace tvp;
 exp::SimConfig configure(const util::Flags& flags) {
   exp::SimConfig config;
   if (flags.has("config")) config = exp::load_sim_config(flags.get("config", ""));
-  config.geometry.banks_per_rank = static_cast<std::uint32_t>(
-      flags.get_int("banks", config.geometry.banks_per_rank));
-  config.windows =
-      static_cast<std::uint32_t>(flags.get_int("windows", config.windows));
-  config.seed = static_cast<std::uint64_t>(
-      flags.get_int("seed", static_cast<std::int64_t>(config.seed)));
+  config.geometry.banks_per_rank = flags.get_integer<std::uint32_t>(
+      "banks", config.geometry.banks_per_rank, 1);
+  config.windows = flags.get_integer<std::uint32_t>("windows", config.windows, 1);
+  config.seed = flags.get_integer<std::uint64_t>("seed", config.seed);
   config.workload.benign_acts_per_interval_per_bank = flags.get_double(
       "benign", config.workload.benign_acts_per_interval_per_bank);
 
@@ -82,13 +80,13 @@ exp::SimConfig configure(const util::Flags& flags) {
   // still overlays one on purpose.
   const bool implicit_attack = config.workload.attacks.empty() &&
                                config.workload.model != exp::BenignModel::kReplay;
-  const auto victims = flags.get_int("victims", implicit_attack ? 1 : 0);
+  const auto victims =
+      flags.get_integer<std::size_t>("victims", implicit_attack ? 1 : 0);
   if (victims > 0 && flags.has("victims")) config.workload.attacks.clear();
   if (victims > 0 && config.workload.attacks.empty()) {
     util::Rng rng(config.seed);
     auto attack = trace::make_multi_aggressor_attack(
-        0, config.geometry.rows_per_bank, static_cast<std::size_t>(victims),
-        rng);
+        0, config.geometry.rows_per_bank, victims, rng);
     attack.interarrival_ps = static_cast<std::uint64_t>(
         config.timing.t_refi_ps() / flags.get_double("attack-rate", 24.0));
     config.workload.attacks = {attack};
@@ -111,12 +109,10 @@ int run(const util::Flags& flags) {
   }
 
   exp::SimConfig config;
-  std::int64_t seeds = 0;
+  std::uint32_t seeds = 0;
   try {
     config = configure(flags);
-    seeds = flags.get_int("seeds", 1);
-    if (seeds < 1 || seeds > UINT32_MAX)
-      throw std::invalid_argument("--seeds must be a positive count");
+    seeds = flags.get_integer<std::uint32_t>("seeds", 1, 1);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "tvp_sim: %s\n", e.what());
     return 2;
@@ -150,7 +146,7 @@ int run(const util::Flags& flags) {
         config.windows = static_cast<std::uint32_t>(
             info.blocks.back().max_time_ps / config.timing.t_refw_ps + 1);
     }
-    sweep = exp::run_seed_sweep(*technique, config, static_cast<std::uint32_t>(seeds));
+    sweep = exp::run_seed_sweep(*technique, config, seeds);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "tvp_sim: %s\n", e.what());
     return 1;
@@ -165,7 +161,7 @@ int run(const util::Flags& flags) {
   table.set_title(util::strfmt("tvp_sim: %s, %u banks, %u windows, %u seed(s)",
                                sweep.technique.c_str(),
                                config.geometry.total_banks(), config.windows,
-                               static_cast<std::uint32_t>(seeds)));
+                               seeds));
   table.add_row({"demand activations", std::to_string(sweep.total_demand_acts)});
   table.add_row({"mitigation extra activations",
                  std::to_string(sweep.total_extra_acts)});
@@ -195,7 +191,7 @@ int run(const util::Flags& flags) {
     json.key("technique").value(sweep.technique);
     json.key("banks").value(std::uint64_t{config.geometry.total_banks()});
     json.key("windows").value(std::uint64_t{config.windows});
-    json.key("seeds").value(seeds);
+    json.key("seeds").value(std::uint64_t{seeds});
     json.key("workload").value(exp::to_string(config.workload.model));
     json.key("refresh_policy").value(dram::to_string(config.refresh_policy));
     json.key("overhead_pct_mean").value(sweep.overhead_pct.mean());

@@ -195,22 +195,29 @@ std::uint64_t DisturbanceModel::disturbance_q8(BankId bank, RowId row,
 
 std::uint64_t DisturbanceModel::peak_disturbance_q8(std::uint32_t member) const {
   check_member(member);
-  std::uint64_t peak = std::max(peak_q8_, member_peak_q8_[member]);
+  return peaks_q8()[member];
+}
+
+std::vector<std::uint64_t> DisturbanceModel::peaks_q8() const {
+  std::uint64_t shared = peak_q8_;
+  std::vector<std::uint64_t> peaks = member_peak_q8_;
   const std::size_t mask = params_.variation_pct > 0 ? ~std::size_t{0} : 0;
   for (std::size_t i = 0; i < cells_.size(); ++i) {
     const std::int64_t c = cells_[i];
     const std::int64_t restored = -2 * (std::int64_t{thresholds_[i & mask]} << 8);
     if (c == restored) continue;  // count 0, the common case
     if (c & 1) {
-      peak = std::max(peak, count_of(static_cast<BankId>(i / rows_),
-                                     static_cast<RowId>(i % rows_), member));
+      for (std::uint32_t m = 0; m < members_; ++m)
+        peaks[m] = std::max(peaks[m], count_of(static_cast<BankId>(i / rows_),
+                                               static_cast<RowId>(i % rows_), m));
       continue;
     }
     std::int64_t count = (c - restored) >> 1;
     count += (count >> 63) & kNever;
-    peak = std::max(peak, static_cast<std::uint64_t>(count));
+    shared = std::max(shared, static_cast<std::uint64_t>(count));
   }
-  return peak;
+  for (std::uint64_t& peak : peaks) peak = std::max(peak, shared);
+  return peaks;
 }
 
 void DisturbanceModel::reset() {

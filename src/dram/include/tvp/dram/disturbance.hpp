@@ -108,6 +108,10 @@ class DisturbanceModel {
   /// restores, so the model folds each charge period's count in when
   /// the row is restored and scans the open periods here.
   std::uint64_t peak_disturbance_q8(std::uint32_t member = 0) const;
+  /// peak_disturbance_q8 of every member, from one scan of the cells:
+  /// an unmarked row folds one count shared by every member, a marked
+  /// row each member's own.
+  std::vector<std::uint64_t> peaks_q8() const;
 
   /// This row's flip threshold in activations (varies per row when
   /// variation_pct > 0; the draw is fixed per device/seed).

@@ -134,8 +134,9 @@ FuzzCampaignResult run_fuzz_campaign(const FuzzCampaignOptions& options) {
     while (sim.step() != 0) {
     }
     sim.advance();
+    std::vector<RunResult> results = sim.results();
     for (std::size_t d = first; d < last; ++d)
-      runs[s * panel.size() + d] = sim.result(d - first);
+      runs[s * panel.size() + d] = std::move(results[d - first]);
     stages[unit] = sim.controller().stage_profile();
   });
   for (const mem::StageProfile& p : stages) {

@@ -142,7 +142,7 @@ struct CohortMember {
 /// The rig of one run, and the one place a run is wired: it owns the
 /// run's Streams, the engines, disturbance model, controller, workload
 /// and the workload's aggressor and victim oracles. A run is construct,
-/// workload(), step() until it feeds nothing, advance(), result(); each
+/// workload(), step() until it feeds nothing, advance(), results(); each
 /// is its own call so that a caller can time it, or feed() records of
 /// its own instead of the workload.
 ///
@@ -152,6 +152,12 @@ struct CohortMember {
 /// while each has its own mitigation engine, bank timing and extra
 /// ACTs. Every member's result equals its solo run's. A one-factory
 /// Simulation is the cohort of one.
+///
+/// A run can also be read at *horizons*: set_horizon(T), step() until
+/// it feeds nothing, advance(), read the results, then move the horizon
+/// on and continue. A run read at T equals one that was never stopped,
+/// so every member's result there equals its solo run of T windows.
+/// The solo run is the run with one horizon, config.windows.
 class Simulation {
  public:
   /// Records per batch when the workload lends no spans: enough to keep
@@ -177,19 +183,32 @@ class Simulation {
   /// call, which also installs its aggressor oracle.
   trace::TraceSource& workload();
 
-  /// Feeds the workload's next batch (a borrowed span, a corpus block's
-  /// bank lanes, or up to kBatchRecords copied records) to every member
-  /// and returns its record count; 0 once the workload is exhausted.
-  std::size_t step();
+  /// Feeds the workload's next batch before the horizon (a borrowed span,
+  /// a corpus block's bank lanes, or up to @p max copied records) to
+  /// every member and returns its record count; 0 once the workload is
+  /// exhausted or has reached the horizon. A batch that crosses the
+  /// horizon is cut there, a corpus block lane by lane, and its rest is
+  /// fed once the horizon has moved past it.
+  std::size_t step(std::size_t max = kBatchRecords);
 
-  /// Feeds @p count records of the caller's.
+  /// Feeds @p count records of the caller's (the horizon does not cut
+  /// them).
   void feed(const trace::AccessRecord* records, std::size_t count);
 
-  /// Completes refresh processing to the end of the configured run.
+  /// Completes refresh processing to the horizon.
   void advance();
 
-  /// Member @p member's result, under the member's name.
-  RunResult result(std::size_t member = 0) const;
+  /// Moves the horizon, where step() stops and advance() completes the
+  /// refresh processing, to @p windows refresh windows. The horizon
+  /// starts at config.windows; it may not exceed it, nor lie before the
+  /// last advance() (throws std::invalid_argument).
+  void set_horizon(std::uint32_t windows);
+
+  /// Every member's result, in member order, under the member's name,
+  /// from one scan of the disturbance model.
+  std::vector<RunResult> results() const;
+  /// Member @p member's result.
+  RunResult result(std::size_t member = 0) const { return results().at(member); }
 
   const mem::MitigationEngine& engine(std::size_t member = 0) const {
     return *engines_.at(member);
@@ -198,6 +217,11 @@ class Simulation {
   const mem::MemoryController& controller() const noexcept { return controller_; }
 
  private:
+  /// Pulls the workload's next batch into the pending records.
+  void pull(std::size_t max);
+  /// Feeds the pending records before the horizon; returns their count.
+  std::size_t feed_pending();
+
   std::chrono::steady_clock::time_point start_;
   SimConfig config_;
   Streams streams_;
@@ -211,6 +235,16 @@ class Simulation {
   bool oracle_ = true;
   std::vector<trace::AccessRecord> batch_;
   std::uint64_t records_ = 0;
+  std::uint64_t horizon_ps_;
+  std::uint64_t advanced_ps_ = 0;
+  // The pulled records not yet fed: a record span, or (when
+  // pending_lanes_ is not empty) a corpus block's lanes, whose serials
+  // count from 0; after a cut at the horizon they point into
+  // pending_serials_.
+  const trace::AccessRecord* pending_ = nullptr;
+  std::size_t pending_count_ = 0;
+  std::vector<trace::BankLaneView> pending_lanes_;
+  std::vector<std::uint32_t> pending_serials_;
 };
 
 /// Runs @p technique on the configured system. Deterministic in

@@ -247,7 +247,8 @@ Simulation::Simulation(std::vector<CohortMember> members, const SimConfig& confi
                    config_.geometry.rows_per_bank, config_.disturbance,
                    static_cast<std::uint32_t>(engines_.size())),
       controller_(controller_cfg, engine_ptrs(engines_), disturbance_,
-                  streams_.controller) {}
+                  streams_.controller),
+      horizon_ps_(config_.duration_ps()) {}
 
 Simulation::Simulation(const mem::BankMitigationFactory& factory,
                        const SimConfig& config)
@@ -270,21 +271,75 @@ trace::TraceSource& Simulation::workload() {
   return *workload_;
 }
 
-std::size_t Simulation::step() {
+std::size_t Simulation::step(std::size_t max) {
+  if (pending_count_ == 0) pull(max);
+  const std::size_t n = feed_pending();
+  records_ += n;
+  return n;
+}
+
+void Simulation::pull(std::size_t max) {
   trace::TraceSource& source = workload();
+  pending_lanes_.clear();
   if (source.supports_spans()) {
     // Zero-copy; a corpus block's lanes spare the scatter pass.
-    const trace::AccessRecord* span = nullptr;
     const trace::BankLaneView* lanes = nullptr;
     std::size_t lane_banks = 0;
-    const std::size_t n = source.span_lanes(&span, &lanes, &lane_banks);
-    controller_.on_records_partitioned(span, n, lanes, lane_banks);
-    records_ += n;
+    pending_count_ = source.span_lanes(&pending_, &lanes, &lane_banks);
+    if (lanes != nullptr) pending_lanes_.assign(lanes, lanes + lane_banks);
+    return;
+  }
+  batch_.resize(max);
+  pending_count_ = source.next_batch(batch_.data(), max);
+  pending_ = batch_.data();
+}
+
+std::size_t Simulation::feed_pending() {
+  if (pending_lanes_.empty()) {
+    const std::size_t n = static_cast<std::size_t>(
+        std::partition_point(pending_, pending_ + pending_count_,
+                             [this](const trace::AccessRecord& r) {
+                               return r.time_ps < horizon_ps_;
+                             }) -
+        pending_);
+    controller_.on_records(pending_, n);
+    pending_ += n;
+    pending_count_ -= n;
     return n;
   }
-  batch_.resize(kBatchRecords);
-  const std::size_t n = source.next_batch(batch_.data(), batch_.size());
-  feed(batch_.data(), n);
+  // A corpus block: feed its lanes cut at the horizon.
+  std::vector<trace::BankLaneView> cut = pending_lanes_;
+  const std::size_t n = trace::cut_lanes_before(cut.data(), cut.size(), horizon_ps_);
+  if (n == 0) return 0;
+  controller_.on_records_partitioned(nullptr, n, cut.data(), cut.size());
+  pending_count_ -= n;
+  if (pending_count_ == 0) return n;
+  // The rest of the span: each lane past its cut, its serials counted
+  // from 0 again.
+  std::vector<std::uint32_t> serials;
+  serials.reserve(pending_count_);
+  for (std::size_t b = 0; b < pending_lanes_.size(); ++b) {
+    const trace::BankLaneView& lane = pending_lanes_[b];
+    for (std::size_t j = cut[b].count; j < lane.count; ++j)
+      serials.push_back(lane.serials[j] - static_cast<std::uint32_t>(n));
+  }
+  std::size_t offset = 0;
+  for (std::size_t b = 0; b < pending_lanes_.size(); ++b) {
+    trace::BankLaneView& lane = pending_lanes_[b];
+    const std::size_t fed = cut[b].count;
+    lane.count -= fed;
+    if (lane.count == 0) {
+      lane = trace::BankLaneView{};
+      continue;
+    }
+    lane.rows += fed;
+    lane.times += fed;
+    lane.flags += fed;
+    lane.sources += fed;
+    lane.serials = serials.data() + offset;
+    offset += lane.count;
+  }
+  pending_serials_.swap(serials);
   return n;
 }
 
@@ -293,20 +348,22 @@ void Simulation::feed(const trace::AccessRecord* records, std::size_t count) {
   records_ += count;
 }
 
-void Simulation::advance() { controller_.advance_to(config_.duration_ps()); }
+void Simulation::advance() {
+  controller_.advance_to(horizon_ps_);
+  advanced_ps_ = horizon_ps_;
+}
 
-RunResult Simulation::result(std::size_t member) const {
-  const auto m = static_cast<std::uint32_t>(member);
-  RunResult result;
-  result.technique = names_.at(member);
-  result.stats = controller_.stats(member);
-  result.flip_events = disturbance_.flips(m);
-  result.flips = result.flip_events.size();
-  result.peak_disturbance = disturbance_.peak_disturbance_q8(m) >> 8;
-  result.state_bytes_per_bank = engines_[member]->state_bytes_per_bank();
-  result.records = records_;
-  result.oracle = oracle_;
+void Simulation::set_horizon(std::uint32_t windows) {
+  const std::uint64_t horizon_ps =
+      static_cast<std::uint64_t>(windows) * config_.timing.t_refw_ps;
+  if (windows == 0 || windows > config_.windows || horizon_ps < advanced_ps_)
+    throw std::invalid_argument(
+        "Simulation: a horizon must lie within the run and not before its "
+        "last advance");
+  horizon_ps_ = horizon_ps;
+}
 
+std::vector<RunResult> Simulation::results() const {
   // Victim flips: flips on the physical images of the declared victims,
   // which build_workload collects logical from every source (explicit
   // attacks, fuzz-derived patterns, the replay corpus footer).
@@ -315,13 +372,28 @@ RunResult Simulation::result(std::size_t member) const {
     victim_keys.insert(
         key_of(static_cast<dram::BankId>(key >> 32),
                controller_.remapper().to_physical(static_cast<dram::RowId>(key))));
-  for (const auto& flip : result.flip_events)
-    if (victim_keys.count(key_of(flip.bank, flip.row))) ++result.victim_flips;
+  const std::vector<std::uint64_t> peaks = disturbance_.peaks_q8();
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start_)
+                          .count();
 
-  result.wall_seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start_)
-                            .count();
-  return result;
+  std::vector<RunResult> results(names_.size());
+  for (std::size_t member = 0; member < results.size(); ++member) {
+    const auto m = static_cast<std::uint32_t>(member);
+    RunResult& result = results[member];
+    result.technique = names_[member];
+    result.stats = controller_.stats(member);
+    result.flip_events = disturbance_.flips(m);
+    result.flips = result.flip_events.size();
+    result.peak_disturbance = peaks[member] >> 8;
+    result.state_bytes_per_bank = engines_[member]->state_bytes_per_bank();
+    result.records = records_;
+    result.oracle = oracle_;
+    for (const auto& flip : result.flip_events)
+      if (victim_keys.count(key_of(flip.bank, flip.row))) ++result.victim_flips;
+    result.wall_seconds = wall;
+  }
+  return results;
 }
 
 RunResult run_custom_simulation(const mem::BankMitigationFactory& factory,

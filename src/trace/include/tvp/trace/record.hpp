@@ -67,4 +67,11 @@ void gather_lanes(const BankLaneView* lanes, std::size_t banks,
                   std::size_t* cursors, std::size_t from, std::size_t to,
                   AccessRecord* out);
 
+/// Cuts @p lanes (@p banks of them, holding a time-ordered span) to the
+/// span's records before @p end_ps, which are a prefix of the span and
+/// of every lane: each lane keeps its elements before its first time at
+/// or past @p end_ps. Returns how many records the lanes keep.
+std::size_t cut_lanes_before(BankLaneView* lanes, std::size_t banks,
+                             std::uint64_t end_ps);
+
 }  // namespace tvp::trace

@@ -41,6 +41,18 @@ void gather_lanes(const BankLaneView* lanes, std::size_t banks,
   }
 }
 
+std::size_t cut_lanes_before(BankLaneView* lanes, std::size_t banks,
+                             std::uint64_t end_ps) {
+  std::size_t kept = 0;
+  for (std::size_t b = 0; b < banks; ++b) {
+    BankLaneView& lane = lanes[b];
+    lane.count = static_cast<std::size_t>(
+        std::lower_bound(lane.times, lane.times + lane.count, end_ps) - lane.times);
+    kept += lane.count;
+  }
+  return kept;
+}
+
 VectorSource::VectorSource(std::vector<AccessRecord> records)
     : records_(std::move(records)) {
   for (std::size_t i = 1; i < records_.size(); ++i)
@@ -218,12 +230,7 @@ std::size_t LimitSource::span_lanes(const AccessRecord** data,
   // the record budget, are a prefix of it and of each of its lanes: cut
   // every lane at its own bound and the lanes still hold the cut span.
   lanes_.assign(inner_lanes, inner_lanes + inner_banks);
-  std::size_t before = 0;
-  for (BankLaneView& lane : lanes_) {
-    lane.count = static_cast<std::size_t>(
-        std::lower_bound(lane.times, lane.times + lane.count, end_ps_) - lane.times);
-    before += lane.count;
-  }
+  const std::size_t before = cut_lanes_before(lanes_.data(), lanes_.size(), end_ps_);
   const std::size_t got = take(before, before != full);
   if (got < before)
     for (BankLaneView& lane : lanes_)

@@ -21,7 +21,7 @@ Flags::Flags(int argc, const char* const argv[], std::set<std::string> known) {
       value = "true";  // bare boolean flag (values use --key=value)
     }
     if (known.count(name) == 0)
-      throw std::invalid_argument("unknown flag: --" + name);
+      throw FlagError("unknown flag: --" + name);
     values_[name] = value;
   }
 }
@@ -31,15 +31,11 @@ std::string Flags::get(const std::string& name, const std::string& fallback) con
   return it == values_.end() ? fallback : it->second;
 }
 
-std::int64_t Flags::get_int(const std::string& name, std::int64_t fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  try {
-    return std::stoll(it->second, nullptr, 0);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + name + " expects an integer, got '" +
-                                it->second + "'");
-  }
+std::string Flags::out_of_range(const std::string& name, const std::string& value,
+                                bool is_signed, const std::string& min,
+                                const std::string& max) {
+  return "--" + name + (is_signed ? " must be an integer in [" : " must be a count in [") +
+         min + ", " + max + "], got '" + value + "'";
 }
 
 double Flags::get_double(const std::string& name, double fallback) const {
@@ -48,8 +44,8 @@ double Flags::get_double(const std::string& name, double fallback) const {
   try {
     return std::stod(it->second);
   } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + name + " expects a number, got '" +
-                                it->second + "'");
+    throw FlagError("flag --" + name + " expects a number, got '" +
+                    it->second + "'");
   }
 }
 

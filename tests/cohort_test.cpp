@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "expect_result.hpp"
 #include "naive_system.hpp"
 #include "tvp/dram/disturbance.hpp"
 #include "tvp/exp/registry.hpp"
@@ -156,45 +157,6 @@ std::vector<exp::CohortMember> every_defence(const exp::SimConfig& cfg) {
   return members;
 }
 
-/// Every RunResult field but wall_seconds.
-void expect_same_result(const exp::RunResult& got, const exp::RunResult& want) {
-  EXPECT_EQ(got.technique, want.technique);
-  const mem::ControllerStats& a = got.stats;
-  const mem::ControllerStats& b = want.stats;
-  EXPECT_EQ(a.demand_acts, b.demand_acts);
-  EXPECT_EQ(a.extra_acts, b.extra_acts);
-  EXPECT_EQ(a.fp_extra_acts, b.fp_extra_acts);
-  EXPECT_EQ(a.triggers, b.triggers);
-  EXPECT_EQ(a.refresh_intervals, b.refresh_intervals);
-  EXPECT_EQ(a.rows_refreshed, b.rows_refreshed);
-  EXPECT_EQ(a.reads, b.reads);
-  EXPECT_EQ(a.writes, b.writes);
-  EXPECT_EQ(a.delayed_acts, b.delayed_acts);
-  EXPECT_EQ(a.first_extra_act_at, b.first_extra_act_at);
-  EXPECT_EQ(a.acts_per_interval.count(), b.acts_per_interval.count());
-  EXPECT_EQ(a.acts_per_interval.mean(), b.acts_per_interval.mean());
-  EXPECT_EQ(a.acts_per_interval.variance(), b.acts_per_interval.variance());
-  EXPECT_EQ(a.acts_per_interval.min(), b.acts_per_interval.min());
-  EXPECT_EQ(a.acts_per_interval.max(), b.acts_per_interval.max());
-  EXPECT_EQ(a.extra_acts_by_phase, b.extra_acts_by_phase);
-  EXPECT_EQ(got.flips, want.flips);
-  EXPECT_EQ(got.victim_flips, want.victim_flips);
-  ASSERT_EQ(got.flip_events.size(), want.flip_events.size());
-  for (std::size_t i = 0; i < got.flip_events.size(); ++i) {
-    EXPECT_EQ(got.flip_events[i].bank, want.flip_events[i].bank) << "flip " << i;
-    EXPECT_EQ(got.flip_events[i].row, want.flip_events[i].row) << "flip " << i;
-    EXPECT_EQ(got.flip_events[i].at_activation,
-              want.flip_events[i].at_activation)
-        << "flip " << i;
-    EXPECT_EQ(got.flip_events[i].interval, want.flip_events[i].interval)
-        << "flip " << i;
-  }
-  EXPECT_EQ(got.peak_disturbance, want.peak_disturbance);
-  EXPECT_EQ(got.state_bytes_per_bank, want.state_bytes_per_bank);
-  EXPECT_EQ(got.records, want.records);
-  EXPECT_EQ(got.oracle, want.oracle);
-}
-
 /// A small system (16384 rows, a 2 ms window of 256 intervals) with a
 /// low threshold, so the defences act and the weak ones let flips by.
 exp::SimConfig small_config(std::uint64_t seed) {
@@ -260,7 +222,7 @@ void expect_members_equal_solo_runs(const exp::SimConfig& cfg) {
     ASSERT_EQ(cohort.members(), members.size());
     for (std::size_t m = 0; m < members.size(); ++m) {
       SCOPED_TRACE(members[m].name);
-      expect_same_result(cohort.result(m), solo[m]);
+      test::expect_same_result(cohort.result(m), solo[m]);
     }
   }
 }

@@ -604,6 +604,60 @@ TEST_F(SvcTest, KillAndResumeIsByteIdentical) {
   }
 }
 
+/// A windows job is one run read at each value: killed after its first
+/// horizon, its journal holds exactly that horizon's cells, and the
+/// resumed job computes only the others and matches an uninterrupted
+/// sweep byte for byte.
+TEST_F(SvcTest, WindowsJobKilledAfterItsFirstHorizonResumes) {
+  JobSpec spec = tiny_spec("horizon_kill", 3);
+  spec.values = {"1", "2", "3"};
+  const std::string csv_reference = exp::sweep_to_csv(run_direct(spec, 1));
+  const std::string journal_dir = path("journals");
+  fs::create_directories(journal_dir);
+  const std::string journal_file =
+      (fs::path(journal_dir) / "horizon_kill.tvpj").string();
+  const auto journal_lines = [&] {
+    std::ifstream in(journal_file);
+    std::size_t lines = 0;
+    for (std::string line; std::getline(in, line);) ++lines;
+    return lines;
+  };
+  {
+    Journal journal = Journal::create(journal_file, spec);
+    std::atomic<bool> stop{false};
+    std::vector<std::size_t> emitted;
+    exp::SweepHooks hooks;
+    hooks.stop = &stop;
+    hooks.jobs = 1;
+    hooks.on_cell = [&](std::size_t i, const exp::SweepCell& cell) {
+      journal.append_cell(i, cell);
+      emitted.push_back(i);
+      stop.store(true);  // the kill lands with the first cell
+    };
+    exp::run_param_sweep(util::KeyValueFile::parse(spec.config_text),
+                         spec.param_key, spec.values, spec.parsed_techniques(),
+                         hooks);
+    // The horizon being read still completes: both techniques at 1.
+    EXPECT_EQ(emitted, (std::vector<std::size_t>{0, 1}));
+  }
+  EXPECT_EQ(journal_lines(), 1u + 2u);  // the header and two cells
+
+  EngineConfig config;
+  config.journal_dir = journal_dir;
+  config.sweep_jobs = 1;
+  CampaignEngine engine(config);
+  const auto resumed = engine.start();
+  ASSERT_EQ(resumed.size(), 1u);
+  const JobStatus status = wait_terminal(engine, resumed[0]);
+  EXPECT_EQ(status.state, JobState::kDone) << status.error;
+  EXPECT_EQ(status.resumed_cells, 2u);
+  EXPECT_EQ(exp::sweep_to_csv(*engine.result(resumed[0])), csv_reference);
+  engine.shutdown(true);
+  // Each cell was journalled once: the resume computed only the four
+  // missing ones, then marked the job done.
+  EXPECT_EQ(journal_lines(), 1u + spec.cell_count() + 1u);
+}
+
 TEST_F(SvcTest, SubmitRejectsJournalSpecMismatch) {
   const std::string journal_dir = path("journals");
   EngineConfig config;

@@ -726,11 +726,61 @@ TEST(Flags, DefaultsAndTypes) {
 
 TEST(Flags, RejectsUnknownAndMalformed) {
   const char* bad[] = {"prog", "--nope=1"};
-  EXPECT_THROW(Flags(2, bad, {"known"}), std::invalid_argument);
+  EXPECT_THROW(Flags(2, bad, {"known"}), FlagError);
   const char* not_int[] = {"prog", "--n=xyz"};
   Flags flags(2, not_int, {"n"});
-  EXPECT_THROW(flags.get_int("n", 0), std::invalid_argument);
-  EXPECT_THROW(flags.get_double("n", 0), std::invalid_argument);
+  EXPECT_THROW(flags.get_int("n", 0), FlagError);
+  EXPECT_THROW(flags.get_double("n", 0), FlagError);
+}
+
+TEST(Flags, IntegersAreWholeDecimalNumbersOfTheirType) {
+  const char* argv[] = {"prog",         "--windows=4294967297", "--seeds=010",
+                        "--hex=0x10",   "--tail=8x",            "--plus=+5",
+                        "--blank= 5",   "--empty=",             "--workers=-1",
+                        "--queue=-1",   "--big=18446744073709551615",
+                        "--port=-1",    "--low=-9223372036854775808",
+                        "--over=9223372036854775808"};
+  const Flags flags(14, argv,
+                    {"windows", "seeds", "hex", "tail", "plus", "blank", "empty",
+                     "workers", "queue", "big", "port", "low", "over"});
+  // Accepted: decimal digits, a leading zero read as decimal, a sign only
+  // on a signed type, each type's whole range.
+  EXPECT_EQ(flags.get_integer<std::uint32_t>("seeds", 1, 1), 10u);
+  EXPECT_EQ(flags.get_integer<std::uint64_t>("big", 0),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(flags.get_integer<int>("port", 7, -1, 65535), -1);
+  EXPECT_EQ(flags.get_int("low", 0), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(flags.get_integer<std::uint64_t>("windows", 0), 4294967297u);
+  // Rejected: past the destination type, a base prefix, trailing text, a
+  // '+', blanks, nothing, a sign on an unsigned type, past the range.
+  EXPECT_THROW(flags.get_integer<std::uint32_t>("windows", 2), FlagError);
+  EXPECT_THROW(flags.get_int("hex", 0), FlagError);
+  EXPECT_THROW(flags.get_int("tail", 0), FlagError);
+  EXPECT_THROW(flags.get_int("plus", 0), FlagError);
+  EXPECT_THROW(flags.get_int("blank", 0), FlagError);
+  EXPECT_THROW(flags.get_int("empty", 0), FlagError);
+  EXPECT_THROW(flags.get_integer<std::size_t>("workers", 0), FlagError);
+  EXPECT_THROW(flags.get_integer<std::size_t>("queue", 64, 1), FlagError);
+  EXPECT_THROW(flags.get_int("over", 0), FlagError);
+  EXPECT_THROW(flags.get_integer<std::uint32_t>("seeds", 1, 11), FlagError);
+  EXPECT_THROW(flags.get_integer<int>("port", 7, 0, 65535), FlagError);
+  // The message names the flag, the range and the value.
+  try {
+    flags.get_integer<std::uint32_t>("windows", 2, 1);
+    ADD_FAILURE() << "no throw";
+  } catch (const FlagError& e) {
+    EXPECT_STREQ(e.what(),
+                 "--windows must be a count in [1, 4294967295], got '4294967297'");
+  }
+  try {
+    flags.get_integer<int>("port", 7, 0, 65535);
+    ADD_FAILURE() << "no throw";
+  } catch (const FlagError& e) {
+    EXPECT_STREQ(e.what(), "--port must be an integer in [0, 65535], got '-1'");
+  }
+  EXPECT_EQ(parse_decimal<unsigned>("17", 1, 32), 17u);
+  EXPECT_FALSE(parse_decimal<unsigned>("33", 1, 32));
+  EXPECT_FALSE(parse_decimal<unsigned>("", 1, 32));
 }
 
 TEST(Flags, BooleanBeforeAnotherFlag) {

@@ -65,15 +65,12 @@ int main(int argc, char** argv) {
 
     svc::ServerConfig config;
     config.unix_path = flags.get("socket", "");
-    config.tcp_port = static_cast<int>(flags.get_int("port", -1));
+    config.tcp_port = flags.get_integer<int>("port", -1, -1, 65535);
     config.engine.journal_dir = flags.get("journal-dir", "");
-    config.engine.queue_capacity =
-        static_cast<std::size_t>(flags.get_int("queue", 64));
-    config.engine.sweep_jobs =
-        static_cast<std::size_t>(flags.get_int("jobs", 0));
-    config.engine.workers =
-        static_cast<std::size_t>(flags.get_int("workers", 0));
-    config.backlog = static_cast<int>(flags.get_int("backlog", 0));
+    config.engine.queue_capacity = flags.get_integer<std::size_t>("queue", 64, 1);
+    config.engine.sweep_jobs = flags.get_integer<std::size_t>("jobs", 0);
+    config.engine.workers = flags.get_integer<std::size_t>("workers", 0);
+    config.backlog = flags.get_integer<int>("backlog", 0, 0);
 
     svc::Server server(config);
     const auto resumed = server.start();
@@ -93,6 +90,9 @@ int main(int argc, char** argv) {
     server.serve();
     std::printf("tvp_serve: shut down cleanly\n");
     return 0;
+  } catch (const util::FlagError& e) {
+    std::fprintf(stderr, "tvp_serve: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "tvp_serve: %s\n", e.what());
     return 1;

@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
         flags.has("socket")
             ? svc::Client::connect_unix(flags.get("socket", ""))
             : svc::Client::connect_tcp(flags.get("host", "127.0.0.1"),
-                                       static_cast<int>(flags.get_int("port", 7077)));
+                                       flags.get_integer<int>("port", 7077, 0, 65535));
 
     if (command == "ping") {
       client.ping();
@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
     if (command == "status") {
       if (flags.has("job")) {
         print_status(client.status(
-            static_cast<std::uint64_t>(flags.get_int("job", 0))));
+            flags.get_integer<std::uint64_t>("job", 0)));
       } else {
         const auto jobs = client.status();
         if (jobs.empty()) std::printf("no jobs\n");
@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
     if (command == "results") {
       if (!flags.has("job")) return usage(false);
       const auto response =
-          client.results(static_cast<std::uint64_t>(flags.get_int("job", 0)));
+          client.results(flags.get_integer<std::uint64_t>("job", 0));
       const std::string csv = response.at("csv").as_string();
       if (flags.has("csv")) {
         const std::string path = flags.get("csv", "");
@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
     }
     if (command == "watch") {
       if (!flags.has("job")) return usage(false);
-      const auto job_id = static_cast<std::uint64_t>(flags.get_int("job", 0));
+      const auto job_id = flags.get_integer<std::uint64_t>("job", 0);
       const auto end = client.stream_results(
           job_id, [](const util::JsonValue& cell) {
             std::printf("%s\n", cell.dump().c_str());
@@ -174,7 +174,7 @@ int main(int argc, char** argv) {
     }
     if (command == "cancel") {
       if (!flags.has("job")) return usage(false);
-      client.cancel(static_cast<std::uint64_t>(flags.get_int("job", 0)));
+      client.cancel(flags.get_integer<std::uint64_t>("job", 0));
       std::printf("cancelled\n");
       return 0;
     }
@@ -185,6 +185,9 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr, "tvp_submit: unknown command '%s'\n", command.c_str());
     return usage(false);
+  } catch (const util::FlagError& e) {
+    std::fprintf(stderr, "tvp_submit: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "tvp_submit: %s\n", e.what());
     return 1;

@@ -74,20 +74,16 @@ int main(int argc, char** argv) {
     // import and stats default to the plain system: DDR4, 4 banks.
     const exp::SimConfig system = flags.has("config")
         ? exp::load_sim_config(flags.get("config", "")) : exp::SimConfig{};
-    std::size_t block_records = trace::CorpusWriter::kDefaultBlockRecords;
-    if (flags.has("block-records")) {
-      const std::int64_t n = flags.get_int("block-records", 0);
-      if (n < 1 || n > UINT32_MAX)  // a block's record count is a u32
-        throw std::invalid_argument("--block-records must be in [1, 2^32)");
-      block_records = static_cast<std::size_t>(n);
-    }
+    // A block's record count is a u32.
+    const std::size_t block_records = flags.get_integer<std::uint32_t>(
+        "block-records", trace::CorpusWriter::kDefaultBlockRecords, 1);
 
     if (command == "record") {
       if (!flags.has("out")) return usage(false);
       exp::SimConfig config = system;
       if (!flags.has("config")) exp::install_standard_campaign(config);
       if (flags.has("seed")) {
-        config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+        config.seed = flags.get_integer<std::uint64_t>("seed", 1);
         config.finalize();
       }
       const std::string out = flags.get("out", "");
@@ -170,6 +166,9 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr, "tvp_trace: unknown command '%s'\n", command.c_str());
     return usage(false);
+  } catch (const util::FlagError& e) {
+    std::fprintf(stderr, "tvp_trace: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "tvp_trace: %s\n", e.what());
     return 1;
