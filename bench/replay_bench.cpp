@@ -17,7 +17,8 @@
 //   replay_shared  a second, fresh MmapSource — what every sweep cell
 //                  after the first pays: the process-wide mapping cache
 //                  hands it the already-verified mapping
-//   replay_warm    rewind + another pass on one source (zero work)
+//   replay_warm    rewind + another pass on one source (no proof; the
+//                  per-block page release is its only work)
 //
 // An untimed pass also checks that every record next_batch rebuilds from
 // the lanes equals the generated one, so the speedups are only reported
@@ -213,7 +214,8 @@ int main(int argc, char** argv) try {
 
   // A fresh source over the same file: open + parse + stream, exactly
   // what every sweep cell after the first pays. The shared mapping
-  // cache means no page faults and no second proof.
+  // cache means no second proof; the pass reads no lane, so it takes no
+  // page fault, and pays one page release a block.
   util::Timer shared_timer;
   trace::MmapSource second(corpus_path);
   const std::uint64_t shared_replayed = replay(second);

@@ -1,7 +1,7 @@
 // sweep_tool — run any config-key sweep over any set of techniques.
 //
-//   ./build/examples/sweep_tool --param=technique.history_entries \
-//       --values=4,8,16,32,64 [--config=base.cfg] \
+//   ./build/examples/sweep_tool --param=technique.history_entries
+//       --values=4,8,16,32,64 [--config=base.cfg]
 //       [--techniques=LiPRoMi,LoLiPRoMi] [--csv=out.csv]
 //
 // The param must be a key from configs/README.md; values are applied on

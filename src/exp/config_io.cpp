@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <charconv>
 #include <iterator>
+#include <limits>
 #include <stdexcept>
+#include <string_view>
 #include <variant>
 
 namespace tvp::exp {
@@ -74,6 +76,12 @@ const char* name_of(const Names<T, N>& table, T value) {
   throw std::invalid_argument(std::string("to_config_text: the ") +
                               table.what + " has no config name");
 }
+
+/// The source id of attack 0; attack i is kFirstAttackSource + i, so a
+/// SourceId numbers at most kMaxAttacks of them.
+constexpr std::size_t kFirstAttackSource = 200;
+constexpr std::size_t kMaxAttacks =
+    std::numeric_limits<trace::SourceId>::max() - kFirstAttackSource + 1;
 
 /// The SimConfig field a scalar key addresses.
 using Field = std::variant<std::uint32_t*, std::uint64_t*, bool*, double*,
@@ -150,7 +158,7 @@ void read(const util::KeyValueFile& file, const char* key, BenignModel* field) {
 }
 template <typename Int>
 void read(const util::KeyValueFile& file, const char* key, Int* field) {
-  *field = static_cast<Int>(file.get_int(key, 0));
+  *field = file.get_integer<Int>(key, *field);
 }
 
 /// The shortest text that std::stod reads back as exactly @p value.
@@ -214,33 +222,41 @@ void apply_config(SimConfig& config, const util::KeyValueFile& file) {
   // comma-separated row list or a count prefixed with '~' (random,
   // well-separated, derived from the seed).
   config.workload.attacks.clear();
-  const auto count = file.get_int("attack.count", 0);
+  const auto count = file.get_integer<std::size_t>("attack.count", 0, 0, kMaxAttacks);
   util::Rng rng(config.seed ^ 0xC0F16ull);
-  for (std::int64_t i = 0; i < count; ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     const std::string prefix = "attack." + std::to_string(i) + ".";
     trace::AttackConfig attack;
     attack.rows_per_bank = config.geometry.rows_per_bank;
-    attack.bank = static_cast<dram::BankId>(file.get_int(prefix + "bank", 0));
+    attack.bank = file.get_integer<dram::BankId>(prefix + "bank", 0);
     if (file.has(prefix + "pattern"))
       attack.pattern = parse_name(kPatterns, file.get(prefix + "pattern", ""));
-    attack.sides =
-        static_cast<std::uint32_t>(file.get_int(prefix + "sides", attack.sides));
-    attack.far_per_near = static_cast<std::uint32_t>(
-        file.get_int(prefix + "far_per_near", attack.far_per_near));
+    attack.sides = file.get_integer<std::uint32_t>(prefix + "sides", attack.sides);
+    attack.far_per_near =
+        file.get_integer<std::uint32_t>(prefix + "far_per_near", attack.far_per_near);
 
-    const std::string victims = file.get(prefix + "victims", "~1");
+    const std::string key = prefix + "victims";
+    const std::string victims = file.get(key, "~1");
     if (!victims.empty() && victims[0] == '~') {
-      const auto n = std::stoul(victims.substr(1));
-      auto generated = trace::make_multi_aggressor_attack(
-          attack.bank, config.geometry.rows_per_bank, n, rng);
-      attack.victims = generated.victims;
+      // Each random victim takes a region of at least 16 rows.
+      const std::size_t most = config.geometry.rows_per_bank / 16;
+      const auto n = util::parse_decimal<std::size_t>(victims.substr(1), 1, most);
+      if (!n)
+        throw std::runtime_error("config: key '" + key + "' must be ~N with N in [1, " +
+                                 std::to_string(most) + "], got '" + victims + "'");
+      attack.victims = trace::make_multi_aggressor_attack(
+          attack.bank, config.geometry.rows_per_bank, *n, rng).victims;
     } else {
-      std::size_t pos = 0;
-      while (pos < victims.size()) {
+      for (std::size_t pos = 0;;) {
         const auto comma = victims.find(',', pos);
-        const std::string token = victims.substr(
-            pos, comma == std::string::npos ? std::string::npos : comma - pos);
-        attack.victims.push_back(static_cast<dram::RowId>(std::stoul(token)));
+        const auto row = util::parse_decimal<dram::RowId>(
+            std::string_view(victims).substr(pos, comma - pos));
+        if (!row)
+          throw std::runtime_error(
+              "config: key '" + key + "' must be ~N or a list of rows in [0, " +
+              std::to_string(std::numeric_limits<dram::RowId>::max()) + "], got '" +
+              victims + "'");
+        attack.victims.push_back(*row);
         if (comma == std::string::npos) break;
         pos = comma + 1;
       }
@@ -252,7 +268,7 @@ void apply_config(SimConfig& config, const util::KeyValueFile& file) {
     const double start_frac = file.get_double(prefix + "start_frac", 0.0);
     attack.start_ps = static_cast<std::uint64_t>(
         start_frac * static_cast<double>(config.timing.t_refw_ps));
-    attack.source_id = static_cast<trace::SourceId>(200 + i);
+    attack.source_id = static_cast<trace::SourceId>(kFirstAttackSource + i);
     config.workload.attacks.push_back(std::move(attack));
   }
 

@@ -12,9 +12,12 @@
 // The queue is a flat contiguous array (oldest first) rather than a
 // linked structure: the membership scan — two per ACT, the simulator's
 // former hottest loop — is a vectorizable sweep of at most queue_entries
-// row ids, and erase/evict are single memmoves. The recency-weighted
-// probabilities for the steady (full-queue) state come from a
-// precomputed table, so the hot path performs no division.
+// row ids, and erase/evict are single memmoves. Once the default
+// 16-entry queue is full, an SSE2 target keeps it in four registers for
+// a whole lane instead: its cost was the queue's round trip through
+// memory, not its layout. The recency-weighted probabilities for the
+// steady (full-queue) state come from a precomputed table, so the hot
+// path performs no division.
 #pragma once
 
 #include <vector>

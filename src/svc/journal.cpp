@@ -41,8 +41,8 @@ constexpr const char* kSiteReplayRead = "journal.replay.read";
 // entry: after a crash a freshly created (or removed) journal may not
 // exist (or still exist). Fsync the containing directory too.
 void fsync_parent_dir(const std::string& path) {
-  std::string dir = std::filesystem::path(path).parent_path().string();
-  if (dir.empty()) dir = ".";
+  const std::string parent = std::filesystem::path(path).parent_path().string();
+  const std::string dir = parent.empty() ? std::string(".") : parent;
   const int fd = fp::open(kSiteDirOpen, dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd < 0) io_fail("cannot open directory " + dir);
   if (fp::fsync_eintr(kSiteDirFsync, fd) != 0) {

@@ -98,7 +98,7 @@ constexpr const char* kSiteDirFsync = "corpus.dir.fsync";
 constexpr const char* kSiteReadOpen = "corpus.read.open";
 constexpr const char* kSiteReadMmap = "corpus.read.mmap";
 constexpr const char* kSiteReadPread = "corpus.read.pread";
-
+constexpr const char* kSiteReadRelease = "corpus.read.release";
 
 void store_u32(unsigned char* p, std::uint32_t v) { std::memcpy(p, &v, 4); }
 void store_u64(unsigned char* p, std::uint64_t v) { std::memcpy(p, &v, 8); }
@@ -257,8 +257,8 @@ ParsedCorpus parse_corpus(int fd, const std::string& path) {
 }
 
 void fsync_parent_dir(const std::string& path) {
-  std::string dir = std::filesystem::path(path).parent_path().string();
-  if (dir.empty()) dir = ".";
+  const std::string parent = std::filesystem::path(path).parent_path().string();
+  const std::string dir = parent.empty() ? std::string(".") : parent;
   const int fd = fp::open(kSiteDirOpen, dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd < 0) io_fail(path, "cannot open directory " + dir);
   if (fp::fsync_eintr(kSiteDirFsync, fd) != 0) {
@@ -335,6 +335,7 @@ const std::vector<std::string>& corpus_failpoint_sites() {
       kSiteCreateOpen, kSiteHeaderWrite, kSiteBlockWrite, kSiteBlockWriteback,
       kSiteFooterWrite, kSiteTrailerWrite, kSiteCloseFsync, kSiteDirOpen,
       kSiteDirFsync, kSiteReadOpen, kSiteReadMmap, kSiteReadPread,
+      kSiteReadRelease,
   };
   return sites;
 }
@@ -541,8 +542,10 @@ std::map<MappingKey, std::weak_ptr<CorpusMapping>> g_mappings;
 
 /// Strong refs to the most recently acquired mappings, so a sweep that
 /// opens and closes one source per cell keeps the mapping (and its
-/// verified bits) warm between cells. Read-only file-backed pages stay
-/// reclaimable while mapped, so this pins address space, not memory.
+/// verified bits) warm between cells. A source releases the pages behind
+/// the block it reads and the rest once it ends or rewinds
+/// (MmapSource::release_before), so a kept mapping holds address space
+/// and, of a source destroyed mid-stream, at most its last block.
 constexpr std::size_t kMappingKeepAlive = 8;
 std::shared_ptr<CorpusMapping> g_keep_alive[kMappingKeepAlive];
 std::size_t g_keep_alive_next = 0;
@@ -622,10 +625,11 @@ MmapSource::MmapSource(const std::string& path) : path_(path) {
 
 void MmapSource::fail(const std::string& what) const { corrupt(path_, what); }
 
-// Loads block @p index: points lanes_ at its lane columns, which its
-// first touch proves first (prove_block), recording that in the shared
-// verified bits.
+// Loads block @p index: releases the pages before it, then points
+// lanes_ at its lane columns, which its first touch proves first
+// (prove_block), recording that in the shared verified bits.
 void MmapSource::load_block(std::size_t index) {
+  release_before(info_.blocks[index].offset);
   span_len_ = info_.blocks[index].records;
   span_pos_ = 0;
   std::fill(cursors_.begin(), cursors_.end(), 0);
@@ -640,6 +644,22 @@ void MmapSource::load_block(std::size_t index) {
   for (std::uint32_t k = 0; k < info_.banks; ++k)
     lanes_[k].max_row = mapping_->lane_max_rows[index * info_.banks + k].load(
         std::memory_order_relaxed);
+}
+
+// Releases the mapping's pages below byte @p end (rounded down to a
+// page, or the whole mapping when @p end is the file's end) that this
+// source has not released since its last rewind. The mapping is read-only
+// and MAP_PRIVATE over a file nothing writes through it, so a released
+// page refaults from the page cache with the same bytes, also for another
+// source that shares the mapping and still reads it.
+void MmapSource::release_before(std::uint64_t end) {
+  static const std::uint64_t page = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+  end = end >= file_size_ ? (file_size_ + page - 1) / page * page : end / page * page;
+  if (end <= released_) return;
+  if (fp::madvise(kSiteReadRelease, const_cast<unsigned char*>(base_) + released_,
+                  static_cast<std::size_t>(end - released_), MADV_DONTNEED) != 0)
+    io_fail(path_, "cannot release replayed pages");
+  released_ = end;
 }
 
 // Points lanes_ at block @p index's lane columns (zero-copy: the lane
@@ -722,7 +742,10 @@ std::size_t MmapSource::next_batch(AccessRecord* out, std::size_t max) {
   std::size_t n = 0;
   while (n < max) {
     if (span_pos_ >= span_len_) {
-      if (block_ >= info_.blocks.size()) break;
+      if (block_ >= info_.blocks.size()) {
+        release_before(file_size_);
+        break;
+      }
       load_block(block_++);
       continue;
     }
@@ -754,7 +777,10 @@ std::size_t MmapSource::span_lanes(const AccessRecord** data,
   }
   // Blocks are never empty (parse_corpus), so a loaded block always has
   // a record.
-  if (block_ >= info_.blocks.size()) return 0;
+  if (block_ >= info_.blocks.size()) {
+    release_before(file_size_);
+    return 0;
+  }
   load_block(block_++);
   span_pos_ = span_len_;
   *lanes = lanes_.data();
@@ -763,6 +789,8 @@ std::size_t MmapSource::span_lanes(const AccessRecord** data,
 }
 
 void MmapSource::rewind() {
+  release_before(file_size_);
+  released_ = 0;
   block_ = 0;
   span_len_ = 0;
   span_pos_ = 0;

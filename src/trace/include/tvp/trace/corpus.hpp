@@ -42,6 +42,16 @@
 //  * Blocks are read only through that mapping: MmapSource maps the file
 //    or throws naming it. The header, trailer and footer are read with
 //    pread, which is all read_corpus_info does.
+//  * Replay keeps about one block resident, not the corpus: when a source
+//    moves on to a block it releases (madvise MADV_DONTNEED) every page
+//    of the mapping before that block's first page, and once it hands
+//    out its end or rewinds, the rest. This is exact: the mapping is
+//    read-only and MAP_PRIVATE over a file that nothing writes through
+//    it, so a released page refaults from the page cache with the same
+//    bytes, also for another source that shares the mapping and is still
+//    reading a released block; span_lanes lends a block only until the
+//    next call, which is when its pages go. A failed release is an error
+//    naming the file (failpoint site corpus.read.release).
 //  * A block's first touch checks its CRC and then proves it (a mismatch
 //    is reported as corruption first): the lane counts sum to the block,
 //    the padding is zero, no flag byte has a bit above bit 1, each
@@ -182,7 +192,9 @@ struct CorpusMapping;
 /// and blocks stream zero-copy through span_lanes(). Construction parses
 /// and validates the file header, trailer and footer (and that the
 /// blocks tile the file), then maps it; each block is CRC-checked and
-/// proven on first touch.
+/// proven on first touch. The source releases the pages behind the
+/// block it reads, and the rest at its end or rewind (see the file
+/// comment), so a replay holds about one block resident.
 class MmapSource final : public TraceSource {
  public:
   /// Throws std::runtime_error naming the file with a precise reason on
@@ -202,16 +214,17 @@ class MmapSource final : public TraceSource {
   /// on first touch (see the file comment); any defect is a precise
   /// error, never a silent fallback. So a block's lanes always hold a
   /// time-ordered span, which is what
-  /// MemoryController::on_records_partitioned requires. The rest of a
+  /// MemoryController::on_records_partitioned requires. The lanes are
+  /// lent until the next call, which releases their pages. The rest of a
   /// block that next_batch() has partly consumed comes as records
   /// rebuilt from the lanes, without lanes.
   std::size_t span_lanes(const AccessRecord** data, const BankLaneView** lanes,
                          std::size_t* lane_banks) override;
 
-  /// Restarts the stream from the first record. Verified blocks stay
-  /// verified — a warm replay pass skips the proof. The bits are shared
-  /// process-wide, so a fresh MmapSource over the same unchanged file
-  /// starts warm too.
+  /// Releases the pages this source has not yet released and restarts
+  /// the stream from the first record. Verified blocks stay verified — a
+  /// warm replay pass skips the proof. The bits are shared process-wide,
+  /// so a fresh MmapSource over the same unchanged file starts warm too.
   void rewind();
 
   const CorpusInfo& info() const noexcept { return info_; }
@@ -219,6 +232,7 @@ class MmapSource final : public TraceSource {
 
  private:
   void load_block(std::size_t index);
+  void release_before(std::uint64_t end);
   void point_lanes(std::size_t index);
   void prove_block(std::size_t index);
   [[noreturn]] void fail(const std::string& what) const;
@@ -229,6 +243,7 @@ class MmapSource final : public TraceSource {
   const unsigned char* base_ = nullptr;  // mapping_->base, cached
   CorpusInfo info_;
   std::size_t block_ = 0;             // next block to load
+  std::uint64_t released_ = 0;        // mapping bytes released below this
   std::size_t span_len_ = 0;          // current block's records
   std::size_t span_pos_ = 0;          // ...of which handed out
   std::vector<BankLaneView> lanes_;   // current block's lane views

@@ -53,17 +53,6 @@ std::string KeyValueFile::get(const std::string& key,
   return it == values_.end() ? fallback : it->second;
 }
 
-std::int64_t KeyValueFile::get_int(const std::string& key,
-                                   std::int64_t fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  try {
-    return std::stoll(it->second, nullptr, 0);
-  } catch (const std::exception&) {
-    throw std::runtime_error("config: key '" + key + "' expects an integer");
-  }
-}
-
 double KeyValueFile::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
@@ -77,7 +66,12 @@ double KeyValueFile::get_double(const std::string& key, double fallback) const {
 bool KeyValueFile::get_bool(const std::string& key, bool fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& value = it->second;
+  if (value == "true" || value == "1" || value == "yes") return true;
+  if (value == "false" || value == "0" || value == "no") return false;
+  throw std::runtime_error("config: key '" + key +
+                           "' must be one of true, false, 1, 0, yes, no, got '" +
+                           value + "'");
 }
 
 std::vector<std::string> KeyValueFile::keys() const {

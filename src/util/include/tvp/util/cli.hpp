@@ -6,17 +6,16 @@
 // integer flag that is not a plain decimal number of its type.
 #pragma once
 
-#include <charconv>
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <type_traits>
 #include <vector>
+
+#include "tvp/util/decimal.hpp"
 
 namespace tvp::util {
 
@@ -26,22 +25,6 @@ class FlagError : public std::invalid_argument {
  public:
   using std::invalid_argument::invalid_argument;
 };
-
-/// @p text as a decimal integer of type @p Int in [@p min, @p max]: the
-/// whole text, digits with a leading '-' only for a signed @p Int. No
-/// '+', no base prefix, no blanks and no trailing text; a leading zero
-/// is a decimal digit. Nothing when the text is anything else.
-template <typename Int>
-std::optional<Int> parse_decimal(std::string_view text,
-                                 Int min = std::numeric_limits<Int>::min(),
-                                 Int max = std::numeric_limits<Int>::max()) {
-  Int value{};
-  const char* const end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end || value < min || value > max)
-    return std::nullopt;
-  return value;
-}
 
 class Flags {
  public:

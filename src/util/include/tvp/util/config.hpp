@@ -7,9 +7,13 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "tvp/util/decimal.hpp"
 
 namespace tvp::util {
 
@@ -27,8 +31,28 @@ class KeyValueFile {
   std::size_t size() const noexcept { return values_.size(); }
 
   std::string get(const std::string& key, const std::string& fallback) const;
-  std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  /// An integer key read into @p Int: parse_decimal within [@p min,
+  /// @p max], by default the whole range of @p Int. Throws
+  /// std::runtime_error naming the key, the range and the value
+  /// otherwise.
+  template <typename Int>
+  Int get_integer(const std::string& key, Int fallback,
+                  Int min = std::numeric_limits<Int>::min(),
+                  Int max = std::numeric_limits<Int>::max()) const {
+    const auto it = values_.find(key);
+    if (it == values_.end()) return fallback;
+    if (const auto value = parse_decimal<Int>(it->second, min, max)) return *value;
+    throw std::runtime_error("config: key '" + key + "' must be an integer in [" +
+                             std::to_string(min) + ", " + std::to_string(max) +
+                             "], got '" + it->second + "'");
+  }
+  /// get_integer of a 64-bit signed integer.
+  std::int64_t get_int(const std::string& key, std::int64_t fallback) const {
+    return get_integer<std::int64_t>(key, fallback);
+  }
   double get_double(const std::string& key, double fallback) const;
+  /// true, 1 or yes; false, 0 or no. Throws std::runtime_error naming
+  /// the key and the value on anything else.
   bool get_bool(const std::string& key, bool fallback) const;
 
   void set(const std::string& key, const std::string& value) {

@@ -178,6 +178,12 @@ inline void* mmap(const char* site, void* addr, std::size_t length, int prot,
   return ::mmap(addr, length, prot, flags, fd, offset);
 }
 
+inline int madvise(const char* site, void* addr, std::size_t length,
+                   int advice) {
+  TVP_FAILPOINT_INJECT(site, -1);
+  return ::madvise(addr, length, advice);
+}
+
 inline ssize_t send(const char* site, int fd, const void* buf, std::size_t len,
                     int flags) {
   TVP_FAILPOINT_INJECT(site, -1);

@@ -115,7 +115,9 @@ TEST(Cohort, MembersMatchNaiveSystemsAtEveryBatchSize) {
       EXPECT_EQ(stats.fp_extra_acts, naive.fp_extra_acts());
       EXPECT_EQ(stats.extra_acts_by_phase, naive.extra_acts_by_phase());
       EXPECT_EQ(stats.first_extra_act_at, naive.first_extra_act_at());
-      if (scripts[m].act) EXPECT_GT(stats.extra_acts, 0u);
+      if (scripts[m].act) {
+        EXPECT_GT(stats.extra_acts, 0u);
+      }
       for (dram::BankId b = 0; b < banks; ++b)
         for (dram::RowId r = 0; r < rows; ++r)
           ASSERT_EQ(disturbance.disturbance_q8(b, r, m), naive.count_q8(b, r))

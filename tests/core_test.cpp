@@ -49,7 +49,9 @@ TEST_P(LogWeightProperty, SmallestPow2AboveWPlus1) {
   EXPECT_TRUE(util::is_pow2(wl));
   EXPECT_GE(wl, w + 1);
   EXPECT_LT(wl / 2, w + 1);
-  if (w > 0) EXPECT_GE(wl, log_weight(w - 1));
+  if (w > 0) {
+    EXPECT_GE(wl, log_weight(w - 1));
+  }
   EXPECT_GE(wl, w);  // log never weakens the hazard vs linear
 }
 INSTANTIATE_TEST_SUITE_P(Sweep, LogWeightProperty,

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -24,6 +25,7 @@
 
 #include "tvp/dram/disturbance.hpp"
 #include "tvp/exp/config_io.hpp"
+#include "tvp/exp/report.hpp"
 #include "tvp/exp/runner.hpp"
 #include "tvp/exp/sweep.hpp"
 #include "tvp/mem/controller.hpp"
@@ -1320,6 +1322,148 @@ TEST(CorpusReplay, ImportedTraceSweepReportsNoFalsePositiveRate) {
     ++rows;
   }
   EXPECT_EQ(rows, sweep.cells.size());
+}
+
+// ------------------------------------------------------------- residency
+
+/// This process's resident file-backed memory in kB (RssFile in
+/// /proc/self/status); nothing where the kernel does not report it.
+std::optional<std::uint64_t> rss_file_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("RssFile:", 0) == 0) return std::stoull(line.substr(8));
+  return std::nullopt;
+}
+
+/// Every byte of a lent block's lanes, folded, so that replay touches
+/// each page of the block.
+std::uint64_t touch_lanes(const BankLaneView* lanes, std::size_t lane_banks) {
+  std::uint64_t sum = 0;
+  for (std::size_t b = 0; b < lane_banks; ++b)
+    for (std::size_t k = 0; k < lanes[b].count; ++k)
+      sum += lanes[b].times[k] + lanes[b].rows[k] + lanes[b].serials[k] +
+             lanes[b].flags[k] + lanes[b].sources[k];
+  return sum;
+}
+
+// A replay keeps about one block of its corpus resident, not the corpus:
+// a source releases the pages before each block it moves on to, and the
+// rest at its end. Both read paths read every record of a ~40 MB corpus
+// in 4,096-record (72 KB) blocks, and the process's resident file pages
+// may grow by eight blocks at any point, where keeping every touched
+// page would grow them by the corpus.
+TEST(CorpusReplay, ResidentSetStaysWithinAFewBlocks) {
+  if (!rss_file_kb()) GTEST_SKIP() << "no RssFile in /proc/self/status";
+  constexpr std::size_t kBlockRecords = 4096;
+  exp::SimConfig cfg;
+  exp::install_standard_campaign(cfg);
+  cfg.seed = 5;
+  cfg.finalize();
+  TempFile file("resident");
+  exp::record_corpus(cfg, file.path(), kBlockRecords);
+  const std::uint64_t corpus_kb = fs::file_size(file.path()) / 1024;
+  ASSERT_GT(corpus_kb, 32u * 1024) << "the corpus must dwarf the bound";
+  const std::uint64_t bound_kb = 8 * kBlockRecords * 18 / 1024;
+
+  // A small corpus's replay first faults in the code both paths run, so
+  // that the baseline holds it.
+  TempFile warm("resident_warm");
+  write_corpus(warm.path(), make_records(4 * kBlockRecords), 4, kBlockRecords);
+  {
+    MmapSource spans(warm.path());
+    EXPECT_EQ(drain_spans(spans).size(), 4 * kBlockRecords);
+    EXPECT_EQ(read_corpus(warm.path()).size(), 4 * kBlockRecords);
+  }
+  const std::uint64_t baseline_kb = *rss_file_kb();
+  std::uint64_t peak_kb = baseline_kb;
+  std::uint64_t records = 0;
+  std::uint64_t folded = 0;
+
+  MmapSource spans(file.path());
+  const AccessRecord* data = nullptr;
+  const BankLaneView* lanes = nullptr;
+  std::size_t lane_banks = 0;
+  while (const std::size_t n = spans.span_lanes(&data, &lanes, &lane_banks)) {
+    ASSERT_NE(lanes, nullptr);
+    folded += touch_lanes(lanes, lane_banks);
+    records += n;
+    peak_kb = std::max(peak_kb, *rss_file_kb());
+  }
+  EXPECT_EQ(records, spans.info().total_records);
+  EXPECT_NE(folded, 0u);
+
+  MmapSource batches(file.path());
+  std::vector<AccessRecord> batch(kBlockRecords / 3);  // straddles blocks
+  records = 0;
+  while (const std::size_t n = batches.next_batch(batch.data(), batch.size())) {
+    records += n;
+    peak_kb = std::max(peak_kb, *rss_file_kb());
+  }
+  EXPECT_EQ(records, batches.info().total_records);
+  EXPECT_LE(peak_kb - baseline_kb, bound_kb)
+      << "replaying a " << corpus_kb << " kB corpus grew the resident file pages from "
+      << baseline_kb << " to " << peak_kb << " kB";
+  EXPECT_LE(*rss_file_kb(), baseline_kb + bound_kb) << "a drained source keeps its pages";
+}
+
+// Two sources over one corpus share its mapping, and each releases the
+// pages behind its own block, which may be the block the other is still
+// reading. A released page refaults with the same bytes, so each source
+// replays exactly: one runs several blocks ahead and lends its lanes
+// while the other reads the block that the first one's pull released.
+TEST(CorpusReplay, SourcesSharingAMappingReplayIdentically) {
+  TempFile file("shared_mapping");
+  // 1,000-record blocks span several pages each.
+  const auto records = make_records(60'000);
+  write_corpus(file.path(), records, 4, 1'000);
+  ASSERT_EQ(read_corpus(file.path()), records);
+
+  for (const bool behind_by_batches : {false, true}) {
+    SCOPED_TRACE(behind_by_batches ? "behind by next_batch" : "both by span_lanes");
+    MmapSource ahead(file.path());
+    MmapSource behind(file.path());
+    std::vector<AccessRecord> from_ahead;
+    std::vector<AccessRecord> from_behind;
+    const AccessRecord* data = nullptr;
+    const BankLaneView* lanes = nullptr;
+    std::size_t banks = 0;
+    const std::uint64_t* first_times = nullptr;
+    const auto pull_ahead = [&] {
+      const std::size_t n = ahead.span_lanes(&data, &lanes, &banks);
+      if (first_times == nullptr) first_times = lanes[0].times;
+      const auto span = span_records(data, lanes, banks, n);
+      from_ahead.insert(from_ahead.end(), span.begin(), span.end());
+      return n;
+    };
+    for (int block = 0; block < 5; ++block) ASSERT_EQ(pull_ahead(), 1'000u);
+    bool more = true;
+    while (more) {
+      std::size_t n = 0;
+      if (behind_by_batches) {
+        std::vector<AccessRecord> batch(777);
+        n = behind.next_batch(batch.data(), batch.size());
+        pull_ahead();
+        from_behind.insert(from_behind.end(), batch.begin(), batch.begin() + n);
+      } else {
+        const AccessRecord* behind_data = nullptr;
+        const BankLaneView* behind_lanes = nullptr;
+        std::size_t behind_banks = 0;
+        n = behind.span_lanes(&behind_data, &behind_lanes, &behind_banks);
+        if (from_behind.empty()) {
+          EXPECT_EQ(behind_lanes[0].times, first_times) << "the sources share one mapping";
+        }
+        // The other source's pull releases the pages of the block lent
+        // here; reading its lanes afterwards refaults them.
+        pull_ahead();
+        const auto span = span_records(behind_data, behind_lanes, behind_banks, n);
+        from_behind.insert(from_behind.end(), span.begin(), span.end());
+      }
+      more = n != 0;
+    }
+    EXPECT_EQ(from_ahead, records);
+    EXPECT_EQ(from_behind, records);
+  }
 }
 
 // ------------------------------------------------- deterministic mutation

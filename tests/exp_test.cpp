@@ -558,6 +558,70 @@ TEST(ConfigIo, RandomVictimsAndUnknownKeys) {
                std::invalid_argument);
 }
 
+// Config values parse as strictly as the tools' flags: an integer key is
+// whole decimal digits within its field's type (a leading zero is a
+// decimal digit), and a boolean is true, false, 1, 0, yes or no. Anything
+// else is an error naming the key, the range and the value, where the
+// old reader wrapped a value into its field, read 0x10 as hex and 010 as
+// octal, and dropped trailing text.
+TEST(ConfigIo, IntegersAndBooleansParseStrictly) {
+  const auto apply = [](const std::string& text) {
+    SimConfig config;
+    apply_config(config, util::KeyValueFile::parse(text));
+    return config;
+  };
+  const auto rejection = [&](const std::string& text) -> std::string {
+    try {
+      apply(text);
+    } catch (const std::exception& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  EXPECT_EQ(rejection("windows = 4294967297\n"),
+            "config: key 'windows' must be an integer in [0, 4294967295], got "
+            "'4294967297'");
+  EXPECT_EQ(rejection("attack.count = 57\n"),
+            "config: key 'attack.count' must be an integer in [0, 56], got '57'");
+  EXPECT_EQ(rejection("fuzz.half_double = maybe\n"),
+            "config: key 'fuzz.half_double' must be one of true, false, 1, 0, "
+            "yes, no, got 'maybe'");
+  const std::pair<const char*, const char*> bad[] = {
+      {"windows = 0x10\n", "'windows'"},
+      {"windows = 2x\n", "'windows'"},
+      {"windows = -1\n", "'windows'"},
+      {"windows = +2\n", "'windows'"},
+      {"seed = 18446744073709551616\n", "'seed'"},
+      {"geometry.rows_per_bank = 1e6\n", "'geometry.rows_per_bank'"},
+      {"attack.count = -1\n", "'attack.count'"},
+      {"attack.count = 1\nattack.0.bank = 1x\n", "'attack.0.bank'"},
+      {"attack.count = 1\nattack.0.sides = 4294967296\n", "'attack.0.sides'"},
+      {"attack.count = 1\nattack.0.far_per_near = 0x10\n", "'attack.0.far_per_near'"},
+      {"attack.count = 1\nattack.0.victims = ~5x\n", "'attack.0.victims'"},
+      {"attack.count = 1\nattack.0.victims = ~0\n", "'attack.0.victims'"},
+      {"attack.count = 1\nattack.0.victims = ~8193\n", "'attack.0.victims'"},
+      {"attack.count = 1\nattack.0.victims = 1,,2\n", "'attack.0.victims'"},
+      {"attack.count = 1\nattack.0.victims = 4294967296\n", "'attack.0.victims'"},
+      {"fuzz.half_double = 2\n", "'fuzz.half_double'"},
+  };
+  for (const auto& [text, key] : bad) {
+    const std::string what = rejection(text);
+    EXPECT_NE(what.find(key), std::string::npos) << text << what;
+    EXPECT_NE(what.find("got '"), std::string::npos) << text << what;
+  }
+
+  EXPECT_EQ(apply("windows = 010\n").windows, 10u);
+  EXPECT_EQ(apply("attack.count = 1\nattack.0.victims = 0100,4096\n")
+                .workload.attacks[0].victims,
+            (std::vector<dram::RowId>{100, 4096}));
+  for (const char* yes : {"true", "1", "yes"})
+    EXPECT_TRUE(apply(std::string("fuzz.half_double = ") + yes + "\n")
+                    .workload.fuzz.params.half_double);
+  for (const char* no : {"false", "0", "no"})
+    EXPECT_FALSE(apply(std::string("fuzz.half_double = ") + no + "\n")
+                     .workload.fuzz.params.half_double);
+}
+
 TEST(ConfigIo, SampleConfigsLoadAndRun) {
   for (const char* name : {"paper_campaign.cfg", "modern_dram.cfg",
                            "half_double.cfg"}) {

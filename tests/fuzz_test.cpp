@@ -348,7 +348,9 @@ TEST(Fuzz, RandomConfigurationsKeepInvariants) {
     // least one.
     EXPECT_LE(r.stats.extra_acts, r.stats.triggers * 2 * cfg.act_n_radius)
         << "trial " << trial;
-    if (r.stats.triggers > 0) EXPECT_GE(r.stats.extra_acts, r.stats.triggers);
+    if (r.stats.triggers > 0) {
+      EXPECT_GE(r.stats.extra_acts, r.stats.triggers);
+    }
     EXPECT_EQ(r.stats.refresh_intervals,
               static_cast<std::uint64_t>(cfg.windows) *
                   cfg.timing.refresh_intervals)

@@ -424,9 +424,12 @@ TEST(Controller, RemappedRowsStillProtected) {
       MitigationAction::Kind::kActNeighbors, 100, 100}};
   feed(rig.controller, rec(10, 0, 100));
   const dram::RowId phys = rig.controller.remapper().to_physical(100);
-  if (phys > 0) EXPECT_EQ(rig.disturbance.disturbance_q8(0, phys - 1), 0u);
-  if (phys + 1 < cfg.geometry.rows_per_bank)
+  if (phys > 0) {
+    EXPECT_EQ(rig.disturbance.disturbance_q8(0, phys - 1), 0u);
+  }
+  if (phys + 1 < cfg.geometry.rows_per_bank) {
     EXPECT_EQ(rig.disturbance.disturbance_q8(0, phys + 1), 0u);
+  }
 }
 
 // ------------------------------------------------- independent walk oracle

@@ -578,7 +578,8 @@ TEST_F(TortureTest, ServerSurvivesInjectedEpollFaults) {
 // ---------------------------------------------------------------------------
 // Corpus (trace record/replay) I/O torture: the .tvpc writer must never
 // leave a half-written file that a reader accepts, and a failed read
-// (mmap or pread) must be a precise error naming the file.
+// (mmap, pread or a release of replayed pages) must be a precise error
+// naming the file.
 // ---------------------------------------------------------------------------
 
 /// The same tiny campaign as torture_spec(), as a SimConfig for
@@ -733,6 +734,40 @@ TEST_F(TortureTest, MmapFailureIsAPreciseError) {
   EXPECT_EQ(failpoint::hits("corpus.read.mmap"), 1u);
   failpoint::reset();
 
+  EXPECT_NO_THROW(trace::verify_corpus(file));
+}
+
+/// EIO from any release of replayed pages (behind each block a source
+/// moves on to, and the rest at its end) is a precise error naming the
+/// file, never ignored; once the fault clears the file verifies clean.
+TEST_F(TortureTest, ReleaseFailureIsAPreciseError) {
+  const exp::SimConfig sim = corpus_sim_config();
+  const std::string file = path("release_eio.tvpc");
+  exp::record_corpus(sim, file, kCorpusBlockRecords);
+
+  failpoint::reset();
+  trace::verify_corpus(file);
+  const std::uint64_t releases = failpoint::hits("corpus.read.release");
+  ASSERT_GE(releases, 2u) << "a replay releases behind its blocks and at its end";
+
+  for (std::uint64_t nth = 1; nth <= releases; ++nth) {
+    SCOPED_TRACE("EIO at corpus.read.release@" + std::to_string(nth));
+    failpoint::reset();
+    failpoint::Policy policy;
+    policy.action = failpoint::Policy::Action::kReturnErrno;
+    policy.error = EIO;
+    policy.nth = nth;
+    failpoint::set("corpus.read.release", policy);
+    try {
+      trace::verify_corpus(file);
+      ADD_FAILURE() << "the injected release failure must surface";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("cannot release"), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find(file), std::string::npos) << e.what();
+    }
+  }
+  failpoint::reset();
   EXPECT_NO_THROW(trace::verify_corpus(file));
 }
 
